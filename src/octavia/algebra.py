@@ -268,13 +268,9 @@ class AlgElem:
     @property
     def coords2(self) -> tuple[int, ...]:
         """Doubled coordinates; raises if the element is not half-integral."""
-        out = []
-        for c in self.coords:
-            c2 = 2 * c
-            if c2.denominator != 1:
-                raise ValueError(f"{self} is not half-integral")
-            out.append(c2.numerator)
-        return tuple(out)
+        if any(c.denominator > 2 for c in self.coords):
+            raise ValueError(f"{self} is not half-integral")
+        return tuple(2 * c.numerator // c.denominator for c in self.coords)
 
     def floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.coords])

@@ -27,10 +27,9 @@ from .rings import (
     OCTAVIAN,
     Ring,
     Z,
-    ball_elements,
+    _decode2,
     enumerate_ball,
     hurwitz_left_content,
-    is_left_coprime,
     octavian_left_content,
     shell_counts,
     units,
@@ -100,26 +99,32 @@ def _ball_data(ring: Ring, radius: int):
     return pts2, pts, nrm
 
 
-def _coprime_block(ring: Ring, pts2, nrm, rows, cols) -> np.ndarray:
-    """Left-coprimality of the pairs (c, d) = (pts[rows_i], pts[cols_j])
-    as a (len(rows), len(cols)) boolean block."""
-    ci, di = np.meshgrid(rows, cols, indexing="ij")
-    ci, di = ci.ravel(), di.ravel()
-    out = np.zeros(len(ci), dtype=bool)
-    czero = nrm[ci] == 0
-    dzero = nrm[di] == 0
-    out[czero] = nrm[di[czero]] == 1
-    out[dzero] = nrm[ci[dzero]] == 1
-    both = ~czero & ~dzero
-    if ring is Z:
-        g = np.gcd(np.abs(pts2[ci[both], 0]) // 2,
-                   np.abs(pts2[di[both], 0]) // 2)
-        out[both] = g == 1
-    elif ring is HURWITZ:
-        out[both] = hurwitz_left_content(pts2[ci[both]], pts2[di[both]]) == 4
-    else:
-        out[both] = octavian_left_content(pts2[ci[both]], pts2[di[both]]) == 4
-    return out.reshape(len(rows), len(cols))
+@lru_cache(maxsize=8)
+def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
+    """Left coprimality of every pair (c, d) = (pts[i], pts[j]) of the
+    truncation ball, as a read-only (m, m) boolean array.
+
+    The mask does not depend on the point z, so it is built once per
+    (ring, radius), in row chunks of about 64k pairs, which keep the
+    Euclid batch in cache.
+    """
+    pts2, _, _ = _ball_data(ring, radius)
+    m = len(pts2)
+    mask = np.empty((m, m), dtype=bool)
+    chunk = max(1, (1 << 16) // m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        ci, di = np.meshgrid(np.arange(lo, hi), np.arange(m), indexing="ij")
+        c2, d2 = pts2[ci.ravel()], pts2[di.ravel()]
+        if ring is Z:
+            ok = np.gcd(c2[:, 0], d2[:, 0]) == 2  # doubled coordinates
+        elif ring is HURWITZ:
+            ok = hurwitz_left_content(c2, d2) == 4
+        else:
+            ok = octavian_left_content(c2, d2) == 4
+        mask[lo:hi] = ok.reshape(hi - lo, m)
+    mask.flags.writeable = False
+    return mask
 
 
 def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
@@ -131,7 +136,7 @@ def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
     summation order matches the truncation geometry.
     """
     ring, z, s = p.ring, p.z, complex(p.s)
-    pts2, pts, nrm = _ball_data(ring, p.radius)
+    _, pts, nrm = _ball_data(ring, p.radius)
     u, v = z.u_vector(), z.v
     cu = pts @ right_mult_matrix(u, ring.dim).T  # row i: coords of c_i * u
     shell_id = np.rint(nrm).astype(np.int64)  # squared norms are integers
@@ -147,7 +152,7 @@ def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
                  + 2.0 * cu[rows] @ pts.T + (nrm[rows] * v * v)[:, None])
         keep = (nrm[rows][:, None] > 0) | (nrm[None, :] > 0)
         if coprime_only:
-            keep &= _coprime_block(ring, pts2, nrm, rows, np.arange(m))
+            keep &= _coprime_mask(ring, p.radius)[lo:hi]
         vals = np.where(keep, np.exp(-s * np.log(np.where(keep, denom, 1.0))), 0.0)
         key = np.maximum(shell_id[rows][:, None], shell_id[None, :]).ravel()
         acc_re += np.bincount(key, weights=vals.real.ravel(), minlength=n_shell)
@@ -191,7 +196,7 @@ def _coset_class_words(ring: Ring, radius: int):
     chunk = max(1, (1 << 20) // m)
     for lo in range(0, m, chunk):
         rows = np.arange(lo, min(lo + chunk, m))
-        cop = _coprime_block(ring, pts2, nrm, rows, np.arange(m))
+        cop = _coprime_mask(ring, radius)[rows]
         ci, di = np.nonzero(cop)
         if len(ci) == 0:
             continue
@@ -300,18 +305,11 @@ def _in_dual_lattice(ring: Ring, mu: np.ndarray) -> bool:
 
 
 def _nearest_lattice2(ring: Ring, targets: np.ndarray) -> np.ndarray:
-    """Doubled coordinates of a lattice point near each row (true coords);
-    always within the margin allowed by _margin_norm."""
-    if ring is Z:
-        return (2 * np.rint(targets)).astype(np.int64)
-    if ring is OCTAVIAN:
-        from .rings import _oct_decode2
-        return _oct_decode2(2.0 * targets)
-    a2 = 2.0 * np.rint(targets)
-    b2 = 2.0 * np.rint(targets - 0.5) + 1.0
-    da = ((2.0 * targets - a2) ** 2).sum(axis=1)
-    db = ((2.0 * targets - b2) ** 2).sum(axis=1)
-    return np.rint(np.where((da <= db)[:, None], a2, b2)).astype(np.int64)
+    """Doubled coordinates of a lattice point nearest each row (true
+    coords); within the covering radius, inside the margin of
+    _margin_norm."""
+    near = _decode2(ring, 2.0 * targets, np.ones(len(targets)))
+    return np.rint(near).astype(np.int64)
 
 
 def _margin_norm(radius: int) -> int:

@@ -40,7 +40,6 @@ from .rings import (
     is_in_commutator_ideal,
     is_left_coprime,
     is_member,
-    is_right_coprime,
     is_unit,
     left_euclid,
     right_euclid,
@@ -217,10 +216,6 @@ def row_act(row, w: GroupWord):
 # -- coset words -----------------------------------------------------------
 
 
-def _canonical_last_unit(trace_unit: AlgElem) -> AlgElem:
-    return trace_unit
-
-
 def build_w_ac(ring: Ring, a: AlgElem, c: AlgElem) -> GroupWord:
     """w_{a,c} = t_{q1} o s_-1 o ... o t_{q_{n+1}} o s_-1 o u_{r_n} from the
     right Euclidean algorithm; satisfies
@@ -229,9 +224,9 @@ def build_w_ac(ring: Ring, a: AlgElem, c: AlgElem) -> GroupWord:
         if not is_unit(ring, a):
             raise ValueError("(a, 0) requires a to be a unit")
         return GroupWord(ring, (Rot(a),))
-    if not is_right_coprime(ring, a, c):
-        raise ValueError("(a, c) must be right coprime")
     tr = right_euclid(ring, a, c)
+    if norm_sq(tr.last_divisor) != 1:
+        raise ValueError("(a, c) must be right coprime")
     toks = []
     for q in tr.quotients:
         toks.append(Trans(q))
@@ -248,9 +243,9 @@ def build_w_tilde_cd(ring: Ring, c: AlgElem, d: AlgElem) -> GroupWord:
         if not is_unit(ring, d):
             raise ValueError("(0, d) requires d to be a unit")
         return GroupWord(ring, (Rot(conj(d)),))
-    if not is_left_coprime(ring, d, c):
-        raise ValueError("(d, c) must be left coprime")
     tr = left_euclid(ring, d, c)
+    if norm_sq(tr.last_divisor) != 1:
+        raise ValueError("(d, c) must be left coprime")
     toks = [Rot(conj(tr.last_divisor)), Inv()]
     for q in reversed(tr.quotients):
         toks.append(Trans(q))

@@ -5,13 +5,14 @@ quaternions H (dim 4: all-integer or all-half-integer coordinates, the
 D4 root lattice) and the octavians O (dim 8, the E8 root lattice).
 
 Provides membership tests, unit enumeration, nearest-lattice-point
-decoding, sided Euclidean algorithms with backtracking, coprimality,
-shell counts and the Hurwitz commutator ideal.
+decoding, sided Euclidean algorithms on integer doubled coordinates,
+coprimality, shell counts and the Hurwitz commutator ideal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,10 +24,10 @@ from .algebra import (
     basis_unit,
     cd_multiply,
     commutator,
-    conj,
     invert,
     norm_sq,
     one,
+    structure_table,
     zero,
 )
 
@@ -53,7 +54,6 @@ __all__ = [
     "is_unit",
     "left_euclid",
     "nearest",
-    "nearest_shells",
     "octavian_glue_code",
     "octavian_left_content",
     "random_element",
@@ -142,7 +142,8 @@ def units(ring: Ring) -> tuple[AlgElem, ...]:
         out = list(real) + list(brandt) + list(imag)
     else:
         raise ValueError(f"unknown ring {ring}")
-    assert len(out) == ring.unit_count
+    if len(out) != ring.unit_count:
+        raise RuntimeError(f"{ring} has {len(out)} units, expected {ring.unit_count}")
     return tuple(sorted(out, key=lambda u: u.coords))
 
 
@@ -165,7 +166,8 @@ def octavian_unit_classes() -> tuple[tuple[AlgElem, ...], tuple[AlgElem, ...], t
     for r in range(1, 8):
         for s in (1, -1):
             imag.append(s * basis_unit(8, r))
-    assert (len(real), len(brandt), len(imag)) == (2, 112, 126)
+    if (len(real), len(brandt), len(imag)) != (2, 112, 126):
+        raise RuntimeError("octavian unit classes do not have sizes (2, 112, 126)")
     return real, tuple(brandt), tuple(imag)
 
 
@@ -176,46 +178,16 @@ def is_unit(ring: Ring, x: AlgElem) -> bool:
 # -- membership ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _e8_basis_inverse() -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the column matrix of the E8 simple roots (exact)."""
-    n = 8
-    cols = [r.coords for r in E8_SIMPLE_ROOTS]
-    # augmented Gauss-Jordan over Fractions
-    mat = [[cols[j][i] for j in range(n)] + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if mat[r][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return tuple(tuple(row[n:]) for row in mat)
-
-
-def octavian_root_coordinates(x: AlgElem) -> tuple[Fraction, ...]:
-    """Exact coordinates of x in the E8 simple-root basis."""
-    binv = _e8_basis_inverse()
-    return tuple(sum(binv[i][j] * x.coords[j] for j in range(8)) for i in range(8))
-
-
 def is_member(ring: Ring, x: AlgElem) -> bool:
     """True iff x lies on the ring lattice."""
     if x.dim != ring.dim:
         raise ValueError(f"dimension mismatch: element dim {x.dim}, ring dim {ring.dim}")
-    if ring is Z:
-        return x.coords[0].denominator == 1
-    if ring is HURWITZ:
-        doubled = [2 * c for c in x.coords]
-        if any(d.denominator != 1 for d in doubled):
-            return False
-        parities = {d.numerator % 2 for d in doubled}
-        return len(parities) == 1
-    if ring is OCTAVIAN:
-        return all(c.denominator == 1 for c in octavian_root_coordinates(x))
-    raise ValueError(f"unknown ring {ring}")
+    if any(c.denominator > 2 for c in x.coords):
+        return False
+    # doubled coordinates mod 2 lie in the coset table; for octavians this
+    # Construction A lattice contains the units and has the covolume of O,
+    # so it is O
+    return tuple(int(c.denominator == 2) for c in x.coords) in _cosets(ring)
 
 
 # -- the octavian glue code (construction-A frame) -------------------------
@@ -225,8 +197,8 @@ def is_member(ring: Ring, x: AlgElem) -> bool:
 def octavian_glue_code() -> tuple[tuple[int, ...], ...]:
     """Binary [8,4] code C with 2*O = {x in Z^8 : x mod 2 in C}.
 
-    Derived from the doubled coordinates of the 240 units; asserted to be
-    linear of size 16 (it is the extended Hamming code).
+    Derived from the doubled coordinates of the 240 units; checked to
+    close into 16 words of weight 0, 4 or 8 (the extended Hamming code).
     """
     words = set()
     for cls in octavian_unit_classes():
@@ -240,87 +212,77 @@ def octavian_glue_code() -> tuple[tuple[int, ...], ...]:
         if not new:
             break
         closed |= new
-    assert closed == words | {(0,) * 8} or words <= closed
-    assert len(closed) == 16, f"glue code has size {len(closed)}"
-    assert all(sum(w) in (0, 4, 8) for w in closed)
+    if len(closed) != 16 or any(sum(w) not in (0, 4, 8) for w in closed):
+        raise RuntimeError(f"glue code has {len(closed)} words, expected 16 of weight 0, 4 or 8")
     return tuple(sorted(closed))
 
 
 # -- nearest-point decoding ------------------------------------------------
 
 
-def _nearest_residues(y: Fraction, parity: int) -> list[int]:
-    """Nearest integer(s) to y congruent to parity mod 2 (1 or 2 of them)."""
-    # candidates around y with the right parity
-    base = (y - parity) / 2
-    fl = base.numerator // base.denominator
-    cands = sorted({parity + 2 * (fl + k) for k in (-1, 0, 1, 2)}, key=lambda v: (abs(y - v), v))
-    best = abs(y - cands[0])
-    return [v for v in cands if abs(y - v) == best]
+def _cosets(ring: Ring) -> tuple[tuple[int, ...], ...]:
+    """Glue vectors g with 2 * ring = union of the cosets g + 2 Z^dim."""
+    if ring is Z:
+        return ((0,),)
+    if ring is HURWITZ:
+        return ((0, 0, 0, 0), (1, 1, 1, 1))
+    if ring is OCTAVIAN:
+        return octavian_glue_code()
+    raise ValueError(f"unknown ring {ring}")
 
 
-def nearest(ring: Ring, x) -> list[AlgElem]:
-    """Complete set of ring elements at minimal distance from x.
+@lru_cache(maxsize=None)
+def _coset_matrix(ring: Ring) -> np.ndarray:
+    return np.array(_cosets(ring), dtype=np.int64)
 
-    x may be an AlgElem or a coordinate sequence (exact rationals
-    recommended when ties matter).  Deterministic ordering by coords.
+
+def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Doubled coordinates of the ring point nearest to each row num / den.
+
+    num holds (M, dim) doubled-coordinate numerators and den one positive
+    denominator per row.  Integer input (int64 or Python-int objects)
+    decodes exactly; float input decodes to rounding.  Of equally near
+    points the lexicographically least doubled coordinates win.
+
+    Each coordinate is rounded alone to its nearest even and nearest odd
+    value, halves down, so the squared distance to the best point of
+    each of the K <= 2 dim cosets is a sum of per-coordinate errors
+    (soft-decision decoding of the glue code; Conway & Sloane, IEEE
+    Trans. Inf. Theory 28, 1982).  Memory stays O(M dim).
     """
-    return nearest_shells(ring, x, n_shells=1)[0]
+    g = _coset_matrix(ring)
+    dim = g.shape[1]
+    den = den[:, None]
+    den2 = 2 * den
+    v0 = -2 * ((den - num) // den2)
+    v1 = 1 - 2 * ((den2 - num) // den2)
+    e0 = (num - v0 * den) ** 2
+    e1 = (num - v1 * den) ** 2
+    dist = e0 @ (1 - g).T + e1 @ g.T
+    # Two cosets' points first differ where the codewords do, and there
+    # the one taking the smaller of v0, v1 is less; so the rank below,
+    # with bit i (most significant first) set where coset k takes the
+    # larger value, orders the points lexicographically.
+    w = 1 << np.arange(dim - 1, -1, -1)
+    odd_less = (v1 < v0).astype(np.int64)
+    rank = (g @ w)[None, :] + (odd_less @ w)[:, None] - 2 * (odd_less * w) @ g.T
+    rank = np.where(dist == dist.min(axis=1, keepdims=True), rank, 1 << dim)
+    return np.where(g[rank.argmin(axis=1)] == 1, v1, v0)
 
 
-def nearest_shells(ring: Ring, x, n_shells: int = 1) -> list[list[AlgElem]]:
-    """The n_shells closest-distance groups of ring elements to x."""
+def nearest(ring: Ring, x) -> AlgElem:
+    """The ring element nearest to x, the least by coords on a tie.
+
+    x may be an AlgElem or a coordinate sequence; floats are taken at
+    their exact binary value.
+    """
     coords = x.coords if isinstance(x, AlgElem) else tuple(Fraction(c) for c in x)
     if len(coords) != ring.dim:
         raise ValueError("coordinate count does not match ring dimension")
-    y2 = [2 * c for c in coords]  # work in doubled coordinates
-    if ring is Z:
-        cosets = [(0,)]
-    elif ring is HURWITZ:
-        cosets = [(0, 0, 0, 0), (1, 1, 1, 1)]
-    elif ring is OCTAVIAN:
-        cosets = octavian_glue_code()
-    else:
-        raise ValueError(f"unknown ring {ring}")
-
-    if n_shells == 1:
-        # fast path: the minimum over each codeword coset is the sum of
-        # per-coordinate minima, so only tied codewords need the product
-        # expansion of their per-coordinate tie lists
-        rows = []
-        for cw in cosets:
-            per_coord = [_nearest_residues(y2[i], cw[i]) for i in range(ring.dim)]
-            d2 = sum((y2[i] - pc[0]) ** 2 for i, pc in enumerate(per_coord))
-            rows.append((d2, per_coord))
-        d_min = min(d2 for d2, _ in rows)
-        pts = set()
-        for d2, per_coord in rows:
-            if d2 == d_min:
-                pts.update(itertools.product(*per_coord))
-        return [[AlgElem(ring.dim, tuple(Fraction(v, 2) for v in c2))
-                 for c2 in sorted(pts)]]
-
-    candidates = {}
-    for cw in cosets:
-        per_coord = [_nearest_residues(y2[i], cw[i]) for i in range(ring.dim)]
-        if n_shells > 1:
-            # widen to the two nearest residues per coordinate
-            per_coord = [
-                sorted({parity_vals[0], parity_vals[0] + 2, parity_vals[0] - 2} | set(parity_vals),
-                       key=lambda v, i=i: (abs(y2[i] - v), v))[:3]
-                for i, parity_vals in enumerate(per_coord)
-            ]
-        for combo in itertools.product(*per_coord):
-            d2 = sum((y2[i] - combo[i]) ** 2 for i in range(ring.dim))
-            candidates.setdefault(tuple(combo), d2)
-    by_dist = {}
-    for c2, d2 in candidates.items():
-        by_dist.setdefault(d2, []).append(c2)
-    shells = []
-    for d2 in sorted(by_dist)[:n_shells]:
-        pts = sorted(by_dist[d2])
-        shells.append([AlgElem(ring.dim, tuple(Fraction(v, 2) for v in c2)) for c2 in pts])
-    return shells
+    den = math.lcm(*(c.denominator for c in coords))
+    num = np.array([[int(2 * c * den) for c in coords]], dtype=object)
+    best = _decode2(ring, num, np.array([den], dtype=object))
+    return _elem(ring.dim, best[0])
 
 
 # -- Euclidean algorithms --------------------------------------------------
@@ -365,46 +327,89 @@ class EuclTrace:
         return self.remainders[-1] if self.remainders else self.inputs[1]
 
 
-class EuclidStallError(RuntimeError):
-    """No strictly norm-decreasing quotient exists even after backtracking."""
+@lru_cache(maxsize=None)
+def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) with e_i e_perm[i, k] = sign[i, k] e_k."""
+    idx, sgn = structure_table(dim)
+    perm = np.argsort(idx, axis=1)
+    return perm, np.take_along_axis(sgn, perm, axis=1)
 
 
-def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str, max_shells: int = 2) -> EuclTrace:
+def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Row-wise algebra product on doubled coordinates, 2 (x2/2)(y2/2)."""
+    perm, sign = _product_table(x2.shape[1])
+    raw = x2[:, :1] * (y2[:, perm[0]] * sign[0])
+    for i in range(1, x2.shape[1]):
+        raw += x2[:, i:i + 1] * (y2[:, perm[i]] * sign[i])
+    if np.any(raw & 1):
+        raise ArithmeticError("product left the half-integer lattice")
+    return raw >> 1
+
+
+def _exact_rows(*rows) -> list[np.ndarray]:
+    """The row arrays as int64 where no Euclid intermediate can overflow
+    it, else as Python-int object arrays.
+
+    With m the largest |entry|, norms never grow along the chain, so every
+    entry stays below sqrt(dim) m and every intermediate below the
+    decoder's squared distances, dim den^2 <= dim^3 m^4.
+    """
+    rows = [np.asarray(r) for r in rows]
+    dim = rows[0].shape[1]
+    m = max((max(abs(int(r.max())), abs(int(r.min()))) for r in rows if r.size),
+            default=0)
+    dtype = np.int64 if dim ** 3 * (m + 2) ** 4 < 2 ** 62 else object
+    return [r.astype(dtype) for r in rows]
+
+
+def _euclid_rows(ring: Ring, first2, c2, side: str):
+    """Sided Euclid with nearest quotients on each row pair (first, c).
+
+    Inputs are (M, dim) doubled coordinates.  Returns (content, chain):
+    content[i] is 4 |last nonzero remainder|^2 of row i (4 |first|^2 when
+    c = 0, so 4 means coprime); chain lists the (q2, r2) of every step
+    when M = 1 and is None otherwise.  The squared covering radii of Z,
+    D4 and E8 at unit minimal norm (1/4, 1/2, 1/2) are below 1, so each
+    nearest quotient strictly lowers the norm; a step that does not
+    raises ArithmeticError.
+    """
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    p, c = _exact_rows(first2, c2)
+    conj_sign = np.array([1] + [-1] * (ring.dim - 1))
+    cn4 = (c * c).sum(axis=1)
+    content = (p * p).sum(axis=1)
+    chain = [] if len(c) == 1 else None
+    idx = np.flatnonzero(cn4 > 0)
+    p, c, cn4 = p[idx], c[idx], cn4[idx]
+    while len(idx):
+        cbar = c * conj_sign
+        # doubled target: right p c^-1 = p conj(c) / N(c), left c^-1 p
+        num = 4 * (_mult2(p, cbar) if side == "right" else _mult2(cbar, p))
+        q = _decode2(ring, num, cn4)
+        r = (_mult2(q, c) if side == "right" else _mult2(c, q)) - p
+        rn4 = (r * r).sum(axis=1)
+        if np.any(rn4 >= cn4):
+            raise ArithmeticError(f"Euclid step did not lower the norm in {ring} ({side})")
+        if chain is not None:
+            chain.append((q[0], r[0]))
+        done = rn4 == 0
+        content[idx[done]] = cn4[done]
+        more = ~done
+        idx, p, c, cn4 = idx[more], c[more], r[more], rn4[more]
+    return content, chain
+
+
+def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
     if c.is_zero():
         raise ZeroDivisionError("Euclidean algorithm requires a nonzero divisor")
     for x in (first, c):
         if not is_member(ring, x):
             raise ValueError(f"{x} is not a member of {ring}")
-
-    def step(prev, cur):
-        """Return (quotients, remainders) finishing the chain from (prev, cur)."""
-        cinv = invert(cur)
-        target = cd_multiply(prev, cinv) if side == "right" else cd_multiply(cinv, prev)
-
-        def shell_iter():
-            # the covering radius argument makes shell 1 always succeed for
-            # these rings, so wider shells are computed only on a stall
-            yield nearest_shells(ring, target, n_shells=1)[0]
-            if max_shells > 1:
-                yield from nearest_shells(ring, target, n_shells=max_shells)[1:]
-
-        for shell in shell_iter():
-            for q in shell:
-                r = (cd_multiply(q, cur) if side == "right" else cd_multiply(cur, q)) - prev
-                if r.is_zero():
-                    return [q], []
-                if norm_sq(r) < norm_sq(cur):
-                    try:
-                        qs, rs = step(cur, r)
-                    except EuclidStallError:
-                        continue
-                    return [q] + qs, [r] + rs
-        raise EuclidStallError(
-            f"no strictly decreasing step for ({prev}, {cur}) in {ring} ({side})"
-        )
-
-    qs, rs = step(first, c)
-    return EuclTrace(side, ring, (first, c), tuple(qs), tuple(rs))
+    _, chain = _euclid_rows(ring, [first.coords2], [c.coords2], side)
+    qs = tuple(_elem(ring.dim, q) for q, _ in chain)
+    rs = tuple(_elem(ring.dim, r) for _, r in chain[:-1])
+    return EuclTrace(side, ring, (first, c), qs, rs)
 
 
 def right_euclid(ring: Ring, a: AlgElem, c: AlgElem) -> EuclTrace:
@@ -436,6 +441,19 @@ def is_right_coprime(ring: Ring, a: AlgElem, c: AlgElem) -> bool:
 def is_left_coprime(ring: Ring, d: AlgElem, c: AlgElem) -> bool:
     """True iff the left Euclidean run on (d, c) ends in a unit."""
     return _coprime(ring, d, c, "left")
+
+
+def hurwitz_left_content(c2: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """4 |left gcd|^2 of each Hurwitz pair (c, d) of (M, 4) doubled
+    coordinates: the last remainder of the left run on (d, c); 4 means
+    left coprime."""
+    return _euclid_rows(HURWITZ, d2, c2, "left")[0]
+
+
+def octavian_left_content(c2: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """4 |last nonzero remainder|^2 of the left Euclid run on each octavian
+    pair (d, c) of (M, 8) doubled coordinates; 4 means left coprime."""
+    return _euclid_rows(OCTAVIAN, d2, c2, "left")[0]
 
 
 def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4) -> list[AlgElem]:
@@ -472,15 +490,11 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
         m = int(np.floor(np.sqrt(max_norm)))
         pts = 2 * np.arange(-m, m + 1, dtype=np.int64).reshape(-1, 1)
     else:
-        if ring is HURWITZ:
-            cosets = [(0, 0, 0, 0), (1, 1, 1, 1)]
-        else:
-            cosets = octavian_glue_code()
         dim = ring.dim
         bound = 4 * max_norm  # doubled-coordinate norm bound
         rmax = int(np.floor(np.sqrt(bound)))
         blocks = []
-        for cw in cosets:
+        for cw in _cosets(ring):
             axes = []
             for p in cw:
                 vals = np.arange(-rmax + ((-rmax) % 2 != p), rmax + 1, 2, dtype=np.int64)
@@ -500,7 +514,7 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
 def ball_elements(ring: Ring, max_norm: int, include_zero: bool = False) -> list[AlgElem]:
     """Ring elements with 0 < |x|^2 <= max_norm (optionally including 0)."""
     pts = enumerate_ball(ring, max_norm)
-    out = [AlgElem(ring.dim, tuple(Fraction(int(v), 2) for v in row)) for row in pts]
+    out = [_elem(ring.dim, row) for row in pts]
     if not include_zero:
         out = [x for x in out if not x.is_zero()]
     return out
@@ -565,7 +579,8 @@ def commutator_ideal_basis() -> tuple[AlgElem, ...]:
         v = cd_multiply(cd_multiply(h1, commutator(h2, h3)), h4)
         rows.append(list(v.coords2))
     basis_rows = _hnf_rows(rows)
-    assert len(basis_rows) == 4, "commutator ideal is not full rank"
+    if len(basis_rows) != 4:
+        raise RuntimeError("commutator ideal is not full rank")
     return tuple(AlgElem.from_coords2(4, r) for r in basis_rows)
 
 
@@ -584,7 +599,8 @@ def _det_int(rows) -> int:
         for r in range(col + 1, n):
             f = m[r][col] / m[col][col]
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError("determinant of an integer matrix is not an integer")
     return det.numerator
 
 
@@ -617,120 +633,6 @@ def is_in_commutator_ideal(x: AlgElem) -> bool:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return all(aug[i][n].denominator == 1 for i in range(n))
-
-
-# -- vectorized Hurwitz helpers (used by the series code) ------------------
-
-
-def _quat_mult2(x, y):
-    """Quaternion product in doubled integer coordinates: (x/2)(y/2)*2."""
-    w1, i1, j1, k1 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    w2, i2, j2, k2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    w = w1 * w2 - i1 * i2 - j1 * j2 - k1 * k2
-    i = w1 * i2 + i1 * w2 + j1 * k2 - k1 * j2
-    j = w1 * j2 + j1 * w2 + k1 * i2 - i1 * k2
-    k = w1 * k2 + k1 * w2 + i1 * j2 - j1 * i2
-    out = np.stack([w, i, j, k], axis=-1)
-    assert not np.any(out % 2), "product left the half-integer lattice"
-    return out // 2
-
-
-def hurwitz_left_content(c2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Squared norm (x4) of the left gcd of each Hurwitz pair (c, d).
-
-    Inputs are (M, 4) doubled-coordinate integer arrays; a pair is left
-    coprime iff the returned value is 4.  Fully vectorized left Euclid
-    with nearest-point quotients (strict decrease is guaranteed since the
-    D4 covering radius is below 1).
-    """
-    prev = d2.astype(np.int64).copy()
-    cur = c2.astype(np.int64).copy()
-    out = np.zeros(len(cur), dtype=np.int64)
-    active = (cur * cur).sum(axis=1) > 0
-    out[~active] = (prev[~active] ** 2).sum(axis=1)
-    while np.any(active):
-        p, c = prev[active], cur[active]
-        cn4 = (c * c).sum(axis=1)
-        cbar = c * np.array([1, -1, -1, -1])
-        num = _quat_mult2(cbar, p).astype(np.float64)  # doubled coords of cbar*d
-        t = 2.0 * num / cn4[:, None]  # true coordinates of c^-1 d
-        qi = np.rint(t)
-        qh = np.floor(t) + 0.5
-        di = ((t - qi) ** 2).sum(axis=1)
-        dh = ((t - qh) ** 2).sum(axis=1)
-        q = np.where((di <= dh)[:, None], qi, qh)
-        q2 = np.rint(2 * q).astype(np.int64)
-        r = _quat_mult2(c, q2) - p  # d = c q - r
-        rn4 = (r * r).sum(axis=1)
-        assert np.all(rn4 < cn4), "Hurwitz Euclid failed to decrease"
-        done = rn4 == 0
-        idx = np.flatnonzero(active)
-        out[idx[done]] = cn4[done]
-        prev[idx[~done]] = c[~done]
-        cur[idx[~done]] = r[~done]
-        active[idx[done]] = False
-    return out
-
-
-def _oct_mult2(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Row-wise octonion product on doubled integer coordinates."""
-    from .algebra import _structure_float
-
-    S = np.rint(_structure_float(8)).astype(np.int64)
-    out = np.einsum("ni,nj,ijk->nk", a2.astype(np.int64), b2.astype(np.int64), S)
-    assert not np.any(out % 2), "product left the half-integer lattice"
-    return out // 2
-
-
-def _oct_decode2(t2: np.ndarray) -> np.ndarray:
-    """Doubled coordinates of a nearest octavian to each row of t2 (doubled
-    float coordinates).  Ties break on glue-code order; any minimizer keeps
-    the Euclid norms strictly decreasing."""
-    best_d = None
-    best = None
-    for cw in octavian_glue_code():
-        cwa = np.array(cw, dtype=np.float64)
-        cand = cwa + 2.0 * np.rint((t2 - cwa) / 2.0)
-        d = ((t2 - cand) ** 2).sum(axis=1)
-        if best is None:
-            best, best_d = cand, d
-        else:
-            take = d < best_d - 1e-9
-            best = np.where(take[:, None], cand, best)
-            best_d = np.where(take, d, best_d)
-    return np.rint(best).astype(np.int64)
-
-
-def octavian_left_content(c2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Squared norm (x4) of the last nonzero remainder of the left Euclid
-    run on each octavian pair (d, c); 4 means left coprime.
-
-    Vectorized float decoding; the E8 covering radius (squared 1/2) keeps
-    every step strictly decreasing, so the unit-or-not outcome matches the
-    exact per-element algorithm.
-    """
-    prev = d2.astype(np.int64).copy()
-    cur = c2.astype(np.int64).copy()
-    out = np.zeros(len(cur), dtype=np.int64)
-    active = (cur * cur).sum(axis=1) > 0
-    out[~active] = (prev[~active] ** 2).sum(axis=1)
-    while np.any(active):
-        p, c = prev[active], cur[active]
-        cn4 = (c * c).sum(axis=1)
-        cbar = c * np.array([1, -1, -1, -1, -1, -1, -1, -1])
-        num = _oct_mult2(cbar, p)  # doubled coords of conj(c) d
-        t2 = 4.0 * num / cn4[:, None]  # doubled coords of c^-1 d
-        q2 = _oct_decode2(t2)
-        r = _oct_mult2(c, q2) - p  # d = c q - r
-        rn4 = (r * r).sum(axis=1)
-        assert np.all(rn4 < cn4), "octavian Euclid failed to decrease"
-        done = rn4 == 0
-        idx = np.flatnonzero(active)
-        out[idx[done]] = cn4[done]
-        prev[idx[~done]] = c[~done]
-        cur[idx[~done]] = r[~done]
-        active[idx[done]] = False
-    return out
 
 
 # -- misc ------------------------------------------------------------------

@@ -113,7 +113,8 @@ class LinMap:
     def __mul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other (other acts first)."""
         prod = other.matrix2() @ self.matrix2()
-        assert not np.any(prod % 2), "composition left the half-integer lattice"
+        if np.any(prod % 2):
+            raise ArithmeticError("composition left the half-integer lattice")
         return LinMap(self.dim, tuple(map(tuple, (prod // 2).tolist())))
 
     def key(self) -> bytes:
@@ -180,7 +181,8 @@ def root_basis(algebra: str) -> RootBasis:
         simple = E8_SIMPLE_ROOTS[1:]
     else:
         raise ValueError(f"unknown root system {algebra!r}")
-    assert all(norm_sq(r) == 1 for r in simple)
+    if any(norm_sq(r) != 1 for r in simple):
+        raise RuntimeError(f"simple roots of {algebra} do not have unit norm")
     theta = _highest_root(algebra, simple)
     return RootBasis(algebra, simple, theta)
 
@@ -219,7 +221,8 @@ def cartan_matrix(algebra: str) -> list[list[int]]:
         row = []
         for b in simple:
             v = 2 * inner(a, b)
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise ArithmeticError(f"Cartan entry {v} of {algebra} is not an integer")
             row.append(v.numerator)
         out.append(row)
     return out
@@ -273,7 +276,8 @@ def theta_marks(algebra: str) -> list[int]:
     """Coefficients of the highest root over the simple roots."""
     basis = root_basis(algebra)
     coeffs = _root_coefficients(basis.simple_roots, basis.theta)
-    assert all(c.denominator == 1 for c in coeffs)
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError(f"highest root of {algebra} has non-integral marks")
     return [c.numerator for c in coeffs]
 
 
@@ -419,7 +423,8 @@ def _matrix_closure(gens: np.ndarray, safety: int) -> list:
         new = []
         for g in gens:
             prod = frontier @ g
-            assert not np.any(prod % 2)
+            if np.any(prod % 2):
+                raise ArithmeticError("closure left the half-integer lattice")
             prod //= 2
             for m in prod:
                 k = m.astype(np.int8).tobytes()
@@ -550,7 +555,8 @@ def generate_w_e7(generator_pairs=4, limit=2_000_000):
         new = []
         for g in gens:
             prod = frontier @ g
-            assert not np.any(prod % 2)
+            if np.any(prod % 2):
+                raise ArithmeticError("closure left the half-integer lattice")
             prod //= 2
             keys = [m.astype(np.int8).tobytes() for m in prod]
             for k, m in zip(keys, prod):
@@ -630,15 +636,19 @@ def w_e8_order(sample_checks: int = 50, rng=None) -> int:
     orbit = set()
     for b in all_units:
         rho = right_mult_map(b)
-        assert rho.is_orthogonal() and abs(rho.det() - 1.0) < 1e-9
+        if not rho.is_orthogonal() or abs(rho.det() - 1.0) >= 1e-9:
+            raise RuntimeError(f"right multiplication by {b} is not an even isometry")
         orbit.add(rho.apply(one(8)))
-    assert len(orbit) == 240
+    if len(orbit) != 240:
+        raise RuntimeError(f"orbit of 1 has {len(orbit)} points, expected 240")
     cosets = set()
     for b in all_units:
         g, h = factor_into_imaginaries(b)
-        assert cd_multiply(g, h) == b
+        if cd_multiply(g, h) != b:
+            raise RuntimeError(f"{b} does not factor into the imaginaries {g}, {h}")
         cosets.add(min(b, -b, key=lambda u: u.coords))
-    assert len(cosets) == 120
+    if len(cosets) != 120:
+        raise RuntimeError(f"{len(cosets)} stabilizer cosets, expected 120")
     keys = g2_key_set()
     imag = imaginary_units()
     for _ in range(sample_checks):
@@ -649,5 +659,6 @@ def w_e8_order(sample_checks: int = 50, rng=None) -> int:
         s2 = sandwich_map(g2) * sandwich_map(h2)
         # equal +-gh implies the same coset of G2(2)
         diff = (sandwich_map(h2) * sandwich_map(g2)) * s1
-        assert diff.key() in keys
+        if diff.key() not in keys:
+            raise RuntimeError(f"sandwich pairs with equal +-gh = {b} lie in different G2 cosets")
     return 240 * 120 * 12096

@@ -99,14 +99,14 @@ def test_criterion_04_aut_o_order_and_multiplicativity():
     ok = len(maps) == 12096 and elapsed < 60.0
     # every element multiplicative on all basis pairs, vectorized:
     # column j of matrix2 is phi(e_j) in doubled coordinates
-    from octavia.rings import _oct_mult2
+    from octavia.rings import _mult2
     stack = np.stack([np.array(m.rows2, dtype=np.int64) for m in maps])
     basis2 = 2 * np.eye(8, dtype=np.int64)
     for i in range(8):
         for j in range(8):
-            prod2 = _oct_mult2(basis2[i][None, :], basis2[j][None, :])[0]
+            prod2 = _mult2(basis2[i][None, :], basis2[j][None, :])[0]
             lhs = stack @ prod2 // 2          # phi(e_i e_j)
-            rhs = _oct_mult2(stack[:, :, i], stack[:, :, j])
+            rhs = _mult2(stack[:, :, i], stack[:, :, j])
             ok &= bool(np.array_equal(lhs, rhs))
     _line(4, ok, f"|Aut O| = 12096 in {elapsed:.1f}s; all maps multiplicative")
 
@@ -182,9 +182,9 @@ def test_criterion_08_automorphism_criteria():
     b_pair = np.einsum("hij,gj->ghi", T, cube2) // 2
     thm_pair = np.all(b_pair[:, :, 1:] == 0, axis=2)
     prod_pair = np.empty((n, n, 8), dtype=np.int64)
-    from octavia.rings import _oct_mult2
+    from octavia.rings import _mult2
     for h in range(n):
-        prod_pair[:, h] = _oct_mult2(I2, np.broadcast_to(I2[h], (n, 8)))
+        prod_pair[:, h] = _mult2(I2, np.broadcast_to(I2[h], (n, 8)))
     pm_one = np.zeros((2, 8), dtype=np.int64)
     pm_one[0, 0], pm_one[1, 0] = 2, -2
     cor_pair = ((prod_pair == pm_one[0]).all(axis=2)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,66 @@ def test_coset(capsys):
     data = _run_json(capsys, "coset", "--ring", "z", "--bound", "1", "--words")
     assert data["count"] == 4
     assert all("word" in rep for rep in data["representatives"])
+
+
+# Outputs of `octavia` captured before the integer Euclid kernel replaced
+# the Fraction one; traces and coset words must stay byte-identical.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "coset-hurwitz-2":
+        "coset --ring hurwitz --bound 2 --words",
+    "coset-octavian-1":
+        "coset --ring octavian --bound 1 --words",
+    "coset-z-2":
+        "coset --ring z --bound 2 --words",
+    "euclid-hurwitz-left-0":
+        "euclid --ring hurwitz --side left --a quat:-7,11,13,7 --c quat:6,-12,8,6",
+    "euclid-hurwitz-left-1":
+        "euclid --ring hurwitz --side left --a quat:-9,-1,3,5 --c quat:5,-9,7,-5",
+    "euclid-hurwitz-left-2":
+        "euclid --ring hurwitz --side left --a quat:-12,8,-8,4 --c quat:-6,0,12,-12",
+    "euclid-hurwitz-right-0":
+        "euclid --ring hurwitz --side right --a quat:-7,11,13,7 --c quat:6,-12,8,6",
+    "euclid-hurwitz-right-1":
+        "euclid --ring hurwitz --side right --a quat:-9,-1,3,5 --c quat:5,-9,7,-5",
+    "euclid-hurwitz-right-2":
+        "euclid --ring hurwitz --side right --a quat:-12,8,-8,4 --c quat:-6,0,12,-12",
+    "euclid-octavian-left-0":
+        "euclid --ring octavian --side left --a oct:-4,-3,8,8,1,7,4,7 --c oct:8,2,6,-7,-12,-9,11,-9",
+    "euclid-octavian-left-1":
+        "euclid --ring octavian --side left --a oct:-10,7,-10,11,-3,4,5,4 --c oct:10,3,9,0,2,8,9,13",
+    "euclid-octavian-left-2":
+        "euclid --ring octavian --side left --a oct:-10,-8,-4,7,-4,-3,3,-5 --c oct:12,6,-5,1,-1,10,-8,1",
+    "euclid-octavian-right-0":
+        "euclid --ring octavian --side right --a oct:-4,-3,8,8,1,7,4,7 --c oct:8,2,6,-7,-12,-9,11,-9",
+    "euclid-octavian-right-1":
+        "euclid --ring octavian --side right --a oct:-10,7,-10,11,-3,4,5,4 --c oct:10,3,9,0,2,8,9,13",
+    "euclid-octavian-right-2":
+        "euclid --ring octavian --side right --a oct:-10,-8,-4,7,-4,-3,3,-5 --c oct:12,6,-5,1,-1,10,-8,1",
+    "euclid-z-left-0":
+        "euclid --ring z --side left --a r:-6 --c r:-4",
+    "euclid-z-left-1":
+        "euclid --ring z --side left --a r:-8 --c r:8",
+    "euclid-z-left-2":
+        "euclid --ring z --side left --a r:8 --c r:12",
+    "euclid-z-left-3":
+        "euclid --ring z --side left --a r:14 --c r:10",
+    "euclid-z-right-0":
+        "euclid --ring z --side right --a r:-6 --c r:-4",
+    "euclid-z-right-1":
+        "euclid --ring z --side right --a r:-8 --c r:8",
+    "euclid-z-right-2":
+        "euclid --ring z --side right --a r:8 --c r:12",
+    "euclid-z-right-3":
+        "euclid --ring z --side right --a r:14 --c r:10",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(name, capsys):
+    code, out = _run(capsys, *GOLDEN_CASES[name].split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_eisenstein_residuals(capsys):

@@ -1,5 +1,7 @@
 """Integer rings: membership, units, Euclid, coprimality, lattices."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from octavia.algebra import (
     conj,
     norm_sq,
     one,
+    zero,
 )
 from octavia.rings import (
     HURWITZ,
@@ -26,7 +29,6 @@ from octavia.rings import (
     is_unit,
     left_euclid,
     nearest,
-    nearest_shells,
     octavian_left_content,
     octavian_unit_classes,
     random_element,
@@ -97,6 +99,20 @@ def test_euclid_replays(ring, rng):
             assert tr.replay_ok()
 
 
+@pytest.mark.parametrize("ring", [HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_euclid_replays_beyond_int64(ring, rng):
+    # doubled coordinates near 2**70 run on Python ints
+    for _ in range(3):
+        a, c = (AlgElem.from_coords2(ring.dim, [
+            p + 2 * rng.randint(-2 ** 69, 2 ** 69) for p in x.coords2])
+            for x in (random_element(ring, rng), random_element(ring, rng)))
+        if c.is_zero():
+            continue
+        for runner in (right_euclid, left_euclid):
+            tr = runner(ring, a, c)
+            assert tr.replay_ok() and len(tr.quotients) > 1
+
+
 def test_euclid_gcd_matches_brute_force_hurwitz(rng):
     # |last divisor| = 1 iff no common one-sided factor with |g| > 1
     for _ in range(60):
@@ -114,17 +130,17 @@ def test_nearest_properties(rng):
         for _ in range(10):
             x = np.array([rng.uniform(-1, 1) for _ in range(ring.dim)])
             best = nearest(ring, x)
-            d0 = min(sum((float(c) - t) ** 2 for c, t in zip(b.coords, x))
-                     for b in best)
+            assert is_member(ring, best)
+            d0 = sum((float(c) - t) ** 2 for c, t in zip(best.coords, x))
             # no ball element is closer
             assert ((pts - x) ** 2).sum(axis=1).min() >= d0 - 1e-9
 
 
-def test_nearest_shells_are_sorted():
-    shells = nearest_shells(HURWITZ, [0.3, 0.3, 0.1, 0.1], n_shells=2)
-    assert len(shells) == 2 and len(shells[0]) >= 1
-    for e in shells[0]:
-        assert is_member(HURWITZ, e)
+def test_nearest_tie_takes_least_coords():
+    assert nearest(Z, [Fraction(1, 2)]) == AlgElem.make(1, [0])
+    assert nearest(Z, [Fraction(-3, 2)]) == AlgElem.make(1, [-2])
+    # 0 and (1 + e1 + e5 + e6)/2 tie at squared distance 1/4
+    assert nearest(HURWITZ, [Fraction(1, 4)] * 4) == zero(4)
 
 
 def test_shell_counts_oracles():
@@ -153,6 +169,41 @@ def test_vectorized_left_content_matches_scalar(rng):
             expect.append(is_left_coprime(ring, d, c))
         got = content(np.array(cs), np.array(ds)) == 4
         assert list(got) == expect
+
+
+def test_batched_coprimality_on_octavian_balls(rng):
+    # R = 1 holds only units and 0; R = 2 adds non-coprime pairs
+    for radius, count in ((1, 2000), (2, 300)):
+        pts = enumerate_ball(OCTAVIAN, radius)
+        pairs = [(rng.randrange(len(pts)), rng.randrange(len(pts)))
+                 for _ in range(count)]
+        pairs = [(i, j) for i, j in pairs if pts[i].any() or pts[j].any()]
+        ci, di = np.array(pairs).T
+        got = octavian_left_content(pts[ci], pts[di]) == 4
+        expect = [is_left_coprime(OCTAVIAN, AlgElem.from_coords2(8, pts[j]),
+                                  AlgElem.from_coords2(8, pts[i]))
+                  for i, j in pairs]
+        assert list(got) == expect
+
+
+def _octavian_member_oracle(x2):
+    """Integrality of the E8 simple-root coordinates of x2 / 2, in floats."""
+    from octavia.rings import E8_SIMPLE_ROOTS
+    basis = np.array([[float(c) for c in r.coords] for r in E8_SIMPLE_ROOTS])
+    t = np.linalg.solve(basis.T, np.asarray(x2, dtype=float) / 2.0)
+    return bool(np.all(np.abs(t - np.rint(t)) < 1e-9))
+
+
+def test_octavian_membership_matches_root_coordinates(nprng):
+    ball = enumerate_ball(OCTAVIAN, 2)
+    others = nprng.integers(-4, 5, size=(400, 8))
+    verdicts = []
+    for x2 in list(ball) + list(others):
+        got = is_member(OCTAVIAN, AlgElem.from_coords2(8, x2))
+        assert got == _octavian_member_oracle(x2)
+        verdicts.append(got)
+    assert all(verdicts[:len(ball)]) and not all(verdicts[len(ball):])
+    assert not is_member(OCTAVIAN, AlgElem.make(8, [Fraction(1, 3)] + [0] * 7))
 
 
 def test_commutator_ideal_index_is_four():
