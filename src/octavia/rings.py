@@ -584,55 +584,36 @@ def commutator_ideal_basis() -> tuple[AlgElem, ...]:
     return tuple(AlgElem.from_coords2(4, r) for r in basis_rows)
 
 
-def _det_int(rows) -> int:
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if det.denominator != 1:
-        raise ArithmeticError("determinant of an integer matrix is not an integer")
-    return det.numerator
+def _pivot_product(hnf_rows) -> int:
+    """Covolume (in doubled coordinates) of a full-rank lattice from its
+    Hermite-normal-form rows: the product of their pivots."""
+    return math.prod(next(v for v in r if v) for r in hnf_rows)
 
 
 def commutator_ideal_index() -> int:
     """Index of the commutator ideal as a sublattice of the Hurwitz ring."""
-    cbasis = [list(b.coords2) for b in commutator_ideal_basis()]
-    hbasis = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [1, -1, -1, -1]]
-    return abs(_det_int(cbasis)) // abs(_det_int(hbasis))
+    cbasis = [b.coords2 for b in commutator_ideal_basis()]
+    hbasis = _hnf_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [1, -1, -1, -1]])
+    index, rem = divmod(_pivot_product(cbasis), _pivot_product(hbasis))
+    if rem:
+        raise ArithmeticError("commutator ideal is not a sublattice of the Hurwitz ring")
+    return index
 
 
 def is_in_commutator_ideal(x: AlgElem) -> bool:
-    """Exact membership of a Hurwitz element in the commutator ideal."""
+    """Exact membership of a Hurwitz element in the commutator ideal:
+    reduce x against the Hermite-normal-form basis rows."""
     if x.dim != 4:
         raise ValueError("commutator ideal is defined for Hurwitz quaternions only")
-    basis = commutator_ideal_basis()
-    mat = [[Fraction(b.coords[i]) for b in basis] for i in range(4)]
-    rhs = [Fraction(c) for c in x.coords]
-    # exact solve
-    n = 4
-    aug = [mat[i] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
+    x2 = list(x.coords2)
+    for b in commutator_ideal_basis():
+        row = b.coords2
+        col = next(i for i, v in enumerate(row) if v)
+        f, rem = divmod(x2[col], row[col])
+        if rem:
             return False
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return all(aug[i][n].denominator == 1 for i in range(n))
+        x2 = [u - f * v for u, v in zip(x2, row)]
+    return not any(x2)
 
 
 # -- misc ------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Roots are unit lattice elements; reflections are the quaternion/octonion
 sandwich maps x -> -a conj(x) a.  The module also builds the octavian
-automorphism group G2(2) = Aut(O) by matrix closure, the even Weyl
-groups W+(D4), W+(E7) (normal forms, optional full closure) and the
-orbit-stabilizer bookkeeping for W+(E8), together with the nested
-conjugation automorphism criterion and its unit corollary.
+automorphism group G2(2) = Aut(O) as H u H phi, where H is the matrix
+closure of the Brandt conjugations (the index-2 derived subgroup) and
+phi one outer automorphism; the even Weyl groups W+(D4), W+(E7) (normal
+forms, optional full closure) and the orbit-stabilizer bookkeeping for
+W+(E8), together with the nested conjugation automorphism criterion and
+its unit corollary.
 """
 
 from __future__ import annotations
@@ -112,10 +114,8 @@ class LinMap:
 
     def __mul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other (other acts first)."""
-        prod = other.matrix2() @ self.matrix2()
-        if np.any(prod % 2):
-            raise ArithmeticError("composition left the half-integer lattice")
-        return LinMap(self.dim, tuple(map(tuple, (prod // 2).tolist())))
+        prod = _product2(other.matrix2(), self.matrix2())
+        return LinMap(self.dim, tuple(map(tuple, prod.tolist())))
 
     def key(self) -> bytes:
         return self.matrix2().astype(np.int8).tobytes()
@@ -127,9 +127,13 @@ class LinMap:
     def det(self) -> float:
         return float(np.linalg.det(self.matrix2() / 2.0))
 
-    def preserves_lattice(self, ring) -> bool:
-        return all(is_member(ring, self.apply(x)) for x in
-                   (units(ring)[: ring.dim * 2]))
+
+def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a @ b) / 2 for doubled-coordinate matrices (stacks broadcast)."""
+    prod = a @ b
+    if np.any(prod % 2):
+        raise ArithmeticError("product left the half-integer lattice")
+    return prod // 2
 
 
 @lru_cache(maxsize=4096)
@@ -170,8 +174,7 @@ class RootBasis:
     theta: AlgElem
 
 
-@lru_cache(maxsize=None)
-def root_basis(algebra: str) -> RootBasis:
+def _simple_roots(algebra: str) -> tuple:
     algebra = algebra.lower()
     if algebra == "d4":
         simple = D4_SIMPLE_ROOTS
@@ -183,8 +186,22 @@ def root_basis(algebra: str) -> RootBasis:
         raise ValueError(f"unknown root system {algebra!r}")
     if any(norm_sq(r) != 1 for r in simple):
         raise RuntimeError(f"simple roots of {algebra} do not have unit norm")
-    theta = _highest_root(algebra, simple)
-    return RootBasis(algebra, simple, theta)
+    return simple
+
+
+@lru_cache(maxsize=None)
+def root_basis(algebra: str) -> RootBasis:
+    """Simple roots and highest root theta.
+
+    In an irreducible simply-laced root system the highest root is the
+    only root with (theta, alpha) >= 0 for every simple root alpha.
+    """
+    simple = _simple_roots(algebra)
+    dominant = [r for r in all_roots(algebra)
+                if all(inner(r, a) >= 0 for a in simple)]
+    if len(dominant) != 1:
+        raise RuntimeError(f"{algebra} has {len(dominant)} dominant roots, expected 1")
+    return RootBasis(algebra.lower(), simple, dominant[0])
 
 
 def reflect(x: AlgElem, a: AlgElem) -> AlgElem:
@@ -198,13 +215,13 @@ def reflect(x: AlgElem, a: AlgElem) -> AlgElem:
 @lru_cache(maxsize=None)
 def all_roots(algebra: str) -> tuple:
     """Closure of the simple roots under simple reflections."""
-    basis = root_basis(algebra)
-    roots = set(basis.simple_roots)
+    simple = _simple_roots(algebra)
+    roots = set(simple)
     frontier = list(roots)
     while frontier:
         new = []
         for r in frontier:
-            for s in basis.simple_roots:
+            for s in simple:
                 img = reflect(r, s)
                 if img not in roots:
                     roots.add(img)
@@ -215,7 +232,7 @@ def all_roots(algebra: str) -> tuple:
 
 def cartan_matrix(algebra: str) -> list[list[int]]:
     """A_ij = 2 (eps_i, eps_j) for the unit-norm simple roots."""
-    simple = root_basis(algebra).simple_roots
+    simple = _simple_roots(algebra)
     out = []
     for a in simple:
         row = []
@@ -252,24 +269,6 @@ def _root_coefficients(simple, x):
     if recon != x:
         raise ValueError("element is outside the span of the simple roots")
     return coeffs
-
-
-def _highest_root(algebra, simple):
-    # closure without the cached RootBasis (avoids recursion at build time)
-    roots = set(simple)
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for r in frontier:
-            for s in simple:
-                img = reflect(r, s)
-                if img not in roots:
-                    roots.add(img)
-                    new.append(img)
-        frontier = new
-    def height(r):
-        return sum(_root_coefficients(simple, r))
-    return max(roots, key=lambda r: (height(r), r.coords))
 
 
 def theta_marks(algebra: str) -> list[int]:
@@ -398,7 +397,7 @@ def _outer_automorphism() -> LinMap:
     the outer coset is located by deterministic search over images of
     the generating units e1, e5, e2.
     """
-    inner_keys = {m.astype(np.int8).tobytes() for m in _brandt_closure()}
+    inner_keys = set(_keys(_brandt_closure()))
     for x in imaginary_units():
         for y in imaginary_units():
             if inner(x, y) != 0:
@@ -415,51 +414,56 @@ def _outer_automorphism() -> LinMap:
     raise RuntimeError("no outer automorphism found (table inconsistency)")
 
 
-def _matrix_closure(gens: np.ndarray, safety: int) -> list:
-    ident = LinMap.identity(8).matrix2()
-    seen = {ident.astype(np.int8).tobytes(): ident}
-    frontier = ident[None, :, :]
-    while len(frontier):
-        new = []
+def _keys(mats: np.ndarray) -> list:
+    """int8 byte keys of a stack of 8x8 doubled-coordinate matrices."""
+    flat = mats.astype(np.int8).tobytes()
+    return [flat[i:i + 64] for i in range(0, len(flat), 64)]
+
+
+def _from_keys(keys) -> np.ndarray:
+    return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(-1, 8, 8).astype(np.int64)
+
+
+def _matrix_closure(gens: np.ndarray, limit: int) -> list:
+    """Keys of the group generated by gens, breadth first from the
+    identity, in discovery order."""
+    seen = dict.fromkeys(_keys(LinMap.identity(8).matrix2()[None]))
+    frontier = list(seen)
+    while frontier:
+        mats = _from_keys(frontier)
+        frontier = []
         for g in gens:
-            prod = frontier @ g
-            if np.any(prod % 2):
-                raise ArithmeticError("closure left the half-integer lattice")
-            prod //= 2
-            for m in prod:
-                k = m.astype(np.int8).tobytes()
+            for k in _keys(_product2(mats, g)):
                 if k not in seen:
-                    seen[k] = m
-                    new.append(m)
-        if len(seen) > safety:
+                    seen[k] = None
+                    frontier.append(k)
+        if len(seen) > limit:
             raise RuntimeError("closure exceeded the safety bound")
-        frontier = np.stack(new) if new else np.empty((0, 8, 8), dtype=np.int64)
-    return list(seen.values())
+    return list(seen)
 
 
 @lru_cache(maxsize=None)
-def _brandt_closure() -> list:
+def _brandt_closure() -> np.ndarray:
+    """The 6048 matrices of H = G2(2)', closed from the Brandt conjugations."""
     _, brandt, _ = octavian_unit_classes()
     gens = np.stack([brandt_conjugation(a).matrix2() for a in brandt])
-    return _matrix_closure(gens, safety=20000)
+    return _from_keys(_matrix_closure(gens, limit=20000))
 
 
 @lru_cache(maxsize=None)
 def generate_G2_2() -> tuple:
-    """Aut(O) = G2(2), order 12 096, by matrix closure.
+    """Aut(O) = G2(2), order 12 096, sorted by rows2.
 
-    Generated by the 112 Brandt conjugations (which alone close into the
-    index-2 derived subgroup of order 6048) together with one outer
-    automorphism found by search.
+    The Brandt conjugations close into the index-2 derived subgroup H
+    of order 6048, so the group is H u H phi for the outer automorphism
+    phi found by _outer_automorphism.
     """
-    _, brandt, _ = octavian_unit_classes()
-    gens = np.stack(
-        [brandt_conjugation(a).matrix2() for a in brandt]
-        + [_outer_automorphism().matrix2()]
-    )
-    maps = [LinMap(8, tuple(map(tuple, m.tolist())))
-            for m in _matrix_closure(gens, safety=20000)]
-    return tuple(sorted(maps, key=lambda m: m.rows2))
+    h = _brandt_closure()
+    mats = np.concatenate([h, _product2(h, _outer_automorphism().matrix2())])
+    if len(set(_keys(mats))) != 12096:
+        raise RuntimeError("H u H phi does not have 12096 distinct elements")
+    rows = sorted(tuple(map(tuple, m)) for m in mats.tolist())
+    return tuple(LinMap(8, r) for r in rows)
 
 
 @lru_cache(maxsize=None)
@@ -494,6 +498,22 @@ def _sandwich_stack() -> np.ndarray:
     return np.stack([sandwich_map(g).matrix2() for g in imaginary_units()])
 
 
+@lru_cache(maxsize=2)
+def _sandwich_pairs(outer_first: bool) -> np.ndarray:
+    """The 126 x 126 sandwich-pair composites, g-major, as int8.
+
+    outer_first=True gives matrix(sigma(h) o sigma(g)), False gives
+    matrix(sigma(g) o sigma(h)).  Entries lie in [-2, 2], so int8 also
+    holds every product with another such matrix (|sums| <= 32).
+    """
+    s = _sandwich_stack()
+    # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
+    pair = s[:, None] @ s[None, :] // 2  # [g, h] -> matrix(sh o sg)
+    if not outer_first:
+        pair = np.swapaxes(pair, 0, 1)
+    return pair.reshape(-1, 8, 8).astype(np.int8)
+
+
 def _sigma_residue_search(m: LinMap, outer_first: bool):
     """First (g, h) pair, scanning g-major, whose sandwich composite
     leaves an automorphism residue phi, plus that residue.
@@ -503,17 +523,15 @@ def _sigma_residue_search(m: LinMap, outer_first: bool):
     W(E8) stabilizer form).  One batched matrix product replaces the
     126 x 126 Python loop; the scan order matches the plain loops.
     """
-    s = _sandwich_stack()
-    # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
-    if outer_first:
-        pair = s[:, None] @ s[None, :] // 2  # [g, h] -> matrix(sh o sg)
-    else:
-        pair = np.swapaxes(s[:, None] @ s[None, :] // 2, 0, 1)
-    cand = m.matrix2() @ pair.reshape(-1, 8, 8) // 2
+    m2 = m.matrix2()
+    if np.abs(m2).max() > 2:  # not an isometry; also keeps int8 exact
+        raise ValueError("no sandwich-pair residue is an automorphism")
+    cand = m2.astype(np.int8) @ _sandwich_pairs(outer_first)
+    cand //= 2
     keys = g2_key_set()
     imag = imaginary_units()
-    for k, cm in enumerate(cand.astype(np.int8)):
-        if cm.tobytes() in keys:
+    for k, key in enumerate(_keys(cand)):
+        if key in keys:
             g, h = imag[k // 126], imag[k % 126]
             return g, h, LinMap(8, tuple(map(tuple, cand[k].tolist())))
     raise ValueError("no sandwich-pair residue is an automorphism")
@@ -534,39 +552,18 @@ def e7_normal_form(m: LinMap):
     return bc, phi, (g, h)
 
 
-def generate_w_e7(generator_pairs=4, limit=2_000_000):
+def generate_w_e7() -> int:
     """Full matrix closure of W+(E7) (heavy: ~1.45M 8x8 matrices).
 
-    Returns the group order.  Generators: G2(2) seed conjugations plus a
-    few imaginary sandwich pairs.
+    Returns the group order.  Generators: three Brandt conjugations
+    (in G2(2)) plus four imaginary sandwich pairs.
     """
     imag = imaginary_units()
-    gens = []
     _, brandt, _ = octavian_unit_classes()
-    for a in brandt[:3]:
-        gens.append(brandt_conjugation(a).matrix2())
-    for g, h in itertools.islice(itertools.combinations(imag, 2), generator_pairs):
+    gens = [brandt_conjugation(a).matrix2() for a in brandt[:3]]
+    for g, h in itertools.islice(itertools.combinations(imag, 2), 4):
         gens.append((sandwich_map(g) * sandwich_map(h)).matrix2())
-    gens = np.stack(gens)
-    ident = LinMap.identity(8).matrix2()
-    seen = {ident.astype(np.int8).tobytes()}
-    frontier = ident[None, :, :]
-    while len(frontier):
-        new = []
-        for g in gens:
-            prod = frontier @ g
-            if np.any(prod % 2):
-                raise ArithmeticError("closure left the half-integer lattice")
-            prod //= 2
-            keys = [m.astype(np.int8).tobytes() for m in prod]
-            for k, m in zip(keys, prod):
-                if k not in seen:
-                    seen.add(k)
-                    new.append(m)
-        if len(seen) > limit:
-            raise RuntimeError("W+(E7) closure exceeded the safety bound")
-        frontier = np.stack(new) if new else np.empty((0, 8, 8), dtype=np.int64)
-    return len(seen)
+    return len(_matrix_closure(np.stack(gens), limit=2_000_000))
 
 
 # -- W+(E8) ----------------------------------------------------------------

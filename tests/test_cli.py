@@ -78,7 +78,8 @@ def test_coset(capsys):
 
 
 # Outputs of `octavia` captured before the integer Euclid kernel replaced
-# the Fraction one; traces and coset words must stay byte-identical.
+# the Fraction one (euclid, coset) and before the highest root became the
+# dominant root (roots); they must stay byte-identical.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "coset-hurwitz-2":
@@ -127,6 +128,12 @@ GOLDEN_CASES = {
         "euclid --ring z --side right --a r:8 --c r:12",
     "euclid-z-right-3":
         "euclid --ring z --side right --a r:14 --c r:10",
+    "roots-d4-cartan-elements":
+        "roots --algebra d4 --cartan --elements",
+    "roots-e7-cartan-elements":
+        "roots --algebra e7 --cartan --elements",
+    "roots-e8-cartan-elements":
+        "roots --algebra e8 --cartan --elements",
 }
 
 
@@ -206,7 +213,7 @@ def test_export(tmp_path, capsys):
 
 
 def test_verify_fast_suites(capsys):
-    for suite in ("algebra", "rings", "roots"):
+    for suite in ("algebra", "rings", "roots", "all"):
         result = run_verify(suite)
         assert result["passed"], [c for c in result["checks"] if not c["passed"]]
 

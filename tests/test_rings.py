@@ -21,6 +21,7 @@ from octavia.rings import (
     ball_elements,
     common_right_divisors,
     commutator_ideal_index,
+    is_in_commutator_ideal,
     enumerate_ball,
     hurwitz_left_content,
     is_left_coprime,
@@ -208,6 +209,19 @@ def test_octavian_membership_matches_root_coordinates(nprng):
 
 def test_commutator_ideal_index_is_four():
     assert commutator_ideal_index() == 4
+
+
+def test_commutator_ideal_is_the_ideal_of_one_plus_e1():
+    # the commutator ideal of the Hurwitz ring is (1 + e1)H: x lies in it
+    # exactly when conj(1 + e1) x / 2 is a Hurwitz quaternion
+    w = conj(one(4) + basis_unit(4, 1))
+    verdicts = []
+    for x2 in enumerate_ball(HURWITZ, 9):
+        x = AlgElem.from_coords2(4, tuple(int(v) for v in x2))
+        got = is_in_commutator_ideal(x)
+        assert got == is_member(HURWITZ, cd_multiply(w, x) * Fraction(1, 2))
+        verdicts.append(got)
+    assert len(verdicts) == 937 and sum(verdicts) == 169
 
 
 def test_is_unit():

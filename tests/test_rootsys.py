@@ -1,5 +1,7 @@
 """Root systems, Weyl groups, octonion automorphisms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,9 @@ def test_theta_is_a_unit_norm_root():
         assert norm_sq(basis.theta) == 1
         marks = theta_marks(name)
         assert all(m >= 1 for m in marks)
+    assert root_basis("d4").theta.coords2 == (2, 0, 0, 0)
+    assert root_basis("e7").theta.coords2 == (0, 0, 0, 0, 0, 2, 0, 0)
+    assert root_basis("e8").theta.coords2 == (2, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_reflection_involution(rng):
@@ -116,9 +121,16 @@ def test_s_relation_composite_is_minus_identity():
     assert m.matrix2().tolist() == (-2 * np.eye(4, dtype=int)).tolist()
 
 
+# sha256 of the sorted G2(2) matrices (rows2 as int8 bytes), captured when
+# the group was still closed over all 113 generators
+G2_DIGEST = "ae60fa146497610ac7046b061d5f9815461da31c4f2e7a3d21b84c0dfa06d8aa"
+
+
 def test_g2_order_and_multiplicativity(rng):
     maps = generate_G2_2()
     assert len(maps) == 12096
+    rows = np.array([m.rows2 for m in maps], dtype=np.int8)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == G2_DIGEST
     for _ in range(5):
         assert is_automorphism_map(rng.choice(maps))
 
@@ -179,6 +191,11 @@ def test_e7_normal_form_round_trip(rng):
         assert e7_element(g, h, phi).key() == m.key()
         assert min(cd_multiply(g, h), -cd_multiply(g, h),
                    key=lambda u: u.coords) == b
+    # entries beyond an isometry's are rejected before the int8 search
+    for scale in (2, 64):
+        with pytest.raises(ValueError):
+            e7_normal_form(LinMap(8, tuple(
+                tuple(2 * scale * int(i == j) for j in range(8)) for i in range(8))))
 
 
 def test_w_e8_order():
