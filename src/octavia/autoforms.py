@@ -17,9 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from fractions import Fraction
-
-from .algebra import AlgElem, norm_sq, right_mult_matrix
+from .algebra import AlgElem, right_mult_matrix
 from .rings import (
     D4_SIMPLE_ROOTS,
     E8_SIMPLE_ROOTS,
@@ -28,13 +26,14 @@ from .rings import (
     Ring,
     Z,
     _decode2,
+    _pair_chunks,
     enumerate_ball,
     hurwitz_left_content,
     octavian_left_content,
     shell_counts,
     units,
 )
-from .hyperweyl import build_w_tilde_cd
+from .hyperweyl import build_w_tilde_cd, coset_reps
 from .uhp import UhpPoint, act_word
 
 __all__ = [
@@ -105,17 +104,12 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     truncation ball, as a read-only (m, m) boolean array.
 
     The mask does not depend on the point z, so it is built once per
-    (ring, radius), in row chunks of about 64k pairs, which keep the
-    Euclid batch in cache.
+    (ring, radius).
     """
     pts2, _, _ = _ball_data(ring, radius)
     m = len(pts2)
     mask = np.empty((m, m), dtype=bool)
-    chunk = max(1, (1 << 16) // m)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        ci, di = np.meshgrid(np.arange(lo, hi), np.arange(m), indexing="ij")
-        c2, d2 = pts2[ci.ravel()], pts2[di.ravel()]
+    for lo, hi, c2, d2 in _pair_chunks(pts2):
         if ring is Z:
             ok = np.gcd(c2[:, 0], d2[:, 0]) == 2  # doubled coordinates
         elif ring is HURWITZ:
@@ -174,8 +168,9 @@ def poincare_truncated(p: SeriesParams) -> complex:
 
 @lru_cache(maxsize=8)
 def _coset_class_words(ring: Ring, radius: int):
-    """One coset word per unit-orbit class {(ec, ed)} of the left-coprime
-    pairs inside the truncation ball.
+    """The coset words w~_{c,d} of hyperweyl.coset_reps(ring, radius): one
+    per unit-orbit class {(ec, ed)} of the left-coprime pairs inside the
+    truncation ball.
 
     Associative rings only: the orbit reduction uses |e c z + e d| =
     |cz + d|, and every orbit has exactly N = #units members.
@@ -183,45 +178,7 @@ def _coset_class_words(ring: Ring, radius: int):
     if ring is OCTAVIAN:
         raise ValueError("octavian pairs do not reduce to unit orbits; "
                          "use the term-level Lemma check instead")
-    pts2, _, nrm = _ball_data(ring, radius)
-    m = len(pts2)
-    shell4 = np.rint(4 * nrm).astype(np.int64)
-    # coprime mask over all pairs (chunked rows)
-    us = units(ring)
-    # unit left-multiplication matrices on doubled coordinates
-    from .algebra import left_mult_matrix
-    mats = [left_mult_matrix([float(c) for c in u.coords], ring.dim).T
-            for u in us]
-    reps = set()
-    chunk = max(1, (1 << 20) // m)
-    for lo in range(0, m, chunk):
-        rows = np.arange(lo, min(lo + chunk, m))
-        cop = _coprime_mask(ring, radius)[rows]
-        ci, di = np.nonzero(cop)
-        if len(ci) == 0:
-            continue
-        c2 = pts2[rows[ci]].astype(float)
-        d2 = pts2[di].astype(float)
-        best = None
-        for mat in mats:
-            cand = np.concatenate([c2 @ mat, d2 @ mat], axis=1)
-            cand = np.rint(cand).astype(np.int64)
-            if best is None:
-                best = cand
-            else:
-                # lexicographic elementwise minimum over the unit orbit
-                diff = cand - best
-                first = (diff != 0).argmax(axis=1)
-                take = diff[np.arange(len(diff)), first] < 0
-                best[take] = cand[take]
-        reps.update(map(tuple, best))
-    dim = ring.dim
-    words = []
-    for row in sorted(reps):
-        c = AlgElem.from_coords2(dim, row[:dim])
-        d = AlgElem.from_coords2(dim, row[dim:])
-        words.append(build_w_tilde_cd(ring, c, d))
-    return tuple(words)
+    return tuple(build_w_tilde_cd(ring, c, d) for c, d in coset_reps(ring, radius))
 
 
 def poincare_via_words(p: SeriesParams) -> complex:

@@ -336,32 +336,22 @@ def cmd_export(args) -> int:
     kind = args.kind
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
+    # units, roots and cosets are the payloads of their own subcommands
     if kind == "units":
         ring = _ring(args)
-        us = rings.units(ring)
-        path = os.path.join(outdir, f"units-{ring.name}.json")
-        _atomic_write(path, json.dumps(
-            {"ring": ring.name, "count": len(us),
-             "elements": [elem_json(u) for u in us]}, sort_keys=True) + "\n")
+        cmd_units(argparse.Namespace(
+            ring=ring.name, out=os.path.join(outdir, f"units-{ring.name}.json")))
     elif kind == "roots":
         name = (args.algebra or "e8").lower()
-        roots = rootsys.all_roots(name)
-        path = os.path.join(outdir, f"roots-{name}.json")
-        _atomic_write(path, json.dumps(
-            {"algebra": name, "count": len(roots),
-             "cartan": rootsys.cartan_matrix(name),
-             "roots": [elem_json(r) for r in roots]}, sort_keys=True) + "\n")
+        cmd_roots(argparse.Namespace(
+            algebra=name, cartan=True, elements=True,
+            out=os.path.join(outdir, f"roots-{name}.json")))
     elif kind == "cosets":
         ring = _ring(args)
         bound = int(args.bound or 1)
-        reps = hyperweyl.coset_reps(ring, bound)
-        path = os.path.join(outdir, f"cosets-{ring.name}-{bound}.json")
-        _atomic_write(path, json.dumps(
-            {"ring": ring.name, "bound": bound, "count": len(reps),
-             "representatives": [
-                 {"c": elem_json(c), "d": elem_json(d),
-                  "word": word_json(hyperweyl.build_w_tilde_cd(ring, c, d))}
-                 for c, d in reps]}, sort_keys=True) + "\n")
+        cmd_coset(argparse.Namespace(
+            ring=ring.name, bound=bound, words=True,
+            out=os.path.join(outdir, f"cosets-{ring.name}-{bound}.json")))
     elif kind == "series-grid":
         ring = _ring(args)
         radius = int(args.radius or 9)

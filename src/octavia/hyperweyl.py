@@ -36,9 +36,12 @@ from .rings import (
     OCTAVIAN,
     Ring,
     Z,
-    ball_elements,
+    _euclid_rows,
+    _exact_rows,
+    _mult2,
+    _pair_chunks,
+    enumerate_ball,
     is_in_commutator_ideal,
-    is_left_coprime,
     is_member,
     is_unit,
     left_euclid,
@@ -355,81 +358,87 @@ def _least_unit(ring: Ring) -> AlgElem:
     return min(units(ring), key=lambda u: u.coords)
 
 
-def _hurwitz_canonical(ring, c, d):
-    best = None
-    for e in units(ring):
-        cand = (cd_multiply(e, c), cd_multiply(e, d))
-        key = (cand[0].coords, cand[1].coords)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
+    """Canonical representatives (c, d) of the left-coprime rows of the
+    (M, dim) doubled coordinates c2, d2, as (K, 2 dim) rows; rows that are
+    not left coprime are dropped.
 
-
-def _octavian_canonical(ring, c, d, trace=None):
-    """Replay the left Euclid trace with the trailing unit set canonically."""
-    u0 = _least_unit(ring)
-    if c.is_zero():
-        return (zero(ring.dim), u0)
-    if d.is_zero():
-        return (u0, zero(ring.dim))
-    tr = trace if trace is not None else left_euclid(ring, d, c)
-    qs = list(tr.quotients)
-    n = len(tr.remainders)
-    if n == 0:
-        # d = c q1 exactly, c a unit; normalize c to the canonical unit:
-        # (c, d) = (c, c q1) ~ (u0, u0 q1)
-        return (u0, cd_multiply(u0, qs[0]))
-    # chain: d = c q1 - r1, c = r1 q2 - r2, ..., r_{n-1} = r_n q_{n+1}
-    # rebuild bottom-up with r_n replaced by the canonical unit
-    s_next = zero(ring.dim)      # plays r_{n+1} = 0
-    s_cur = u0                   # new r_n
-    for q in reversed(qs[1:]):
-        s_cur, s_next = cd_multiply(s_cur, q) - s_next, s_cur
-    c_new = s_cur
-    d_new = cd_multiply(c_new, qs[0]) - s_next
-    return (c_new, d_new)
+    One left Euclid run on (d, c) decides coprimality (content 4; for
+    c = 0 or d = 0 that means the other entry is a unit).  The class of
+    (c, d) is canonicalized per ring:
+      Z:        the sign that makes the leading nonzero entry positive;
+      Hurwitz:  the lexicographically least of the 24 rows (u c, u d);
+      octavians: the recorded chain d = c q1 - r1, c = r1 q2 - r2, ...,
+                replayed bottom-up with the last remainder set to the
+                least unit.
+    """
+    c2, d2 = _exact_rows(c2, d2)
+    content, chain = _euclid_rows(ring, d2, c2, "left", record=ring is OCTAVIAN)
+    keep = content == 4
+    if ring is Z:
+        lead = np.where(c2[:, :1] != 0, c2[:, :1], d2[:, :1])
+        rows = np.concatenate([c2, d2], axis=1) * np.where(lead < 0, -1, 1)
+        return rows[keep]
+    if ring is HURWITZ:
+        c2, d2 = c2[keep], d2[keep]
+        best = None
+        for u in units(ring):
+            u2 = np.broadcast_to(np.array(u.coords2, dtype=c2.dtype), c2.shape)
+            cand = np.concatenate([_mult2(u2, c2), _mult2(u2, d2)], axis=1)
+            if best is None:
+                best = cand
+                continue
+            # row-wise lexicographic minimum: compare at the first difference
+            diff = cand - best
+            first = (diff != 0).argmax(axis=1)
+            take = diff[np.arange(len(diff)), first] < 0
+            best[take] = cand[take]
+        return best
+    # Octavians: s, s_next start as (least unit, 0) and run
+    # s, s_next = s q_k - s_next, s for k = L..2; then (c, d) = (s, s q1 - s_next).
+    # Rows with c = 0 never enter the chain and stay (0, least unit).
+    s = np.tile(np.array(_least_unit(ring).coords2, dtype=c2.dtype), (len(c2), 1))
+    s_next = np.zeros_like(s)
+    steps = [(rows[keep[rows]], q[keep[rows]]) for rows, q, _ in chain]
+    for rows, q in reversed(steps[1:]):
+        cur = s[rows]
+        s[rows] = _mult2(cur, q) - s_next[rows]
+        s_next[rows] = cur
+    c_new, d_new = np.zeros_like(s), s.copy()
+    for rows, q in steps[:1]:
+        c_new[rows] = s[rows]
+        d_new[rows] = _mult2(s[rows], q) - s_next[rows]
+    return np.concatenate([c_new, d_new], axis=1)[keep]
 
 
 def canonical_pair(ring: Ring, c: AlgElem, d: AlgElem):
-    """Deterministic representative of the class of (c, d) in
-    Gamma_infinity \\ Gamma."""
-    if c.is_zero() and d.is_zero():
-        raise ValueError("(0, 0) has no class")
-    if ring is Z:
-        lead = c if not c.is_zero() else d
-        if lead.coords[0] < 0:
-            c, d = -c, -d
-        return (c, d)
-    if ring is HURWITZ:
-        return _hurwitz_canonical(ring, c, d)
-    if ring is OCTAVIAN:
-        return _octavian_canonical(ring, c, d)
-    raise ValueError(f"unknown ring {ring}")
+    """Canonical representative of the class of the left-coprime row
+    (c, d) in Gamma_infinity \\ Gamma (the rule of _canonical_rows);
+    raises ValueError when (c, d) is not left coprime."""
+    for x in (c, d):
+        if not is_member(ring, x):
+            raise ValueError(f"{x} is not a member of {ring}")
+    rows = _canonical_rows(ring, [c.coords2], [d.coords2])
+    if not len(rows):
+        raise ValueError("(c, d) must be left coprime")
+    dim = ring.dim
+    return (AlgElem.from_coords2(dim, rows[0, :dim]),
+            AlgElem.from_coords2(dim, rows[0, dim:]))
 
 
 def coset_reps(ring: Ring, norm_bound: int):
-    """Canonical left-coprime pairs with max(|c|^2, |d|^2) <= norm_bound."""
+    """Canonical representatives (c, d) of the classes in
+    Gamma_infinity \\ Gamma that have a left-coprime row with
+    max(|c|^2, |d|^2) <= norm_bound, sorted by doubled coordinates.
+
+    The pairs of the norm ball run through _canonical_rows in chunks
+    (one batched Euclid run each), so no pair is handled alone.
+    """
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    elems = ball_elements(ring, norm_bound, include_zero=True)
-    seen = {}
-    for c in elems:
-        for d in elems:
-            if c.is_zero() and d.is_zero():
-                continue
-            if c.is_zero() or d.is_zero():
-                if not is_unit(ring, d if c.is_zero() else c):
-                    continue
-                rep = canonical_pair(ring, c, d)
-            elif ring is OCTAVIAN:
-                # one Euclid run decides coprimality and feeds the replay
-                tr = left_euclid(ring, d, c)
-                if norm_sq(tr.last_divisor) != 1:
-                    continue
-                rep = _octavian_canonical(ring, c, d, trace=tr)
-            else:
-                if not is_left_coprime(ring, d, c):
-                    continue
-                rep = canonical_pair(ring, c, d)
-            seen[rep] = True
-    return sorted(seen, key=lambda p: (p[0].coords, p[1].coords))
+    pts = enumerate_ball(ring, norm_bound)
+    found = [np.unique(_canonical_rows(ring, c2, d2), axis=0)
+             for _, _, c2, d2 in _pair_chunks(pts)]
+    dim = ring.dim
+    return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
+            for r in np.unique(np.concatenate(found), axis=0)]

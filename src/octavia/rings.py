@@ -362,13 +362,15 @@ def _exact_rows(*rows) -> list[np.ndarray]:
     return [r.astype(dtype) for r in rows]
 
 
-def _euclid_rows(ring: Ring, first2, c2, side: str):
+def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     """Sided Euclid with nearest quotients on each row pair (first, c).
 
     Inputs are (M, dim) doubled coordinates.  Returns (content, chain):
     content[i] is 4 |last nonzero remainder|^2 of row i (4 |first|^2 when
-    c = 0, so 4 means coprime); chain lists the (q2, r2) of every step
-    when M = 1 and is None otherwise.  The squared covering radii of Z,
+    c = 0, so 4 means coprime).  With record, chain lists one
+    (rows, q2, r2) per step: the indices of the rows still running (those
+    with c != 0 at the first step) and their quotients and remainders;
+    without, chain is None.  The squared covering radii of Z,
     D4 and E8 at unit minimal norm (1/4, 1/2, 1/2) are below 1, so each
     nearest quotient strictly lowers the norm; a step that does not
     raises ArithmeticError.
@@ -379,7 +381,7 @@ def _euclid_rows(ring: Ring, first2, c2, side: str):
     conj_sign = np.array([1] + [-1] * (ring.dim - 1))
     cn4 = (c * c).sum(axis=1)
     content = (p * p).sum(axis=1)
-    chain = [] if len(c) == 1 else None
+    chain = [] if record else None
     idx = np.flatnonzero(cn4 > 0)
     p, c, cn4 = p[idx], c[idx], cn4[idx]
     while len(idx):
@@ -392,7 +394,7 @@ def _euclid_rows(ring: Ring, first2, c2, side: str):
         if np.any(rn4 >= cn4):
             raise ArithmeticError(f"Euclid step did not lower the norm in {ring} ({side})")
         if chain is not None:
-            chain.append((q[0], r[0]))
+            chain.append((idx, q, r))
         done = rn4 == 0
         content[idx[done]] = cn4[done]
         more = ~done
@@ -406,9 +408,9 @@ def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
     for x in (first, c):
         if not is_member(ring, x):
             raise ValueError(f"{x} is not a member of {ring}")
-    _, chain = _euclid_rows(ring, [first.coords2], [c.coords2], side)
-    qs = tuple(_elem(ring.dim, q) for q, _ in chain)
-    rs = tuple(_elem(ring.dim, r) for _, r in chain[:-1])
+    _, chain = _euclid_rows(ring, [first.coords2], [c.coords2], side, record=True)
+    qs = tuple(_elem(ring.dim, q[0]) for _, q, _ in chain)
+    rs = tuple(_elem(ring.dim, r[0]) for _, _, r in chain[:-1])
     return EuclTrace(side, ring, (first, c), qs, rs)
 
 
@@ -509,6 +511,17 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     n4 = (pts * pts).sum(axis=1)
     order = np.lexsort(tuple(pts[:, k] for k in reversed(range(pts.shape[1]))) + (n4,))
     return pts[order]
+
+
+def _pair_chunks(pts: np.ndarray):
+    """Yield (lo, hi, c2, d2): the pairs (pts[i], pts[j]) for lo <= i < hi
+    and every j, row-major, in chunks of about 64k pairs, which keep a
+    Euclid batch in cache."""
+    m = len(pts)
+    chunk = max(1, (1 << 16) // m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        yield lo, hi, np.repeat(pts[lo:hi], m, axis=0), np.tile(pts, (hi - lo, 1))
 
 
 def ball_elements(ring: Ring, max_norm: int, include_zero: bool = False) -> list[AlgElem]:

@@ -78,16 +78,22 @@ def test_coset(capsys):
 
 
 # Outputs of `octavia` captured before the integer Euclid kernel replaced
-# the Fraction one (euclid, coset) and before the highest root became the
-# dominant root (roots); they must stay byte-identical.
+# the Fraction one (euclid, coset), before the highest root became the
+# dominant root (roots) and before coset_reps became one batched integer
+# enumeration (coset-hurwitz-3, coset-z-9-words); they must stay
+# byte-identical.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "coset-hurwitz-2":
         "coset --ring hurwitz --bound 2 --words",
+    "coset-hurwitz-3":
+        "coset --ring hurwitz --bound 3",
     "coset-octavian-1":
         "coset --ring octavian --bound 1 --words",
     "coset-z-2":
         "coset --ring z --bound 2 --words",
+    "coset-z-9-words":
+        "coset --ring z --bound 9 --words",
     "euclid-hurwitz-left-0":
         "euclid --ring hurwitz --side left --a quat:-7,11,13,7 --c quat:6,-12,8,6",
     "euclid-hurwitz-left-1":
@@ -203,6 +209,13 @@ def test_export(tmp_path, capsys):
     assert code == 0
     data = json.loads((tmp_path / "roots-d4.json").read_text())
     assert data["count"] == 24
+    assert data["theta_marks"] == [1, 2, 1, 1]
+    # the cosets file is what `coset --words` prints
+    code, _ = _run(capsys, "export", "--kind", "cosets", "--ring", "z",
+                   "--bound", "2", "--outdir", str(tmp_path))
+    assert code == 0
+    assert ((tmp_path / "cosets-Z-2.json").read_bytes()
+            == (GOLDEN / "coset-z-2.json").read_bytes())
     code, _ = _run(capsys, "export", "--kind", "series-grid", "--ring", "z",
                    "--radius", "9", "--s", "3", "--v", "1;2",
                    "--outdir", str(tmp_path))

@@ -1,0 +1,29 @@
+"""Every demo script runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Demo 05 spends about 30 s computing Fourier coefficients point by point;
+# it stays heavy until those coefficients come from precomputed tables.
+HEAVY = {"05_eisenstein_fourier.py"}
+
+
+def _case(path):
+    marks = [pytest.mark.heavy] if path.name in HEAVY else []
+    return pytest.param(path, id=path.stem, marks=marks)
+
+
+@pytest.mark.parametrize("path", [_case(p) for p in DEMOS])
+def test_demo_exits_zero(path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(path)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]

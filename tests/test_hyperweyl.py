@@ -1,10 +1,13 @@
 """Hyperbolic Weyl group action on 2x2 Hermitian matrices."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from octavia.algebra import (
+    AlgElem,
     basis_unit,
     cd_multiply,
     conj,
@@ -200,6 +203,32 @@ def test_coset_reps_counts():
     assert len(reps_h) == 26
     for c, d in reps_h:
         assert (c, d) == canonical_pair(HURWITZ, c, d)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_octavian_canonical_pair_golden():
+    # 300 seeded left-coprime pairs (random_element with max_coord2 4 and
+    # 6, Euclid chains of 2 to 5 steps) and their canonical pairs,
+    # captured before the replay of the chain became batched
+    data = json.loads((GOLDEN / "canonical-pair-octavian.json").read_text())
+    assert len(data["cases"]) == 300
+    for case in data["cases"]:
+        c, d = (AlgElem.from_coords2(8, case[k]) for k in ("c", "d"))
+        got = canonical_pair(OCTAVIAN, c, d)
+        assert [list(x.coords2) for x in got] == case["canonical"]
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_canonical_pair_rejects_non_coprime(ring):
+    # a pair that is not left coprime has no class in Gamma_inf \ Gamma
+    two, z0 = 2 * one(ring.dim), zero(ring.dim)
+    for c, d in ((two, two), (z0, two), (two, z0), (z0, z0)):
+        with pytest.raises(ValueError):
+            canonical_pair(ring, c, d)
+    assert (canonical_pair(ring, z0, -one(ring.dim))
+            == canonical_pair(ring, z0, one(ring.dim)))
 
 
 def test_word_errors():
