@@ -10,37 +10,16 @@ import random
 import numpy as np
 
 from octavia.algebra import to_text
-from octavia.hyperweyl import (
-    GroupWord,
-    Inv,
-    Rot,
-    Trans,
-    coset_reps,
-    delta,
-    apply_word,
-)
-from octavia.rings import HURWITZ, OCTAVIAN, Z, random_element, units
+from octavia.hyperweyl import apply_word, coset_reps, delta, random_word
+from octavia.rings import HURWITZ, OCTAVIAN, Z
 from octavia.uhp import UhpPoint, act_word, distance, periodic_orbit_length
-
-
-def random_word(ring, rng, length=6):
-    toks = []
-    for _ in range(length):
-        k = rng.randrange(3)
-        if k == 0:
-            toks.append(Inv())
-        elif k == 1:
-            toks.append(Trans(random_element(ring, rng, max_coord2=3)))
-        else:
-            toks.append(Rot(rng.choice(units(ring))))
-    return GroupWord(ring, tuple(toks))
 
 
 def main():
     rng = random.Random(3)
     nprng = np.random.default_rng(3)
     for ring in (Z, HURWITZ, OCTAVIAN):
-        w = random_word(ring, rng)
+        w = random_word(ring, rng, 6, 3)
         z1 = UhpPoint(nprng.uniform(-1, 1, ring.dim), 1.3)
         z2 = UhpPoint(nprng.uniform(-1, 1, ring.dim), 0.7)
         d0 = distance(z1, z2)
@@ -50,7 +29,7 @@ def main():
 
     # the null vector delta stays null under the whole group
     from octavia.algebra import norm_sq
-    w = random_word(HURWITZ, rng)
+    w = random_word(HURWITZ, rng, 6, 3)
     img = apply_word(w, delta(4))
     print("delta stays null under any word:",
           img.x_plus * img.x_minus == norm_sq(img.x))

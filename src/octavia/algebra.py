@@ -40,7 +40,6 @@ __all__ = [
     "invert",
     "left_mult_matrix",
     "moufang_residuals",
-    "multiplication_triples",
     "norm_sq",
     "one",
     "real_part",
@@ -86,11 +85,6 @@ def _seed_triples() -> list[tuple[int, int, int]]:
         if not new:
             return sorted(triples)
         triples |= new
-
-
-def multiplication_triples() -> list[tuple[int, int, int]]:
-    """The seven quaternionic index triples of the octonion table."""
-    return _seed_triples()
 
 
 def _octonion_table() -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,6 @@ from .rings import (
     enumerate_ball,
     hurwitz_left_content,
     octavian_left_content,
-    shell_counts,
     units,
 )
 from .hyperweyl import build_w_tilde_cd, coset_reps
@@ -317,6 +316,9 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     """
     mu = np.array([float(c) for c in mu.coords]) if isinstance(mu, AlgElem) \
         else np.asarray(mu, dtype=float)
+    if mu.shape != (ring.dim,):
+        raise ValueError(f"mu has {mu.size} coordinates; the {ring.name} "
+                         f"ring needs {ring.dim}")
     if not _in_dual_lattice(ring, mu):
         raise ValueError("mu is not in the dual lattice")
     if not v > 0:

@@ -27,11 +27,9 @@ from .algebra import (
     norm_sq,
     one,
     real_part,
-    right_mult_matrix,
     zero,
 )
 from .rings import (
-    EuclTrace,
     HURWITZ,
     OCTAVIAN,
     Ring,
@@ -45,6 +43,7 @@ from .rings import (
     is_member,
     is_unit,
     left_euclid,
+    random_element,
     right_euclid,
     units,
 )
@@ -68,6 +67,7 @@ __all__ = [
     "psl0_membership",
     "psl_det",
     "psl_inverse",
+    "random_word",
     "row_act",
     "simple_alpha",
 ]
@@ -189,6 +189,21 @@ class GroupWord:
             else:
                 inv_toks.append(Rot(conj(tok.eps)))
         return GroupWord(self.ring, tuple(inv_toks))
+
+
+def random_word(ring: Ring, rng, length: int, max_coord2: int) -> GroupWord:
+    """Word of `length` tokens, each Inv, Trans(random_element(ring, rng,
+    max_coord2)) or Rot(a random unit) with probability 1/3."""
+    toks = []
+    for _ in range(length):
+        k = rng.randrange(3)
+        if k == 0:
+            toks.append(Inv())
+        elif k == 1:
+            toks.append(Trans(random_element(ring, rng, max_coord2)))
+        else:
+            toks.append(Rot(rng.choice(units(ring))))
+    return GroupWord(ring, tuple(toks))
 
 
 def apply_word(w: GroupWord, X: HermMat) -> HermMat:

@@ -59,7 +59,6 @@ __all__ = [
     "imaginary_units",
     "is_automorphism_bimult",
     "is_automorphism_map",
-    "nested_sandwich",
     "reflect",
     "right_mult_map",
     "root_basis",
@@ -336,14 +335,6 @@ def nested_conjugation(seq, x: AlgElem) -> AlgElem:
     out = x
     for a in reversed(seq):
         out = cd_multiply(a, cd_multiply(out, invert(a)))
-    return out
-
-
-def nested_sandwich(seq, x: AlgElem) -> AlgElem:
-    """x -> a_1(a_2( ... (a_k x a_k) ... )a_2)a_1 (innermost a_k)."""
-    out = x
-    for a in reversed(seq):
-        out = cd_multiply(a, cd_multiply(out, a))
     return out
 
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (AlgElem, basis_unit, cd_multiply, left_mult_matrix,
-                      one, right_mult_matrix)
+from .algebra import AlgElem, left_mult_matrix
 from .hyperweyl import GroupWord, Inv, Rot, Trans
+from .rootsys import sandwich_map
 
 __all__ = [
     "Jet2",
@@ -267,17 +266,6 @@ class Jet2:
         return self._coerce(other) * self.reciprocal()
 
 
-@lru_cache(maxsize=512)
-def _rot_matrix_exact(eps: AlgElem) -> tuple:
-    """Columns of x -> (eps x) eps as exact rationals."""
-    dim = eps.dim
-    cols = []
-    for j in range(dim):
-        e_j = basis_unit(dim, j) if j else one(dim)
-        cols.append(cd_multiply(cd_multiply(eps, e_j), eps).coords)
-    return tuple(zip(*cols))  # rows
-
-
 def act_word_jets(w: GroupWord, u_jets: list, v_jet: Jet2):
     """The word action on jet coordinates; mirrors act_word exactly."""
     u, v = list(u_jets), v_jet
@@ -290,9 +278,12 @@ def act_word_jets(w: GroupWord, u_jets: list, v_jet: Jet2):
         elif isinstance(tok, Trans):
             u = [x + y for x, y in zip(u, tok.y.coords)]
         else:
-            rows = _rot_matrix_exact(tok.eps)
-            u = [sum((r[j] * u[j] for j in range(len(u))), Jet2(0))
-                 for r in rows]
+            # rows2[j] is the doubled image of e_j under x -> eps x eps;
+            # most entries are zero, the rest are +-1/2 or +-1
+            rows2 = sandwich_map(tok.eps).rows2
+            u = [sum((x * Fraction(row[i], 2) for x, row in zip(u, rows2) if row[i]),
+                     Jet2(0))
+                 for i in range(len(u))]
     return u, v
 
 

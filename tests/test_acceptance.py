@@ -298,17 +298,7 @@ def test_criterion_13_geometry_invariance():
     worst_dist = 0.0
     for ring in (Z, HURWITZ, OCTAVIAN):
         for _ in range(500):
-            toks = []
-            for _ in range(5):
-                k = rng.randrange(3)
-                if k == 0:
-                    toks.append(Inv())
-                elif k == 1:
-                    toks.append(Trans(rings.random_element(ring, rng,
-                                                           max_coord2=2)))
-                else:
-                    toks.append(Rot(rng.choice(rings.units(ring))))
-            w = GroupWord(ring, tuple(toks))
+            w = hyperweyl.random_word(ring, rng, 5, 2)
             z1 = UhpPoint([rng.uniform(-1, 1) for _ in range(ring.dim)],
                           rng.uniform(0.5, 2.0))
             z2 = UhpPoint([rng.uniform(-1, 1) for _ in range(ring.dim)],

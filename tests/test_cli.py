@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from octavia.cli import main, run_verify
+from octavia.cli import CHECKS, main, run_check, run_verify
 
 
 def _run(capsys, *argv):
@@ -160,6 +160,26 @@ def test_eisenstein_residuals(capsys):
     assert data["value"]["re"] > 0
 
 
+def test_eisenstein_default_point_matches_ring(capsys):
+    # with no --z the point is u = 0, v = 1 in the ring's own dimension
+    data = _run_json(capsys, "eisenstein", "--ring", "z", "--radius", "4")
+    assert data["z"] == {"u": [0.0], "v": 1.0}
+    data = _run_json(capsys, "eisenstein", "--ring", "octavian", "--radius", "1")
+    assert data["z"]["u"] == [0.0] * 8
+
+
+def test_fourier_default_mu_matches_ring(capsys):
+    data = _run_json(capsys, "fourier", "--ring", "z", "--radius", "4",
+                     "--grid", "2")
+    assert data["mu"] == [0.0]
+
+
+def test_fourier_mu_dimension_error(capsys):
+    code = main(["fourier", "--ring", "octavian", "--mu", "1,1,0,0"])
+    assert code == 2
+    assert "mu has 4 coordinates" in capsys.readouterr().err
+
+
 def test_fourier(capsys):
     data = _run_json(capsys, "fourier", "--ring", "hurwitz", "--mu", "0,0,0,0",
                      "--v", "2", "--s", "5", "--radius", "4", "--grid", "2")
@@ -225,10 +245,25 @@ def test_export(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_verify_fast_suites(capsys):
-    for suite in ("algebra", "rings", "roots", "all"):
-        result = run_verify(suite)
-        assert result["passed"], [c for c in result["checks"] if not c["passed"]]
+def _check_case(check):
+    marks = [pytest.mark.heavy] if check.heavy else []
+    return pytest.param(check, id=check.name, marks=marks)
+
+
+@pytest.mark.parametrize("check", [_check_case(c) for c in CHECKS])
+def test_verify_check(check):
+    entry = run_check(check, seed=0)
+    assert entry["passed"], f"{entry['value']} vs {entry['expected']}"
+    assert "np." not in entry["value"]
+
+
+def test_verify_checks_independent_of_suite():
+    # each check draws from its own stream, so the suite that selects it
+    # does not change its inputs
+    full = {c["name"]: c["value"] for c in run_verify("all", seed=1)["checks"]}
+    for suite in ("uhp", "rings"):
+        for c in run_verify(suite, seed=1)["checks"]:
+            assert c["value"] == full[c["name"]], c["name"]
 
 
 def test_verify_cli_exit_code(capsys):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from octavia.hyperweyl import GroupWord, Inv, Rot, Trans
-from octavia.rings import HURWITZ, OCTAVIAN, Z, random_element, units
+from octavia.hyperweyl import random_word
+from octavia.rings import HURWITZ, OCTAVIAN, Z
 from octavia.uhp import (
     Jet2,
     UhpPoint,
@@ -26,19 +26,6 @@ from octavia.uhp import (
 
 def _rand_point(nprng, dim):
     return UhpPoint(nprng.uniform(-2, 2, size=dim), float(nprng.uniform(0.3, 3)))
-
-
-def _rand_word(ring, rng, length=6):
-    toks = []
-    for _ in range(length):
-        k = rng.randrange(3)
-        if k == 0:
-            toks.append(Inv())
-        elif k == 1:
-            toks.append(Trans(random_element(ring, rng, max_coord2=3)))
-        else:
-            toks.append(Rot(rng.choice(units(ring))))
-    return GroupWord(ring, tuple(toks))
 
 
 def test_point_validation():
@@ -75,7 +62,7 @@ def test_distance_matches_classical_real_case():
 def test_isometry_under_words(rng, nprng):
     for ring in (Z, HURWITZ, OCTAVIAN):
         for _ in range(40):
-            w = _rand_word(ring, rng)
+            w = random_word(ring, rng, 6, 3)
             z1, z2 = _rand_point(nprng, ring.dim), _rand_point(nprng, ring.dim)
             d0 = distance(z1, z2)
             d1 = distance(act_word(w, z1), act_word(w, z2))
@@ -85,7 +72,7 @@ def test_isometry_under_words(rng, nprng):
 def test_word_inverse_round_trip(rng, nprng):
     for ring in (HURWITZ, OCTAVIAN):
         for _ in range(10):
-            w = _rand_word(ring, rng)
+            w = random_word(ring, rng, 6, 3)
             z = _rand_point(nprng, ring.dim)
             back = act_word(w.inverse(), act_word(w, z))
             assert distance(z, back) < 1e-9
@@ -94,7 +81,7 @@ def test_word_inverse_round_trip(rng, nprng):
 def test_matrix_action_matches_word_action(rng, nprng):
     from octavia.hyperweyl import matrix_of_word
     for _ in range(10):
-        w = _rand_word(HURWITZ, rng, length=4)
+        w = random_word(HURWITZ, rng, 4, 3)
         S = matrix_of_word(w)
         Sf = tuple(tuple(np.array([float(t) for t in x.coords]) for x in row)
                    for row in S)
@@ -110,7 +97,7 @@ def test_laplacian_invariance(rng, nprng):
 
     for ring in (HURWITZ, OCTAVIAN):
         for _ in range(8):
-            w = _rand_word(ring, rng, length=4)
+            w = random_word(ring, rng, 4, 3)
             z = _rand_point(nprng, ring.dim)
             lhs = laplace_beltrami_numeric(lambda p: f(act_word(w, p)), z)
             rhs = laplace_beltrami_numeric(f, act_word(w, z))
@@ -148,7 +135,7 @@ def test_jet_word_action_matches_float_action(rng):
     from fractions import Fraction
     for ring in (HURWITZ, OCTAVIAN):
         for _ in range(5):
-            w = _rand_word(ring, rng, length=4)
+            w = random_word(ring, rng, 4, 3)
             u = [Fraction(rng.randint(-4, 4), 5) for _ in range(ring.dim)]
             v = Fraction(rng.randint(2, 10), 5)
             uj, vj = act_word_jets(w, [Jet2(x) for x in u], Jet2(v))
@@ -161,7 +148,7 @@ def test_jet_laplacian_invariance_exact(rng):
     from fractions import Fraction
     for ring in (Z, HURWITZ, OCTAVIAN):
         for _ in range(5):
-            w = _rand_word(ring, rng, length=4)
+            w = random_word(ring, rng, 4, 3)
             u = [Fraction(rng.randint(-4, 4), 5) for _ in range(ring.dim)]
             v = Fraction(rng.randint(2, 10), 5)
             lhs = laplace_beltrami_jet(
