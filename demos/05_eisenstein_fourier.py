@@ -3,7 +3,7 @@
 Truncated lattice sums over coprime pairs give numerically invariant
 eigenfunctions of the hyperbolic Laplacian; their Fourier modes show the
 two power laws v^s, v^(n-s) in the zero mode and Bessel-K decay elsewhere.
-Run with:  python3 demos/05_eisenstein_fourier.py  (about a minute)
+Run with:  python3 demos/05_eisenstein_fourier.py  (a few seconds)
 """
 
 import numpy as np

@@ -26,7 +26,9 @@ from .rings import (
     Ring,
     Z,
     _decode2,
+    _orbit_units,
     _pair_chunks,
+    _unit_orbit_min,
     enumerate_ball,
     hurwitz_left_content,
     octavian_left_content,
@@ -90,66 +92,91 @@ class FourierDatum:
 
 @lru_cache(maxsize=32)
 def _ball_data(ring: Ring, radius: int):
-    """Ball points (doubled int and float coordinates) with squared norms."""
+    """Ball points (doubled int and float coordinates) with squared norms,
+    and the unit-orbit representatives of c: the ball indices `reps` of
+    c = 0 and of the least unit multiple e c (rings._unit_orbit_min) of
+    each c != 0, with their orbit sizes `weight` (1 for c = 0).
+    """
     pts2 = enumerate_ball(ring, radius)
     pts = pts2.astype(float) / 2.0
     nrm = (pts * pts).sum(axis=1)
-    return pts2, pts, nrm
+    reps = np.flatnonzero((_unit_orbit_min(ring, pts2) == pts2).all(axis=1))
+    weight = np.where(nrm[reps] > 0, float(len(_orbit_units(ring))), 1.0)
+    return pts2, pts, nrm, reps, weight
 
 
 @lru_cache(maxsize=8)
 def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
-    """Left coprimality of every pair (c, d) = (pts[i], pts[j]) of the
-    truncation ball, as a read-only (m, m) boolean array.
+    """Left coprimality of the pairs (c, d) = (pts[reps[i]], pts[j]) of the
+    truncation ball, one row per unit-orbit representative c, as a
+    read-only (len(reps), m) boolean array.
 
+    The left content is invariant under (c, d) -> (e c, e d) for the units
+    of rings._orbit_units (for the octavians only the central +-1 keep it:
+    a non-central unit changes the left content of some pairs), so the
+    rows of the other members of an orbit repeat the representative's.
     The mask does not depend on the point z, so it is built once per
     (ring, radius).
     """
-    pts2, _, _ = _ball_data(ring, radius)
-    m = len(pts2)
-    mask = np.empty((m, m), dtype=bool)
-    for lo, hi, c2, d2 in _pair_chunks(pts2):
+    pts2, _, _, reps, _ = _ball_data(ring, radius)
+    mask = np.empty((len(reps), len(pts2)), dtype=bool)
+    for lo, hi, c2, d2 in _pair_chunks(pts2[reps], pts2):
         if ring is Z:
             ok = np.gcd(c2[:, 0], d2[:, 0]) == 2  # doubled coordinates
         elif ring is HURWITZ:
             ok = hurwitz_left_content(c2, d2) == 4
         else:
             ok = octavian_left_content(c2, d2) == 4
-        mask[lo:hi] = ok.reshape(hi - lo, m)
+        mask[lo:hi] = ok.reshape(hi - lo, len(pts2))
     mask.flags.writeable = False
     return mask
+
+
+def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
+    """x^(-s) for positive x: exp(-Re s log x) in real arithmetic, times
+    the phase exp(-i Im s log x) only when Im s != 0."""
+    log_x = np.log(x)
+    mag = np.exp(-s.real * log_x)
+    return mag if s.imag == 0 else mag * np.exp(-1j * s.imag * log_x)
 
 
 def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
     """Shell-major compensated sum of v^s / |cz+d|^(2s).
 
-    Pairs are processed in fixed c-chunks; each term is bucketed by its
-    shell key max(|c|^2, |d|^2) and the per-shell totals are reduced in
-    increasing shell order, so the result is deterministic and the
-    summation order matches the truncation geometry.
+    The term depends only on |cz + d|, which the units of
+    rings._orbit_units leave alone under (c, d) -> (e c, e d) (this needs
+    (e c) z = e (c z): associativity, or a central e for the octavians),
+    as they do coprimality.  So c runs over one representative per unit
+    orbit, times the orbit size.  Representative rows are processed in
+    fixed chunks of about 64k pairs; each term is bucketed by its shell key
+    max(|c|^2, |d|^2) and the per-shell totals are reduced in increasing
+    shell order, so the result is deterministic and the summation order
+    matches the truncation geometry.
     """
     ring, z, s = p.ring, p.z, complex(p.s)
-    _, pts, nrm = _ball_data(ring, p.radius)
+    _, pts, nrm, reps, weight = _ball_data(ring, p.radius)
     u, v = z.u_vector(), z.v
-    cu = pts @ right_mult_matrix(u, ring.dim).T  # row i: coords of c_i * u
+    cu = pts[reps] @ right_mult_matrix(u, ring.dim).T  # row i: c_i * u
     shell_id = np.rint(nrm).astype(np.int64)  # squared norms are integers
     n_shell = p.radius + 1
     acc_re = np.zeros(n_shell)
     acc_im = np.zeros(n_shell)
-    m = len(pts)
-    chunk = max(1, (1 << 21) // m)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        rows = np.arange(lo, hi)
-        denom = ((cu[rows] ** 2).sum(axis=1)[:, None] + nrm[None, :]
-                 + 2.0 * cu[rows] @ pts.T + (nrm[rows] * v * v)[:, None])
+    chunk = max(1, (1 << 16) // len(pts))  # about 64k pairs, cache-sized
+    for lo in range(0, len(reps), chunk):
+        hi = min(lo + chunk, len(reps))
+        rows = reps[lo:hi]
+        denom = ((cu[lo:hi] ** 2).sum(axis=1)[:, None] + nrm[None, :]
+                 + 2.0 * cu[lo:hi] @ pts.T + (nrm[rows] * v * v)[:, None])
         keep = (nrm[rows][:, None] > 0) | (nrm[None, :] > 0)
         if coprime_only:
             keep &= _coprime_mask(ring, p.radius)[lo:hi]
-        vals = np.where(keep, np.exp(-s * np.log(np.where(keep, denom, 1.0))), 0.0)
+        # the row's orbit size, 0 for a dropped pair
+        vals = (_neg_power(np.where(keep, denom, 1.0), s)
+                * (weight[lo:hi, None] * keep)).ravel()
         key = np.maximum(shell_id[rows][:, None], shell_id[None, :]).ravel()
-        acc_re += np.bincount(key, weights=vals.real.ravel(), minlength=n_shell)
-        acc_im += np.bincount(key, weights=vals.imag.ravel(), minlength=n_shell)
+        acc_re += np.bincount(key, weights=vals.real, minlength=n_shell)
+        if np.iscomplexobj(vals):
+            acc_im += np.bincount(key, weights=vals.imag, minlength=n_shell)
     total = complex(math.fsum(acc_re), math.fsum(acc_im))
     return np.exp(s * np.log(v)) * total
 
@@ -171,8 +198,10 @@ def _coset_class_words(ring: Ring, radius: int):
     per unit-orbit class {(ec, ed)} of the left-coprime pairs inside the
     truncation ball.
 
-    Associative rings only: the orbit reduction uses |e c z + e d| =
-    |cz + d|, and every orbit has exactly N = #units members.
+    Associative rings only: the orbit reduction uses |(e c) z + e d| =
+    |e (cz + d)| = |cz + d|, which needs (e c) z = e (c z) for every unit
+    e, and then every orbit has exactly N = #units members.  Over the
+    octavians only the central units +-1 satisfy it (rings._orbit_units).
     """
     if ring is OCTAVIAN:
         raise ValueError("octavian pairs do not reduce to unit orbits; "
@@ -283,9 +312,15 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     so the value is exactly periodic on the ring lattice.  The fixed-ball
     truncation of eisenstein_truncated is not periodic, and its
     aperiodicity would swamp the exponentially small Fourier modes.
+
+    For a unit e of rings._orbit_units, d -> e d maps the d-ball of c onto
+    the d-ball of e c with the same |cu + d| (this needs (e c) u =
+    e (c u): associativity, or a central e for the octavians), so c runs
+    over one representative per unit orbit, times the orbit size.
     """
     s = complex(s)
-    _, cpts, cnrm = _ball_data(ring, radius)
+    _, cpts, cnrm, reps, weight = _ball_data(ring, radius)
+    cpts, cnrm = cpts[reps], cnrm[reps]
     off = enumerate_ball(ring, _margin_norm(radius)).astype(float) / 2.0
     cu = cpts @ right_mult_matrix(u, ring.dim).T
     disp = cu + _nearest_lattice2(ring, -cu).astype(float) / 2.0
@@ -298,8 +333,8 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
         denom = d2 + cnrm[lo:hi, None] * v * v
         keep = d2 <= radius + 1e-9
         keep &= denom > 1e-12  # drops only the (c, d) = (0, 0) term
-        vals = np.where(keep, np.exp(-s * np.log(np.where(keep, denom, 1.0))),
-                        0.0)
+        vals = (_neg_power(denom[keep], s)
+                * np.broadcast_to(weight[lo:hi, None], keep.shape)[keep])
         total += vals.sum()
     return np.exp(s * np.log(v)) * complex(total)
 

@@ -246,21 +246,31 @@ def cmd_coset(args) -> int:
     return 0
 
 
+def _rotation_unit(ring):
+    """The first unit other than +-1, or None (Z has none): u_eps with
+    eps = +-1 fixes every point."""
+    return next((e for e in rings.units(ring) if abs(e.coords[0]) != 1), None)
+
+
 def cmd_eisenstein(args) -> int:
+    """Series value with its residuals under three exact symmetries of the
+    truncation set: inversion, the rotation by _rotation_unit(ring) and
+    u -> -conj(u).  Z has no such rotation: `residual_rot` is null."""
     ring = _ring(args)
     z = _parse_z(args.z) if args.z else UhpPoint(np.zeros(ring.dim), 1.0)
     s = _parse_complex(args.s or "5")
     radius = int(args.radius or 9)
     p = autoforms.SeriesParams(ring, s, radius, z, exploratory=True)
     value = autoforms.eisenstein_truncated(p)
-    # exact truncation-set symmetries: inversion, a unit rotation, conjugation
     zi = uhp.act_word(GroupWord(ring, (Inv(),)), z)
     res_inv = abs(value - autoforms.eisenstein_truncated(
         autoforms.SeriesParams(ring, s, radius, zi, exploratory=True)))
-    eps = rings.units(ring)[0]
-    zr = uhp.act_word(GroupWord(ring, (Rot(eps),)), z)
-    res_rot = abs(value - autoforms.eisenstein_truncated(
-        autoforms.SeriesParams(ring, s, radius, zr, exploratory=True)))
+    eps = _rotation_unit(ring)
+    res_rot = None
+    if eps is not None:
+        zr = uhp.act_word(GroupWord(ring, (Rot(eps),)), z)
+        res_rot = abs(value - autoforms.eisenstein_truncated(
+            autoforms.SeriesParams(ring, s, radius, zr, exploratory=True)))
     uc = z.u_vector().copy()
     uc[0] = -uc[0]  # u-part of -conj(z)
     zc = UhpPoint(uc, z.v)

@@ -38,6 +38,7 @@ from .rings import (
     _exact_rows,
     _mult2,
     _pair_chunks,
+    _unit_orbit_min,
     enumerate_ball,
     is_in_commutator_ideal,
     is_member,
@@ -395,20 +396,7 @@ def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
         rows = np.concatenate([c2, d2], axis=1) * np.where(lead < 0, -1, 1)
         return rows[keep]
     if ring is HURWITZ:
-        c2, d2 = c2[keep], d2[keep]
-        best = None
-        for u in units(ring):
-            u2 = np.broadcast_to(np.array(u.coords2, dtype=c2.dtype), c2.shape)
-            cand = np.concatenate([_mult2(u2, c2), _mult2(u2, d2)], axis=1)
-            if best is None:
-                best = cand
-                continue
-            # row-wise lexicographic minimum: compare at the first difference
-            diff = cand - best
-            first = (diff != 0).argmax(axis=1)
-            take = diff[np.arange(len(diff)), first] < 0
-            best[take] = cand[take]
-        return best
+        return _unit_orbit_min(ring, c2[keep], d2[keep])
     # Octavians: s, s_next start as (least unit, 0) and run
     # s, s_next = s q_k - s_next, s for k = L..2; then (c, d) = (s, s q1 - s_next).
     # Rows with c = 0 never enter the chain and stay (0, least unit).
@@ -453,7 +441,7 @@ def coset_reps(ring: Ring, norm_bound: int):
         raise ValueError("norm_bound must be >= 1")
     pts = enumerate_ball(ring, norm_bound)
     found = [np.unique(_canonical_rows(ring, c2, d2), axis=0)
-             for _, _, c2, d2 in _pair_chunks(pts)]
+             for _, _, c2, d2 in _pair_chunks(pts, pts)]
     dim = ring.dim
     return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
             for r in np.unique(np.concatenate(found), axis=0)]

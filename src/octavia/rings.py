@@ -24,7 +24,6 @@ from .algebra import (
     basis_unit,
     cd_multiply,
     commutator,
-    invert,
     norm_sq,
     one,
     structure_table,
@@ -305,7 +304,8 @@ class EuclTrace:
     remainders: tuple[AlgElem, ...]
 
     def replay_ok(self) -> bool:
-        """Exactly re-substitute the division chain."""
+        """Exactly re-substitute the division chain and check that the
+        norms |c|^2 > |r1|^2 > |r2|^2 > ... > 0 strictly decrease."""
         first, c = self.inputs
         seq = [first, c] + list(self.remainders) + [zero(self.ring.dim)]
         if len(self.quotients) != len(self.remainders) + 1:
@@ -318,7 +318,7 @@ class EuclTrace:
             else:
                 if prev != cd_multiply(cur, q) - nxt:
                     return False
-        norms = [norm_sq(r) for r in self.remainders]
+        norms = [norm_sq(c)] + [norm_sq(r) for r in self.remainders]
         return all(a > b for a, b in zip(norms, norms[1:])) and all(n > 0 for n in norms)
 
     @property
@@ -344,6 +344,37 @@ def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
     if np.any(raw & 1):
         raise ArithmeticError("product left the half-integer lattice")
     return raw >> 1
+
+
+def _orbit_units(ring: Ring) -> tuple[AlgElem, ...]:
+    """The units e that act on modular pairs by (c, d) -> (e c, e d).
+
+    (e c) z = e (c z) needs associativity, so Z and the Hurwitz ring use
+    all their units and the octavians only the central units +-1.  The
+    action fixes |cz + d| and the left content, and it is free on pairs
+    with c != 0, so each such orbit has len(_orbit_units(ring)) members.
+    """
+    return (one(8), -one(8)) if ring is OCTAVIAN else units(ring)
+
+
+def _unit_orbit_min(ring: Ring, *blocks: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic least of the rows [e b1 | e b2 | ...] over
+    the units e of _orbit_units(ring); each block holds (M, dim) doubled
+    coordinates."""
+    best = None
+    for e in _orbit_units(ring):
+        e2 = np.broadcast_to(np.array(e.coords2, dtype=blocks[0].dtype),
+                             blocks[0].shape)
+        cand = np.concatenate([_mult2(e2, b) for b in blocks], axis=1)
+        if best is None:
+            best = cand
+            continue
+        # compare at the first difference
+        diff = cand - best
+        first = (diff != 0).argmax(axis=1)
+        take = diff[np.arange(len(diff)), first] < 0
+        best[take] = cand[take]
+    return best
 
 
 def _exact_rows(*rows) -> list[np.ndarray]:
@@ -464,16 +495,27 @@ def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4)
     Checks a = x g, c = y g with ring members x, y; exhaustive over the
     bounded-norm ball.  Never used to decide coprimality (for octavians
     the notions genuinely differ).
+
+    x = a conj(g) / |g|^2, so on doubled coordinates g2 = 2 g the test is
+    that 4 * 2 (a conj(g)) is divisible by |g2|^2 and the quotient is on
+    the ring lattice, for the whole ball at once.
     """
-    out = []
-    for g in ball_elements(ring, max_norm):
-        n = norm_sq(g)
-        if n <= 1:
-            continue
-        gi = invert(g)
-        if is_member(ring, cd_multiply(a, gi)) and is_member(ring, cd_multiply(c, gi)):
-            out.append(g)
-    return sorted(out, key=lambda u: u.coords)
+    for x in (a, c):
+        if not is_member(ring, x):
+            raise ValueError(f"{x} is not a member of {ring}")
+    g2 = enumerate_ball(ring, max_norm)
+    n4 = (g2 * g2).sum(axis=1)
+    g2, n4 = g2[n4 > 4], n4[n4 > 4]
+    gbar2, a2, c2 = _exact_rows(g2 * np.array([1] + [-1] * (ring.dim - 1)),
+                                [a.coords2], [c.coords2])
+    ok = np.ones(len(g2), dtype=bool)
+    for x2 in (a2, c2):
+        num = 4 * _mult2(np.broadcast_to(x2, gbar2.shape), gbar2)
+        div = (num % n4[:, None] == 0).all(axis=1)
+        q2 = num // n4[:, None]
+        par = (q2 % 2).astype(np.int64)
+        ok &= div & (par[:, None, :] == _coset_matrix(ring)[None]).all(axis=2).any(axis=1)
+    return sorted((_elem(ring.dim, g) for g in g2[ok]), key=lambda u: u.coords)
 
 
 # -- lattice enumeration and shell counts ----------------------------------
@@ -513,15 +555,15 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     return pts[order]
 
 
-def _pair_chunks(pts: np.ndarray):
-    """Yield (lo, hi, c2, d2): the pairs (pts[i], pts[j]) for lo <= i < hi
+def _pair_chunks(cs: np.ndarray, ds: np.ndarray):
+    """Yield (lo, hi, c2, d2): the pairs (cs[i], ds[j]) for lo <= i < hi
     and every j, row-major, in chunks of about 64k pairs, which keep a
     Euclid batch in cache."""
-    m = len(pts)
+    m = len(ds)
     chunk = max(1, (1 << 16) // m)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        yield lo, hi, np.repeat(pts[lo:hi], m, axis=0), np.tile(pts, (hi - lo, 1))
+    for lo in range(0, len(cs), chunk):
+        hi = min(lo + chunk, len(cs))
+        yield lo, hi, np.repeat(cs[lo:hi], m, axis=0), np.tile(ds, (hi - lo, 1))
 
 
 def ball_elements(ring: Ring, max_norm: int, include_zero: bool = False) -> list[AlgElem]:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from octavia.algebra import right_mult_matrix
 from octavia.autoforms import (
     SeriesParams,
+    _ball_data,
+    _coprime_mask,
     _periodic_series_value,
     bessel_k,
     critical_line_diagnostic,
@@ -23,7 +26,16 @@ from octavia.autoforms import (
     zeta_relation_check,
 )
 from octavia.hyperweyl import GroupWord, Inv, Rot, Trans
-from octavia.rings import HURWITZ, OCTAVIAN, Z, units
+from octavia.rings import (
+    HURWITZ,
+    OCTAVIAN,
+    Z,
+    _mult2,
+    enumerate_ball,
+    hurwitz_left_content,
+    octavian_left_content,
+    units,
+)
 from octavia.uhp import UhpPoint, act_word, laplace_beltrami_numeric
 
 
@@ -96,6 +108,119 @@ def test_poincare_two_evaluation_paths_agree():
         a = poincare_truncated(p)
         b = poincare_via_words(p)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+# -- the unit-orbit reduction against the full pair ball -----------------
+
+
+def _full_mask_rows(ring, c2, d2):
+    """Left coprimality of every pair (c2[i], d2[j]), computed directly."""
+    c = np.repeat(c2, len(d2), axis=0)
+    d = np.tile(d2, (len(c2), 1))
+    if ring is Z:
+        ok = np.gcd(c[:, 0], d[:, 0]) == 2
+    elif ring is HURWITZ:
+        ok = hurwitz_left_content(c, d) == 4
+    else:
+        ok = octavian_left_content(c, d) == 4
+    return ok.reshape(len(c2), len(d2))
+
+
+def _full_pair_series(p, coprime_only=False):
+    """Oracle: every pair (c, d) of the ball, one complex power per term,
+    per-shell fsum; poincare divides by the unit count."""
+    pts2 = enumerate_ball(p.ring, p.radius)
+    pts = pts2 / 2.0
+    nrm = (pts * pts).sum(axis=1)
+    u, v, s = p.z.u_vector(), p.z.v, complex(p.s)
+    cu = pts @ right_mult_matrix(u, p.ring.dim).T
+    shells = {}
+    for lo in range(0, len(pts), 64):
+        rows = slice(lo, lo + 64)
+        w = cu[rows, None, :] + pts[None, :, :]
+        denom = (w * w).sum(axis=2) + (nrm[rows] * v * v)[:, None]
+        keep = (nrm[rows, None] > 0) | (nrm[None, :] > 0)
+        if coprime_only:
+            keep &= _full_mask_rows(p.ring, pts2[rows], pts2)
+        vals = np.exp(-s * np.log(denom[keep]))
+        key = np.maximum(nrm[rows, None], nrm[None, :])[keep]
+        for k in np.unique(key):
+            shells.setdefault(k, []).append(vals[key == k])
+    total = v ** s * sum(complex(math.fsum(x.real), math.fsum(x.imag))
+                         for x in (np.concatenate(shells[k]) for k in sorted(shells)))
+    return total / len(units(p.ring)) if coprime_only else total
+
+
+@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
+@pytest.mark.parametrize("ring, radius", [(Z, 9), (HURWITZ, 4), (OCTAVIAN, 1)],
+                         ids=["z", "hurwitz", "octavian"])
+def test_series_match_full_pair_oracle(ring, radius, s):
+    # fails if an orbit weight or the set of acting units is wrong
+    rng = np.random.default_rng(7)
+    z = UhpPoint(rng.uniform(-0.5, 0.5, ring.dim), 1.05)
+    p = SeriesParams(ring, s, radius, z)
+    for f, coprime in ((eisenstein_truncated, False), (poincare_truncated, True)):
+        ref = _full_pair_series(p, coprime)
+        assert abs(f(p) - ref) <= 1e-12 * abs(ref)
+
+
+def test_octavian_series_match_full_pair_oracle_radius_2():
+    # at radius 1 every c is a unit, and each unit c gives the same d-sum
+    # (c (u + conj(c) d) = cu + d), so only radius 2 sees the acting units
+    z = UhpPoint(np.random.default_rng(8).uniform(-0.5, 0.5, 8), 0.95)
+    p = SeriesParams(OCTAVIAN, 5.0, 2, z)
+    ref = _full_pair_series(p)
+    assert abs(eisenstein_truncated(p) - ref) <= 1e-12 * abs(ref)
+
+
+def _ball_index(pts2):
+    return {tuple(r): i for i, r in enumerate(pts2.tolist())}
+
+
+def _unit_perm(pts2, e):
+    """perm[i]: the ball index of e * pts[i]."""
+    index = _ball_index(pts2)
+    e2 = np.broadcast_to(np.array(e.coords2), pts2.shape)
+    return np.array([index[tuple(r)] for r in _mult2(e2, pts2).tolist()])
+
+
+def test_full_mask_invariant_under_orbit_units():
+    pts2 = enumerate_ball(HURWITZ, 4)
+    full = _full_mask_rows(HURWITZ, pts2, pts2)
+    for e in units(HURWITZ):
+        perm = _unit_perm(pts2, e)
+        assert np.array_equal(full[perm][:, perm], full)
+    # octavians, -1 only: rows of norm-2 c and their negatives, every d
+    pts2 = enumerate_ball(OCTAVIAN, 2)
+    rows = np.arange(241, 2401, 97)
+    perm = _unit_perm(pts2, -units(OCTAVIAN)[0])
+    full = _full_mask_rows(OCTAVIAN, pts2[rows], pts2)
+    neg = _full_mask_rows(OCTAVIAN, pts2[perm[rows]], pts2)
+    assert np.array_equal(neg[:, perm], full)
+
+
+def test_noncentral_octavian_unit_breaks_mask_invariance():
+    # why the octavian orbits are {c, -c}: (e c, e d) need not share the
+    # left coprimality of (c, d) when e is not central
+    pts2 = enumerate_ball(OCTAVIAN, 2)
+    rows = np.arange(241, 2401, 97)
+    e = next(x for x in units(OCTAVIAN) if abs(x.coords[0]) != 1)
+    perm = _unit_perm(pts2, e)
+    full = _full_mask_rows(OCTAVIAN, pts2[rows], pts2)
+    moved = _full_mask_rows(OCTAVIAN, pts2[perm[rows]], pts2)
+    assert not np.array_equal(moved[:, perm], full)
+
+
+@pytest.mark.parametrize("ring, radius", [(Z, 9), (HURWITZ, 4), (OCTAVIAN, 1)],
+                         ids=["z", "hurwitz", "octavian"])
+def test_reduced_mask_is_representative_rows(ring, radius):
+    pts2, _, _, reps, weight = _ball_data(ring, radius)
+    full = _full_mask_rows(ring, pts2, pts2)
+    assert np.array_equal(_coprime_mask(ring, radius), full[reps])
+    # c = 0 once, then one c per orbit of len(units) (Z, Hurwitz) or 2
+    n = 2 if ring is OCTAVIAN else len(units(ring))
+    assert reps[0] == 0 and weight[0] == 1.0
+    assert np.all(weight[1:] == n) and 1 + n * (len(reps) - 1) == len(pts2)
 
 
 def test_dual_basis_is_dual():

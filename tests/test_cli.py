@@ -5,9 +5,14 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from octavia import cli
 from octavia.cli import CHECKS, main, run_check, run_verify
+from octavia.hyperweyl import GroupWord, Rot
+from octavia.rings import HURWITZ, Z
+from octavia.uhp import UhpPoint, act_word
 
 
 def _run(capsys, *argv):
@@ -158,6 +163,22 @@ def test_eisenstein_residuals(capsys):
     assert data["residual_rot"] <= 1e-13
     assert data["residual_conj"] <= 1e-13
     assert data["value"]["re"] > 0
+
+
+def test_eisenstein_rotation_moves_the_point(capsys):
+    # the rotation residual compares E at z with E at a point that differs
+    # from z; Z has no rotation besides the trivial one
+    z = UhpPoint([0.2, 0.1, -0.3, 0.05], 1.1)
+    eps = cli._rotation_unit(HURWITZ)
+    zr = act_word(GroupWord(HURWITZ, (Rot(eps),)), z)
+    assert np.abs(zr.u_vector() - z.u_vector()).max() > 0.1
+    data = _run_json(capsys, "eisenstein", "--ring", "hurwitz",
+                     "--z", "0.2,0.1,-0.3,0.05;1.1", "--radius", "4")
+    assert data["residual_rot"] <= 1e-12 * max(1.0, abs(data["value"]["re"]))
+    assert cli._rotation_unit(Z) is None
+    data = _run_json(capsys, "eisenstein", "--ring", "z", "--z", "0.2;1.1",
+                     "--radius", "4")
+    assert data["residual_rot"] is None
 
 
 def test_eisenstein_default_point_matches_ring(capsys):

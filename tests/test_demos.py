@@ -9,17 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# Demo 05 spends about 30 s computing Fourier coefficients point by point;
-# it stays heavy until those coefficients come from precomputed tables.
-HEAVY = {"05_eisenstein_fourier.py"}
 
 
-def _case(path):
-    marks = [pytest.mark.heavy] if path.name in HEAVY else []
-    return pytest.param(path, id=path.stem, marks=marks)
-
-
-@pytest.mark.parametrize("path", [_case(p) for p in DEMOS])
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(path):
     env = dict(os.environ)
     src = str(ROOT / "src")

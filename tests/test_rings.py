@@ -10,11 +10,13 @@ from octavia.algebra import (
     basis_unit,
     cd_multiply,
     conj,
+    invert,
     norm_sq,
     one,
     zero,
 )
 from octavia.rings import (
+    EuclTrace,
     HURWITZ,
     OCTAVIAN,
     Z,
@@ -123,6 +125,42 @@ def test_euclid_gcd_matches_brute_force_hurwitz(rng):
             continue
         copr = is_right_coprime(HURWITZ, a, c)
         assert copr == (not common_right_divisors(HURWITZ, a, c, max_norm=9))
+
+
+def test_replay_rejects_first_remainder_not_below_divisor():
+    # 5 = 4 * 2 - 3, 2 = 1 * 3 - 1, 3 = 3 * 1: exact, and 9 > 1, but the
+    # first remainder is not smaller than the divisor 2
+    n = lambda k: AlgElem.from_coords2(1, [2 * k])
+    forged = EuclTrace("right", Z, (n(5), n(2)), (n(4), n(1), n(3)), (n(3), n(1)))
+    assert not forged.replay_ok()
+    assert right_euclid(Z, n(5), n(2)).replay_ok()
+
+
+def _fraction_divisor_scan(ring, a, c, max_norm):
+    out = []
+    for g in ball_elements(ring, max_norm):
+        if norm_sq(g) > 1:
+            gi = invert(g)
+            if is_member(ring, cd_multiply(a, gi)) and is_member(ring, cd_multiply(c, gi)):
+                out.append(g)
+    return sorted(out, key=lambda u: u.coords)
+
+
+def test_common_right_divisors_match_fraction_scan(rng):
+    # random pairs, and pairs built with a common right factor g of the ball
+    cases = []
+    for ring, max_norm, n in ((Z, 16, 4), (HURWITZ, 4, 4), (OCTAVIAN, 2, 1)):
+        divisors = [g for g in ball_elements(ring, max_norm) if norm_sq(g) > 1]
+        for _ in range(n):
+            a, c = (random_element(ring, rng, max_coord2=4) for _ in range(2))
+            g = rng.choice(divisors)
+            cases.append((ring, a, c, max_norm))
+            cases.append((ring, cd_multiply(a, g), cd_multiply(c, g), max_norm))
+    for ring, a, c, max_norm in cases:
+        assert common_right_divisors(ring, a, c, max_norm) == \
+            _fraction_divisor_scan(ring, a, c, max_norm)
+    with pytest.raises(ValueError):
+        common_right_divisors(HURWITZ, AlgElem.from_coords2(4, [1, 0, 0, 0]), one(4))
 
 
 def test_nearest_properties(rng):
