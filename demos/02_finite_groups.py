@@ -27,7 +27,7 @@ def main():
     print(f"|G2(2)| = |Aut(O)| = {len(g2)}  (expected 12096, "
           f"{time.perf_counter() - t0:.1f}s by matrix closure)")
 
-    order = w_e8_order(sample_checks=20)
+    order = w_e8_order()
     print(f"|W+(E8)| = {order} = 240 x 120 x 12096")
 
     # every even E8 isometry is x -> (f (e phi(x) e) f) b with imaginary

@@ -298,8 +298,10 @@ def _nearest_lattice2(ring: Ring, targets: np.ndarray) -> np.ndarray:
 
 
 def _margin_norm(radius: int) -> int:
-    # d-candidate ball: truncation radius plus covering-distance slack
-    return int(math.ceil((math.sqrt(radius) + 1.5) ** 2 + 1e-9))
+    # d-candidate ball: truncation radius plus the covering radius
+    # sqrt(1/2) of the D4 and E8 lattices at unit minimal norm (Z's is
+    # 1/2), the farthest _nearest_lattice2 can land from its target
+    return int(math.ceil((math.sqrt(radius) + math.sqrt(0.5)) ** 2 + 1e-9))
 
 
 def _periodic_series_value(ring: Ring, s: complex, radius: int,

@@ -35,6 +35,7 @@ from .rings import (
     E8_SIMPLE_ROOTS,
     HURWITZ,
     OCTAVIAN,
+    _mult2,
     is_member,
     octavian_unit_classes,
     units,
@@ -123,8 +124,23 @@ class LinMap:
         m = self.matrix2()
         return bool(np.array_equal(m @ m.T, 4 * np.eye(self.dim, dtype=np.int64)))
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix2() / 2.0))
+    def det(self) -> Fraction:
+        """Exact determinant: fraction-free (Bareiss) elimination on the
+        integer matrix2(), divided by 2^dim."""
+        a = [list(r) for r in self.rows2]
+        n, sign, prev = self.dim, 1, 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if piv is None:
+                    return Fraction(0)
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return Fraction(sign * a[n - 1][n - 1], 2 ** n)
 
 
 def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -433,12 +449,22 @@ def _matrix_closure(gens: np.ndarray, limit: int) -> list:
     return list(seen)
 
 
+# Three Brandt conjugations, by index into octavian_unit_classes()[1],
+# already generate H; no two of the 112 do.
+_BRANDT_GENERATORS = (0, 1, 16)
+
+
 @lru_cache(maxsize=None)
 def _brandt_closure() -> np.ndarray:
-    """The 6048 matrices of H = G2(2)', closed from the Brandt conjugations."""
+    """The 6048 matrices of H = G2(2)', the group generated by the
+    Brandt conjugations, closed from three of them."""
     _, brandt, _ = octavian_unit_classes()
-    gens = np.stack([brandt_conjugation(a).matrix2() for a in brandt])
-    return _from_keys(_matrix_closure(gens, limit=20000))
+    gens = np.stack([brandt_conjugation(brandt[i]).matrix2()
+                     for i in _BRANDT_GENERATORS])
+    keys = _matrix_closure(gens, limit=6048)
+    if len(keys) != 6048:
+        raise RuntimeError(f"the Brandt closure has {len(keys)} elements, expected 6048")
+    return _from_keys(keys)
 
 
 @lru_cache(maxsize=None)
@@ -453,8 +479,9 @@ def generate_G2_2() -> tuple:
     mats = np.concatenate([h, _product2(h, _outer_automorphism().matrix2())])
     if len(set(_keys(mats))) != 12096:
         raise RuntimeError("H u H phi does not have 12096 distinct elements")
-    rows = sorted(tuple(map(tuple, m)) for m in mats.tolist())
-    return tuple(LinMap(8, r) for r in rows)
+    flat = mats.reshape(len(mats), -1)
+    order = np.lexsort(flat.T[::-1])  # lexicographic on rows2, first entry first
+    return tuple(LinMap(8, tuple(map(tuple, mats[i].tolist()))) for i in order)
 
 
 @lru_cache(maxsize=None)
@@ -489,20 +516,53 @@ def _sandwich_stack() -> np.ndarray:
     return np.stack([sandwich_map(g).matrix2() for g in imaginary_units()])
 
 
-@lru_cache(maxsize=2)
-def _sandwich_pairs(outer_first: bool) -> np.ndarray:
-    """The 126 x 126 sandwich-pair composites, g-major, as int8.
+def _unit_codes(x2: np.ndarray) -> np.ndarray:
+    """Base-5 integer code of each row of doubled unit coordinates
+    (entries in [-2, 2]); the code of -x is 5^8 - 1 minus that of x."""
+    return (np.asarray(x2, dtype=np.int64) + 2) @ 5 ** np.arange(8, dtype=np.int64)
 
-    outer_first=True gives matrix(sigma(h) o sigma(g)), False gives
-    matrix(sigma(g) o sigma(h)).  Entries lie in [-2, 2], so int8 also
-    holds every product with another such matrix (|sums| <= 32).
+
+@lru_cache(maxsize=1)
+def _imaginary_factor_table() -> tuple:
+    """The products of the 126 x 126 imaginary-unit pairs, in one batched
+    rings._mult2.
+
+    Pair k = 126 i + j is (g, h) = (imag[i], imag[j]) with imag =
+    imaginary_units(), so pair indices run g-major.  Returns (codes,
+    prod, first, class_first): codes are the sorted _unit_codes of the
+    240 unit octavians, prod[k] the position in codes of g h, first[u]
+    the least pair with g h = u and class_first[u] the least pair with
+    g h = +-u.  Pairs with equal +-gh lie in one left coset of G2(2)
+    (checked by w_e8_order), so the 120 class-first pairs stand for
+    all 15 876.
     """
+    # int8 holds every doubled product coordinate (|sums| <= 8 * 2 * 2)
+    imag2 = np.array([g.coords2 for g in imaginary_units()], dtype=np.int8)
+    n = len(imag2)
+    codes, prod = np.unique(
+        _unit_codes(_mult2(np.repeat(imag2, n, axis=0), np.tile(imag2, (n, 1)))),
+        return_inverse=True)
+    if len(codes) != 240:
+        raise RuntimeError(f"imaginary pairs give {len(codes)} products, expected 240")
+    first = np.full(len(codes), n * n)
+    np.minimum.at(first, prod, np.arange(n * n))
+    neg = np.searchsorted(codes, 5 ** 8 - 1 - codes)
+    return codes, prod, first, np.minimum(first, first[neg])
+
+
+@lru_cache(maxsize=2)
+def _class_composites(outer_first: bool) -> tuple:
+    """The 120 class-first pairs, ascending, and their int8 sandwich
+    composites: matrix(sigma(h) o sigma(g)) when outer_first, else
+    matrix(sigma(g) o sigma(h)).  Entries lie in [-2, 2], so int8 also
+    holds every product with another such matrix (|sums| <= 32)."""
+    ks = np.unique(_imaginary_factor_table()[3])
     s = _sandwich_stack()
+    n = len(s)
     # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
-    pair = s[:, None] @ s[None, :] // 2  # [g, h] -> matrix(sh o sg)
-    if not outer_first:
-        pair = np.swapaxes(pair, 0, 1)
-    return pair.reshape(-1, 8, 8).astype(np.int8)
+    gs, hs = s[ks // n], s[ks % n]
+    comps = _product2(gs, hs) if outer_first else _product2(hs, gs)
+    return ks, comps.astype(np.int8)
 
 
 def _sigma_residue_search(m: LinMap, outer_first: bool):
@@ -511,20 +571,23 @@ def _sigma_residue_search(m: LinMap, outer_first: bool):
 
     outer_first=True searches phi = sigma(h) o sigma(g) o m (the W(E7)
     normal form); False searches phi = sigma(g) o sigma(h) o m (the
-    W(E8) stabilizer form).  One batched matrix product replaces the
-    126 x 126 Python loop; the scan order matches the plain loops.
+    W(E8) stabilizer form).  Pairs with equal +-gh all pass or all fail
+    (they share a G2(2) coset), so only the 120 class-first pairs of
+    _imaginary_factor_table are keyed, in ascending order; the first
+    that passes is the first pair of the full 126 x 126 scan.
     """
     m2 = m.matrix2()
     if np.abs(m2).max() > 2:  # not an isometry; also keeps int8 exact
         raise ValueError("no sandwich-pair residue is an automorphism")
-    cand = m2.astype(np.int8) @ _sandwich_pairs(outer_first)
+    ks, comps = _class_composites(outer_first)
+    cand = m2.astype(np.int8) @ comps
     cand //= 2
     keys = g2_key_set()
     imag = imaginary_units()
-    for k, key in enumerate(_keys(cand)):
+    for k, c, key in zip(ks.tolist(), cand, _keys(cand)):
         if key in keys:
-            g, h = imag[k // 126], imag[k % 126]
-            return g, h, LinMap(8, tuple(map(tuple, cand[k].tolist())))
+            g, h = divmod(k, len(imag))
+            return imag[g], imag[h], LinMap(8, tuple(map(tuple, c.tolist())))
     raise ValueError("no sandwich-pair residue is an automorphism")
 
 
@@ -561,15 +624,15 @@ def generate_w_e7() -> int:
 
 
 def factor_into_imaginaries(b: AlgElem):
-    """Write the unit octavian b as gh with imaginary units g, h."""
+    """Write the unit octavian b as gh with imaginary units g, h: the
+    first such pair in g-major order, read off _imaginary_factor_table."""
     if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
         raise ValueError("b must be a unit octavian")
-    imag_set = set(imaginary_units())
-    for g in imaginary_units():
-        h = cd_multiply(invert(g), b)  # g(g^{-1} b) = b by alternativity
-        if h in imag_set:
-            return g, h
-    raise ValueError("no imaginary factorization found (table inconsistency)")
+    codes, _, first, _ = _imaginary_factor_table()
+    u = int(np.searchsorted(codes, _unit_codes(b.coords2)))
+    imag = imaginary_units()
+    g, h = divmod(int(first[u]), len(imag))
+    return imag[g], imag[h]
 
 
 def e8_element(e: AlgElem, f: AlgElem, b: AlgElem, phi: LinMap) -> LinMap:
@@ -592,7 +655,7 @@ def e8_decompose(m: LinMap):
     b = m(1); the residual m o (right mult b)^{-1} fixes 1 and is searched
     as sandwich pair times automorphism.
     """
-    if not m.is_orthogonal() or abs(m.det() - 1.0) > 1e-9:
+    if not m.is_orthogonal() or m.det() != 1:
         raise ValueError("m is not an even isometry")
     b = m.apply(one(8))
     if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
@@ -609,22 +672,20 @@ def e8_decompose(m: LinMap):
     return e, f, b, phi
 
 
-def w_e8_order(sample_checks: int = 50, rng=None) -> int:
+def w_e8_order() -> int:
     """|W+(E8)| = 240 x 120 x 12096 via orbit-stabilizer.
 
     Verifies the ingredients rather than enumerating: the orbit of 1 under
     right multiplications is all 240 units (each an even isometry), every
     unit factors into two imaginaries (120 stabilizer cosets mod sign),
-    and sampled sandwich pairs with equal +-gh land in the same G2 coset.
+    and every one of the 126 x 126 sandwich pairs lies in the G2 coset of
+    the class-first pair with the same +-gh.
     """
-    import random as _random
-
-    rng = rng or _random.Random(7)
     all_units = units(OCTAVIAN)
     orbit = set()
     for b in all_units:
         rho = right_mult_map(b)
-        if not rho.is_orthogonal() or abs(rho.det() - 1.0) >= 1e-9:
+        if not rho.is_orthogonal() or rho.det() != 1:
             raise RuntimeError(f"right multiplication by {b} is not an even isometry")
         orbit.add(rho.apply(one(8)))
     if len(orbit) != 240:
@@ -637,16 +698,20 @@ def w_e8_order(sample_checks: int = 50, rng=None) -> int:
         cosets.add(min(b, -b, key=lambda u: u.coords))
     if len(cosets) != 120:
         raise RuntimeError(f"{len(cosets)} stabilizer cosets, expected 120")
-    keys = g2_key_set()
+    # pair (g, h), its class-first pair (g', h'): equal +-gh must put
+    # sigma(h') o sigma(g') o sigma(g) o sigma(h) in G2(2); one batched
+    # product per g keeps the temporaries small
+    _, prod, _, class_first = _imaginary_factor_table()
+    s = _sandwich_stack().astype(np.int8)
     imag = imaginary_units()
-    for _ in range(sample_checks):
-        g1, h1 = rng.choice(imag), rng.choice(imag)
-        b = cd_multiply(g1, h1)
-        g2, h2 = factor_into_imaginaries(b)
-        s1 = sandwich_map(g1) * sandwich_map(h1)
-        s2 = sandwich_map(g2) * sandwich_map(h2)
-        # equal +-gh implies the same coset of G2(2)
-        diff = (sandwich_map(h2) * sandwich_map(g2)) * s1
-        if diff.key() not in keys:
-            raise RuntimeError(f"sandwich pairs with equal +-gh = {b} lie in different G2 cosets")
+    n = len(imag)
+    keys = g2_key_set()
+    for i, g in enumerate(imag):
+        pairs = _product2(s, s[i])  # sigma(g) o sigma(h) for every h
+        k1 = class_first[prod[i * n:(i + 1) * n]]
+        back = _product2(s[k1 // n], s[k1 % n])  # sigma(h') o sigma(g')
+        for h, key in zip(imag, _keys(_product2(pairs, back))):
+            if key not in keys:
+                raise RuntimeError(f"the sandwich pair ({g}, {h}) is not in the G2 "
+                                   f"coset of its class-first pair")
     return 240 * 120 * 12096

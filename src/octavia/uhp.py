@@ -209,6 +209,10 @@ def _central_laplace_beltrami(f, z: UhpPoint, h: float) -> float:
 # -- exact jets --------------------------------------------------------------
 
 
+def _exact(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 class Jet2:
     """Truncated Taylor series a + b t + c t^2 over exact rationals.
 
@@ -221,17 +225,19 @@ class Jet2:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b=0, c=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
+        # arithmetic results are Fractions already; coerce only the rest
+        self.a = _exact(a)
+        self.b = _exact(b)
+        self.c = _exact(c)
 
     @classmethod
     def _coerce(cls, x):
         return x if isinstance(x, Jet2) else cls(x)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.a + o.a, self.b + o.b, self.c + o.c)
+        if not isinstance(other, Jet2):  # a constant shifts the value only
+            return Jet2(self.a + _exact(other), self.b, self.c)
+        return Jet2(self.a + other.a, self.b + other.b, self.c + other.c)
 
     __radd__ = __add__
 
@@ -245,10 +251,12 @@ class Jet2:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.a * o.a,
-                    self.a * o.b + self.b * o.a,
-                    self.a * o.c + self.b * o.b + self.c * o.a)
+        if not isinstance(other, Jet2):  # a constant scales each coefficient
+            k = _exact(other)
+            return Jet2(self.a * k, self.b * k, self.c * k)
+        return Jet2(self.a * other.a,
+                    self.a * other.b + self.b * other.a,
+                    self.a * other.c + self.b * other.b + self.c * other.a)
 
     __rmul__ = __mul__
 

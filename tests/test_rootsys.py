@@ -1,12 +1,15 @@
 """Root systems, Weyl groups, octonion automorphisms."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from octavia.algebra import basis_unit, cd_multiply, norm_sq, one, real_part
-from octavia.rings import OCTAVIAN, is_member, units
+from octavia import rootsys
+from octavia.algebra import basis_unit, cd_multiply, invert, norm_sq, one, real_part
+from octavia.rings import OCTAVIAN, is_member, octavian_unit_classes, units
 from octavia.rootsys import (
     LinMap,
     all_roots,
@@ -25,6 +28,7 @@ from octavia.rootsys import (
     is_automorphism_bimult,
     is_automorphism_map,
     reflect,
+    right_mult_map,
     root_basis,
     s_relation_composite,
     sandwich_map,
@@ -164,11 +168,77 @@ def test_unit_corollary_on_imaginary_pairs():
             assert unit_corollary_check(seq) == is_automorphism_map(m)
 
 
-def test_factor_into_imaginaries(rng):
-    for b in list(units(OCTAVIAN))[::24]:
+def _factor_by_fraction_loop(b, imag_set):
+    """The first g of imaginary_units() with g^{-1} b imaginary, in exact
+    Fraction arithmetic."""
+    for g in imaginary_units():
+        h = cd_multiply(invert(g), b)
+        if h in imag_set:
+            return g, h
+    raise AssertionError(f"{b} has no imaginary factorization")
+
+
+def test_factor_into_imaginaries():
+    imag_set = set(imaginary_units())
+    for b in units(OCTAVIAN):
         g, h = factor_into_imaginaries(b)
         assert real_part(g) == 0 and real_part(h) == 0
         assert cd_multiply(g, h) == b
+        assert (g, h) == _factor_by_fraction_loop(b, imag_set)
+
+
+def test_brandt_closure_from_three_generators_is_all_of_h():
+    _, brandt, _ = octavian_unit_classes()
+    gens = np.stack([brandt_conjugation(a).matrix2() for a in brandt])
+    full = rootsys._matrix_closure(gens, limit=20000)
+    assert set(rootsys._keys(rootsys._brandt_closure())) == set(full)
+    assert len(full) == 6048
+
+
+def _full_scan(m, outer_first):
+    """The 126 x 126 sandwich-pair scan in g-major order, one g at a time:
+    the first (g, h) whose composite leaves a G2(2) residue."""
+    imag = imaginary_units()
+    s = np.stack([sandwich_map(g).matrix2() for g in imag])
+    keys = g2_key_set()
+    m2 = m.matrix2()
+    for i, g in enumerate(imag):
+        # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
+        pair = s[i] @ s // 2 if outer_first else s @ s[i] // 2
+        cand = m2 @ pair // 2
+        for j, c in enumerate(cand):
+            phi = LinMap(8, tuple(map(tuple, c.tolist())))
+            if phi.key() in keys:
+                return g, imag[j], phi
+    raise AssertionError("no sandwich pair leaves an automorphism")
+
+
+def test_class_first_search_matches_full_scan():
+    rng = random.Random(11)
+    imag = imaginary_units()
+    g2 = generate_G2_2()
+    for _ in range(200):
+        stab = e8_element(rng.choice(imag), rng.choice(imag), one(8), rng.choice(g2))
+        assert rootsys._sigma_residue_search(stab, False) == _full_scan(stab, False)
+        m = e7_element(rng.choice(imag), rng.choice(imag), rng.choice(g2))
+        assert rootsys._sigma_residue_search(m, True) == _full_scan(m, True)
+
+
+def test_det_is_exact():
+    assert LinMap.identity(8).det() == 1
+    assert LinMap(4, tuple(tuple(-2 * int(i == j) for j in range(4))
+                           for i in range(4))).det() == 1
+    root = all_roots("e8")[0]
+    assert LinMap.from_callable(8, lambda x: reflect(x, root)).det() == -1
+    assert sandwich_map(imaginary_units()[0]).det() == 1
+    b = one(8) + basis_unit(8, 1)  # |b|^2 = 2, so det(x -> x b) = |b|^8 = 16
+    assert right_mult_map(b).det() == 16
+    half = LinMap(2, ((1, 0), (0, 2)))
+    assert half.det() == Fraction(1, 2)
+    swap = LinMap(3, ((0, 2, 0), (2, 0, 0), (0, 0, 2)))
+    assert swap.det() == -1
+    singular = LinMap(2, ((2, 4), (1, 2)))
+    assert singular.det() == 0
 
 
 def test_e8_decompose_round_trip(rng):
@@ -199,7 +269,7 @@ def test_e7_normal_form_round_trip(rng):
 
 
 def test_w_e8_order():
-    assert w_e8_order(sample_checks=10) == 240 * 120 * 12096
+    assert w_e8_order() == 240 * 120 * 12096
 
 
 @pytest.mark.heavy
