@@ -262,25 +262,19 @@ def cmd_eisenstein(args) -> int:
     radius = int(args.radius or 9)
     p = autoforms.SeriesParams(ring, s, radius, z, exploratory=True)
     value = autoforms.eisenstein_truncated(p)
-    zi = uhp.act_word(GroupWord(ring, (Inv(),)), z)
-    res_inv = abs(value - autoforms.eisenstein_truncated(
-        autoforms.SeriesParams(ring, s, radius, zi, exploratory=True)))
     eps = _rotation_unit(ring)
-    res_rot = None
-    if eps is not None:
-        zr = uhp.act_word(GroupWord(ring, (Rot(eps),)), z)
-        res_rot = abs(value - autoforms.eisenstein_truncated(
-            autoforms.SeriesParams(ring, s, radius, zr, exploratory=True)))
     uc = z.u_vector().copy()
     uc[0] = -uc[0]  # u-part of -conj(z)
-    zc = UhpPoint(uc, z.v)
-    res_conj = abs(value - autoforms.eisenstein_truncated(
-        autoforms.SeriesParams(ring, s, radius, zc, exploratory=True)))
+    images = {"residual_inv": uhp.act_word(GroupWord(ring, (Inv(),)), z),
+              "residual_rot": None if eps is None
+              else uhp.act_word(GroupWord(ring, (Rot(eps),)), z),
+              "residual_conj": UhpPoint(uc, z.v)}
+    residuals = {key: None if zk is None else abs(value - autoforms.eisenstein_truncated(
+        autoforms.SeriesParams(ring, s, radius, zk, exploratory=True)))
+        for key, zk in images.items()}
     _emit(args, {"ring": ring.name, "s": _complex_json(s), "radius": radius,
                  "z": {"u": list(z.u), "v": z.v},
-                 "value": _complex_json(value),
-                 "residual_inv": res_inv, "residual_rot": res_rot,
-                 "residual_conj": res_conj})
+                 "value": _complex_json(value), **residuals})
     return 0
 
 

@@ -2,11 +2,12 @@
 
 Hermitian 2x2 matrices X = [[x+, x], [conj(x), x-]] carry the Lorentzian
 norm -x+x- + |x|^2.  Group elements are words in the even generator
-tokens Inv (s_-1), Trans(q) (t_q) and Rot(eps) (u_eps), each realized by
-a closed entrywise formula so octonion non-associativity never enters.
-Coset words w_{a,c} and w~_{c,d} are built from Euclidean traces; for
-associative rings the words also carry exact 2x2 matrix forms with the
-quaternionic determinant and inverse.
+tokens Inv (s_-1), Trans(q) (t_q) and Rot(eps) (u_eps).  act_coords, a
+closed entrywise formula per token, is their one action: on HermMat, and
+on points and jets of the upper half plane (uhp), so octonion
+non-associativity never enters.  Coset words w_{a,c} and w~_{c,d} are
+built from Euclidean traces; for associative rings the words also carry
+exact 2x2 matrix forms with the quaternionic determinant and inverse.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .algebra import (
     cd_multiply,
     commutator,
     conj,
-    inner,
     left_mult_matrix,
     norm_sq,
     one,
@@ -48,6 +48,7 @@ from .rings import (
     right_euclid,
     units,
 )
+from .rootsys import sandwich_map
 
 __all__ = [
     "GroupWord",
@@ -55,7 +56,7 @@ __all__ = [
     "Inv",
     "Rot",
     "Trans",
-    "apply_token",
+    "act_coords",
     "apply_word",
     "build_w_ac",
     "build_w_tilde_cd",
@@ -154,17 +155,31 @@ class Rot:
     eps: AlgElem
 
 
-def apply_token(tok, X: HermMat) -> HermMat:
-    if isinstance(tok, Inv):
-        return HermMat(X.x_minus, X.x_plus, -conj(X.x))
-    if isinstance(tok, Trans):
-        y = tok.y
-        xp = X.x_plus + 2 * inner(X.x, y) + X.x_minus * norm_sq(y)
-        return HermMat(xp, X.x_minus, X.x + y * X.x_minus)
-    if isinstance(tok, Rot):
-        e = tok.eps
-        return HermMat(X.x_plus, X.x_minus, cd_multiply(e, cd_multiply(X.x, e)))
-    raise TypeError(f"unknown token {tok!r}")
+def act_coords(tokens, x_plus, x_minus, x):
+    """The tokens, rightmost first, on the coordinates of [[x_plus, x],
+    [conj(x), x_minus]]: Inv swaps x_plus, x_minus and takes x to -conj(x);
+    Trans(y) adds 2 (x, y) + x_minus |y|^2 to x_plus and y x_minus to x;
+    Rot(eps) takes x to eps x eps.  Token data enter as integers (doubled
+    coordinates of y, doubled rows of sandwich_map(eps)), halved once per
+    step, so the loop is exact on Fractions and uhp.Jet2 and runs on floats."""
+    x = list(x)
+    for tok in reversed(tokens):
+        if isinstance(tok, Inv):
+            x_plus, x_minus = x_minus, x_plus
+            x[0] = -x[0]
+        elif isinstance(tok, Trans):
+            y2 = tok.y.coords2
+            h = x_minus / 2
+            x_plus = (x_plus + sum(a * b for a, b in zip(x, y2) if b)
+                      + h * sum(b * b for b in y2) / 2)
+            x = [a + b * h if b else a for a, b in zip(x, y2)]
+        elif isinstance(tok, Rot):
+            rows2 = sandwich_map(tok.eps).rows2
+            x = [sum(a * r[j] for a, r in zip(x, rows2) if r[j]) / 2
+                 for j in range(len(x))]
+        else:
+            raise TypeError(f"unknown token {tok!r}")
+    return x_plus, x_minus, x
 
 
 @dataclass(frozen=True)
@@ -208,11 +223,11 @@ def random_word(ring: Ring, rng, length: int, max_coord2: int) -> GroupWord:
 
 
 def apply_word(w: GroupWord, X: HermMat) -> HermMat:
+    """The word acting on X, exactly; the rightmost token acts first."""
     if X.dim != w.ring.dim:
         raise ValueError("ring mismatch between word and matrix")
-    for tok in reversed(w.tokens):
-        X = apply_token(tok, X)
-    return X
+    x_plus, x_minus, x = act_coords(w.tokens, X.x_plus, X.x_minus, X.x.coords)
+    return HermMat(x_plus, x_minus, AlgElem(X.dim, tuple(x)))
 
 
 def row_act(row, w: GroupWord):

@@ -335,12 +335,18 @@ def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, np.take_along_axis(sgn, perm, axis=1)
 
 
-def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Row-wise algebra product on doubled coordinates, 2 (x2/2)(y2/2)."""
+def _mult4(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Row-wise product of doubled coordinates, unhalved: 4 (x2/2)(y2/2)."""
     perm, sign = _product_table(x2.shape[1])
     raw = x2[:, :1] * (y2[:, perm[0]] * sign[0])
     for i in range(1, x2.shape[1]):
         raw += x2[:, i:i + 1] * (y2[:, perm[i]] * sign[i])
+    return raw
+
+
+def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Row-wise algebra product on doubled coordinates, 2 (x2/2)(y2/2)."""
+    raw = _mult4(x2, y2)
     if np.any(raw & 1):
         raise ArithmeticError("product left the half-integer lattice")
     return raw >> 1
@@ -530,26 +536,19 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     """
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
-    if ring is Z:
-        m = int(np.floor(np.sqrt(max_norm)))
-        pts = 2 * np.arange(-m, m + 1, dtype=np.int64).reshape(-1, 1)
-    else:
-        dim = ring.dim
-        bound = 4 * max_norm  # doubled-coordinate norm bound
-        rmax = int(np.floor(np.sqrt(bound)))
-        blocks = []
-        for cw in _cosets(ring):
-            axes = []
-            for p in cw:
-                vals = np.arange(-rmax + ((-rmax) % 2 != p), rmax + 1, 2, dtype=np.int64)
-                if len(vals) == 0 or vals[0] % 2 != p % 2:
-                    vals = np.arange(-rmax - 1, rmax + 2, dtype=np.int64)
-                    vals = vals[(vals % 2 == p % 2) & (np.abs(vals) <= rmax)]
-                axes.append(vals)
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-            n4 = (grid * grid).sum(axis=1)
-            blocks.append(grid[n4 <= bound])
-        pts = np.concatenate(blocks, axis=0)
+    dim = ring.dim
+    bound = 4 * max_norm  # doubled-coordinate norm bound
+    rmax = int(np.floor(np.sqrt(bound)))
+    blocks = []
+    for cw in _cosets(ring):
+        axes = []
+        for p in cw:
+            # the values of parity p in [-rmax, rmax]
+            axes.append(np.arange(-rmax + (rmax + p) % 2, rmax + 1, 2, dtype=np.int64))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        n4 = (grid * grid).sum(axis=1)
+        blocks.append(grid[n4 <= bound])
+    pts = np.concatenate(blocks, axis=0)
     n4 = (pts * pts).sum(axis=1)
     order = np.lexsort(tuple(pts[:, k] for k in reversed(range(pts.shape[1]))) + (n4,))
     return pts[order]

@@ -29,6 +29,7 @@ from .algebra import (
     norm_sq,
     one,
     real_part,
+    structure_table,
 )
 from .rings import (
     D4_SIMPLE_ROOTS,
@@ -36,6 +37,7 @@ from .rings import (
     HURWITZ,
     OCTAVIAN,
     _mult2,
+    _mult4,
     is_member,
     octavian_unit_classes,
     units,
@@ -100,18 +102,6 @@ class LinMap:
     def matrix2(self) -> np.ndarray:
         return np.array(self.rows2, dtype=np.int64)
 
-    def apply(self, x: AlgElem) -> AlgElem:
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        coords = [Fraction(0)] * self.dim
-        for i, ci in enumerate(x.coords):
-            if ci:
-                row = self.rows2[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        coords[j] += ci * Fraction(row[j], 2)
-        return AlgElem(self.dim, tuple(coords))
-
     def __mul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other (other acts first)."""
         prod = _product2(other.matrix2(), self.matrix2())
@@ -151,32 +141,42 @@ def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod // 2
 
 
+def _bimult_map(a: AlgElem, b: AlgElem) -> LinMap:
+    """x -> (a x) b by two batched _mult2 on the doubled identity;
+    ValueError when an image leaves the half-integer lattice."""
+    dim = a.dim
+    try:
+        ax = _mult2(np.tile(a.coords2, (dim, 1)), 2 * np.eye(dim, dtype=np.int64))
+        rows = _mult2(ax, np.tile(b.coords2, (dim, 1)))
+    except ArithmeticError:
+        raise ValueError(f"x -> ({a} x) {b} leaves the half-integer lattice") from None
+    return LinMap(dim, tuple(map(tuple, rows.tolist())))
+
+
 @lru_cache(maxsize=4096)
 def sandwich_map(a: AlgElem) -> LinMap:
     """The map x -> a x a (unambiguous by flexibility)."""
-    return LinMap.from_callable(a.dim, lambda x: cd_multiply(a, cd_multiply(x, a)))
+    return _bimult_map(a, a)
 
 
 @lru_cache(maxsize=4096)
 def right_mult_map(b: AlgElem) -> LinMap:
-    return LinMap.from_callable(b.dim, lambda x: cd_multiply(x, b))
+    return _bimult_map(one(b.dim), b)
 
 
 def brandt_conjugation(a: AlgElem) -> LinMap:
     """x -> a x a^{-1}; an automorphism exactly when a is a Brandt unit."""
-    ai = invert(a)
-    return LinMap.from_callable(a.dim, lambda x: cd_multiply(a, cd_multiply(x, ai)))
+    return _bimult_map(a, invert(a))
 
 
 def is_automorphism_map(m: LinMap) -> bool:
-    """Brute-force multiplicativity on all basis pairs."""
-    imgs = [m.apply(basis_unit(m.dim, i)) for i in range(m.dim)]
-    for i in range(m.dim):
-        for j in range(m.dim):
-            lhs = m.apply(cd_multiply(basis_unit(m.dim, i), basis_unit(m.dim, j)))
-            if lhs != cd_multiply(imgs[i], imgs[j]):
-                return False
-    return True
+    """m(e_i e_j) = m(e_i) m(e_j) on all basis pairs: the unhalved
+    rows2[i] rows2[j] against 2 sgn[i, j] rows2[idx[i, j]], batched; a
+    product off the half-integer lattice is odd and gives False."""
+    idx, sgn = structure_table(m.dim)
+    r, n = m.matrix2(), m.dim
+    lhs = _mult4(np.repeat(r, n, axis=0), np.tile(r, (n, 1)))  # pair (i, j) at n i + j
+    return bool(np.array_equal(lhs, 2 * sgn.reshape(-1, 1) * r[idx.reshape(-1)]))
 
 
 # -- root bases ------------------------------------------------------------
@@ -316,7 +316,7 @@ def d4_even_element(a: AlgElem, b: AlgElem) -> LinMap:
             raise ValueError("a, b must be Hurwitz units")
     if cd_multiply(a, b) not in _qset():
         raise ValueError("ab is not in the quaternion group: triality outer element")
-    return LinMap.from_callable(4, lambda x: cd_multiply(a, cd_multiply(x, b)))
+    return _bimult_map(a, b)
 
 
 def d4_even_count() -> int:
@@ -657,7 +657,7 @@ def e8_decompose(m: LinMap):
     """
     if not m.is_orthogonal() or m.det() != 1:
         raise ValueError("m is not an even isometry")
-    b = m.apply(one(8))
+    b = AlgElem.from_coords2(8, m.rows2[0])
     if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
         raise ValueError("m does not preserve the octavian lattice")
     stab = right_mult_map(invert(b)) * m
@@ -687,7 +687,7 @@ def w_e8_order() -> int:
         rho = right_mult_map(b)
         if not rho.is_orthogonal() or rho.det() != 1:
             raise RuntimeError(f"right multiplication by {b} is not an even isometry")
-        orbit.add(rho.apply(one(8)))
+        orbit.add(rho.rows2[0])
     if len(orbit) != 240:
         raise RuntimeError(f"orbit of 1 has {len(orbit)} points, expected 240")
     cosets = set()

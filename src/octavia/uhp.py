@@ -1,14 +1,15 @@
 """Generalized upper half plane over a normed division algebra.
 
 Points z = u + iv with u a coordinate vector in the algebra and v > 0.
-The even Weyl group acts by isometries; the action is realized token-wise
-(inversion, translation, rotation) so it stays valid over the octonions,
-where the closed 2x2 matrix formula breaks down.
+The even Weyl group acts by isometries, token-wise through
+hyperweyl.act_coords on the hyperboloid coordinates of z (_hyperboloid),
+so it stays valid over the octonions, where the closed 2x2 matrix formula
+breaks down.
 
-Most geometry here is double precision.  The jet layer at the bottom of the
-module is the exception: it re-runs the word action in rational arithmetic
-with second-order Taylor jets, so differential identities (such as the
-invariance of the Laplace-Beltrami operator) can be certified exactly.
+Most geometry here is double precision.  The jet layer is the exception:
+second-order Taylor jets over exact rationals take the same path, so
+differential identities (such as the invariance of the Laplace-Beltrami
+operator) can be certified exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgElem, left_mult_matrix
-from .hyperweyl import GroupWord, Inv, Rot, Trans
-from .rootsys import sandwich_map
+from .hyperweyl import GroupWord, act_coords
 
 __all__ = [
     "Jet2",
@@ -42,9 +42,7 @@ __all__ = [
 
 
 def _as_vector(x, dim=None) -> np.ndarray:
-    if isinstance(x, AlgElem):
-        return np.array([float(c) for c in x.coords], dtype=float)
-    a = np.asarray(x, dtype=float)
+    a = x.floats() if isinstance(x, AlgElem) else np.asarray(x, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
     if dim is not None and a.shape != (dim,):
@@ -75,7 +73,7 @@ class UhpPoint:
         v = float(v)
         if not v > 0:
             raise ValueError("v must be positive")
-        object.__setattr__(self, "u", tuple(vec))
+        object.__setattr__(self, "u", tuple(vec.tolist()))
         object.__setattr__(self, "v", v)
 
     @property
@@ -89,20 +87,29 @@ class UhpPoint:
         return f"UhpPoint(u={list(self.u)}, v={self.v})"
 
 
+def _hyperboloid(u, v):
+    """(x_plus, x_minus, x) = (v + |u|^2/v, 1/v, u/v); floats, Fractions or jets."""
+    x_minus = 1 / v
+    return v + sum(a * a for a in u) * x_minus, x_minus, [a * x_minus for a in u]
+
+
+def _half_plane(x_minus, x):
+    """(u, v) = (x/x_minus, 1/x_minus), the inverse of _hyperboloid."""
+    v = 1 / x_minus
+    return [a * v for a in x], v
+
+
 def embed(z: UhpPoint):
     """Coordinates on the hyperboloid -x_plus*x_minus + |x|^2 = -1:
     x_minus = 1/v, x_plus = v + |u|^2/v, x = u/v."""
-    u = z.u_vector()
-    x_minus = 1.0 / z.v
-    x_plus = z.v + float(u @ u) / z.v
-    return x_plus, x_minus, u / z.v
+    x_plus, x_minus, x = _hyperboloid(z.u, z.v)
+    return x_plus, x_minus, np.array(x)
 
 
 def unembed(x_plus: float, x_minus: float, x) -> UhpPoint:
     if not x_minus > 0:
         raise ValueError("x_minus must be positive")
-    x = _as_vector(x)
-    return UhpPoint(x / x_minus, 1.0 / x_minus)
+    return UhpPoint(*_half_plane(x_minus, _as_vector(x).tolist()))
 
 
 def distance(z1: UhpPoint, z2: UhpPoint) -> float:
@@ -129,35 +136,12 @@ def volume_density(z: UhpPoint) -> float:
 # -- group action ------------------------------------------------------------
 
 
-def _act_token(tok, z: UhpPoint) -> UhpPoint:
-    u, v = z.u_vector(), z.v
-    if isinstance(tok, Inv):
-        # z -> -1/z = (-conj(u) + iv) / (|u|^2 + v^2)
-        d = float(u @ u) + v * v
-        return UhpPoint(-_conj(u) / d, v / d)
-    if isinstance(tok, Trans):
-        return UhpPoint(u + _as_vector(tok.y, z.dim), v)
-    if isinstance(tok, Rot):
-        e = _as_vector(tok.eps, z.dim)
-        # (e u) e is unambiguous by alternativity
-        return UhpPoint(_mul(_mul(e, u), e), v)
-    raise TypeError(f"unknown token {tok!r}")
-
-
 def act_word(w: GroupWord, z: UhpPoint) -> UhpPoint:
     """Apply a group word; the rightmost token acts first, matching the
-    matrix-product convention of the exact layer."""
-    for tok in reversed(w.tokens):
-        z = _act_token(tok, z)
-    return z
-
-
-def _entry_vector(x, dim) -> np.ndarray:
-    if isinstance(x, AlgElem):
-        if x.dim != dim:
-            raise ValueError("matrix entry dimension mismatch")
-        return _as_vector(x)
-    return _as_vector(x, dim)
+    matrix-product convention of the exact layer.  Inversion is
+    z -> -1/z = (-conj(u) + iv) / (|u|^2 + v^2)."""
+    _, x_minus, x = act_coords(w.tokens, *_hyperboloid(z.u, z.v))
+    return UhpPoint(*_half_plane(x_minus, x))
 
 
 def act_matrix_quaternion(S, z: UhpPoint) -> UhpPoint:
@@ -167,7 +151,7 @@ def act_matrix_quaternion(S, z: UhpPoint) -> UhpPoint:
         raise ValueError("matrix action is not associative over octonions;"
                          " use act_word")
     (a, b), (c, d) = S
-    a, b, c, d = (_entry_vector(x, z.dim) for x in (a, b, c, d))
+    a, b, c, d = (_as_vector(x, z.dim) for x in (a, b, c, d))
     u, v = z.u_vector(), z.v
     cu_d = _mul(c, u) + d
     denom = float(cu_d @ cu_d) + float(c @ c) * v * v
@@ -213,6 +197,10 @@ def _exact(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _constant(x):  # Fraction arithmetic takes ints as they are
+    return x if isinstance(x, int) else _exact(x)
+
+
 class Jet2:
     """Truncated Taylor series a + b t + c t^2 over exact rationals.
 
@@ -230,13 +218,16 @@ class Jet2:
         self.b = _exact(b)
         self.c = _exact(c)
 
-    @classmethod
-    def _coerce(cls, x):
-        return x if isinstance(x, Jet2) else cls(x)
+    def _is_constant(self) -> bool:  # then + and * cost one Fraction op per coefficient
+        return not (self.b or self.c)
 
     def __add__(self, other):
         if not isinstance(other, Jet2):  # a constant shifts the value only
-            return Jet2(self.a + _exact(other), self.b, self.c)
+            return Jet2(self.a + _constant(other), self.b, self.c)
+        if other._is_constant():
+            return self + other.a
+        if self._is_constant():
+            return other + self.a
         return Jet2(self.a + other.a, self.b + other.b, self.c + other.c)
 
     __radd__ = __add__
@@ -245,15 +236,19 @@ class Jet2:
         return Jet2(-self.a, -self.b, -self.c)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):  # a constant scales each coefficient
-            k = _exact(other)
+            k = _constant(other)
             return Jet2(self.a * k, self.b * k, self.c * k)
+        if other._is_constant():
+            return self * other.a
+        if self._is_constant():
+            return other * self.a
         return Jet2(self.a * other.a,
                     self.a * other.b + self.b * other.a,
                     self.a * other.c + self.b * other.b + self.c * other.a)
@@ -268,31 +263,20 @@ class Jet2:
                     (self.b * self.b * ia - self.c) * ia * ia)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).reciprocal()
+        if not isinstance(other, Jet2):  # divide each coefficient
+            k = _constant(other)
+            return Jet2(self.a / k, self.b / k, self.c / k)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
+        return self.reciprocal() * other
 
 
 def act_word_jets(w: GroupWord, u_jets: list, v_jet: Jet2):
-    """The word action on jet coordinates; mirrors act_word exactly."""
-    u, v = list(u_jets), v_jet
-    for tok in reversed(w.tokens):
-        if isinstance(tok, Inv):
-            norm = sum((x * x for x in u), v * v)
-            inv = norm.reciprocal()
-            u = [-u[0] * inv] + [x * inv for x in u[1:]]
-            v = v * inv
-        elif isinstance(tok, Trans):
-            u = [x + y for x, y in zip(u, tok.y.coords)]
-        else:
-            # rows2[j] is the doubled image of e_j under x -> eps x eps;
-            # most entries are zero, the rest are +-1/2 or +-1
-            rows2 = sandwich_map(tok.eps).rows2
-            u = [sum((x * Fraction(row[i], 2) for x, row in zip(u, rows2) if row[i]),
-                     Jet2(0))
-                 for i in range(len(u))]
-    return u, v
+    """The word action on jet coordinates (u, v): act_word's path through
+    the hyperboloid map and act_coords, in exact jet arithmetic."""
+    _, x_minus, x = act_coords(w.tokens, *_hyperboloid(u_jets, v_jet))
+    return _half_plane(x_minus, x)
 
 
 def laplace_beltrami_jet(f, u, v) -> Fraction:

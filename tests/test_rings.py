@@ -194,6 +194,17 @@ def test_enumerate_ball_matches_shell_counts():
     assert [(norms == k).sum() for k in (1, 2, 3)] == [24, 24, 96]
 
 
+def test_z_ball_is_the_even_integers():
+    # Z goes through the same glue-coset meshgrid, with glue vector (0,)
+    for max_norm in range(41):
+        m = int(np.floor(np.sqrt(max_norm)))
+        expect = 2 * np.arange(-m, m + 1, dtype=np.int64).reshape(-1, 1)
+        expect = expect[np.lexsort((expect[:, 0], expect[:, 0] ** 2))]
+        got = enumerate_ball(Z, max_norm)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+
+
 def test_vectorized_left_content_matches_scalar(rng):
     for ring, content in ((HURWITZ, hurwitz_left_content),
                           (OCTAVIAN, octavian_left_content)):

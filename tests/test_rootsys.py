@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from octavia import rootsys
-from octavia.algebra import basis_unit, cd_multiply, invert, norm_sq, one, real_part
+from octavia.algebra import AlgElem, basis_unit, cd_multiply, invert, norm_sq, one, real_part
 from octavia.rings import OCTAVIAN, is_member, octavian_unit_classes, units
 from octavia.rootsys import (
     LinMap,
@@ -120,6 +120,38 @@ def test_d4_even_elements_are_isometries(rng):
     assert ok > 0
 
 
+def test_integer_builders_match_fraction_maps():
+    from octavia.rings import Z, HURWITZ
+    for ring in (Z, HURWITZ, OCTAVIAN):
+        dim = ring.dim
+        for a in units(ring):
+            ai = invert(a)
+            assert sandwich_map(a) == LinMap.from_callable(
+                dim, lambda x: cd_multiply(a, cd_multiply(x, a)))
+            assert right_mult_map(a) == LinMap.from_callable(
+                dim, lambda x: cd_multiply(x, a))
+            assert brandt_conjugation(a) == LinMap.from_callable(
+                dim, lambda x: cd_multiply(a, cd_multiply(x, ai)))
+    admissible = 0
+    for a in units(HURWITZ):
+        for b in units(HURWITZ):
+            if cd_multiply(a, b) in rootsys._qset():
+                assert d4_even_element(a, b) == LinMap.from_callable(
+                    4, lambda x: cd_multiply(a, cd_multiply(x, b)))
+                admissible += 1
+    assert admissible == 192  # 96 elements, each from (a, b) and (-a, -b)
+
+
+def test_integer_builders_reject_maps_off_the_lattice():
+    # x -> a x a for the half-integral non-member a = (1 + e1 + e2)/2
+    a = AlgElem.from_coords2(8, (1, 1, 1, 0, 0, 0, 0, 0))
+    assert not is_member(OCTAVIAN, a)
+    with pytest.raises(ValueError):
+        LinMap.from_callable(8, lambda x: cd_multiply(a, cd_multiply(x, a)))
+    with pytest.raises(ValueError):
+        rootsys.sandwich_map.__wrapped__(a)
+
+
 def test_s_relation_composite_is_minus_identity():
     m = s_relation_composite()
     assert m.matrix2().tolist() == (-2 * np.eye(4, dtype=int)).tolist()
@@ -146,6 +178,37 @@ def test_brandt_conjugations_are_automorphisms(rng):
         assert is_automorphism_map(brandt_conjugation(a))
     # imaginary-unit conjugation x -> u x u^{-1} is not an automorphism of O
     assert not is_automorphism_map(brandt_conjugation(imag[0]))
+
+
+def _is_automorphism_by_fraction_loop(m):
+    """The former Fraction test: m(e_i e_j) = m(e_i) m(e_j) on all pairs."""
+    def image(x):
+        return AlgElem(m.dim, tuple(
+            sum((c * Fraction(row[j], 2) for c, row in zip(x.coords, m.rows2)),
+                Fraction(0))
+            for j in range(m.dim)))
+
+    basis = [basis_unit(m.dim, i) for i in range(m.dim)]
+    return all(image(cd_multiply(x, y)) == cd_multiply(image(x), image(y))
+               for x in basis for y in basis)
+
+
+def test_automorphism_test_matches_fraction_loop(rng):
+    _, brandt, imag = octavian_unit_classes()
+    maps = rng.sample(generate_G2_2(), 10)
+    maps += [brandt_conjugation(a) for a in rng.sample(brandt, 6) + rng.sample(imag, 6)]
+    maps += [sandwich_map(g) for g in rng.sample(imag, 3)]
+    us = units(OCTAVIAN)
+    for _ in range(16):
+        seq = tuple(rng.choice(us) for _ in range(rng.randint(1, 4)))
+        maps.append(LinMap.from_callable(8, lambda x: nested_conjugation(seq, x)))
+    expect = [_is_automorphism_by_fraction_loop(m) for m in maps]
+    assert [is_automorphism_map(m) for m in maps] == expect
+    assert True in expect and False in expect
+    # images off the half-integer lattice: m(1) = 1/2, so m(1)^2 = 1/4
+    off = LinMap(8, ((1,) + (0,) * 7,) + LinMap.identity(8).rows2[1:])
+    assert _is_automorphism_by_fraction_loop(off) is False
+    assert is_automorphism_map(off) is False
 
 
 def test_nested_conjugation_criterion(rng):

@@ -44,3 +44,30 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []
+
+
+
+def _references(node):
+    """Names and attribute names read anywhere under node."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+    return found
+
+
+def test_no_unused_private_definitions():
+    # a module-level _helper that nothing outside its own body reads is
+    # left over from a deleted code path
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += [(path.name, node, _references(node)) for node in tree.body]
+    found = [f"{name}:{node.lineno} {node.name}" for name, node, _ in statements
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and not any(node.name in refs for _, other, refs in statements
+                         if other is not node)]
+    assert found == []

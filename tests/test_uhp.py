@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from octavia.hyperweyl import random_word
+from octavia.algebra import AlgElem, left_mult_matrix
+from octavia.hyperweyl import HermMat, Inv, Trans, apply_word, random_word
 from octavia.rings import HURWITZ, OCTAVIAN, Z
 from octavia.uhp import (
     Jet2,
@@ -156,6 +157,69 @@ def test_jet_laplacian_invariance_exact(rng):
             uj, vj = act_word_jets(w, [Jet2(x) for x in u], Jet2(v))
             rhs = laplace_beltrami_jet(_jet_f, [j.a for j in uj], vj.a)
             assert lhs == rhs
+
+
+def _act_word_by_token_loop(w, z):
+    """The former float loop on (u, v), one token at a time: the oracle
+    for act_word."""
+    def conj(u):
+        return np.concatenate([u[:1], -u[1:]])
+
+    def mul(x, y):
+        return left_mult_matrix(x, len(x)) @ y
+
+    u, v = z.u_vector(), z.v
+    for tok in reversed(w.tokens):
+        if isinstance(tok, Inv):
+            d = float(u @ u) + v * v
+            u, v = -conj(u) / d, v / d
+        elif isinstance(tok, Trans):
+            u = u + tok.y.floats()
+        else:
+            e = tok.eps.floats()
+            u = mul(mul(e, u), e)
+    return u, v
+
+
+def test_act_word_matches_token_loop_oracle(rng, nprng):
+    for ring in (Z, HURWITZ, OCTAVIAN):
+        worst = 0.0
+        for _ in range(500):
+            w = random_word(ring, rng, 6, 3)
+            z = _rand_point(nprng, ring.dim)
+            got = act_word(w, z)
+            u, v = _act_word_by_token_loop(w, z)
+            err = max(np.abs(got.u_vector() - u).max(), abs(got.v - v))
+            worst = max(worst, err / max(np.abs(u).max(), v))
+        assert worst < 1e-12, (ring, worst)
+
+
+def test_jet_values_equal_exact_matrix_action(rng):
+    from fractions import Fraction
+    for ring in (Z, HURWITZ, OCTAVIAN):
+        for _ in range(20):
+            w = random_word(ring, rng, 6, 3)
+            u = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ring.dim)]
+            v = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+            # the hyperboloid coordinates of u + iv as a Hermitian matrix
+            X = HermMat(v + sum(x * x for x in u) / v, 1 / v,
+                        AlgElem(ring.dim, tuple(x / v for x in u)))
+            Y = apply_word(w, X)
+            uj, vj = act_word_jets(w, [Jet2(x) for x in u], Jet2(v, 1))
+            assert [j.a for j in uj] == [x / Y.x_minus for x in Y.x.coords]
+            assert vj.a == 1 / Y.x_minus
+
+
+def test_jet_constants_stay_exact():
+    from fractions import Fraction
+    j = Jet2(Fraction(1, 3), 2, Fraction(-1, 5))
+    for got in (j * 3, 3 * j, j / 2, j + 1, 1 / j):
+        assert all(type(c) is Fraction for c in (got.a, got.b, got.c))
+    assert (j / 2).b == 1 and (j / 2).c == Fraction(-1, 10)
+    assert (j * Jet2(2)).c == Fraction(-2, 5)
+    assert (Jet2(2) + j).b == 2
+    r = 1 / j
+    assert (r * j).a == 1 and (r * j).b == 0 and (r * j).c == 0
 
 
 def test_volume_density():
