@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -259,9 +259,19 @@ class AlgElem:
 
     # -- views -------------------------------------------------------------
 
-    @property
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # computed on first use, so Euclid and Fraction temporaries that
+        # are never hashed pay nothing
+        return hash((self.dim, self.coords))
+
+    @cached_property
     def coords2(self) -> tuple[int, ...]:
-        """Doubled coordinates; raises if the element is not half-integral."""
+        """Doubled coordinates; raises if the element is not half-integral
+        (and then caches nothing)."""
         if any(c.denominator > 2 for c in self.coords):
             raise ValueError(f"{self} is not half-integral")
         return tuple(2 * c.numerator // c.denominator for c in self.coords)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .algebra import AlgElem, right_mult_matrix
+from .algebra import AlgElem, _structure_float
 from .rings import (
     D4_SIMPLE_ROOTS,
     E8_SIMPLE_ROOTS,
@@ -133,11 +133,17 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
 
 
 def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
-    """x^(-s) for positive x: exp(-Re s log x) in real arithmetic, times
-    the phase exp(-i Im s log x) only when Im s != 0."""
-    log_x = np.log(x)
-    mag = np.exp(-s.real * log_x)
-    return mag if s.imag == 0 else mag * np.exp(-1j * s.imag * log_x)
+    """x^(-s) for positive x, computed in the buffer of x (which it
+    overwrites): exp(-Re s log x) in real arithmetic, times the phase
+    exp(-i Im s log x) in a new complex array only when Im s != 0."""
+    log_x = np.log(x, out=x)
+    if s.imag == 0:
+        log_x *= -s.real
+        return np.exp(log_x, out=log_x)
+    phase = np.exp((-1j * s.imag) * log_x)
+    log_x *= -s.real
+    phase *= np.exp(log_x, out=log_x)
+    return phase
 
 
 def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
@@ -147,37 +153,52 @@ def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
     rings._orbit_units leave alone under (c, d) -> (e c, e d) (this needs
     (e c) z = e (c z): associativity, or a central e for the octavians),
     as they do coprimality.  So c runs over one representative per unit
-    orbit, times the orbit size.  Representative rows are processed in
-    fixed chunks of about 64k pairs; each term is bucketed by its shell key
-    max(|c|^2, |d|^2) and the per-shell totals are reduced in increasing
-    shell order, so the result is deterministic and the summation order
-    matches the truncation geometry.
+    orbit, times the orbit size.
+
+    Representative rows go in chunks of about 64k pairs.  The
+    denominators of a chunk are one matmul of augmented rows,
+    [2 cu | |cu|^2 + |c|^2 v^2 | 1] @ [d | 1 | |d|^2]^T = |cu + d|^2 +
+    |c|^2 v^2, into one reused buffer.  The ball is shell-major, so
+    np.add.reduceat over the column segments of its shells gives each
+    row's per-shell sums; these are weighted by the orbit size and
+    bucketed by the shell key max(|c|^2, |d|^2).  The per-shell totals
+    are reduced in increasing shell order, so the result is deterministic
+    and the summation order matches the truncation geometry.
     """
     ring, z, s = p.ring, p.z, complex(p.s)
     _, pts, nrm, reps, weight = _ball_data(ring, p.radius)
     u, v = z.u_vector(), z.v
-    cu = pts[reps] @ right_mult_matrix(u, ring.dim).T  # row i: c_i * u
-    shell_id = np.rint(nrm).astype(np.int64)  # squared norms are integers
+    cu = _rep_products(pts[reps], u[None])[0]  # row i: c_i * u
+    a = np.column_stack([2.0 * cu, (cu * cu).sum(axis=1) + nrm[reps] * v * v,
+                         np.ones(len(reps))])
+    b = np.vstack([pts.T, np.ones(len(pts)), nrm])  # C order: a fast matmul
+    shell = np.rint(nrm).astype(np.int64)  # squared norms are integers
+    # segment starts of the shells present; np.add.reduceat would return
+    # the next element, not 0, for an empty segment
+    starts = np.flatnonzero(np.diff(shell, prepend=-1))
     n_shell = p.radius + 1
+    mask = _coprime_mask(ring, p.radius) if coprime_only else None
     acc_re = np.zeros(n_shell)
     acc_im = np.zeros(n_shell)
-    chunk = max(1, (1 << 16) // len(pts))  # about 64k pairs, cache-sized
+    chunk = min(len(reps), max(1, (1 << 16) // len(pts)))  # about 64k pairs
+    buf = np.empty((chunk, len(pts)))
     for lo in range(0, len(reps), chunk):
         hi = min(lo + chunk, len(reps))
-        rows = reps[lo:hi]
-        denom = ((cu[lo:hi] ** 2).sum(axis=1)[:, None] + nrm[None, :]
-                 + 2.0 * cu[lo:hi] @ pts.T + (nrm[rows] * v * v)[:, None])
-        keep = (nrm[rows][:, None] > 0) | (nrm[None, :] > 0)
-        if coprime_only:
-            keep &= _coprime_mask(ring, p.radius)[lo:hi]
-        # the row's orbit size, 0 for a dropped pair
-        vals = (_neg_power(np.where(keep, denom, 1.0), s)
-                * (weight[lo:hi, None] * keep)).ravel()
-        key = np.maximum(shell_id[rows][:, None], shell_id[None, :]).ravel()
-        acc_re += np.bincount(key, weights=vals.real, minlength=n_shell)
-        if np.iscomplexobj(vals):
-            acc_im += np.bincount(key, weights=vals.imag, minlength=n_shell)
-    total = complex(math.fsum(acc_re), math.fsum(acc_im))
+        denom = np.matmul(a[lo:hi], b, out=buf[:hi - lo])
+        if lo == 0:
+            # (c, d) = (0, 0) (reps[0] and pts[0] are zero): a finite
+            # term, in shell 0, which the sum drops
+            denom[0, 0] = 1.0
+        vals = _neg_power(denom, s)
+        if mask is not None:
+            vals *= mask[lo:hi]
+        sums = np.add.reduceat(vals, starts, axis=1) * weight[lo:hi, None]
+        key = np.maximum(shell[reps[lo:hi], None], shell[None, starts]).ravel()
+        acc_re += np.bincount(key, weights=sums.real.ravel(), minlength=n_shell)
+        if np.iscomplexobj(sums):
+            acc_im += np.bincount(key, weights=sums.imag.ravel(), minlength=n_shell)
+    # shell 0 holds only the pair (0, 0), which the series leaves out
+    total = complex(math.fsum(acc_re[1:]), math.fsum(acc_im[1:]))
     return np.exp(s * np.log(v)) * total
 
 
@@ -304,11 +325,22 @@ def _margin_norm(radius: int) -> int:
     return int(math.ceil((math.sqrt(radius) + math.sqrt(0.5)) ** 2 + 1e-9))
 
 
+def _rep_products(cs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """(P, len(cs), n) array of the products c u of every row c of cs with
+    every point u of us: one contraction of the structure constants with
+    the points gives the right multiplications, one broadcast matmul
+    applies them to cs."""
+    n = cs.shape[1]
+    s_b = _structure_float(n).transpose(1, 0, 2).reshape(n, n * n)  # [b, (a, k)]
+    return cs @ (us @ s_b).reshape(len(us), n, n)
+
+
 def _periodic_series_value(ring: Ring, s: complex, radius: int,
-                           u: np.ndarray, v: float) -> complex:
-    """Series value at u + iv under a translation-covariant truncation:
-    c over |c|^2 <= radius and, per c, d over the lattice ball
-    |cu + d|^2 <= radius centered at -cu.
+                           us: np.ndarray, v: float) -> np.ndarray:
+    """Series values at the points u + iv, one per row u of the (P, n)
+    array us, under a translation-covariant truncation: c over
+    |c|^2 <= radius and, per c, d over the lattice ball |cu + d|^2 <=
+    radius centered at -cu.
 
     The index set is carried to itself by u -> u + o for ring elements o,
     so the value is exactly periodic on the ring lattice.  The fixed-ball
@@ -319,26 +351,52 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     the d-ball of e c with the same |cu + d| (this needs (e c) u =
     e (c u): associativity, or a central e for the octavians), so c runs
     over one representative per unit orbit, times the orbit size.
+
+    Rows (point, c) go in chunks of about 512k (point, c, d) terms, each
+    chunk within a block of whole points.  A row's displacement is w =
+    cu + d0, with d0 the lattice point nearest -cu (one batched decode
+    per block), and d runs over the margin ball around d0, which covers
+    the ball |cu + d|^2 <= radius.  The denominators of a chunk are one
+    matmul of augmented rows, [2 w | |w|^2 + |c|^2 v^2 | 1] @
+    [d | 1 | |d|^2]^T, into one reused buffer; each row is summed over its
+    kept d, then each point over its representatives with their orbit
+    sizes.
     """
     s = complex(s)
+    n = ring.dim
     _, cpts, cnrm, reps, weight = _ball_data(ring, radius)
-    cpts, cnrm = cpts[reps], cnrm[reps]
+    n_rep = len(reps)
+    cv2 = cnrm[reps] * v * v
     off = enumerate_ball(ring, _margin_norm(radius)).astype(float) / 2.0
-    cu = cpts @ right_mult_matrix(u, ring.dim).T
-    disp = cu + _nearest_lattice2(ring, -cu).astype(float) / 2.0
-    total = 0.0 + 0.0j
-    chunk = max(1, (1 << 19) // len(off))
-    for lo in range(0, len(cpts), chunk):
-        hi = min(lo + chunk, len(cpts))
-        cud = disp[lo:hi, None, :] + off[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", cud, cud)
-        denom = d2 + cnrm[lo:hi, None] * v * v
-        keep = d2 <= radius + 1e-9
-        keep &= denom > 1e-12  # drops only the (c, d) = (0, 0) term
-        vals = (_neg_power(denom[keep], s)
-                * np.broadcast_to(weight[lo:hi, None], keep.shape)[keep])
-        total += vals.sum()
-    return np.exp(s * np.log(v)) * complex(total)
+    b = np.vstack([off.T, np.ones(len(off)), (off * off).sum(axis=1)])
+    chunk = max(1, (1 << 19) // len(off))  # rows per matmul
+    block = min(len(us), max(1, chunk // n_rep))  # points per block
+    buf = np.empty((min(chunk, block * n_rep), len(off)))
+    keep = np.empty(buf.shape, dtype=bool)
+    out = np.empty(len(us), dtype=complex)
+    for lo in range(0, len(us), block):
+        hi = min(lo + block, len(us))
+        cu = _rep_products(cpts[reps], us[lo:hi]).reshape(-1, n)
+        w = cu + _nearest_lattice2(ring, -cu).astype(float) / 2.0
+        row_cv2 = np.tile(cv2, hi - lo)
+        a = np.column_stack([2.0 * w, (w * w).sum(axis=1) + row_cv2,
+                             np.ones(len(w))])
+        sums = np.empty(len(a), dtype=complex)
+        for r0 in range(0, len(a), chunk):
+            r1 = min(r0 + chunk, len(a))
+            denom = np.matmul(a[r0:r1], b, out=buf[:r1 - r0])
+            kept = np.less_equal(denom, (row_cv2[r0:r1] + (radius + 1e-9))[:, None],
+                                 out=keep[:r1 - r0])
+            # (c, d) = (0, 0): reps[0] and off[0] are zero, and so is the w
+            # of c = 0, on every n_rep-th row
+            zero = np.arange(-r0 % n_rep, r1 - r0, n_rep)
+            kept[zero, 0] = False
+            denom[zero, 0] = 1.0
+            vals = _neg_power(denom, s)
+            vals *= kept
+            sums[r0:r1] = vals.sum(axis=1)
+        out[lo:hi] = sums.reshape(hi - lo, n_rep) @ weight
+    return np.exp(s * np.log(v)) * out
 
 
 def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
@@ -349,7 +407,8 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     Uses the translation-covariant truncation (see _periodic_series_value)
     so that the integrand is exactly periodic.  The midpoint rule on a
     periodic smooth integrand is spectrally accurate; the error estimate
-    compares against the half-resolution grid.
+    compares against the half-resolution grid.  Both grids go through one
+    _periodic_series_value call.
     """
     mu = np.array([float(c) for c in mu.coords]) if isinstance(mu, AlgElem) \
         else np.asarray(mu, dtype=float)
@@ -361,21 +420,16 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     if not v > 0:
         raise ValueError("v must be positive")
 
-    def estimate(m: int) -> complex:
-        b = lattice_basis(ring)
-        n = ring.dim
+    def midpoints(m: int) -> np.ndarray:
         ticks = (np.arange(m) + 0.5) / m
-        mesh = np.meshgrid(*([ticks] * n), indexing="ij")
-        t = np.stack([ax.ravel() for ax in mesh], axis=1)
-        us = t @ b
-        vals = np.array([
-            _periodic_series_value(ring, s, radius, uu, v) for uu in us
-        ])
-        phases = np.exp(-2j * np.pi * (us @ mu))
-        return complex((vals * phases).mean())
+        mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
+        return np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
 
-    full = estimate(grid)
-    half = estimate(max(grid // 2, 1))
+    grids = [midpoints(grid), midpoints(max(grid // 2, 1))]
+    us = np.concatenate(grids)
+    terms = _periodic_series_value(ring, s, radius, us, v) \
+        * np.exp(-2j * np.pi * (us @ mu))
+    full, half = (complex(t.mean()) for t in np.split(terms, [len(grids[0])]))
     return FourierDatum(tuple(mu), float(v), full, abs(full - half))
 
 

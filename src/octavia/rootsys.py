@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "imaginary_units",
     "is_automorphism_bimult",
     "is_automorphism_map",
+    "nested_conjugation_map",
     "reflect",
     "right_mult_map",
     "root_basis",
@@ -352,6 +353,17 @@ def nested_conjugation(seq, x: AlgElem) -> AlgElem:
     for a in reversed(seq):
         out = cd_multiply(a, cd_multiply(out, invert(a)))
     return out
+
+
+def nested_conjugation_map(seq) -> LinMap:
+    """The LinMap of x -> nested_conjugation(seq, x): the composition
+    brandt_conjugation(a_1) o ... o brandt_conjugation(a_k) of integer
+    maps ((a x) a^{-1} = a (x a^{-1}) by flexibility).  Each factor's
+    conjugation must keep the half-integer lattice, as every octavian
+    unit's does; otherwise ValueError."""
+    if not seq:
+        raise ValueError("need a nonempty sequence of nonzero elements")
+    return reduce(LinMap.__mul__, map(brandt_conjugation, seq))
 
 
 def is_automorphism_bimult(seq) -> bool:

@@ -166,8 +166,7 @@ def test_criterion_08_automorphism_criteria():
     ok = True
     for _ in range(1000):
         seq = tuple(rng.choice(us) for _ in range(rng.randint(1, 4)))
-        m = rootsys.LinMap.from_callable(
-            8, lambda x: rootsys.nested_conjugation(seq, x))
+        m = rootsys.nested_conjugation_map(seq)
         ok &= rootsys.is_automorphism_bimult(seq) == rootsys.is_automorphism_map(m)
         if not ok:
             break

@@ -131,3 +131,31 @@ def test_half_integer_coordinates_exact():
     assert a.coords == (Fraction(1, 2),) * 4
     assert norm_sq(a) == 1
     assert zero(4).is_zero()
+
+
+def test_hash_and_doubled_coordinates_are_cached_views():
+    from functools import lru_cache
+
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def f(x):
+        calls.append(x)
+        return x.coords2
+
+    a = AlgElem.make(8, [Fraction(1, 2)] * 4 + [0] * 4)
+    b = AlgElem.from_coords2(8, [1, 1, 1, 1, 0, 0, 0, 0])
+    c = (a + a) * Fraction(1, 2)
+    d = cd_multiply(one(8), b)
+    assert a == b == c == d
+    assert len({hash(x) for x in (a, b, c, d)}) == 1
+    assert hash(a) == hash((a.dim, a.coords))  # the dataclass field hash
+    assert [f(x) for x in (a, b, c, d)] == [(1, 1, 1, 1, 0, 0, 0, 0)] * 4
+    assert len(calls) == 1 and f.cache_info().hits == 3
+
+
+def test_coords2_raises_off_the_half_integers():
+    x = AlgElem.make(4, [Fraction(1, 3), 0, 0, 0])
+    for _ in range(2):  # nothing is cached by the first failure
+        with pytest.raises(ValueError):
+            x.coords2

@@ -11,7 +11,10 @@ from octavia.autoforms import (
     SeriesParams,
     _ball_data,
     _coprime_mask,
+    _margin_norm,
+    _nearest_lattice2,
     _periodic_series_value,
+    _rep_products,
     bessel_k,
     critical_line_diagnostic,
     dual_basis,
@@ -173,6 +176,43 @@ def test_octavian_series_match_full_pair_oracle_radius_2():
     assert abs(eisenstein_truncated(p) - ref) <= 1e-12 * abs(ref)
 
 
+def _row_by_row_series(p, coprime_only=False):
+    """Oracle on the reduced pair set: one representative row at a time,
+    with its orbit weight and coprime-mask row, per-shell fsum."""
+    _, pts, nrm, reps, weight = _ball_data(p.ring, p.radius)
+    mask = _coprime_mask(p.ring, p.radius) if coprime_only else None
+    u, v, s = p.z.u_vector(), p.z.v, complex(p.s)
+    rmat = right_mult_matrix(u, p.ring.dim)
+    shells = {}
+    for i, r in enumerate(reps):
+        w = rmat @ pts[r] + pts
+        denom = (w * w).sum(axis=1) + nrm[r] * v * v
+        keep = (nrm > 0) | (nrm[r] > 0)
+        if coprime_only:
+            keep &= mask[i]
+        vals = weight[i] * np.exp(-s * np.log(denom[keep]))
+        key = np.maximum(nrm[r], nrm[keep])
+        for k in np.unique(key):
+            shells.setdefault(k, []).append(vals[key == k])
+    total = v ** s * sum(complex(math.fsum(x.real), math.fsum(x.imag))
+                         for x in (np.concatenate(shells[k]) for k in sorted(shells)))
+    return total / len(units(p.ring)) if coprime_only else total
+
+
+@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
+def test_series_match_row_by_row_oracle_across_chunks(s):
+    # Hurwitz R = 16: 109 representative rows in 5 chunks of 25, so the
+    # (0, 0) drop and the mask slices cross chunks; the shell routing
+    # only orders the summation, so values see it to rounding alone
+    _, pts, _, reps, _ = _ball_data(HURWITZ, 16)
+    assert len(reps) == 109 and (1 << 16) // len(pts) == 25
+    z = UhpPoint(np.random.default_rng(9).uniform(-0.5, 0.5, 4), 0.9)
+    p = SeriesParams(HURWITZ, s, 16, z)
+    for f, coprime in ((eisenstein_truncated, False), (poincare_truncated, True)):
+        ref = _row_by_row_series(p, coprime)
+        assert abs(f(p) - ref) <= 1e-12 * abs(ref)
+
+
 def _ball_index(pts2):
     return {tuple(r): i for i, r in enumerate(pts2.tolist())}
 
@@ -232,9 +272,72 @@ def test_dual_basis_is_dual():
 def test_periodic_truncation_is_periodic():
     u = np.array([0.37, -0.21, 0.05, 0.6])
     shift = np.array([1.0, 1.0, 0.0, 0.0])
-    a = _periodic_series_value(HURWITZ, 5.0, 9, u, 0.7)
-    b = _periodic_series_value(HURWITZ, 5.0, 9, u + shift, 0.7)
+    a, b = _periodic_series_value(HURWITZ, 5.0, 9, np.stack([u, u + shift]), 0.7)
     assert abs(a - b) < 1e-12 * abs(a)
+
+
+def _per_point_value(ring, s, radius, u, v):
+    """Oracle: the periodic series value at one point u + iv, summed per
+    representative c over its d-ball centered at -cu, one point at a time."""
+    s = complex(s)
+    _, cpts, cnrm, reps, weight = _ball_data(ring, radius)
+    cpts, cnrm = cpts[reps], cnrm[reps]
+    off = enumerate_ball(ring, _margin_norm(radius)).astype(float) / 2.0
+    cu = cpts @ right_mult_matrix(u, ring.dim).T
+    disp = cu + _nearest_lattice2(ring, -cu).astype(float) / 2.0
+    cud = disp[:, None, :] + off[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", cud, cud)
+    denom = d2 + cnrm[:, None] * v * v
+    keep = (d2 <= radius + 1e-9) & (denom > 1e-12)
+    vals = np.exp(-s * np.log(denom[keep])) * np.broadcast_to(
+        weight[:, None], keep.shape)[keep]
+    return v ** s * complex(vals.sum())
+
+
+@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
+@pytest.mark.parametrize("ring, radius", [(Z, 9), (HURWITZ, 4), (HURWITZ, 9),
+                                          (OCTAVIAN, 1)],
+                         ids=["z-9", "hurwitz-4", "hurwitz-9", "octavian-1"])
+def test_periodic_values_match_per_point_oracle(ring, radius, s):
+    us = np.random.default_rng(11).uniform(-1.5, 1.5, (5, ring.dim))
+    got = _periodic_series_value(ring, s, radius, us, 0.8)
+    for u, g in zip(us, got):
+        ref = _per_point_value(ring, s, radius, u, 0.8)
+        assert abs(g - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=["z", "hurwitz", "octavian"])
+def test_rep_products_are_right_multiplications(ring):
+    # a wrong contraction of the structure constants can still give the
+    # right periodic values when the truncation is symmetric; the rows can't
+    _, pts, _, reps, _ = _ball_data(ring, 4 if ring is not OCTAVIAN else 1)
+    us = np.random.default_rng(12).uniform(-1.5, 1.5, (6, ring.dim))
+    got = _rep_products(pts[reps], us)
+    for u, rows in zip(us, got):
+        ref = pts[reps] @ right_mult_matrix(u, ring.dim).T
+        assert np.abs(rows - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def _per_point_fourier(mu, v, s, radius, ring, grid):
+    mu = np.asarray(mu, dtype=float)
+
+    def estimate(m):
+        ticks = (np.arange(m) + 0.5) / m
+        mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
+        us = np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
+        vals = np.array([_per_point_value(ring, s, radius, u, v) for u in us])
+        return complex((vals * np.exp(-2j * np.pi * (us @ mu))).mean())
+
+    full, half = estimate(grid), estimate(max(grid // 2, 1))
+    return full, abs(full - half)
+
+
+@pytest.mark.parametrize("mu", [(0, 0, 0, 0), (1, 1, 0, 0)], ids=["zero", "11"])
+def test_fourier_matches_per_point_oracle(mu):
+    got = fourier_coefficient(list(mu), 0.5, 5.0, 4, HURWITZ, grid=4)
+    coef, err = _per_point_fourier(mu, 0.5, 5.0, 4, HURWITZ, 4)
+    assert abs(got.coefficient - coef) <= 1e-12 * abs(coef)
+    assert abs(got.error_estimate - err) <= 1e-12 * err
 
 
 def test_fourier_rejects_non_dual_mu():

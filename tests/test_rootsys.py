@@ -36,7 +36,7 @@ from octavia.rootsys import (
     unit_corollary_check,
     w_e8_order,
 )
-from octavia.rootsys import nested_conjugation
+from octavia.rootsys import nested_conjugation, nested_conjugation_map
 
 D4_CARTAN = [
     [2, -1, 0, 0],
@@ -216,7 +216,7 @@ def test_nested_conjugation_criterion(rng):
     agree = 0
     for _ in range(80):
         seq = tuple(rng.choice(us) for _ in range(rng.randint(1, 4)))
-        m = LinMap.from_callable(8, lambda x: nested_conjugation(seq, x))
+        m = nested_conjugation_map(seq)
         assert is_automorphism_bimult(seq) == is_automorphism_map(m)
         agree += 1
     assert agree == 80
@@ -227,8 +227,18 @@ def test_unit_corollary_on_imaginary_pairs():
     for g in imag:
         for h in imag:
             seq = (g, h)
-            m = LinMap.from_callable(8, lambda x: nested_conjugation(seq, x))
+            m = nested_conjugation_map(seq)
             assert unit_corollary_check(seq) == is_automorphism_map(m)
+
+
+def test_nested_conjugation_map_matches_fraction_images(rng):
+    us = units(OCTAVIAN)
+    for _ in range(200):
+        seq = tuple(rng.choice(us) for _ in range(rng.randint(1, 4)))
+        assert nested_conjugation_map(seq) == LinMap.from_callable(
+            8, lambda x: nested_conjugation(seq, x))
+    with pytest.raises(ValueError):
+        nested_conjugation_map(())
 
 
 def _factor_by_fraction_loop(b, imag_set):
