@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -26,12 +27,11 @@ from .rings import (
     Ring,
     Z,
     _decode2,
-    _orbit_units,
+    _orbit_reps,
     _pair_chunks,
-    _unit_orbit_min,
     enumerate_ball,
-    hurwitz_left_content,
-    octavian_left_content,
+    left_content,
+    shell_counts,
     units,
 )
 from .hyperweyl import build_w_tilde_cd, coset_reps
@@ -93,16 +93,13 @@ class FourierDatum:
 @lru_cache(maxsize=32)
 def _ball_data(ring: Ring, radius: int):
     """Ball points (doubled int and float coordinates) with squared norms,
-    and the unit-orbit representatives of c: the ball indices `reps` of
-    c = 0 and of the least unit multiple e c (rings._unit_orbit_min) of
-    each c != 0, with their orbit sizes `weight` (1 for c = 0).
+    and the unit-orbit quotient of rings._orbit_reps: the ball indices
+    `reps` of the representatives c and their orbit sizes `weight`.
     """
     pts2 = enumerate_ball(ring, radius)
     pts = pts2.astype(float) / 2.0
-    nrm = (pts * pts).sum(axis=1)
-    reps = np.flatnonzero((_unit_orbit_min(ring, pts2) == pts2).all(axis=1))
-    weight = np.where(nrm[reps] > 0, float(len(_orbit_units(ring))), 1.0)
-    return pts2, pts, nrm, reps, weight
+    reps, weight = _orbit_reps(ring, radius)
+    return pts2, pts, (pts * pts).sum(axis=1), reps, weight
 
 
 @lru_cache(maxsize=8)
@@ -111,23 +108,16 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     truncation ball, one row per unit-orbit representative c, as a
     read-only (len(reps), m) boolean array.
 
-    The left content is invariant under (c, d) -> (e c, e d) for the units
-    of rings._orbit_units (for the octavians only the central +-1 keep it:
-    a non-central unit changes the left content of some pairs), so the
-    rows of the other members of an orbit repeat the representative's.
-    The mask does not depend on the point z, so it is built once per
+    The rows of the other members of an orbit repeat the representative's
+    (rings._orbit_reps; for the octavians only the central units +-1 keep
+    the left content: a non-central unit changes it for some pairs).  The
+    mask does not depend on the point z, so it is built once per
     (ring, radius).
     """
     pts2, _, _, reps, _ = _ball_data(ring, radius)
     mask = np.empty((len(reps), len(pts2)), dtype=bool)
     for lo, hi, c2, d2 in _pair_chunks(pts2[reps], pts2):
-        if ring is Z:
-            ok = np.gcd(c2[:, 0], d2[:, 0]) == 2  # doubled coordinates
-        elif ring is HURWITZ:
-            ok = hurwitz_left_content(c2, d2) == 4
-        else:
-            ok = octavian_left_content(c2, d2) == 4
-        mask[lo:hi] = ok.reshape(hi - lo, len(pts2))
+        mask[lo:hi] = (left_content(ring, c2, d2) == 4).reshape(hi - lo, len(pts2))
     mask.flags.writeable = False
     return mask
 
@@ -243,34 +233,9 @@ def poincare_via_words(p: SeriesParams) -> complex:
 # -- zeta relation -----------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _sigma_counts(ring: Ring, n_max: int) -> tuple:
-    """Shell counts sigma(k) = #{a : |a|^2 = k} by divisor sieve.
-
-    Z: 2 per square; Hurwitz: 24 sum of odd divisors; octavians: 240 sum
-    of cubed divisors.  Cross-checked against lattice enumeration in the
-    test suite.
-    """
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    if ring is Z:
-        for a in range(1, int(math.isqrt(n_max)) + 1):
-            counts[a * a] = 2
-    elif ring is HURWITZ:
-        for d in range(1, n_max + 1, 2):
-            counts[d::d] += 24 * d
-    elif ring is OCTAVIAN:
-        for d in range(1, n_max + 1):
-            counts[d::d] += 240 * d ** 3
-    else:
-        raise ValueError(f"unknown ring {ring}")
-    return tuple(int(c) for c in counts[1:])
-
-
 def zeta_partial(ring: Ring, s: complex, n_max: int) -> complex:
     """Partial sum of sum_{a != 0} (|a|^2)^(-s) = sum_k sigma(k) k^(-s)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    counts = _sigma_counts(ring, n_max)
+    counts = shell_counts(ring, n_max)
     s = complex(s)
     ks = np.arange(1, n_max + 1, dtype=float)
     vals = np.array(counts) * np.exp(-s * np.log(ks))
@@ -290,12 +255,17 @@ def zeta_relation_check(ring: Ring, z: UhpPoint, s: complex, radius: int) -> flo
 # -- Fourier coefficients ----------------------------------------------------
 
 
+def _lattice_basis2(ring: Ring) -> tuple:
+    """Doubled coordinates of the simple-root Z-basis of the ring lattice."""
+    if ring is Z:
+        return ((2,),)
+    return tuple(r.coords2 for r in (D4_SIMPLE_ROOTS if ring is HURWITZ
+                                     else E8_SIMPLE_ROOTS))
+
+
 def lattice_basis(ring: Ring) -> np.ndarray:
     """Rows: a Z-basis of the ring lattice (the simple-root basis)."""
-    if ring is Z:
-        return np.array([[1.0]])
-    roots = D4_SIMPLE_ROOTS if ring is HURWITZ else E8_SIMPLE_ROOTS
-    return np.array([[float(c) for c in r.coords] for r in roots])
+    return np.array(_lattice_basis2(ring)) / 2.0
 
 
 def dual_basis(ring: Ring) -> np.ndarray:
@@ -305,9 +275,13 @@ def dual_basis(ring: Ring) -> np.ndarray:
 
 
 def _in_dual_lattice(ring: Ring, mu: np.ndarray) -> bool:
-    b = lattice_basis(ring)
-    coeffs = mu @ b.T  # inner products with the primal basis
-    return bool(np.all(np.abs(coeffs - np.round(coeffs)) < 1e-9))
+    """Exact membership: each coordinate of mu at its exact binary value,
+    and 2 (mu, b) = (mu, b2) even for every simple root b = b2 / 2."""
+    if not np.all(np.isfinite(mu)):
+        return False
+    mu = [Fraction(float(c)) for c in mu]
+    return all(sum(m * b for m, b in zip(mu, b2)) % 2 == 0
+               for b2 in _lattice_basis2(ring))
 
 
 def _nearest_lattice2(ring: Ring, targets: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .rings import (
     _euclid_rows,
     _exact_rows,
     _mult2,
+    _orbit_reps,
     _pair_chunks,
     _unit_orbit_min,
     enumerate_ball,
@@ -384,11 +384,6 @@ def psl0_membership(S) -> bool:
 # -- coset representatives -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _least_unit(ring: Ring) -> AlgElem:
-    return min(units(ring), key=lambda u: u.coords)
-
-
 def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
     """Canonical representatives (c, d) of the left-coprime rows of the
     (M, dim) doubled coordinates c2, d2, as (K, 2 dim) rows; rows that are
@@ -415,7 +410,7 @@ def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
     # Octavians: s, s_next start as (least unit, 0) and run
     # s, s_next = s q_k - s_next, s for k = L..2; then (c, d) = (s, s q1 - s_next).
     # Rows with c = 0 never enter the chain and stay (0, least unit).
-    s = np.tile(np.array(_least_unit(ring).coords2, dtype=c2.dtype), (len(c2), 1))
+    s = np.tile(np.array(units(ring)[0].coords2, dtype=c2.dtype), (len(c2), 1))
     s_next = np.zeros_like(s)
     steps = [(rows[keep[rows]], q[keep[rows]]) for rows, q, _ in chain]
     for rows, q in reversed(steps[1:]):
@@ -449,14 +444,18 @@ def coset_reps(ring: Ring, norm_bound: int):
     Gamma_infinity \\ Gamma that have a left-coprime row with
     max(|c|^2, |d|^2) <= norm_bound, sorted by doubled coordinates.
 
-    The pairs of the norm ball run through _canonical_rows in chunks
-    (one batched Euclid run each), so no pair is handled alone.
+    The class of (e c, e d), for e in rings._orbit_units, is that of
+    (c, d) with the same norms, so c runs over the unit-orbit
+    representatives of rings._orbit_reps and d over the whole ball.  The
+    pairs run through _canonical_rows in chunks (one batched Euclid run
+    each), so no pair is handled alone.
     """
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
     pts = enumerate_ball(ring, norm_bound)
+    reps, _ = _orbit_reps(ring, norm_bound)
     found = [np.unique(_canonical_rows(ring, c2, d2), axis=0)
-             for _, _, c2, d2 in _pair_chunks(pts, pts)]
+             for _, _, c2, d2 in _pair_chunks(pts[reps], pts)]
     dim = ring.dim
     return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
             for r in np.unique(np.concatenate(found), axis=0)]

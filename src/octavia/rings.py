@@ -45,16 +45,15 @@ __all__ = [
     "commutator_ideal_index",
     "common_right_divisors",
     "enumerate_ball",
-    "hurwitz_left_content",
     "is_in_commutator_ideal",
     "is_left_coprime",
     "is_member",
     "is_right_coprime",
     "is_unit",
+    "left_content",
     "left_euclid",
     "nearest",
     "octavian_glue_code",
-    "octavian_left_content",
     "random_element",
     "right_euclid",
     "ring_by_name",
@@ -383,6 +382,21 @@ def _unit_orbit_min(ring: Ring, *blocks: np.ndarray) -> np.ndarray:
     return best
 
 
+def _orbit_reps(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-orbit quotient of enumerate_ball(ring, max_norm): the ball
+    indices of 0 and of the least member e c (_unit_orbit_min) of the
+    orbit of each c != 0, and the orbit sizes (1 for 0).
+
+    A modular pair (e c, e d) shares |cz + d|, the left content and the
+    coset class of (c, d), so a sum or scan over the pairs of the ball
+    needs c only over these rows, each counted with its orbit size.
+    """
+    pts2 = enumerate_ball(ring, max_norm)
+    reps = np.flatnonzero((_unit_orbit_min(ring, pts2) == pts2).all(axis=1))
+    weight = np.where(pts2[reps].any(axis=1), len(_orbit_units(ring)), 1)
+    return reps, weight
+
+
 def _exact_rows(*rows) -> list[np.ndarray]:
     """The row arrays as int64 where no Euclid intermediate can overflow
     it, else as Python-int object arrays.
@@ -462,14 +476,12 @@ def left_euclid(ring: Ring, d: AlgElem, c: AlgElem) -> EuclTrace:
 
 
 def _coprime(ring: Ring, x: AlgElem, y: AlgElem, side: str) -> bool:
+    for e in (x, y):
+        if not is_member(ring, e):
+            raise ValueError(f"{e} is not a member of {ring}")
     if x.is_zero() and y.is_zero():
         raise ValueError("coprimality is undefined for (0, 0)")
-    if y.is_zero():
-        return norm_sq(x) == 1
-    if norm_sq(y) == 1:
-        return True
-    trace = _euclid(ring, x, y, side)
-    return norm_sq(trace.last_divisor) == 1
+    return bool(_euclid_rows(ring, [x.coords2], [y.coords2], side)[0][0] == 4)
 
 
 def is_right_coprime(ring: Ring, a: AlgElem, c: AlgElem) -> bool:
@@ -482,17 +494,11 @@ def is_left_coprime(ring: Ring, d: AlgElem, c: AlgElem) -> bool:
     return _coprime(ring, d, c, "left")
 
 
-def hurwitz_left_content(c2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """4 |left gcd|^2 of each Hurwitz pair (c, d) of (M, 4) doubled
-    coordinates: the last remainder of the left run on (d, c); 4 means
+def left_content(ring: Ring, c2, d2) -> np.ndarray:
+    """4 |last nonzero remainder|^2 of the left Euclid run on each pair
+    (d, c) of (M, dim) doubled coordinates (4 |d|^2 where c = 0); 4 means
     left coprime."""
-    return _euclid_rows(HURWITZ, d2, c2, "left")[0]
-
-
-def octavian_left_content(c2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """4 |last nonzero remainder|^2 of the left Euclid run on each octavian
-    pair (d, c) of (M, 8) doubled coordinates; 4 means left coprime."""
-    return _euclid_rows(OCTAVIAN, d2, c2, "left")[0]
+    return _euclid_rows(ring, d2, c2, "left")[0]
 
 
 def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4) -> list[AlgElem]:
@@ -575,12 +581,24 @@ def ball_elements(ring: Ring, max_norm: int, include_zero: bool = False) -> list
 
 
 def shell_counts(ring: Ring, n_max: int) -> list[int]:
-    """sigma(k) = #{a in ring : |a|^2 = k} for k = 1..n_max."""
+    """sigma(k) = #{a in ring : |a|^2 = k} for k = 1..n_max by divisor
+    sieve: Z 2 per square, Hurwitz 24 times the sum of the odd divisors of
+    k, octavians 240 times the sum of the cubed divisors."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    pts = enumerate_ball(ring, n_max)
-    n4 = (pts * pts).sum(axis=1)
-    return [int(np.count_nonzero(n4 == 4 * k)) for k in range(1, n_max + 1)]
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    if ring is Z:
+        for a in range(1, math.isqrt(n_max) + 1):
+            counts[a * a] = 2
+    elif ring is HURWITZ:
+        for d in range(1, n_max + 1, 2):
+            counts[d::d] += 24 * d
+    elif ring is OCTAVIAN:
+        for d in range(1, n_max + 1):
+            counts[d::d] += 240 * d ** 3
+    else:
+        raise ValueError(f"unknown ring {ring}")
+    return [int(c) for c in counts[1:]]
 
 
 # -- Hurwitz commutator ideal ----------------------------------------------

@@ -11,6 +11,7 @@ from octavia.autoforms import (
     SeriesParams,
     _ball_data,
     _coprime_mask,
+    _in_dual_lattice,
     _margin_norm,
     _nearest_lattice2,
     _periodic_series_value,
@@ -35,8 +36,8 @@ from octavia.rings import (
     Z,
     _mult2,
     enumerate_ball,
-    hurwitz_left_content,
-    octavian_left_content,
+    left_content,
+    shell_counts,
     units,
 )
 from octavia.uhp import UhpPoint, act_word, laplace_beltrami_numeric
@@ -88,8 +89,7 @@ def test_zeta_partial_integer_ring():
 
 
 def test_hurwitz_shell_sigma_formula():
-    from octavia.autoforms import _sigma_counts
-    counts = _sigma_counts(HURWITZ, 20)
+    counts = shell_counts(HURWITZ, 20)
     for k in range(1, 21):
         odd = k
         while odd % 2 == 0:
@@ -122,10 +122,8 @@ def _full_mask_rows(ring, c2, d2):
     d = np.tile(d2, (len(c2), 1))
     if ring is Z:
         ok = np.gcd(c[:, 0], d[:, 0]) == 2
-    elif ring is HURWITZ:
-        ok = hurwitz_left_content(c, d) == 4
     else:
-        ok = octavian_left_content(c, d) == 4
+        ok = left_content(ring, c, d) == 4
     return ok.reshape(len(c2), len(d2))
 
 
@@ -269,6 +267,19 @@ def test_dual_basis_is_dual():
         assert np.allclose(dual_basis(ring) @ b.T, np.eye(ring.dim))
 
 
+def test_dual_lattice_membership_is_exact():
+    for mu in ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (2, 0, 0, 0)):
+        assert _in_dual_lattice(HURWITZ, np.array(mu, dtype=float))
+    for ring in (Z, HURWITZ, OCTAVIAN):
+        dual = np.round(2 * dual_basis(ring)) / 2
+        assert np.allclose(dual, dual_basis(ring))
+        combos = np.random.default_rng(13).integers(-3, 4, (20, ring.dim)) @ dual
+        for mu in np.concatenate([dual, combos]):
+            assert _in_dual_lattice(ring, mu)
+            # a float tolerance would take this near miss
+            assert not _in_dual_lattice(ring, mu + 1e-10 * np.eye(ring.dim)[0])
+
+
 def test_periodic_truncation_is_periodic():
     u = np.array([0.37, -0.21, 0.05, 0.6])
     shift = np.array([1.0, 1.0, 0.0, 0.0])
@@ -343,6 +354,8 @@ def test_fourier_matches_per_point_oracle(mu):
 def test_fourier_rejects_non_dual_mu():
     with pytest.raises(ValueError):
         fourier_coefficient([0.3, 0, 0, 0], 1.0, 5.0, 4, HURWITZ)
+    with pytest.raises(ValueError):
+        fourier_coefficient([1 + 1e-10, 1, 0, 0], 1.0, 5.0, 4, HURWITZ)
     with pytest.raises(ValueError):
         fourier_coefficient([1, 0, 0, 0], -1.0, 5.0, 4, HURWITZ)
 

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from octavia.algebra import (
@@ -21,6 +22,7 @@ from octavia.hyperweyl import (
     Inv,
     Rot,
     Trans,
+    _canonical_rows,
     apply_word,
     build_w_ac,
     build_w_tilde_cd,
@@ -43,6 +45,7 @@ from octavia.rings import (
     Z,
     D4_SIMPLE_ROOTS,
     E8_SIMPLE_ROOTS,
+    enumerate_ball,
     is_left_coprime,
     is_right_coprime,
     random_element,
@@ -203,6 +206,30 @@ def test_coset_reps_counts():
     assert len(reps_h) == 26
     for c, d in reps_h:
         assert (c, d) == canonical_pair(HURWITZ, c, d)
+
+
+@pytest.mark.parametrize("ring, bound", [(Z, 9), (HURWITZ, 2), (HURWITZ, 3),
+                                         (OCTAVIAN, 1)],
+                         ids=["z-9", "hurwitz-2", "hurwitz-3", "octavian-1"])
+def test_coset_reps_match_full_ball_scan(ring, bound):
+    # coset_reps takes c over unit-orbit representatives only; every pair
+    # of the ball must give the same classes
+    pts = enumerate_ball(ring, bound)
+    rows = _canonical_rows(ring, np.repeat(pts, len(pts), axis=0),
+                           np.tile(pts, (len(pts), 1)))
+    got = [list(c.coords2 + d.coords2) for c, d in coset_reps(ring, bound)]
+    assert got == np.unique(rows, axis=0).tolist()
+
+
+def test_octavian_classes_are_sign_invariant():
+    # what the octavian quotient of coset_reps rests on beyond bound 1,
+    # where every c is a unit: (-c, -d) runs the quotients of (c, d), so
+    # both canonicalize alike
+    pts = enumerate_ball(OCTAVIAN, 2)
+    c = np.repeat(pts[241::97], len(pts), axis=0)
+    d = np.tile(pts, (len(pts[241::97]), 1))
+    rows = _canonical_rows(OCTAVIAN, c, d)
+    assert len(rows) and np.array_equal(_canonical_rows(OCTAVIAN, -c, -d), rows)
 
 
 GOLDEN = Path(__file__).parent / "golden"

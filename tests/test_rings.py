@@ -25,14 +25,13 @@ from octavia.rings import (
     commutator_ideal_index,
     is_in_commutator_ideal,
     enumerate_ball,
-    hurwitz_left_content,
     is_left_coprime,
     is_member,
     is_right_coprime,
     is_unit,
+    left_content,
     left_euclid,
     nearest,
-    octavian_left_content,
     octavian_unit_classes,
     random_element,
     right_euclid,
@@ -189,9 +188,11 @@ def test_shell_counts_oracles():
 
 
 def test_enumerate_ball_matches_shell_counts():
-    pts = enumerate_ball(HURWITZ, 3)
-    norms = (pts * pts).sum(axis=1) // 4
-    assert [(norms == k).sum() for k in (1, 2, 3)] == [24, 24, 96]
+    for ring, n_max in ((Z, 40), (HURWITZ, 9), (OCTAVIAN, 3)):
+        pts = enumerate_ball(ring, n_max)
+        norms = (pts * pts).sum(axis=1) // 4
+        assert [(norms == k).sum() for k in range(1, n_max + 1)] == \
+            shell_counts(ring, n_max)
 
 
 def test_z_ball_is_the_even_integers():
@@ -206,8 +207,12 @@ def test_z_ball_is_the_even_integers():
 
 
 def test_vectorized_left_content_matches_scalar(rng):
-    for ring, content in ((HURWITZ, hurwitz_left_content),
-                          (OCTAVIAN, octavian_left_content)):
+    # Z: the gcd of the doubled coordinates is 2 exactly on coprime pairs
+    pts = enumerate_ball(Z, 400)
+    c, d = np.repeat(pts, len(pts), axis=0), np.tile(pts, (len(pts), 1))
+    assert np.array_equal(left_content(Z, c, d) == 4,
+                          np.gcd(c[:, 0], d[:, 0]) == 2)
+    for ring in (HURWITZ, OCTAVIAN):
         cs, ds, expect = [], [], []
         for _ in range(60):
             c = random_element(ring, rng, max_coord2=3)
@@ -217,8 +222,46 @@ def test_vectorized_left_content_matches_scalar(rng):
             cs.append(c.coords2)
             ds.append(d.coords2)
             expect.append(is_left_coprime(ring, d, c))
-        got = content(np.array(cs), np.array(ds)) == 4
+        got = left_content(ring, np.array(cs), np.array(ds)) == 4
         assert list(got) == expect
+
+
+def _trace_coprime(ring, x, y, side):
+    """Coprimality read off the recorded Euclid trace, with shortcuts for
+    y = 0 and unit y."""
+    if y.is_zero():
+        return norm_sq(x) == 1
+    if norm_sq(y) == 1:
+        return True
+    runner = right_euclid if side == "right" else left_euclid
+    return norm_sq(runner(ring, x, y).last_divisor) == 1
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_scalar_coprimality_matches_trace(ring, rng):
+    us = units(ring)
+    for _ in range(150):
+        x, y = (random_element(ring, rng, max_coord2=4) for _ in range(2))
+        k = rng.randrange(4)
+        if k == 0:
+            y = zero(ring.dim)
+        elif k == 1:
+            y = rng.choice(us)
+        if x.is_zero() and y.is_zero():
+            continue
+        assert is_left_coprime(ring, x, y) == _trace_coprime(ring, x, y, "left")
+        assert is_right_coprime(ring, x, y) == _trace_coprime(ring, x, y, "right")
+    with pytest.raises(ValueError):
+        is_left_coprime(ring, zero(ring.dim), zero(ring.dim))
+
+
+def test_coprimality_rejects_non_members():
+    # norm-1 inputs that are not ring elements
+    x = AlgElem.make(4, [Fraction(3, 5), Fraction(4, 5), 0, 0])
+    with pytest.raises(ValueError):
+        is_left_coprime(HURWITZ, x, zero(4))
+    with pytest.raises(ValueError):
+        is_right_coprime(HURWITZ, AlgElem.make(4, [Fraction(1, 3), 0, 0, 0]), one(4))
 
 
 def test_batched_coprimality_on_octavian_balls(rng):
@@ -229,7 +272,7 @@ def test_batched_coprimality_on_octavian_balls(rng):
                  for _ in range(count)]
         pairs = [(i, j) for i, j in pairs if pts[i].any() or pts[j].any()]
         ci, di = np.array(pairs).T
-        got = octavian_left_content(pts[ci], pts[di]) == 4
+        got = left_content(OCTAVIAN, pts[ci], pts[di]) == 4
         expect = [is_left_coprime(OCTAVIAN, AlgElem.from_coords2(8, pts[j]),
                                   AlgElem.from_coords2(8, pts[i]))
                   for i, j in pairs]

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import octavia
@@ -70,4 +71,15 @@ def test_no_unused_private_definitions():
              and node.name.startswith("_") and not node.name.startswith("__")
              and not any(node.name in refs for _, other, refs in statements
                          if other is not node)]
+    assert found == []
+
+
+def test_all_names_are_bound():
+    # a stale __all__ entry surfaces only at a user's `import *`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "octavia" if path.stem == "__init__" else f"octavia.{path.stem}"
+        module = importlib.import_module(name)
+        found += [f"{path.name} {n}" for n in getattr(module, "__all__", ())
+                  if not hasattr(module, n)]
     assert found == []
