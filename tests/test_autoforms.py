@@ -1,10 +1,12 @@
 """Truncated Eisenstein series, Fourier modes, Bessel and Green kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from scipy import integrate
 
 from octavia.algebra import right_mult_matrix
 from octavia.autoforms import (
@@ -16,6 +18,7 @@ from octavia.autoforms import (
     _nearest_lattice2,
     _periodic_series_value,
     _rep_products,
+    _trapezoid,
     bessel_k,
     critical_line_diagnostic,
     dual_basis,
@@ -404,6 +407,26 @@ def test_bessel_k_matches_scipy():
                 float(sps.kv(nu, x)), rel=1e-10)
 
 
+def test_bessel_k_matches_scipy_on_a_wider_grid():
+    for nu in (0.0, 0.5, 1.0, 3.0, 6.0):
+        for x in (0.05, 0.3, 1.0, 7.5, 40.0):
+            assert bessel_k(nu, x).real == pytest.approx(
+                float(sps.kv(nu, x)), rel=1e-12)
+
+
+def test_bessel_k_complex_order_matches_quad():
+    # scipy.special.kv takes real orders only; quad integrates the same
+    # integrand part by part, up to where it is below e^-50 of its value at 0
+    nu = 1 + 1.5j
+    for x in (0.05, 0.3, 1.0, 7.5, 40.0):
+        parts = [integrate.quad(
+            lambda t: math.exp(-x * math.cosh(t)) * part(np.cosh(nu * t)),
+            0.0, math.acosh(1 + 60 / x), epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            for part in (np.real, np.imag)]
+        ref = complex(*parts)
+        assert abs(bessel_k(nu, x) - ref) <= 1e-12 * abs(ref)
+
+
 def test_bessel_k_half_closed_form():
     for x in (0.5, 2.0, 9.0):
         assert bessel_k(0.5, x).real == pytest.approx(
@@ -440,6 +463,61 @@ def test_green_small_lam_slope():
     g = [green_function(lam, 4.0, 4) for lam in lams]
     slope = math.log(g[0] / g[1]) / math.log(lams[0] / lams[1])
     assert slope == pytest.approx(-1.5, abs=0.02)
+
+
+def _green_quad(lam, s, n):
+    # the integral with xi = sin^2(theta), by adaptive Gauss-Kronrod
+    p = s - (n + 1) / 2
+
+    def integrand(theta):
+        sc = math.sin(theta) * math.cos(theta)
+        return 2.0 * sc ** (2 * p + 1) * (math.sin(theta) ** 2 + lam) ** (-s)
+
+    return integrate.quad(integrand, 0.0, math.pi / 2, epsabs=0.0,
+                          epsrel=1e-13, limit=400)[0]
+
+
+def test_green_function_matches_quad_oracle():
+    for n in (1, 2, 4, 8):
+        for s in ((n - 1) / 2 + 0.5, (n - 1) / 2 + 1.25, n + 2.0):
+            for lam in (1e-6, 1e-3, 1.0, 1e3):
+                assert green_function(lam, s, n) == pytest.approx(
+                    _green_quad(lam, s, n), rel=1e-12)
+
+
+def test_green_function_near_the_wall_within_its_documented_bound():
+    # closed form lam^-s B(p+1, p+1) 2F1(s, p+1; 2p+2; -1/lam), which
+    # scipy evaluates to about 2e-15 relative at these lam; the bound is
+    # the one green_function's docstring states: the rule's tolerance
+    # plus the dropped tails
+    n = 1
+    for q in (0.05, 0.01, 0.001):  # p + 1
+        s, p = q, q - 1
+        for lam in (1e-3, 1.0, 1e3):
+            ref = lam ** -s * sps.beta(q, q) * sps.hyp2f1(s, q, 2 * q, -1 / lam)
+            bound = 1e-13 + 2 ** (s + abs(p) + 1) * min(lam, 0.5) ** -q * math.exp(-36)
+            assert abs(green_function(lam, s, n) / ref - 1) <= bound
+
+
+def test_quadratures_emit_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (0.0, 0.5, 6.0, 1 + 1.5j, 2.5j):
+            for x in (0.05, 1.0, 40.0):
+                bessel_k(nu, x)
+        for n, s in ((1, 0.001), (1, 0.05), (4, 2.0), (8, 10.0)):
+            for lam in (1e-6, 1.0, 1e3):
+                green_function(lam, s, n)
+        critical_line_diagnostic(2.0, 2.0, 4)
+        critical_line_diagnostic(2.0, 4.0, 4)
+
+
+def test_trapezoid_warns_when_it_stops_short_of_its_tolerance():
+    # sqrt has an endpoint singularity: the rule converges like h^1.5 only
+    with pytest.warns(RuntimeWarning, match=r"stopped at 65536 intervals with error"):
+        value, error = _trapezoid(np.sqrt, 0.0, 1.0, 1e-13)
+    assert 1e-13 * value < error < 1e-6
+    assert abs(value - 2 / 3) <= error
 
 
 def test_green_pde_residual():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import octavia
@@ -46,6 +49,32 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert found == []
 
+
+def test_no_scipy_imports():
+    # scipy is a test-only dependency: scipy.integrate alone takes longer
+    # to import than the whole package
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, octavia.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
 
 
 def _references(node):
