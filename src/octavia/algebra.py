@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "AlgElem",
     "associator",
+    "basis_sum_zero_divisor_search",
     "basis_unit",
     "cd_multiply",
     "commutator",

@@ -19,13 +19,10 @@ import numpy as np
 
 from .algebra import AlgElem, _structure_float
 from .rings import (
-    D4_SIMPLE_ROOTS,
-    E8_SIMPLE_ROOTS,
-    HURWITZ,
     OCTAVIAN,
     Ring,
-    Z,
     _decode2,
+    _lattice_basis2,
     _orbit_reps,
     _pair_chunks,
     enumerate_ball,
@@ -252,14 +249,6 @@ def zeta_relation_check(ring: Ring, z: UhpPoint, s: complex, radius: int) -> flo
 
 
 # -- Fourier coefficients ----------------------------------------------------
-
-
-def _lattice_basis2(ring: Ring) -> tuple:
-    """Doubled coordinates of the simple-root Z-basis of the ring lattice."""
-    if ring is Z:
-        return ((2,),)
-    return tuple(r.coords2 for r in (D4_SIMPLE_ROOTS if ring is HURWITZ
-                                     else E8_SIMPLE_ROOTS))
 
 
 def lattice_basis(ring: Ring) -> np.ndarray:

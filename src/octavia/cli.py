@@ -132,14 +132,23 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill arguments that were left at None from the config file."""
+def _merge_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill arguments that were left at None from the config file.
+
+    One file may serve every subcommand, so a key for another
+    subcommand's option is skipped; a key that names no option of any
+    subcommand is a ValueError.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
-    cfg = _load_config(path)
-    for key, val in cfg.items():
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {a.dest for sp in subs.choices.values() for a in sp._actions} - {"help"}
+    for key, val in _load_config(path).items():
         attr = key.replace("-", "_")
+        if attr not in known:
+            raise ValueError(f"config key {key!r} names no option of any subcommand")
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, val)
     return args
@@ -197,7 +206,7 @@ def cmd_group(args) -> int:
     elif which == "e8":
         order, elements = rootsys.w_e8_order(), None
     else:
-        raise SystemExit(f"unknown group {which!r}; expected d4, g2, e7 or e8")
+        raise ValueError(f"unknown group {which!r}; expected d4, g2, e7 or e8")
     payload = {"group": which, "order": order,
                "seconds": round(time.perf_counter() - t0, 3)}
     if args.elements and elements is not None:
@@ -216,7 +225,7 @@ def cmd_euclid(args) -> int:
     elif side == "left":
         tr = rings.left_euclid(ring, a, c)
     else:
-        raise SystemExit("--side must be left or right")
+        raise ValueError("--side must be left or right")
     payload = {
         "ring": ring.name,
         "side": side,
@@ -337,8 +346,13 @@ def cmd_orbit_length(args) -> int:
     return 0
 
 
+_EXPORT_KINDS = ("units", "roots", "cosets", "series-grid", "fourier", "orbits")
+
+
 def cmd_export(args) -> int:
     kind = args.kind
+    if kind not in _EXPORT_KINDS:
+        raise ValueError(f"unknown export kind {kind!r}; expected one of {list(_EXPORT_KINDS)}")
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     # units, roots and cosets are the payloads of their own subcommands
@@ -391,7 +405,7 @@ def cmd_export(args) -> int:
                 mu.coords if isinstance(mu, AlgElem) else mu)],
              "s": _complex_json(s), "radius": radius, "data": data},
             sort_keys=True) + "\n")
-    elif kind == "orbits":
+    else:  # orbits
         entries = json.loads(args.matrix or "[[[2],[1]],[[1],[1]]]")
         M = tuple(tuple(np.asarray(x, dtype=float) for x in row)
                   for row in entries)
@@ -399,8 +413,6 @@ def cmd_export(args) -> int:
         _atomic_write(path, json.dumps(
             {"matrix": entries, "length": uhp.periodic_orbit_length(M)},
             sort_keys=True) + "\n")
-    else:
-        raise SystemExit(f"unknown export kind {kind!r}")
     sys.stdout.write(json.dumps({"written": kind, "outdir": outdir}) + "\n")
     return 0
 
@@ -697,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export", help="write JSON/CSV artifacts")
     sp.add_argument("--kind", required=True,
-                    help="units|roots|cosets|series-grid|fourier|orbits")
+                    help="|".join(_EXPORT_KINDS))
     sp.add_argument("--outdir")
     sp.add_argument("--ring")
     sp.add_argument("--algebra")
@@ -715,9 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args = _merge_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        args = _merge_config(args, parser)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

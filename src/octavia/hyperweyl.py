@@ -68,6 +68,7 @@ __all__ = [
     "orbit_target",
     "psl0_membership",
     "psl_det",
+    "psl_det_real_crosscheck",
     "psl_inverse",
     "random_word",
     "row_act",

@@ -4,6 +4,12 @@ Three rings are supported: the rational integers Z (dim 1), the Hurwitz
 quaternions H (dim 4: all-integer or all-half-integer coordinates, the
 D4 root lattice) and the octavians O (dim 8, the E8 root lattice).
 
+Each ring is defined once, by the simple-root basis of its lattice
+(_lattice_basis2).  Construction A derives the rest from it: the glue code
+(_cosets) gives membership and the ball, and the units are the norm-1
+shell of the ball, counted against the divisor sieve (Conway & Sloane,
+SPLAG, ch. 4 and 8).
+
 Provides membership tests, unit enumeration, nearest-lattice-point
 decoding, sided Euclidean algorithms on integer doubled coordinates,
 coprimality, shell counts and the Hurwitz commutator ideal.
@@ -31,12 +37,10 @@ from .algebra import (
 )
 
 __all__ = [
-    "BRANDT_TRIPLES",
     "D4_SIMPLE_ROOTS",
     "E8_SIMPLE_ROOTS",
     "EuclTrace",
     "HURWITZ",
-    "IMAGINARY_QUADS",
     "OCTAVIAN",
     "Ring",
     "Z",
@@ -53,19 +57,13 @@ __all__ = [
     "left_content",
     "left_euclid",
     "nearest",
-    "octavian_glue_code",
+    "octavian_unit_classes",
     "random_element",
     "right_euclid",
     "ring_by_name",
     "shell_counts",
     "units",
 ]
-
-# Index triples/quadruples of the octavian unit classification: Brandt
-# numbers are (±1 ± e_i ± e_j ± e_k)/2, imaginary units are
-# (±e_m ± e_n ± e_p ± e_q)/2 together with ±e_r.
-BRANDT_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 6), (2, 5, 7), (3, 4, 5), (4, 6, 7))
-IMAGINARY_QUADS = ((3, 5, 6, 7), (2, 4, 5, 6), (2, 3, 4, 7), (1, 4, 5, 7), (1, 3, 4, 6), (1, 2, 6, 7), (1, 2, 3, 5))
 
 
 @dataclass(frozen=True)
@@ -74,15 +72,14 @@ class Ring:
 
     name: str
     dim: int
-    unit_count: int
 
     def __repr__(self):
         return f"Ring({self.name})"
 
 
-Z = Ring("Z", 1, 2)
-HURWITZ = Ring("hurwitz", 4, 24)
-OCTAVIAN = Ring("octavian", 8, 240)
+Z = Ring("Z", 1)
+HURWITZ = Ring("hurwitz", 4)
+OCTAVIAN = Ring("octavian", 8)
 
 _RINGS = {r.name.lower(): r for r in (Z, HURWITZ, OCTAVIAN)}
 
@@ -120,53 +117,56 @@ E8_SIMPLE_ROOTS = (
 )
 
 
+def _lattice_basis2(ring: Ring) -> tuple[tuple[int, ...], ...]:
+    """Doubled coordinates of the simple-root Z-basis of the ring lattice,
+    the one definition of each ring."""
+    if ring is Z:
+        return ((2,),)
+    if ring is HURWITZ:
+        return tuple(r.coords2 for r in D4_SIMPLE_ROOTS)
+    if ring is OCTAVIAN:
+        return tuple(r.coords2 for r in E8_SIMPLE_ROOTS)
+    raise ValueError(f"unknown ring {ring}")
+
+
+@lru_cache(maxsize=None)
+def _cosets(ring: Ring) -> tuple[tuple[int, ...], ...]:
+    """Glue vectors g with 2 * ring = union of the cosets g + 2 Z^dim,
+    sorted: the GF(2) span of the doubled simple roots mod 2.
+
+    Every ring contains Z^dim, so it is the Construction A lattice of this
+    code: {0} for Z, {0000, 1111} for the Hurwitz ring and the [8,4]
+    extended Hamming code for the octavians.
+    """
+    code = {(0,) * ring.dim}
+    for b2 in _lattice_basis2(ring):
+        code |= {tuple((c + b) % 2 for c, b in zip(w, b2)) for w in code}
+    return tuple(sorted(code))
+
+
 # -- units -----------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def units(ring: Ring) -> tuple[AlgElem, ...]:
-    """All invertible ring elements, in a fixed deterministic order."""
-    if ring is Z:
-        out = [one(1), -one(1)]
-    elif ring is HURWITZ:
-        out = []
-        for k in range(4):
-            for s in (1, -1):
-                out.append(s * basis_unit(4, k))
-        for signs in itertools.product((1, -1), repeat=4):
-            out.append(_elem(4, signs))
-    elif ring is OCTAVIAN:
-        real, brandt, imag = octavian_unit_classes()
-        out = list(real) + list(brandt) + list(imag)
-    else:
-        raise ValueError(f"unknown ring {ring}")
-    if len(out) != ring.unit_count:
-        raise RuntimeError(f"{ring} has {len(out)} units, expected {ring.unit_count}")
-    return tuple(sorted(out, key=lambda u: u.coords))
+    """All invertible ring elements, sorted by coords: the norm-1 shell of
+    enumerate_ball, whose size the divisor sieve checks."""
+    pts = enumerate_ball(ring, 1)
+    out = tuple(_elem(ring.dim, row) for row in pts[(pts * pts).sum(axis=1) == 4])
+    expected = shell_counts(ring, 1)[0]
+    if len(out) != expected:
+        raise RuntimeError(f"{ring} has {len(out)} units, expected {expected}")
+    return out
 
 
 @lru_cache(maxsize=None)
 def octavian_unit_classes() -> tuple[tuple[AlgElem, ...], tuple[AlgElem, ...], tuple[AlgElem, ...]]:
-    """The 240 unit octavians partitioned into (2 real, 112 Brandt, 126 imaginary)."""
-    real = (one(8), -one(8))
-    brandt = []
-    for (i, j, k) in BRANDT_TRIPLES:
-        for s0, s1, s2, s3 in itertools.product((1, -1), repeat=4):
-            c2 = [0] * 8
-            c2[0], c2[i], c2[j], c2[k] = s0, s1, s2, s3
-            brandt.append(_elem(8, c2))
-    imag = []
-    for (m, n, p, q) in IMAGINARY_QUADS:
-        for s0, s1, s2, s3 in itertools.product((1, -1), repeat=4):
-            c2 = [0] * 8
-            c2[m], c2[n], c2[p], c2[q] = s0, s1, s2, s3
-            imag.append(_elem(8, c2))
-    for r in range(1, 8):
-        for s in (1, -1):
-            imag.append(s * basis_unit(8, r))
-    if (len(real), len(brandt), len(imag)) != (2, 112, 126):
-        raise RuntimeError("octavian unit classes do not have sizes (2, 112, 126)")
-    return real, tuple(brandt), tuple(imag)
+    """The 240 unit octavians split by real part, each class sorted by
+    coords: (2 real, +-1; 112 Brandt, +-1/2; 126 imaginary, 0)."""
+    classes = {2: [], 1: [], 0: []}
+    for u in units(OCTAVIAN):
+        classes[abs(u.coords2[0])].append(u)
+    return tuple(tuple(classes[k]) for k in (2, 1, 0))
 
 
 def is_unit(ring: Ring, x: AlgElem) -> bool:
@@ -182,51 +182,10 @@ def is_member(ring: Ring, x: AlgElem) -> bool:
         raise ValueError(f"dimension mismatch: element dim {x.dim}, ring dim {ring.dim}")
     if any(c.denominator > 2 for c in x.coords):
         return False
-    # doubled coordinates mod 2 lie in the coset table; for octavians this
-    # Construction A lattice contains the units and has the covolume of O,
-    # so it is O
     return tuple(int(c.denominator == 2) for c in x.coords) in _cosets(ring)
 
 
-# -- the octavian glue code (construction-A frame) -------------------------
-
-
-@lru_cache(maxsize=None)
-def octavian_glue_code() -> tuple[tuple[int, ...], ...]:
-    """Binary [8,4] code C with 2*O = {x in Z^8 : x mod 2 in C}.
-
-    Derived from the doubled coordinates of the 240 units; checked to
-    close into 16 words of weight 0, 4 or 8 (the extended Hamming code).
-    """
-    words = set()
-    for cls in octavian_unit_classes():
-        for u in cls:
-            words.add(tuple(c % 2 for c in u.coords2))
-    # close under XOR and check linearity
-    closed = set(words)
-    closed.add((0,) * 8)
-    while True:
-        new = {tuple((a[i] ^ b[i]) for i in range(8)) for a in closed for b in closed} - closed
-        if not new:
-            break
-        closed |= new
-    if len(closed) != 16 or any(sum(w) not in (0, 4, 8) for w in closed):
-        raise RuntimeError(f"glue code has {len(closed)} words, expected 16 of weight 0, 4 or 8")
-    return tuple(sorted(closed))
-
-
 # -- nearest-point decoding ------------------------------------------------
-
-
-def _cosets(ring: Ring) -> tuple[tuple[int, ...], ...]:
-    """Glue vectors g with 2 * ring = union of the cosets g + 2 Z^dim."""
-    if ring is Z:
-        return ((0,),)
-    if ring is HURWITZ:
-        return ((0, 0, 0, 0), (1, 1, 1, 1))
-    if ring is OCTAVIAN:
-        return octavian_glue_code()
-    raise ValueError(f"unknown ring {ring}")
 
 
 @lru_cache(maxsize=None)
@@ -665,7 +624,7 @@ def _pivot_product(hnf_rows) -> int:
 def commutator_ideal_index() -> int:
     """Index of the commutator ideal as a sublattice of the Hurwitz ring."""
     cbasis = [b.coords2 for b in commutator_ideal_basis()]
-    hbasis = _hnf_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [1, -1, -1, -1]])
+    hbasis = _hnf_rows(_lattice_basis2(HURWITZ))
     index, rem = divmod(_pivot_product(cbasis), _pivot_product(hbasis))
     if rem:
         raise ArithmeticError("commutator ideal is not a sublattice of the Hurwitz ring")
@@ -692,16 +651,12 @@ def is_in_commutator_ideal(x: AlgElem) -> bool:
 
 
 def random_element(ring: Ring, rng, max_coord2: int = 6) -> AlgElem:
-    """Uniform random ring element with doubled coordinates in a box."""
+    """Uniform random ring element with doubled coordinates in a box: a
+    uniform glue vector plus even offsets (Z: the wider box of even values
+    up to 2 max_coord2)."""
     if ring is Z:
         return AlgElem.from_coords2(1, [2 * rng.randint(-max_coord2, max_coord2)])
-    if ring is HURWITZ:
-        par = rng.randint(0, 1)
-        c2 = [2 * rng.randint(-max_coord2 // 2, max_coord2 // 2) + par for _ in range(4)]
-        return AlgElem.from_coords2(4, c2)
-    if ring is OCTAVIAN:
-        code = octavian_glue_code()
-        cw = code[rng.randrange(len(code))]
-        c2 = [2 * rng.randint(-max_coord2 // 2, max_coord2 // 2) + p for p in cw]
-        return AlgElem.from_coords2(8, c2)
-    raise ValueError(f"unknown ring {ring}")
+    code = _cosets(ring)
+    cw = code[rng.randrange(len(code))]
+    c2 = [2 * rng.randint(-max_coord2 // 2, max_coord2 // 2) + p for p in cw]
+    return AlgElem.from_coords2(ring.dim, c2)

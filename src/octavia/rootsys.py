@@ -25,7 +25,6 @@ from .algebra import (
     cd_multiply,
     conj,
     inner,
-    invert,
     norm_sq,
     one,
     real_part,
@@ -166,8 +165,12 @@ def right_mult_map(b: AlgElem) -> LinMap:
 
 
 def brandt_conjugation(a: AlgElem) -> LinMap:
-    """x -> a x a^{-1}; an automorphism exactly when a is a Brandt unit."""
-    return _bimult_map(a, invert(a))
+    """x -> a x a^{-1} = a x conj(a) for a unit a; an automorphism exactly
+    when a is a Brandt unit.  Any other a raises ValueError, because only
+    a unit's conjugate is its inverse."""
+    if norm_sq(a) != 1:
+        raise ValueError(f"{a} is not a unit")
+    return _bimult_map(a, conj(a))
 
 
 def is_automorphism_map(m: LinMap) -> bool:
@@ -347,20 +350,12 @@ def s_relation_composite() -> LinMap:
 # -- automorphism criteria (nested conjugations) ---------------------------
 
 
-def nested_conjugation(seq, x: AlgElem) -> AlgElem:
-    """x -> a_1(a_2( ... (a_k x a_k^{-1}) ... )a_2^{-1})a_1^{-1}."""
-    out = x
-    for a in reversed(seq):
-        out = cd_multiply(a, cd_multiply(out, invert(a)))
-    return out
-
-
 def nested_conjugation_map(seq) -> LinMap:
-    """The LinMap of x -> nested_conjugation(seq, x): the composition
-    brandt_conjugation(a_1) o ... o brandt_conjugation(a_k) of integer
-    maps ((a x) a^{-1} = a (x a^{-1}) by flexibility).  Each factor's
-    conjugation must keep the half-integer lattice, as every octavian
-    unit's does; otherwise ValueError."""
+    """The LinMap of x -> a_1(a_2( ... (a_k x a_k^{-1}) ... )a_2^{-1})a_1^{-1}:
+    the composition brandt_conjugation(a_1) o ... o brandt_conjugation(a_k)
+    of integer maps ((a x) a^{-1} = a (x a^{-1}) by flexibility).  Each
+    a_i must be a unit whose conjugation keeps the half-integer lattice,
+    as every octavian unit's does; otherwise ValueError."""
     if not seq:
         raise ValueError("need a nonempty sequence of nonzero elements")
     return reduce(LinMap.__mul__, map(brandt_conjugation, seq))
@@ -462,8 +457,9 @@ def _matrix_closure(gens: np.ndarray, limit: int) -> list:
 
 
 # Three Brandt conjugations, by index into octavian_unit_classes()[1],
-# already generate H; no two of the 112 do.
-_BRANDT_GENERATORS = (0, 1, 16)
+# already generate H; no two of the 112 do.  They conjugate by
+# (1 + e1 + e2 + e4)/2, (1 + e1 + e2 - e4)/2 and (1 + e1 + e3 + e7)/2.
+_BRANDT_GENERATORS = (111, 110, 109)
 
 
 @lru_cache(maxsize=None)
@@ -503,9 +499,8 @@ def g2_key_set() -> frozenset:
 
 @lru_cache(maxsize=None)
 def imaginary_units() -> tuple:
-    """The 126 imaginary unit octavians, deterministic order."""
-    _, _, imag = octavian_unit_classes()
-    return tuple(sorted(imag, key=lambda u: u.coords))
+    """The 126 imaginary unit octavians, sorted by coords."""
+    return octavian_unit_classes()[2]
 
 
 # -- W+(E7) ----------------------------------------------------------------
@@ -626,7 +621,8 @@ def generate_w_e7() -> int:
     """
     imag = imaginary_units()
     _, brandt, _ = octavian_unit_classes()
-    gens = [brandt_conjugation(a).matrix2() for a in brandt[:3]]
+    # conjugations by (1 + e1 + e2 +- e4)/2 and (1 + e1 - e2 + e4)/2
+    gens = [brandt_conjugation(brandt[i]).matrix2() for i in (111, 110, 101)]
     for g, h in itertools.islice(itertools.combinations(imag, 2), 4):
         gens.append((sandwich_map(g) * sandwich_map(h)).matrix2())
     return len(_matrix_closure(np.stack(gens), limit=2_000_000))
@@ -672,7 +668,7 @@ def e8_decompose(m: LinMap):
     b = AlgElem.from_coords2(8, m.rows2[0])
     if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
         raise ValueError("m does not preserve the octavian lattice")
-    stab = right_mult_map(invert(b)) * m
+    stab = right_mult_map(conj(b)) * m
     keys = g2_key_set()
     if stab.key() in keys:
         return one(8), one(8), b, stab

@@ -244,6 +244,32 @@ def test_config_defaults_flags_win(tmp_path, capsys):
     assert data["ring"] == "hurwitz"
 
 
+def _error_exit(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_config_errors_exit_2(tmp_path, capsys):
+    code, err = _error_exit(capsys, "units", "--config", str(tmp_path / "missing.cfg"))
+    assert code == 2 and err.startswith("error:")
+    for text in ("ring = octavian\nno equals sign\n", "bogus_key = 7\n"):
+        cfg = tmp_path / "octavia.cfg"
+        cfg.write_text(text)
+        code, err = _error_exit(capsys, "units", "--config", str(cfg))
+        assert code == 2 and err.startswith("error:"), text
+
+
+def test_invalid_option_values_exit_2(tmp_path, capsys):
+    outdir = tmp_path / "new"
+    for argv in (("euclid", "--ring", "z", "--side", "up", "--a", "r:2", "--c", "r:4"),
+                 ("group", "--which", "x"),
+                 ("export", "--kind", "x", "--outdir", str(outdir)),
+                 ("units", "--ring", "foo")):
+        code, err = _error_exit(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
+    assert not outdir.exists()
+
+
 def test_export(tmp_path, capsys):
     code, _ = _run(capsys, "export", "--kind", "roots", "--algebra", "d4",
                    "--outdir", str(tmp_path))

@@ -1,6 +1,9 @@
 """Integer rings: membership, units, Euclid, coprimality, lattices."""
 
+import itertools
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from octavia.algebra import (
 )
 from octavia.rings import (
     EuclTrace,
+    _cosets,
     HURWITZ,
     OCTAVIAN,
     Z,
@@ -60,6 +64,68 @@ def test_octavian_unit_partition():
     assert (len(real), len(brandt), len(imag)) == (2, 112, 126)
     for u in real + brandt + imag:
         assert norm_sq(u) == 1 and is_member(OCTAVIAN, u)
+
+
+def _signed(dim, slots):
+    """The elements with doubled coordinates +-1 on slots and 0 elsewhere."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(slots)):
+        c2 = [0] * dim
+        for k, sign in zip(slots, signs):
+            c2[k] = sign
+        out.append(AlgElem.from_coords2(dim, c2))
+    return out
+
+
+# The explicit unit lists of the paper, as literal data.  Hurwitz: +-1,
+# +-e_k and (+-1 +- e1 +- e5 +- e6)/2.  Octavians: the Brandt numbers
+# (+-1 +- e_i +- e_j +- e_k)/2 over the index triples, and the imaginary
+# units (+-e_m +- e_n +- e_p +- e_q)/2 over the index quads together
+# with +-e_r.
+BRANDT_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 6), (2, 5, 7), (3, 4, 5), (4, 6, 7))
+IMAGINARY_QUADS = ((3, 5, 6, 7), (2, 4, 5, 6), (2, 3, 4, 7), (1, 4, 5, 7), (1, 3, 4, 6), (1, 2, 6, 7), (1, 2, 3, 5))
+HURWITZ_UNITS = [s * basis_unit(4, k) for k in range(4) for s in (1, -1)] + _signed(4, (0, 1, 2, 3))
+OCTAVIAN_CLASSES = (
+    [one(8), -one(8)],
+    [u for t in BRANDT_TRIPLES for u in _signed(8, (0,) + t)],
+    [u for q in IMAGINARY_QUADS for u in _signed(8, q)]
+    + [s * basis_unit(8, r) for r in range(1, 8) for s in (1, -1)],
+)
+
+
+def _by_coords(elems):
+    return tuple(sorted(elems, key=lambda u: u.coords))
+
+
+def test_units_match_the_paper_lists():
+    assert units(HURWITZ) == _by_coords(HURWITZ_UNITS)
+    assert units(OCTAVIAN) == _by_coords(sum(OCTAVIAN_CLASSES, []))
+    assert [set(c) for c in octavian_unit_classes()] == [set(c) for c in OCTAVIAN_CLASSES]
+    assert all(c == _by_coords(c) for c in octavian_unit_classes())
+
+
+@lru_cache(maxsize=None)
+def _paper_glue_code(ring):
+    """The XOR closure of the parities of the paper's units, sorted."""
+    units_list = HURWITZ_UNITS if ring is HURWITZ else sum(OCTAVIAN_CLASSES, [])
+    closed = {tuple(c % 2 for c in u.coords2) for u in units_list}
+    while True:
+        new = {tuple(x ^ y for x, y in zip(a, b)) for a in closed for b in closed} - closed
+        if not new:
+            return tuple(sorted(closed))
+        closed |= new
+
+
+def test_glue_codes_are_spanned_by_the_unit_parities():
+    # the code derived from the simple roots against the one the paper's
+    # units span; the octavian one is the [8,4] extended Hamming code
+    for ring in (HURWITZ, OCTAVIAN):
+        assert _cosets(ring) == _paper_glue_code(ring)
+    assert _cosets(Z) == ((0,),)
+    assert _cosets(HURWITZ) == ((0, 0, 0, 0), (1, 1, 1, 1))
+    code = _cosets(OCTAVIAN)
+    assert len(code) == 16
+    assert sorted(sum(w) for w in code) == [0] + [4] * 14 + [8]
 
 
 def test_ring_closure_under_multiplication(rng):
@@ -325,3 +391,27 @@ def test_random_element_members(rng):
     for ring in (Z, HURWITZ, OCTAVIAN):
         for _ in range(50):
             assert is_member(ring, random_element(ring, rng))
+
+
+def _random_element_by_ring(ring, rng, max_coord2=6):
+    """One branch per ring with its own glue code: the draw that the
+    single glue-code branch of random_element must reproduce."""
+    if ring is Z:
+        return AlgElem.from_coords2(1, [2 * rng.randint(-max_coord2, max_coord2)])
+    if ring is HURWITZ:
+        par = rng.randint(0, 1)
+        c2 = [2 * rng.randint(-max_coord2 // 2, max_coord2 // 2) + par for _ in range(4)]
+        return AlgElem.from_coords2(4, c2)
+    code = _paper_glue_code(OCTAVIAN)
+    cw = code[rng.randrange(len(code))]
+    c2 = [2 * rng.randint(-max_coord2 // 2, max_coord2 // 2) + p for p in cw]
+    return AlgElem.from_coords2(8, c2)
+
+
+@pytest.mark.parametrize("max_coord2", [3, 4, 6])
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_random_element_matches_per_ring_draw(ring, max_coord2):
+    seed = f"{ring.name}:{max_coord2}"
+    got, expect = random.Random(seed), random.Random(seed)
+    assert ([random_element(ring, got, max_coord2) for _ in range(200)]
+            == [_random_element_by_ring(ring, expect, max_coord2) for _ in range(200)])

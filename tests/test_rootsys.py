@@ -36,7 +36,7 @@ from octavia.rootsys import (
     unit_corollary_check,
     w_e8_order,
 )
-from octavia.rootsys import nested_conjugation, nested_conjugation_map
+from octavia.rootsys import nested_conjugation_map
 
 D4_CARTAN = [
     [2, -1, 0, 0],
@@ -169,6 +169,25 @@ def test_g2_order_and_multiplicativity(rng):
     assert hashlib.sha256(rows.tobytes()).hexdigest() == G2_DIGEST
     for _ in range(5):
         assert is_automorphism_map(rng.choice(maps))
+
+
+def nested_conjugation(seq, x: AlgElem) -> AlgElem:
+    """x -> a_1(a_2( ... (a_k x a_k^{-1}) ... )a_2^{-1})a_1^{-1} in exact
+    Fraction arithmetic: the oracle of nested_conjugation_map."""
+    out = x
+    for a in reversed(seq):
+        out = cd_multiply(a, cd_multiply(out, invert(a)))
+    return out
+
+
+def test_brandt_conjugation_rejects_non_units():
+    # conj(a) is the inverse of a only when |a|^2 = 1; x -> 2 x (1/2) is
+    # the identity, and so lattice-preserving, yet 2 is no unit
+    for a in (one(8) * 2, one(8) + basis_unit(8, 1), one(4) * 2):
+        with pytest.raises(ValueError):
+            brandt_conjugation(a)
+    with pytest.raises(ValueError):
+        nested_conjugation_map((units(OCTAVIAN)[0], one(8) * 2))
 
 
 def test_brandt_conjugations_are_automorphisms(rng):

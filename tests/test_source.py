@@ -112,3 +112,17 @@ def test_all_names_are_bound():
         found += [f"{path.name} {n}" for n in getattr(module, "__all__", ())
                   if not hasattr(module, n)]
     assert found == []
+
+
+def test_public_definitions_are_exported():
+    # a public def left out of __all__ is either an export nobody declared
+    # or a leftover; cli exports only main by design
+    found = []
+    for stem in ("algebra", "rings", "rootsys", "hyperweyl", "uhp", "autoforms"):
+        path = SRC / f"{stem}.py"
+        exported = set(importlib.import_module(f"octavia.{stem}").__all__)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in exported]
+    assert found == []
