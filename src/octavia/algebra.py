@@ -4,7 +4,9 @@ Supports the real numbers (dim 1), complex numbers (dim 2), quaternions
 (dim 4), octonions (dim 8) and, for the zero-divisor demonstration only,
 the 16-dimensional sedenions.  Coordinates are stored as exact rationals
 (``fractions.Fraction``), so every half-integer lattice element is
-represented without rounding error.
+represented without rounding error.  Products and inner products run on
+the integer numerators over each operand's least common denominator and
+build one ``Fraction`` per output coordinate.
 
 The octonion basis follows the convention in which ``(e1, e5, e6)`` is a
 quaternionic triple and the full multiplication table is generated from
@@ -20,6 +22,7 @@ the span of ``(1, e1, e5, e6)``; a dim-4 element with coordinates
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -339,21 +342,35 @@ def basis_unit(dim: int, k: int) -> AlgElem:
     return AlgElem(dim, tuple(coords))
 
 
+@lru_cache(maxsize=None)
+def _table_rows(dim: int) -> tuple[list, list]:
+    """structure_table(dim) as nested lists of Python ints."""
+    idx, sgn = structure_table(dim)
+    return idx.tolist(), sgn.tolist()
+
+
+def _scaled(a: AlgElem) -> tuple[list[int], int]:
+    """(numerators, den) with a.coords[k] = numerators[k] / den, den the
+    least common denominator."""
+    den = math.lcm(*[c.denominator for c in a.coords])
+    return [c.numerator * (den // c.denominator) for c in a.coords], den
+
+
 def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
     """Exact product in the algebra shared by a and b."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    idx, sgn = structure_table(a.dim)
-    out = [Fraction(0)] * a.dim
-    for i, ai in enumerate(a.coords):
-        if ai == 0:
-            continue
-        row_i, row_s = idx[i], sgn[i]
-        for j, bj in enumerate(b.coords):
-            if bj == 0:
-                continue
-            out[int(row_i[j])] += int(row_s[j]) * ai * bj
-    return AlgElem(a.dim, tuple(out))
+    idx, sgn = _table_rows(a.dim)
+    an, ad = _scaled(a)
+    bn, bd = _scaled(b)
+    out = [0] * a.dim
+    for x, row_i, row_s in zip(an, idx, sgn):
+        if x:
+            for y, k, s in zip(bn, row_i, row_s):
+                if y:
+                    out[k] += s * x * y
+    den = ad * bd
+    return AlgElem(a.dim, tuple(Fraction(n, den) for n in out))
 
 
 def conj(a: AlgElem) -> AlgElem:
@@ -368,7 +385,9 @@ def inner(a: AlgElem, b: AlgElem) -> Fraction:
     """Positive-definite inner product (a,b) = (a b~ + b a~)/2."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return sum((x * y for x, y in zip(a.coords, b.coords)), Fraction(0))
+    an, ad = _scaled(a)
+    bn, bd = _scaled(b)
+    return Fraction(sum(x * y for x, y in zip(an, bn)), ad * bd)
 
 
 def norm_sq(a: AlgElem) -> Fraction:
@@ -407,41 +426,65 @@ def moufang_residuals(a: AlgElem, x: AlgElem, y: AlgElem) -> tuple[AlgElem, AlgE
     return m1, m2, m3
 
 
+def _zero_divisor_rows(dim: int):
+    """Yield (p, qs) for each basis-unit sum p = e_a + s e_b (0 < a < b,
+    s = 1 then -1, pairs in combination order) that has partners: the
+    rows q of the same form with pq = 0, in the same order; one batched
+    _mult4 per p."""
+    eye = np.eye(dim, dtype=np.int64)
+    sums = np.array([eye[a] + s * eye[b] for a, b in itertools.combinations(range(1, dim), 2)
+                     for s in (1, -1)], dtype=np.int64).reshape(-1, dim)
+    for p in sums:
+        hits = sums[~_mult4(np.broadcast_to(p, sums.shape), sums).any(axis=1)]
+        if len(hits):
+            yield p.tolist(), hits.tolist()
+
+
 def find_sedenion_zero_divisors() -> tuple[AlgElem, AlgElem, Fraction, Fraction, Fraction]:
     """Search sums of two basis units for a sedenion zero-divisor pair.
 
     Returns (p, q, |pq|^2, |p|^2, |q|^2) with p*q = 0, p != 0, q != 0;
     the norms witness the failure of |pq| = |p||q|.
     """
-    for p, q in _basis_sum_pairs(16):
-        prod = cd_multiply(p, q)
-        if prod.is_zero():
-            return p, q, norm_sq(prod), norm_sq(p), norm_sq(q)
+    for p, qs in _zero_divisor_rows(16):
+        p, q = AlgElem.make(16, p), AlgElem.make(16, qs[0])
+        return p, q, norm_sq(cd_multiply(p, q)), norm_sq(p), norm_sq(q)
     raise AssertionError("no sedenion zero divisors found in search space")
-
-
-def _basis_sum_pairs(dim: int):
-    """All pairs (e_a + s*e_b, e_c + t*e_d) of distinct-unit sums."""
-    units = range(1, dim)
-    for a, b in itertools.combinations(units, 2):
-        for s in (1, -1):
-            p = basis_unit(dim, a) + s * basis_unit(dim, b)
-            for c, d in itertools.combinations(units, 2):
-                for t in (1, -1):
-                    q = basis_unit(dim, c) + t * basis_unit(dim, d)
-                    yield p, q
 
 
 def basis_sum_zero_divisor_search(dim: int):
     """Exhaustive zero-divisor scan over basis-unit sums; [] for dim <= 8."""
-    hits = []
-    for p, q in _basis_sum_pairs(dim):
-        if cd_multiply(p, q).is_zero():
-            hits.append((p, q))
-    return hits
+    return [(AlgElem.make(dim, p), AlgElem.make(dim, q))
+            for p, qs in _zero_divisor_rows(dim) for q in qs]
 
 
 # -- numeric helpers for vectorized lattice work ---------------------------
+
+
+@lru_cache(maxsize=None)
+def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) with e_i e_perm[i, k] = sign[i, k] e_k."""
+    idx, sgn = structure_table(dim)
+    perm = np.argsort(idx, axis=1)
+    return perm, np.take_along_axis(sgn, perm, axis=1)
+
+
+def _mult4(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Row-wise product of doubled coordinates, unhalved: 4 (x2/2)(y2/2)
+    (on plain integer coordinates, the product itself)."""
+    perm, sign = _product_table(x2.shape[1])
+    raw = x2[:, :1] * (y2[:, perm[0]] * sign[0])
+    for i in range(1, x2.shape[1]):
+        raw += x2[:, i:i + 1] * (y2[:, perm[i]] * sign[i])
+    return raw
+
+
+def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Row-wise algebra product on doubled coordinates, 2 (x2/2)(y2/2)."""
+    raw = _mult4(x2, y2)
+    if np.any(raw & 1):
+        raise ArithmeticError("product left the half-integer lattice")
+    return raw >> 1
 
 
 @lru_cache(maxsize=None)

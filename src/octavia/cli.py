@@ -134,22 +134,30 @@ def _load_config(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill arguments that were left at None from the config file.
+    """Fill arguments that were left at None, and flags that were not
+    passed, from the config file.
 
     One file may serve every subcommand, so a key for another
     subcommand's option is skipped; a key that names no option of any
-    subcommand is a ValueError.
+    subcommand, or a flag key whose value is not true or false, is a
+    ValueError.
     """
     path = getattr(args, "config", None)
     if not path:
         return args
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = {a.dest for sp in subs.choices.values() for a in sp._actions} - {"help"}
+    actions = [a for sp in subs.choices.values() for a in sp._actions]
+    known = {a.dest for a in actions} - {"help"}
+    flags = {a.dest for a in actions if isinstance(a, argparse._StoreTrueAction)}
     for key, val in _load_config(path).items():
         attr = key.replace("-", "_")
         if attr not in known:
             raise ValueError(f"config key {key!r} names no option of any subcommand")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if attr in flags:
+            if val.lower() not in ("true", "false"):
+                raise ValueError(f"config key {key!r} takes true or false, not {val!r}")
+            val = val.lower() == "true"
+        if hasattr(args, attr) and getattr(args, attr) in (None, False):
             setattr(args, attr, val)
     return args
 
@@ -201,7 +209,7 @@ def cmd_group(args) -> int:
         order, elements = len(maps), maps
     elif which == "e7":
         if not args.heavy:
-            raise SystemExit("the W+(E7) closure is minutes-scale; pass --heavy")
+            raise ValueError("the W+(E7) closure is minutes-scale; pass --heavy")
         order, elements = rootsys.generate_w_e7(), None
     elif which == "e8":
         order, elements = rootsys.w_e8_order(), None

@@ -19,6 +19,7 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
+    _mult2,
     cd_multiply,
     commutator,
     conj,
@@ -35,7 +36,6 @@ from .rings import (
     Z,
     _euclid_rows,
     _exact_rows,
-    _mult2,
     _orbit_reps,
     _pair_chunks,
     _unit_orbit_min,

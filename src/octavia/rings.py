@@ -27,12 +27,12 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
+    _mult2,
     basis_unit,
     cd_multiply,
     commutator,
     norm_sq,
     one,
-    structure_table,
     zero,
 )
 
@@ -283,31 +283,6 @@ class EuclTrace:
     def last_divisor(self) -> AlgElem:
         """The last nonzero remainder (or c itself when division is exact)."""
         return self.remainders[-1] if self.remainders else self.inputs[1]
-
-
-@lru_cache(maxsize=None)
-def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, sign) with e_i e_perm[i, k] = sign[i, k] e_k."""
-    idx, sgn = structure_table(dim)
-    perm = np.argsort(idx, axis=1)
-    return perm, np.take_along_axis(sgn, perm, axis=1)
-
-
-def _mult4(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Row-wise product of doubled coordinates, unhalved: 4 (x2/2)(y2/2)."""
-    perm, sign = _product_table(x2.shape[1])
-    raw = x2[:, :1] * (y2[:, perm[0]] * sign[0])
-    for i in range(1, x2.shape[1]):
-        raw += x2[:, i:i + 1] * (y2[:, perm[i]] * sign[i])
-    return raw
-
-
-def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Row-wise algebra product on doubled coordinates, 2 (x2/2)(y2/2)."""
-    raw = _mult4(x2, y2)
-    if np.any(raw & 1):
-        raise ArithmeticError("product left the half-integer lattice")
-    return raw >> 1
 
 
 def _orbit_units(ring: Ring) -> tuple[AlgElem, ...]:

@@ -21,6 +21,8 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
+    _mult2,
+    _mult4,
     basis_unit,
     cd_multiply,
     conj,
@@ -35,8 +37,6 @@ from .rings import (
     E8_SIMPLE_ROOTS,
     HURWITZ,
     OCTAVIAN,
-    _mult2,
-    _mult4,
     is_member,
     octavian_unit_classes,
     units,
@@ -233,20 +233,21 @@ def reflect(x: AlgElem, a: AlgElem) -> AlgElem:
 
 @lru_cache(maxsize=None)
 def all_roots(algebra: str) -> tuple:
-    """Closure of the simple roots under simple reflections."""
-    simple = _simple_roots(algebra)
-    roots = set(simple)
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for r in frontier:
-            for s in simple:
-                img = reflect(r, s)
-                if img not in roots:
-                    roots.add(img)
-                    new.append(img)
-        frontier = new
-    return tuple(sorted(roots, key=lambda u: u.coords))
+    """Closure of the simple roots under the simple reflections, sorted by
+    coords: on doubled coordinates, where reflect(x, a) = -a conj(x) a for
+    the unit simple roots a, batched over frontier x simple roots."""
+    s2 = np.array([r.coords2 for r in _simple_roots(algebra)], dtype=np.int64)
+    k, dim = s2.shape
+    conj_sign = np.array([1] + [-1] * (dim - 1))
+    roots = set(map(tuple, s2.tolist()))
+    frontier = s2
+    while len(frontier):
+        a = np.tile(s2, (len(frontier), 1))
+        img = -_mult2(_mult2(a, np.repeat(frontier * conj_sign, k, axis=0)), a)
+        new = set(map(tuple, img.tolist())) - roots
+        roots |= new
+        frontier = np.array(sorted(new), dtype=np.int64).reshape(-1, dim)
+    return tuple(AlgElem.from_coords2(dim, r) for r in sorted(roots))
 
 
 def cartan_matrix(algebra: str) -> list[list[int]]:
@@ -476,25 +477,33 @@ def _brandt_closure() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def generate_G2_2() -> tuple:
-    """Aut(O) = G2(2), order 12 096, sorted by rows2.
+def _g2_stack() -> np.ndarray:
+    """The 12 096 matrix2() of Aut(O) = G2(2) as one int8 stack, sorted by
+    rows2.
 
     The Brandt conjugations close into the index-2 derived subgroup H
     of order 6048, so the group is H u H phi for the outer automorphism
-    phi found by _outer_automorphism.
+    phi found by _outer_automorphism.  Entries lie in [-2, 2].
     """
     h = _brandt_closure()
-    mats = np.concatenate([h, _product2(h, _outer_automorphism().matrix2())])
+    phi = _outer_automorphism().matrix2()
+    mats = np.concatenate([h, _product2(h, phi)]).astype(np.int8)
     if len(set(_keys(mats))) != 12096:
         raise RuntimeError("H u H phi does not have 12096 distinct elements")
     flat = mats.reshape(len(mats), -1)
-    order = np.lexsort(flat.T[::-1])  # lexicographic on rows2, first entry first
-    return tuple(LinMap(8, tuple(map(tuple, mats[i].tolist()))) for i in order)
+    return mats[np.lexsort(flat.T[::-1])]  # lexicographic on rows2
+
+
+@lru_cache(maxsize=None)
+def generate_G2_2() -> tuple:
+    """Aut(O) = G2(2), order 12 096, sorted by rows2 (see _g2_stack)."""
+    return tuple(LinMap(8, tuple(map(tuple, m.tolist()))) for m in _g2_stack())
 
 
 @lru_cache(maxsize=None)
 def g2_key_set() -> frozenset:
-    return frozenset(m.key() for m in generate_G2_2())
+    """The key() of every element of generate_G2_2()."""
+    return frozenset(_keys(_g2_stack()))
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +541,7 @@ def _unit_codes(x2: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _imaginary_factor_table() -> tuple:
     """The products of the 126 x 126 imaginary-unit pairs, in one batched
-    rings._mult2.
+    algebra._mult2.
 
     Pair k = 126 i + j is (g, h) = (imag[i], imag[j]) with imag =
     imaginary_units(), so pair indices run g-major.  Returns (codes,

@@ -1,5 +1,6 @@
 """Cayley-Dickson arithmetic: composition, alternativity, serialization."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from octavia.algebra import (
     AlgElem,
     associator,
+    basis_sum_zero_divisor_search,
     basis_unit,
     cd_multiply,
     commutator,
@@ -21,6 +23,7 @@ from octavia.algebra import (
     norm_sq,
     one,
     right_mult_matrix,
+    structure_table,
     to_text,
     verify_octonion_table,
     zero,
@@ -47,6 +50,60 @@ def test_norm_composition(rng, dim):
 def test_sedenions_do_not_compose():
     p, q, nz, np_, nq = find_sedenion_zero_divisors()
     assert nz == 0 and np_ > 0 and nq > 0
+
+
+def _fraction_multiply(a, b):
+    """The Fraction loop through the structure table: the oracle for the
+    integer-numerator cd_multiply."""
+    idx, sgn = structure_table(a.dim)
+    out = [Fraction(0)] * a.dim
+    for i, ai in enumerate(a.coords):
+        for j, bj in enumerate(b.coords):
+            if ai and bj:
+                out[int(idx[i, j])] += int(sgn[i, j]) * ai * bj
+    return AlgElem(a.dim, tuple(out))
+
+
+def _rational(rng, dim):
+    """A seeded element: zero, half-integral, with denominators 3 and 7,
+    or (dim <= 8) the inverse of a half-integral element."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return zero(dim)
+    if kind == 1 or (kind == 3 and dim == 16):
+        return _rand(rng, dim)
+    if kind == 2:
+        return AlgElem.make(dim, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+                                  for _ in range(dim)])
+    x = _rand(rng, dim)
+    return invert(x) if not x.is_zero() else one(dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_integer_products_match_fraction_loop(rng, dim):
+    for _ in range(60):
+        a, b = _rational(rng, dim), _rational(rng, dim)
+        prod = cd_multiply(a, b)
+        assert prod.coords == _fraction_multiply(a, b).coords
+        assert all(type(c.numerator) is int for c in prod.coords)
+        ip = inner(a, b)
+        assert ip == sum((x * y for x, y in zip(a.coords, b.coords)), Fraction(0))
+        assert type(ip.numerator) is int
+
+
+def _basis_sum_pair_scan(dim):
+    """Every pair (e_a + s e_b, e_c + t e_d) with zero product, one
+    cd_multiply per pair in combination order."""
+    sums = [basis_unit(dim, a) + s * basis_unit(dim, b)
+            for a, b in itertools.combinations(range(1, dim), 2) for s in (1, -1)]
+    return [(p, q) for p in sums for q in sums if cd_multiply(p, q).is_zero()]
+
+
+def test_zero_divisor_scan_matches_pair_scan():
+    hits = _basis_sum_pair_scan(16)
+    assert basis_sum_zero_divisor_search(16) == hits
+    assert find_sedenion_zero_divisors()[:2] == hits[0]
+    assert basis_sum_zero_divisor_search(8) == []
 
 
 @pytest.mark.parametrize("dim", [4, 8])

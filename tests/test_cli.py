@@ -55,8 +55,9 @@ def test_group_orders(capsys):
 
 
 def test_group_e7_requires_heavy(capsys):
-    with pytest.raises(SystemExit):
-        main(["group", "--which", "e7"])
+    code, err = _error_exit(capsys, "group", "--which", "e7")
+    assert code == 2
+    assert err == "error: the W+(E7) closure is minutes-scale; pass --heavy\n"
 
 
 def test_euclid(capsys):
@@ -249,10 +250,26 @@ def _error_exit(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+def test_config_fills_flags(tmp_path, capsys):
+    cfg = tmp_path / "octavia.cfg"
+    cfg.write_text("words = true\n")
+    data = _run_json(capsys, "coset", "--config", str(cfg), "--ring", "z", "--bound", "1")
+    assert data["representatives"]
+    assert all("word" in entry for entry in data["representatives"])
+    # false leaves the flag off, and a passed flag wins over false
+    cfg.write_text("words = False\n")
+    data = _run_json(capsys, "coset", "--config", str(cfg), "--ring", "z", "--bound", "1")
+    assert not any("word" in entry for entry in data["representatives"])
+    data = _run_json(capsys, "coset", "--config", str(cfg), "--ring", "z", "--bound", "1",
+                     "--words")
+    assert all("word" in entry for entry in data["representatives"])
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     code, err = _error_exit(capsys, "units", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2 and err.startswith("error:")
-    for text in ("ring = octavian\nno equals sign\n", "bogus_key = 7\n"):
+    for text in ("ring = octavian\nno equals sign\n", "bogus_key = 7\n",
+                 "words = yes\n", "heavy = 1\n"):
         cfg = tmp_path / "octavia.cfg"
         cfg.write_text(text)
         code, err = _error_exit(capsys, "units", "--config", str(cfg))

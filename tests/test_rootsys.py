@@ -9,7 +9,14 @@ import pytest
 
 from octavia import rootsys
 from octavia.algebra import AlgElem, basis_unit, cd_multiply, invert, norm_sq, one, real_part
-from octavia.rings import OCTAVIAN, is_member, octavian_unit_classes, units
+from octavia.rings import (
+    D4_SIMPLE_ROOTS,
+    E8_SIMPLE_ROOTS,
+    OCTAVIAN,
+    is_member,
+    octavian_unit_classes,
+    units,
+)
 from octavia.rootsys import (
     LinMap,
     all_roots,
@@ -100,6 +107,18 @@ def test_roots_closed_under_reflection(rng):
         for a in sample:
             for x in sample:
                 assert reflect(x, a) in roots
+
+
+@pytest.mark.parametrize("name", ["d4", "e7", "e8"])
+def test_all_roots_match_reflect_closure(name):
+    simple = {"d4": D4_SIMPLE_ROOTS, "e7": E8_SIMPLE_ROOTS[1:], "e8": E8_SIMPLE_ROOTS}[name]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        frontier = [img for img in {reflect(r, s) for r in frontier for s in simple}
+                    if img not in roots]
+        roots.update(frontier)
+    assert all_roots(name) == tuple(sorted(roots, key=lambda u: u.coords))
 
 
 def test_d4_even_order():
@@ -303,6 +322,10 @@ def _full_scan(m, outer_first):
             if phi.key() in keys:
                 return g, imag[j], phi
     raise AssertionError("no sandwich pair leaves an automorphism")
+
+
+def test_g2_key_set_matches_element_keys():
+    assert g2_key_set() == frozenset(m.key() for m in generate_G2_2())
 
 
 def test_class_first_search_matches_full_scan():
