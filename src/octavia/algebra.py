@@ -157,6 +157,13 @@ def _double_table(idx, sgn):
     return didx, dsgn
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: a cached array is shared by every
+    caller, so a write into it would corrupt later results."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def structure_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis multiplication table for the algebra of the given dimension.
@@ -166,12 +173,13 @@ def structure_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     if dim not in VALID_DIMS:
         raise ValueError(f"unsupported algebra dimension {dim}")
     if dim == 8:
-        return _octonion_table()
-    if dim == 16:
-        return _double_table(*_octonion_table())
-    oidx, osgn = _octonion_table()
-    embed = QUAT_EMBED[: {1: 1, 2: 2, 4: 4}[dim]]
-    return _restrict_table(oidx, osgn, embed)
+        table = _octonion_table()
+    elif dim == 16:
+        table = _double_table(*_octonion_table())
+    else:
+        embed = QUAT_EMBED[: {1: 1, 2: 2, 4: 4}[dim]]
+        table = _restrict_table(*_octonion_table(), embed)
+    return tuple(map(_readonly, table))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +189,7 @@ def _pure_cd_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     sgn = np.ones((1, 1), dtype=np.int64)
     while idx.shape[0] < dim:
         idx, sgn = _double_table(idx, sgn)
-    return idx, sgn
+    return _readonly(idx), _readonly(sgn)
 
 
 @lru_cache(maxsize=None)
@@ -466,7 +474,7 @@ def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(perm, sign) with e_i e_perm[i, k] = sign[i, k] e_k."""
     idx, sgn = structure_table(dim)
     perm = np.argsort(idx, axis=1)
-    return perm, np.take_along_axis(sgn, perm, axis=1)
+    return _readonly(perm), _readonly(np.take_along_axis(sgn, perm, axis=1))
 
 
 def _mult4(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -495,7 +503,7 @@ def _structure_float(dim: int) -> np.ndarray:
     for i in range(dim):
         for j in range(dim):
             S[i, j, int(idx[i, j])] = float(sgn[i, j])
-    return S
+    return _readonly(S)
 
 
 def left_mult_matrix(a: Sequence[float], dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgElem, _structure_float
+from .algebra import AlgElem, _readonly, _structure_float
 from .rings import (
     OCTAVIAN,
     Ring,
@@ -95,7 +95,7 @@ def _ball_data(ring: Ring, radius: int):
     pts2 = enumerate_ball(ring, radius)
     pts = pts2.astype(float) / 2.0
     reps, weight = _orbit_reps(ring, radius)
-    return pts2, pts, (pts * pts).sum(axis=1), reps, weight
+    return tuple(map(_readonly, (pts2, pts, (pts * pts).sum(axis=1), reps, weight)))
 
 
 @lru_cache(maxsize=8)
@@ -114,8 +114,7 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     mask = np.empty((len(reps), len(pts2)), dtype=bool)
     for lo, hi, c2, d2 in _pair_chunks(pts2[reps], pts2):
         mask[lo:hi] = (left_content(ring, c2, d2) == 4).reshape(hi - lo, len(pts2))
-    mask.flags.writeable = False
-    return mask
+    return _readonly(mask)
 
 
 def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:

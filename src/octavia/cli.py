@@ -205,8 +205,8 @@ def cmd_group(args) -> int:
     if which == "d4":
         order, elements = rootsys.d4_even_count(), None
     elif which == "g2":
-        maps = rootsys.generate_G2_2()
-        order, elements = len(maps), maps
+        order = len(rootsys.g2_key_set())
+        elements = rootsys.generate_G2_2() if args.elements else None
     elif which == "e7":
         if not args.heavy:
             raise ValueError("the W+(E7) closure is minutes-scale; pass --heavy")
@@ -539,8 +539,8 @@ CHECKS = (
           _bessel_half, 0.0, tol=1e-9),
     Check("Green PDE residual", "autoforms", "autoforms.green_pde_residual",
           _green_pde, 0.0, tol=1e-6),
-    Check("G2(2) order", "groups", "rootsys.generate_G2_2",
-          lambda rng: len(rootsys.generate_G2_2()), 12096),
+    Check("G2(2) order", "groups", "rootsys.g2_key_set",
+          lambda rng: len(rootsys.g2_key_set()), 12096),
     Check("W+(E8) order", "groups", "rootsys.w_e8_order",
           lambda rng: rootsys.w_e8_order(), 240 * 120 * 12096),
     Check("W+(E7) order (heavy)", "groups", "rootsys.generate_w_e7",

@@ -34,6 +34,7 @@ from .rings import (
     OCTAVIAN,
     Ring,
     Z,
+    _check_members,
     _euclid_rows,
     _exact_rows,
     _orbit_reps,
@@ -429,9 +430,7 @@ def canonical_pair(ring: Ring, c: AlgElem, d: AlgElem):
     """Canonical representative of the class of the left-coprime row
     (c, d) in Gamma_infinity \\ Gamma (the rule of _canonical_rows);
     raises ValueError when (c, d) is not left coprime."""
-    for x in (c, d):
-        if not is_member(ring, x):
-            raise ValueError(f"{x} is not a member of {ring}")
+    _check_members(ring, c, d)
     rows = _canonical_rows(ring, [c.coords2], [d.coords2])
     if not len(rows):
         raise ValueError("(c, d) must be left coprime")

@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import (
     AlgElem,
     _mult2,
+    _readonly,
     basis_unit,
     cd_multiply,
     commutator,
@@ -190,7 +191,7 @@ def is_member(ring: Ring, x: AlgElem) -> bool:
 
 @lru_cache(maxsize=None)
 def _coset_matrix(ring: Ring) -> np.ndarray:
-    return np.array(_cosets(ring), dtype=np.int64)
+    return _readonly(np.array(_cosets(ring), dtype=np.int64))
 
 
 def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -387,12 +388,20 @@ def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     return content, chain
 
 
-def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
-    if c.is_zero():
-        raise ZeroDivisionError("Euclidean algorithm requires a nonzero divisor")
-    for x in (first, c):
+def _check_members(ring: Ring, *xs: AlgElem) -> None:
+    for x in xs:
         if not is_member(ring, x):
             raise ValueError(f"{x} is not a member of {ring}")
+
+
+@lru_cache(maxsize=32)
+def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
+    """The one Euclid chain on (first, c): the word builders read it right
+    after the coprimality test or the trace, so a few entries suffice.
+    Errors are not cached, so bad inputs raise on every call."""
+    if c.is_zero():
+        raise ZeroDivisionError("Euclidean algorithm requires a nonzero divisor")
+    _check_members(ring, first, c)
     _, chain = _euclid_rows(ring, [first.coords2], [c.coords2], side, record=True)
     qs = tuple(_elem(ring.dim, q[0]) for _, q, _ in chain)
     rs = tuple(_elem(ring.dim, r[0]) for _, _, r in chain[:-1])
@@ -400,31 +409,41 @@ def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
 
 
 def right_euclid(ring: Ring, a: AlgElem, c: AlgElem) -> EuclTrace:
-    """Right Euclidean algorithm a = q1 c - r1, ... (strictly decreasing norms)."""
+    """Right Euclidean algorithm a = q1 c - r1, ... (strictly decreasing norms).
+
+    One chain per (ring, a, c, side) is computed and shared: is_right_coprime
+    and build_w_ac on the same pair read the same immutable trace.
+    """
     return _euclid(ring, a, c, "right")
 
 
 def left_euclid(ring: Ring, d: AlgElem, c: AlgElem) -> EuclTrace:
-    """Left Euclidean algorithm d = c q1 - r1, ... (strictly decreasing norms)."""
+    """Left Euclidean algorithm d = c q1 - r1, ... (strictly decreasing norms).
+
+    One chain per (ring, d, c, side) is computed and shared: is_left_coprime
+    and build_w_tilde_cd on the same pair read the same immutable trace.
+    """
     return _euclid(ring, d, c, "left")
 
 
 def _coprime(ring: Ring, x: AlgElem, y: AlgElem, side: str) -> bool:
-    for e in (x, y):
-        if not is_member(ring, e):
-            raise ValueError(f"{e} is not a member of {ring}")
-    if x.is_zero() and y.is_zero():
+    if not y.is_zero():
+        return norm_sq(_euclid(ring, x, y, side).last_divisor) == 1
+    _check_members(ring, x, y)
+    if x.is_zero():
         raise ValueError("coprimality is undefined for (0, 0)")
-    return bool(_euclid_rows(ring, [x.coords2], [y.coords2], side)[0][0] == 4)
+    return norm_sq(x) == 1
 
 
 def is_right_coprime(ring: Ring, a: AlgElem, c: AlgElem) -> bool:
-    """True iff the right Euclidean run on (a, c) ends in a unit."""
+    """True iff the right Euclidean run on (a, c) ends in a unit (for c = 0:
+    iff a is a unit).  Reads the shared trace of right_euclid(ring, a, c)."""
     return _coprime(ring, a, c, "right")
 
 
 def is_left_coprime(ring: Ring, d: AlgElem, c: AlgElem) -> bool:
-    """True iff the left Euclidean run on (d, c) ends in a unit."""
+    """True iff the left Euclidean run on (d, c) ends in a unit (for c = 0:
+    iff d is a unit).  Reads the shared trace of left_euclid(ring, d, c)."""
     return _coprime(ring, d, c, "left")
 
 
@@ -446,9 +465,7 @@ def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4)
     that 4 * 2 (a conj(g)) is divisible by |g2|^2 and the quotient is on
     the ring lattice, for the whole ball at once.
     """
-    for x in (a, c):
-        if not is_member(ring, x):
-            raise ValueError(f"{x} is not a member of {ring}")
+    _check_members(ring, a, c)
     g2 = enumerate_ball(ring, max_norm)
     n4 = (g2 * g2).sum(axis=1)
     g2, n4 = g2[n4 > 4], n4[n4 > 4]
@@ -491,7 +508,7 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     pts = np.concatenate(blocks, axis=0)
     n4 = (pts * pts).sum(axis=1)
     order = np.lexsort(tuple(pts[:, k] for k in reversed(range(pts.shape[1]))) + (n4,))
-    return pts[order]
+    return _readonly(pts[order])
 
 
 def _pair_chunks(cs: np.ndarray, ds: np.ndarray):

@@ -23,6 +23,7 @@ from .algebra import (
     AlgElem,
     _mult2,
     _mult4,
+    _readonly,
     basis_unit,
     cd_multiply,
     conj,
@@ -473,7 +474,7 @@ def _brandt_closure() -> np.ndarray:
     keys = _matrix_closure(gens, limit=6048)
     if len(keys) != 6048:
         raise RuntimeError(f"the Brandt closure has {len(keys)} elements, expected 6048")
-    return _from_keys(keys)
+    return _readonly(_from_keys(keys))
 
 
 @lru_cache(maxsize=None)
@@ -491,7 +492,7 @@ def _g2_stack() -> np.ndarray:
     if len(set(_keys(mats))) != 12096:
         raise RuntimeError("H u H phi does not have 12096 distinct elements")
     flat = mats.reshape(len(mats), -1)
-    return mats[np.lexsort(flat.T[::-1])]  # lexicographic on rows2
+    return _readonly(mats[np.lexsort(flat.T[::-1])])  # lexicographic on rows2
 
 
 @lru_cache(maxsize=None)
@@ -529,7 +530,7 @@ def e7_element(g: AlgElem, h: AlgElem, phi: LinMap) -> LinMap:
 def _sandwich_stack() -> np.ndarray:
     """Integer matrices of the imaginary-unit sandwich maps, index order
     matching imaginary_units()."""
-    return np.stack([sandwich_map(g).matrix2() for g in imaginary_units()])
+    return _readonly(np.stack([sandwich_map(g).matrix2() for g in imaginary_units()]))
 
 
 def _unit_codes(x2: np.ndarray) -> np.ndarray:
@@ -563,7 +564,7 @@ def _imaginary_factor_table() -> tuple:
     first = np.full(len(codes), n * n)
     np.minimum.at(first, prod, np.arange(n * n))
     neg = np.searchsorted(codes, 5 ** 8 - 1 - codes)
-    return codes, prod, first, np.minimum(first, first[neg])
+    return tuple(map(_readonly, (codes, prod, first, np.minimum(first, first[neg]))))
 
 
 @lru_cache(maxsize=2)
@@ -578,7 +579,7 @@ def _class_composites(outer_first: bool) -> tuple:
     # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
     gs, hs = s[ks // n], s[ks % n]
     comps = _product2(gs, hs) if outer_first else _product2(hs, gs)
-    return ks, comps.astype(np.int8)
+    return _readonly(ks), _readonly(comps.astype(np.int8))
 
 
 def _sigma_residue_search(m: LinMap, outer_first: bool):

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import octavia.rings
+
 
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("OCTAVIA_HEAVY"):
@@ -22,3 +24,19 @@ def rng():
 @pytest.fixture
 def nprng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def euclid_runs(monkeypatch):
+    """The side of each Euclid chain run from now on, with the trace
+    cache of rings._euclid cleared."""
+    calls = []
+    euclid_rows = octavia.rings._euclid_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return euclid_rows(*args, **kwargs)
+
+    octavia.rings._euclid.cache_clear()
+    monkeypatch.setattr(octavia.rings, "_euclid_rows", counted)
+    return calls

@@ -39,6 +39,7 @@ from octavia.hyperweyl import (
     row_act,
     simple_alpha,
 )
+import octavia.rings
 from octavia.rings import (
     HURWITZ,
     OCTAVIAN,
@@ -49,6 +50,7 @@ from octavia.rings import (
     is_left_coprime,
     is_right_coprime,
     random_element,
+    right_euclid,
     units,
 )
 
@@ -128,6 +130,22 @@ def test_row_lemma(ring, rng):
         wt = build_w_tilde_cd(ring, c, d)
         r1, r2 = row_act(base, wt)
         assert (r1, r2) == (c, d) or (r1, r2) == (-c, -d)
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_word_builders_reuse_the_euclid_chain(ring, rng, euclid_runs):
+    # a trace or a coprimality test, then the word, on one pair and side
+    # runs one chain
+    (a, c), = _coprime_pairs(ring, rng, 1, side="right")
+    (d, c_left), = _coprime_pairs(ring, rng, 1, side="left")
+    octavia.rings._euclid.cache_clear()
+    euclid_runs.clear()
+    tr = right_euclid(ring, a, c)
+    assert build_w_ac(ring, a, c).tokens[-1] == Rot(tr.last_divisor)
+    assert euclid_runs == ["right"]
+    assert is_left_coprime(ring, d, c_left)
+    build_w_tilde_cd(ring, c_left, d)
+    assert euclid_runs == ["right", "left"]
 
 
 def test_s_pair_squared_row_identity(rng):

@@ -18,9 +18,13 @@ from octavia.algebra import (
     one,
     zero,
 )
+from octavia import algebra, autoforms, rootsys
 from octavia.rings import (
     EuclTrace,
+    _coset_matrix,
     _cosets,
+    _euclid,
+    _euclid_rows,
     HURWITZ,
     OCTAVIAN,
     Z,
@@ -192,6 +196,35 @@ def test_euclid_gcd_matches_brute_force_hurwitz(rng):
         assert copr == (not common_right_divisors(HURWITZ, a, c, max_norm=9))
 
 
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_each_euclid_chain_runs_once(ring, rng, euclid_runs):
+    a, c = random_element(ring, rng), random_element(ring, rng)
+    while c.is_zero():
+        c = random_element(ring, rng)
+    tr = right_euclid(ring, a, c)
+    assert right_euclid(ring, a, c) is tr
+    assert is_right_coprime(ring, a, c) == (norm_sq(tr.last_divisor) == 1)
+    assert euclid_runs == ["right"]
+    assert is_left_coprime(ring, a, c) == (norm_sq(left_euclid(ring, a, c).last_divisor) == 1)
+    assert euclid_runs == ["right", "left"]
+    # a copy equal to the inputs finds the same trace
+    assert right_euclid(ring, AlgElem(ring.dim, a.coords), AlgElem(ring.dim, c.coords)) is tr
+    assert len(euclid_runs) == 2
+
+
+def test_euclid_errors_raise_on_every_call(euclid_runs):
+    third = AlgElem.make(4, [Fraction(1, 3), 0, 0, 0])
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            right_euclid(HURWITZ, one(4), zero(4))
+        with pytest.raises(ValueError):
+            left_euclid(HURWITZ, third, one(4))
+        with pytest.raises(ValueError):
+            is_right_coprime(HURWITZ, one(4), third)
+    assert euclid_runs == []
+    assert _euclid.cache_info().currsize == 0
+
+
 def test_replay_rejects_first_remainder_not_below_divisor():
     # 5 = 4 * 2 - 3, 2 = 1 * 3 - 1, 3 = 3 * 1: exact, and 9 > 1, but the
     # first remainder is not smaller than the divisor 2
@@ -272,6 +305,34 @@ def test_z_ball_is_the_even_integers():
         assert np.array_equal(got, expect)
 
 
+CACHED_ARRAYS = {
+    "enumerate_ball": lambda: [enumerate_ball(HURWITZ, 1)],
+    "_coset_matrix": lambda: [_coset_matrix(OCTAVIAN)],
+    "structure_table": lambda: algebra.structure_table(4),
+    "_pure_cd_table": lambda: algebra._pure_cd_table(8),
+    "_product_table": lambda: algebra._product_table(8),
+    "_structure_float": lambda: [algebra._structure_float(4)],
+    "_brandt_closure": lambda: [rootsys._brandt_closure()],
+    "_g2_stack": lambda: [rootsys._g2_stack()],
+    "_sandwich_stack": lambda: [rootsys._sandwich_stack()],
+    "_imaginary_factor_table": rootsys._imaginary_factor_table,
+    "_class_composites": lambda: rootsys._class_composites(True),
+    "_ball_data": lambda: autoforms._ball_data(HURWITZ, 2),
+    "_coprime_mask": lambda: [autoforms._coprime_mask(HURWITZ, 2)],
+}
+
+
+@pytest.mark.parametrize("name", CACHED_ARRAYS)
+def test_cached_arrays_are_read_only(name):
+    # every caller shares a cached array, so a write must fail instead of
+    # corrupting later results (enumerate_ball(HURWITZ, 1)[1] = 0 made
+    # units(HURWITZ) find 23 units)
+    for arr in CACHED_ARRAYS[name]():
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+    assert len(units(HURWITZ)) == 24
+
+
 def test_vectorized_left_content_matches_scalar(rng):
     # Z: the gcd of the doubled coordinates is 2 exactly on coprime pairs
     pts = enumerate_ball(Z, 400)
@@ -319,6 +380,29 @@ def test_scalar_coprimality_matches_trace(ring, rng):
         assert is_right_coprime(ring, x, y) == _trace_coprime(ring, x, y, "right")
     with pytest.raises(ValueError):
         is_left_coprime(ring, zero(ring.dim), zero(ring.dim))
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_scalar_coprimality_matches_batched_rows(ring, rng):
+    # the batched content, which keeps no trace, as the oracle: 4 means
+    # coprime, and a row with y = 0 reads 4 |x|^2
+    us = units(ring)
+    pairs = []
+    while len(pairs) < 200:
+        x, y = (random_element(ring, rng, max_coord2=4) for _ in range(2))
+        k = rng.randrange(4)
+        if k == 0:
+            y = zero(ring.dim)
+        elif k == 1:
+            y = rng.choice(us)
+        if not (x.is_zero() and y.is_zero()):
+            pairs.append((x, y))
+    xs = np.array([x.coords2 for x, _ in pairs])
+    ys = np.array([y.coords2 for _, y in pairs])
+    for side, scalar in (("left", is_left_coprime), ("right", is_right_coprime)):
+        expect = list(_euclid_rows(ring, xs, ys, side)[0] == 4)
+        assert [scalar(ring, x, y) for x, y in pairs] == expect
+        assert 0 < sum(expect) < len(pairs)
 
 
 def test_coprimality_rejects_non_members():

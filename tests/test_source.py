@@ -126,3 +126,42 @@ def test_public_definitions_are_exported():
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and not node.name.startswith("_") and node.name not in exported]
     assert found == []
+
+
+def _cache_bound(decorator):
+    """None when the decorator is not a cache, else whether its maxsize is
+    a finite constant (lru_cache's default of 128 is)."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = ast.unparse(func).split(".")[-1]
+    if name not in ("cache", "lru_cache"):
+        return None
+    if name == "cache":
+        return False
+    sizes = []
+    if isinstance(decorator, ast.Call):
+        sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return not sizes or (isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int)
+
+
+def test_element_keyed_caches_are_bounded():
+    # a cache keyed by user elements grows with every new input for the
+    # life of the process unless its maxsize is a finite constant
+    checked, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            params += [p for p in (node.args.vararg,) if p is not None]
+            if not any(p.annotation is not None and "AlgElem" in ast.unparse(p.annotation)
+                       for p in params):
+                continue
+            for dec in node.decorator_list:
+                bounded = _cache_bound(dec)
+                if bounded is not None:
+                    checked.append(node.name)
+                    if not bounded:
+                        found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert {"_euclid", "sandwich_map", "right_mult_map"} <= set(checked)
+    assert found == []
