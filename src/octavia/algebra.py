@@ -10,12 +10,15 @@ build one ``Fraction`` per output coordinate.
 
 The octonion basis follows the convention in which ``(e1, e5, e6)`` is a
 quaternionic triple and the full multiplication table is generated from
-the single seed relation ``e1 * e5 = e6`` by the index rules
+the single seed relation ``e1 * e5 = e6`` by the shift rule
 
-    e_i e_j = e_k  =>  e_{i+1} e_{j+1} = e_{k+1}  and  e_{2i} e_{2j} = e_{2k}
+    e_i e_j = e_k  =>  e_{i+1} e_{j+1} = e_{k+1}
 
-with indices counted mod 7.  The quaternions sit inside the octonions as
-the span of ``(1, e1, e5, e6)``; a dim-4 element with coordinates
+with indices counted mod 7.  ``verify_octonion_table`` checks that the
+table also obeys the doubling rule ``e_{2i} e_{2j} = e_{2k}`` and that it
+is the Cayley-Dickson double of its quaternion subalgebra with l = e2.
+The quaternions sit inside the octonions as the span of
+``(1, e1, e5, e6)``; a dim-4 element with coordinates
 ``(x0, x1, x2, x3)`` means ``x0 + x1*e1 + x2*e5 + x3*e6``.
 """
 
@@ -64,31 +67,19 @@ _RING_TAGS = {"r": 1, "c": 2, "quat": 4, "oct": 8, "sed": 16}
 _DIM_TAGS = {d: t for t, d in _RING_TAGS.items()}
 
 
+def _rotated(t) -> tuple[int, int, int]:
+    """The cyclic rotation of the triple t that starts at its least index."""
+    m = t.index(min(t))
+    return tuple(t[m:]) + tuple(t[:m])
+
+
 def _seed_triples() -> list[tuple[int, int, int]]:
-    """Generate the octonion multiplication triples from e1*e5 = e6.
+    """The seven octonion multiplication triples: the shifts i -> i + s
+    (s = 0..6, indices mod 7 on 1..7) of the seed (1, 5, 6), sorted.
 
-    Closure of {(1,5,6)} under the two index rules, indices mod 7 on 1..7.
-    Each resulting triple (i,j,k) means e_i e_j = e_k cyclically.
+    Each triple (i, j, k) means e_i e_j = e_k cyclically.
     """
-    def shift(t):
-        return tuple(((x - 1 + 1) % 7) + 1 for x in t)
-
-    def double(t):
-        return tuple(((2 * x - 1) % 7) + 1 for x in t)
-
-    triples = {(1, 5, 6)}
-    while True:
-        new = set()
-        for t in triples:
-            for u in (shift(t), double(t)):
-                # normalize cyclic rotation: smallest index first
-                m = u.index(min(u))
-                u = u[m:] + u[:m]
-                if u not in triples:
-                    new.add(u)
-        if not new:
-            return sorted(triples)
-        triples |= new
+    return sorted(_rotated([(x - 1 + s) % 7 + 1 for x in (1, 5, 6)]) for s in range(7))
 
 
 def _octonion_table() -> tuple[np.ndarray, np.ndarray]:
@@ -183,63 +174,33 @@ def structure_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _pure_cd_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplication table built by plain recursive doubling from the reals."""
-    idx = np.zeros((1, 1), dtype=np.int64)
-    sgn = np.ones((1, 1), dtype=np.int64)
-    while idx.shape[0] < dim:
-        idx, sgn = _double_table(idx, sgn)
-    return _readonly(idx), _readonly(sgn)
-
-
-@lru_cache(maxsize=None)
 def verify_octonion_table() -> tuple[int, ...]:
-    """One-time consistency check of the octonion basis labeling.
+    """One-time consistency check of the octonion basis labelling.
 
-    Finds a signed permutation identifying the recursively doubled table
-    with the rule-generated one, i.e. an algebra isomorphism that maps
-    basis units to signed basis units.  Returns the signed images of the
-    recursive units (sign * new_index); raises if none exists.
+    Checks two facts and raises RuntimeError if either fails: the triples
+    are closed under the doubling rule i -> 2i, and O is the Cayley-Dickson
+    double H + Hl of its quaternion subalgebra (1, e1, e5, e6) with l = e2
+    (Baez, The Octonions, Bull. AMS 39, 2002).  The signed permutation
+    (e_q, 0) -> e_{QUAT_EMBED[q]}, (0, e_q) -> e2 e_{QUAT_EMBED[q]} must map
+    _double_table(*structure_table(4)) onto structure_table(8) on all 64
+    basis products.  Returns the signed images (sign * index) of the seven
+    imaginary units of the double.
     """
-    pidx, psgn = _pure_cd_table(8)
-    cidx, csgn = structure_table(8)
-
-    def mul_c(u, v):  # signed-unit product in the canonical table
-        su, iu = (1, u) if u > 0 else (-1, -u)
-        sv, iv = (1, v) if v > 0 else (-1, -v)
-        s = su * sv * int(csgn[iu, iv])
-        k = int(cidx[iu, iv])
-        if k == 0:
-            raise ValueError("product fell onto the real unit")
-        return s * k
-
-    units = [s * k for k in range(1, 8) for s in (1, -1)]
-    for t1, t2, t4 in itertools.product(units, repeat=3):
-        img = [None] * 8
-        img[1], img[2], img[4] = t1, t2, t4
-        # extend over the generated units via the recursive table relations
-        try:
-            for i, j in ((1, 2), (1, 4), (2, 4), (1, int(pidx[2, 4]))):
-                k, s = int(pidx[i, j]), int(psgn[i, j])
-                if img[i] is None or img[j] is None or k == 0:
-                    img = None
-                    break
-                img[k] = s * mul_c(img[i], img[j])
-        except ValueError:
-            continue
-        if img is None or any(v is None for v in img[1:]):
-            continue
-        if len({abs(v) for v in img[1:]}) != 7:
-            continue
-        ok = all(
-            mul_c(img[i], img[j]) == int(psgn[i, j]) * img[int(pidx[i, j])]
-            for i in range(1, 8)
-            for j in range(1, 8)
-            if i != j
-        )
-        if ok:
-            return tuple(img[1:])
-    raise AssertionError("no signed permutation matches the two octonion tables")
+    triples = _seed_triples()
+    if sorted(_rotated([(2 * x - 1) % 7 + 1 for x in t]) for t in triples) != triples:
+        raise RuntimeError("the octonion triples are not closed under i -> 2i")
+    idx, sgn = structure_table(8)
+    didx, dsgn = _double_table(*structure_table(4))
+    q = np.array(QUAT_EMBED)
+    im = np.concatenate([q, idx[2, q]])  # double unit m -> s[m] e_{im[m]}
+    s = np.concatenate([np.ones(4, dtype=np.int64), sgn[2, q]])
+    # signed units as sign * (index + 1), so that e0 carries a sign too
+    prod = np.outer(s, s) * sgn[np.ix_(im, im)] * (idx[np.ix_(im, im)] + 1)
+    if not (np.array_equal(np.sort(im), np.arange(8))
+            and np.array_equal(prod, dsgn * s[didx] * (im[didx] + 1))):
+        raise RuntimeError("the octonion table is not the Cayley-Dickson double of "
+                           "its quaternion subalgebra with l = e2")
+    return tuple((s * im)[1:].tolist())
 
 
 @dataclass(frozen=True)
@@ -351,10 +312,10 @@ def basis_unit(dim: int, k: int) -> AlgElem:
 
 
 @lru_cache(maxsize=None)
-def _table_rows(dim: int) -> tuple[list, list]:
-    """structure_table(dim) as nested lists of Python ints."""
-    idx, sgn = structure_table(dim)
-    return idx.tolist(), sgn.tolist()
+def _table_rows(dim: int) -> tuple[tuple, tuple]:
+    """structure_table(dim) as nested tuples of Python ints (tuples, so the
+    cached rows cannot be written)."""
+    return tuple(tuple(map(tuple, t.tolist())) for t in structure_table(dim))
 
 
 def _scaled(a: AlgElem) -> tuple[list[int], int]:
@@ -457,7 +418,7 @@ def find_sedenion_zero_divisors() -> tuple[AlgElem, AlgElem, Fraction, Fraction,
     for p, qs in _zero_divisor_rows(16):
         p, q = AlgElem.make(16, p), AlgElem.make(16, qs[0])
         return p, q, norm_sq(cd_multiply(p, q)), norm_sq(p), norm_sq(q)
-    raise AssertionError("no sedenion zero divisors found in search space")
+    raise RuntimeError("no sedenion zero divisors found in search space")
 
 
 def basis_sum_zero_divisor_search(dim: int):

@@ -369,7 +369,8 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     so that the integrand is exactly periodic.  The midpoint rule on a
     periodic smooth integrand is spectrally accurate; the error estimate
     compares against the half-resolution grid.  Both grids go through one
-    _periodic_series_value call.
+    _periodic_series_value call.  ValueError unless grid >= 2 and
+    radius >= 1.
     """
     mu = np.array([float(c) for c in mu.coords]) if isinstance(mu, AlgElem) \
         else np.asarray(mu, dtype=float)
@@ -380,13 +381,17 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
         raise ValueError("mu is not in the dual lattice")
     if not v > 0:
         raise ValueError("v must be positive")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    if grid < 2:
+        raise ValueError("grid must be >= 2: the error estimate needs the half grid")
 
     def midpoints(m: int) -> np.ndarray:
         ticks = (np.arange(m) + 0.5) / m
         mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
         return np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
 
-    grids = [midpoints(grid), midpoints(max(grid // 2, 1))]
+    grids = [midpoints(grid), midpoints(grid // 2)]
     us = np.concatenate(grids)
     terms = _periodic_series_value(ring, s, radius, us, v) \
         * np.exp(-2j * np.pi * (us @ mu))

@@ -42,7 +42,6 @@ from .rings import (
     _unit_orbit_min,
     enumerate_ball,
     is_in_commutator_ideal,
-    is_member,
     is_unit,
     left_euclid,
     random_element,
@@ -100,9 +99,7 @@ class HermMat:
         return -self.x_plus * self.x_minus + norm_sq(self.x)
 
     def bilinear(self, other: "HermMat") -> Fraction:
-        s = HermMat(self.x_plus + other.x_plus, self.x_minus + other.x_minus,
-                    self.x + other.x)
-        return (s.norm_sq() - self.norm_sq() - other.norm_sq()) / 2
+        return ((self + other).norm_sq() - self.norm_sq() - other.norm_sq()) / 2
 
     def __add__(self, other):
         return HermMat(self.x_plus + other.x_plus, self.x_minus + other.x_minus,
@@ -352,7 +349,8 @@ def psl_det_real_crosscheck(S) -> float:
 def psl_inverse(S):
     """Closed-form inverse, exact when det(S S-dagger) = 1."""
     (a, b), (c, d) = S
-    if psl_det(S) == 0:
+    det = psl_det(S)
+    if det == 0:
         raise ZeroDivisionError("singular matrix")
     m = cd_multiply
     inv = (
@@ -365,7 +363,6 @@ def psl_inverse(S):
             conj(d) * norm_sq(a) - m(m(conj(b), a), conj(c)),
         ),
     )
-    det = psl_det(S)
     if det != 1:
         inv = tuple(tuple(x * (1 / det) for x in row) for row in inv)
     return inv
@@ -375,9 +372,7 @@ def psl0_membership(S) -> bool:
     """S in PSL0(2, H): unit determinant and ad - bc = 1 mod the
     commutator ideal."""
     (a, b), (c, d) = S
-    for x in (a, b, c, d):
-        if x.dim != 4 or not is_member(HURWITZ, x):
-            raise ValueError("entries must be Hurwitz quaternions")
+    _check_members(HURWITZ, a, b, c, d)
     if psl_det(S) != 1:
         return False
     return is_in_commutator_ideal(cd_multiply(a, d) - cd_multiply(b, c) - one(4))

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .rings import (
     E8_SIMPLE_ROOTS,
     HURWITZ,
     OCTAVIAN,
-    is_member,
+    is_unit,
     octavian_unit_classes,
     units,
 )
@@ -233,22 +234,40 @@ def reflect(x: AlgElem, a: AlgElem) -> AlgElem:
 
 
 @lru_cache(maxsize=None)
-def all_roots(algebra: str) -> tuple:
-    """Closure of the simple roots under the simple reflections, sorted by
-    coords: on doubled coordinates, where reflect(x, a) = -a conj(x) a for
-    the unit simple roots a, batched over frontier x simple roots."""
+def _root_closure(algebra: str) -> MappingProxyType:
+    """Closure of the simple roots under the simple reflections: a
+    read-only map from each root's doubled coordinates, in sorted order,
+    to its integer coefficients over the simple roots.
+
+    Reflecting x in the unit simple root a gives x - 2 (x, a) a, so only
+    a's coefficient changes, by -2 (x, a) = -(x2 . a2) / 2 on doubled
+    coordinates.  Batched over frontier x simple roots.
+    """
     s2 = np.array([r.coords2 for r in _simple_roots(algebra)], dtype=np.int64)
     k, dim = s2.shape
-    conj_sign = np.array([1] + [-1] * (dim - 1))
-    roots = set(map(tuple, s2.tolist()))
-    frontier = s2
-    while len(frontier):
-        a = np.tile(s2, (len(frontier), 1))
-        img = -_mult2(_mult2(a, np.repeat(frontier * conj_sign, k, axis=0)), a)
-        new = set(map(tuple, img.tolist())) - roots
-        roots |= new
-        frontier = np.array(sorted(new), dtype=np.int64).reshape(-1, dim)
-    return tuple(AlgElem.from_coords2(dim, r) for r in sorted(roots))
+    eye = np.eye(k, dtype=np.int64)
+    roots = dict(zip(map(tuple, s2.tolist()), map(tuple, eye.tolist())))
+    x2, coef = s2, eye
+    while len(x2):
+        dots = x2 @ s2.T
+        if np.any(dots & 1):
+            raise ArithmeticError(f"a reflection of {algebra} leaves the root lattice")
+        n = dots[:, :, None] // 2  # 2 (x, a) per (frontier root, simple root)
+        img = (x2[:, None] - n * s2).reshape(-1, dim).tolist()
+        img_coef = (coef[:, None] - n * eye).reshape(-1, k).tolist()
+        new = {}
+        for y, c in zip(map(tuple, img), map(tuple, img_coef)):
+            if y not in roots:
+                roots[y] = new[y] = c
+        x2 = np.array(list(new), dtype=np.int64).reshape(-1, dim)
+        coef = np.array(list(new.values()), dtype=np.int64).reshape(-1, k)
+    return MappingProxyType(dict(sorted(roots.items())))
+
+
+@lru_cache(maxsize=None)
+def all_roots(algebra: str) -> tuple:
+    """The roots of _root_closure(algebra), sorted by coords."""
+    return tuple(AlgElem.from_coords2(len(r), r) for r in _root_closure(algebra))
 
 
 def cartan_matrix(algebra: str) -> list[list[int]]:
@@ -266,39 +285,10 @@ def cartan_matrix(algebra: str) -> list[list[int]]:
     return out
 
 
-def _root_coefficients(simple, x):
-    """Exact coefficients of x in the (possibly non-spanning) simple-root basis."""
-    dim = x.dim
-    k = len(simple)
-    # least-squares-free exact solve via the Gram matrix (roots independent)
-    gram = [[inner(a, b) for b in simple] for a in simple]
-    rhs = [inner(a, x) for a in simple]
-    aug = [list(gram[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    coeffs = [aug[i][k] for i in range(k)]
-    recon = AlgElem(dim, tuple(Fraction(0) for _ in range(dim)))
-    for c, r in zip(coeffs, simple):
-        recon = recon + r * c
-    if recon != x:
-        raise ValueError("element is outside the span of the simple roots")
-    return coeffs
-
-
 def theta_marks(algebra: str) -> list[int]:
-    """Coefficients of the highest root over the simple roots."""
-    basis = root_basis(algebra)
-    coeffs = _root_coefficients(basis.simple_roots, basis.theta)
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError(f"highest root of {algebra} has non-integral marks")
-    return [c.numerator for c in coeffs]
+    """Coefficients of the highest root over the simple roots, as the root
+    closure recorded them."""
+    return list(_root_closure(algebra)[root_basis(algebra).theta.coords2])
 
 
 # -- W+(D4) ----------------------------------------------------------------
@@ -318,7 +308,7 @@ def d4_even_element(a: AlgElem, b: AlgElem) -> LinMap:
     the quaternion group {+-1, +-e1, +-e5, +-e6} (triality elements are
     rejected)."""
     for u in (a, b):
-        if not (is_member(HURWITZ, u) and norm_sq(u) == 1):
+        if not is_unit(HURWITZ, u):
             raise ValueError("a, b must be Hurwitz units")
     if cd_multiply(a, b) not in _qset():
         raise ValueError("ab is not in the quaternion group: triality outer element")
@@ -519,7 +509,7 @@ def imaginary_units() -> tuple:
 def e7_element(g: AlgElem, h: AlgElem, phi: LinMap) -> LinMap:
     """x -> g(h phi(x) h)g for imaginary units g, h and phi in G2(2)."""
     for u in (g, h):
-        if real_part(u) != 0 or norm_sq(u) != 1 or not is_member(OCTAVIAN, u):
+        if real_part(u) != 0 or not is_unit(OCTAVIAN, u):
             raise ValueError("g and h must be imaginary unit octavians")
     if phi.key() not in g2_key_set():
         raise ValueError("phi is not an octavian automorphism")
@@ -644,7 +634,7 @@ def generate_w_e7() -> int:
 def factor_into_imaginaries(b: AlgElem):
     """Write the unit octavian b as gh with imaginary units g, h: the
     first such pair in g-major order, read off _imaginary_factor_table."""
-    if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
+    if not is_unit(OCTAVIAN, b):
         raise ValueError("b must be a unit octavian")
     codes, _, first, _ = _imaginary_factor_table()
     u = int(np.searchsorted(codes, _unit_codes(b.coords2)))
@@ -656,11 +646,10 @@ def factor_into_imaginaries(b: AlgElem):
 def e8_element(e: AlgElem, f: AlgElem, b: AlgElem, phi: LinMap) -> LinMap:
     """x -> (f(e phi(x) e)f) b; with b = 1 this is the stabilizer form."""
     for u in (e, f):
-        ok_imag = real_part(u) == 0 and norm_sq(u) == 1
-        ok_real = u == one(8) or u == -one(8)
-        if not (ok_imag or ok_real) or not is_member(OCTAVIAN, u):
+        # a unit with real part 0 or +-1 is imaginary or +-1
+        if not is_unit(OCTAVIAN, u) or abs(real_part(u)) not in (0, 1):
             raise ValueError("e and f must be imaginary or real units")
-    if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
+    if not is_unit(OCTAVIAN, b):
         raise ValueError("b must be a unit octavian")
     if phi.key() not in g2_key_set():
         raise ValueError("phi is not an octavian automorphism")
@@ -676,7 +665,7 @@ def e8_decompose(m: LinMap):
     if not m.is_orthogonal() or m.det() != 1:
         raise ValueError("m is not an even isometry")
     b = AlgElem.from_coords2(8, m.rows2[0])
-    if norm_sq(b) != 1 or not is_member(OCTAVIAN, b):
+    if not is_unit(OCTAVIAN, b):
         raise ValueError("m does not preserve the octavian lattice")
     stab = right_mult_map(conj(b)) * m
     keys = g2_key_set()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from octavia import algebra
 from octavia.algebra import (
     AlgElem,
     associator,
@@ -38,6 +39,62 @@ def _rand(rng, dim, span=3):
 def test_octonion_table_consistent():
     images = verify_octonion_table()
     assert len(images) == 7  # signed images of the imaginary units
+
+
+def _two_rule_closure():
+    """Closure of {(1, 5, 6)} under the shift i -> i + 1 and the doubling
+    i -> 2i (mod 7 on 1..7), each triple rotated to start at its least
+    index: the oracle of the shift-only _seed_triples."""
+    def shift(t):
+        return tuple(x % 7 + 1 for x in t)
+
+    def double(t):
+        return tuple((2 * x - 1) % 7 + 1 for x in t)
+
+    triples = {(1, 5, 6)}
+    while True:
+        new = set()
+        for t in triples:
+            for u in (shift(t), double(t)):
+                m = u.index(min(u))
+                u = u[m:] + u[:m]
+                if u not in triples:
+                    new.add(u)
+        if not new:
+            return sorted(triples)
+        triples |= new
+
+
+def test_seed_triples_match_two_rule_closure():
+    assert algebra._seed_triples() == _two_rule_closure()
+
+
+def _clear_algebra_caches():
+    for fn in vars(algebra).values():
+        if hasattr(fn, "cache_clear") and fn.__module__ == algebra.__name__:
+            fn.cache_clear()
+
+
+@pytest.mark.parametrize("which", range(7))
+def test_table_check_rejects_a_reversed_triple(monkeypatch, which):
+    good = algebra._seed_triples()
+    # the reversed triple, rotated to start at its least index like the rest
+    bad = good[:which] + [algebra._rotated(good[which][::-1])] + good[which + 1:]
+    monkeypatch.setattr(algebra, "_seed_triples", lambda: bad)
+    _clear_algebra_caches()
+    try:
+        with pytest.raises(RuntimeError):
+            verify_octonion_table()
+    finally:
+        monkeypatch.undo()
+        _clear_algebra_caches()
+    assert len(verify_octonion_table()) == 7
+
+
+def test_sedenion_search_failure_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(algebra, "_zero_divisor_rows", lambda dim: iter(()))
+    with pytest.raises(RuntimeError):
+        find_sedenion_zero_divisors()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 8])

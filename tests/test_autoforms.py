@@ -363,6 +363,14 @@ def test_fourier_rejects_non_dual_mu():
         fourier_coefficient([1, 0, 0, 0], -1.0, 5.0, 4, HURWITZ)
 
 
+@pytest.mark.parametrize("radius, grid", [(4, 0), (4, 1), (0, 4), (-1, 4)])
+def test_fourier_rejects_small_grid_and_radius(radius, grid):
+    # grid 0 gave NaN, grid 1 an error estimate of 0 (its half grid is the
+    # full grid), radius 0 a coefficient of 0
+    with pytest.raises(ValueError):
+        fourier_coefficient([0], 1.0, 5.0, radius, Z, grid=grid)
+
+
 def test_zero_mode_leading_exponent():
     s = 5.0
     vals = [fourier_coefficient([0.0] * 4, v, s, 9, HURWITZ, grid=2).coefficient

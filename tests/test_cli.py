@@ -202,6 +202,19 @@ def test_fourier_mu_dimension_error(capsys):
     assert "mu has 4 coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "0", "grid must be >= 2"),
+    ("--grid", "1", "grid must be >= 2"),
+    ("--radius", "0", "radius must be >= 1"),
+])
+def test_fourier_rejects_small_grid_and_radius(capsys, flag, value, message):
+    argv = {"--grid": "4", "--radius": "4", flag: value}
+    code = main(["fourier", "--ring", "z", *(t for kv in argv.items() for t in kv)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_fourier(capsys):
     data = _run_json(capsys, "fourier", "--ring", "hurwitz", "--mu", "0,0,0,0",
                      "--v", "2", "--s", "5", "--radius", "4", "--grid", "2")

@@ -177,6 +177,27 @@ def test_psl_det_and_inverse(rng):
         assert prod == ((o, zz), (zz, o))
 
 
+def test_psl_inverse_scales_by_the_determinant():
+    o, zz = one(4), zero(4)
+    S = ((2 * o, basis_unit(4, 1)), (zz, o))
+    assert psl_det(S) == 4
+    Sinv = psl_inverse(S)
+    prod = tuple(
+        tuple(cd_multiply(S[i][0], Sinv[0][j]) + cd_multiply(S[i][1], Sinv[1][j])
+              for j in range(2)) for i in range(2))
+    assert prod == ((o, zz), (zz, o))
+    with pytest.raises(ZeroDivisionError):
+        psl_inverse(((o, o), (o, o)))
+
+
+def test_psl0_membership_rejects_non_hurwitz_entries():
+    o, zz = one(4), zero(4)
+    half = AlgElem.from_coords2(4, (1, 1, 0, 0))  # (1 + e1)/2 is no Hurwitz integer
+    for S in (((half, zz), (zz, o)), ((o, zz), (zz, one(8)))):
+        with pytest.raises(ValueError):
+            psl0_membership(S)
+
+
 def test_psl0_membership():
     o, zz = one(4), zero(4)
     gens = [

@@ -1,7 +1,12 @@
 """Integer rings: membership, units, Euclid, coprimality, lattices."""
 
+import dataclasses
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,10 +23,9 @@ from octavia.algebra import (
     one,
     zero,
 )
-from octavia import algebra, autoforms, rootsys
+import octavia
 from octavia.rings import (
     EuclTrace,
-    _coset_matrix,
     _cosets,
     _euclid,
     _euclid_rows,
@@ -305,32 +309,82 @@ def test_z_ball_is_the_even_integers():
         assert np.array_equal(got, expect)
 
 
-CACHED_ARRAYS = {
-    "enumerate_ball": lambda: [enumerate_ball(HURWITZ, 1)],
-    "_coset_matrix": lambda: [_coset_matrix(OCTAVIAN)],
-    "structure_table": lambda: algebra.structure_table(4),
-    "_pure_cd_table": lambda: algebra._pure_cd_table(8),
-    "_product_table": lambda: algebra._product_table(8),
-    "_structure_float": lambda: [algebra._structure_float(4)],
-    "_brandt_closure": lambda: [rootsys._brandt_closure()],
-    "_g2_stack": lambda: [rootsys._g2_stack()],
-    "_sandwich_stack": lambda: [rootsys._sandwich_stack()],
-    "_imaginary_factor_table": rootsys._imaginary_factor_table,
-    "_class_composites": lambda: rootsys._class_composites(True),
-    "_ball_data": lambda: autoforms._ball_data(HURWITZ, 2),
-    "_coprime_mask": lambda: [autoforms._coprime_mask(HURWITZ, 2)],
+def _lru_caches() -> dict:
+    """Every lru_cache wrapper defined in an octavia module, by bare name."""
+    found = {}
+    for info in pkgutil.iter_modules(octavia.__path__):
+        mod = importlib.import_module(f"octavia.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                if name in found:
+                    raise RuntimeError(f"two octavia caches are named {name}")
+                found[name] = obj
+    return found
+
+
+LRU_CACHES = _lru_caches()
+
+# Arguments for the caches that take some; a cache missing here fails
+CACHE_ARGS = {
+    "structure_table": (4,),
+    "_table_rows": (8,),
+    "_product_table": (8,),
+    "_structure_float": (4,),
+    "_cosets": (OCTAVIAN,),
+    "units": (HURWITZ,),
+    "_coset_matrix": (OCTAVIAN,),
+    "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
+                AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
+    "enumerate_ball": (HURWITZ, 1),
+    "sandwich_map": (basis_unit(8, 3),),
+    "right_mult_map": (basis_unit(8, 3),),
+    "root_basis": ("e8",),
+    "all_roots": ("e8",),
+    "_root_closure": ("e8",),
+    "_class_composites": (True,),
+    "_ball_data": (HURWITZ, 2),
+    "_coprime_mask": (HURWITZ, 2),
+    "_coset_class_words": (HURWITZ, 2),
 }
 
 
-@pytest.mark.parametrize("name", CACHED_ARRAYS)
+def _first_mutable(value):
+    """Where the first mutable object reachable from value through tuples,
+    frozensets, mappings and frozen dataclasses sits, or None.  Writable
+    arrays, lists, dicts, sets and objects of any other kind count as
+    mutable."""
+    if isinstance(value, np.ndarray):
+        return "a writable array" if value.flags.writeable else None
+    if isinstance(value, (int, float, complex, str, bytes, Fraction, np.generic, type(None))):
+        return None
+    if isinstance(value, (tuple, frozenset)):
+        items = enumerate(value)
+    elif isinstance(value, Mapping) and not isinstance(value, dict):
+        items = itertools.chain(((f"key {k!r}", k) for k in value), value.items())
+    elif dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen:
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    else:
+        return f"a {type(value).__name__}"
+    for label, item in items:
+        where = _first_mutable(item)
+        if where is not None:
+            return f"[{label!r}] {where}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(LRU_CACHES))
 def test_cached_arrays_are_read_only(name):
-    # every caller shares a cached array, so a write must fail instead of
-    # corrupting later results (enumerate_ball(HURWITZ, 1)[1] = 0 made
-    # units(HURWITZ) find 23 units)
-    for arr in CACHED_ARRAYS[name]():
-        with pytest.raises(ValueError):
-            arr.flat[0] = arr.flat[0]
-    assert len(units(HURWITZ)) == 24
+    # every caller shares a cached value, so a write must fail instead of
+    # corrupting later results: enumerate_ball(HURWITZ, 1)[1] = 0 made
+    # units(HURWITZ) find 23 units, and _table_rows(8)[1][1][5] = -1 made
+    # every later cd_multiply(e1, e5) return -e6
+    fn = LRU_CACHES[name]
+    if inspect.signature(fn).parameters:
+        assert name in CACHE_ARGS, f"{name} takes arguments; add them to CACHE_ARGS"
+        value = fn(*CACHE_ARGS[name])
+    else:
+        value = fn()
+    assert _first_mutable(value) is None
 
 
 def test_vectorized_left_content_matches_scalar(rng):

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from octavia import rootsys
-from octavia.algebra import AlgElem, basis_unit, cd_multiply, invert, norm_sq, one, real_part
+from octavia.algebra import (
+    AlgElem,
+    basis_unit,
+    cd_multiply,
+    inner,
+    invert,
+    norm_sq,
+    one,
+    real_part,
+)
 from octavia.rings import (
     D4_SIMPLE_ROOTS,
     E8_SIMPLE_ROOTS,
@@ -109,9 +118,12 @@ def test_roots_closed_under_reflection(rng):
                 assert reflect(x, a) in roots
 
 
+SIMPLE_ROOTS = {"d4": D4_SIMPLE_ROOTS, "e7": E8_SIMPLE_ROOTS[1:], "e8": E8_SIMPLE_ROOTS}
+
+
 @pytest.mark.parametrize("name", ["d4", "e7", "e8"])
 def test_all_roots_match_reflect_closure(name):
-    simple = {"d4": D4_SIMPLE_ROOTS, "e7": E8_SIMPLE_ROOTS[1:], "e8": E8_SIMPLE_ROOTS}[name]
+    simple = SIMPLE_ROOTS[name]
     roots = set(simple)
     frontier = list(simple)
     while frontier:
@@ -119,6 +131,68 @@ def test_all_roots_match_reflect_closure(name):
                     if img not in roots]
         roots.update(frontier)
     assert all_roots(name) == tuple(sorted(roots, key=lambda u: u.coords))
+
+
+@pytest.mark.parametrize("name", ["d4", "e7", "e8"])
+def test_root_closure_coefficients_rebuild_each_root(name):
+    closure = rootsys._root_closure(name)
+    assert tuple(closure) == tuple(r.coords2 for r in all_roots(name))
+    for x2, coeffs in closure.items():
+        assert all(type(c) is int for c in coeffs)
+        got = AlgElem.from_coords2(len(x2), (0,) * len(x2))
+        for c, a in zip(coeffs, SIMPLE_ROOTS[name]):
+            got = got + a * c
+        assert got.coords2 == x2
+
+
+def _gauss_jordan_coefficients(simple, x):
+    """Exact coefficients of x over the independent simple roots by a
+    Fraction Gauss-Jordan solve of the Gram system: the oracle of the
+    coefficients the root closure records."""
+    k = len(simple)
+    aug = [[inner(a, b) for b in simple] + [inner(a, x)] for a in simple]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[k] for row in aug]
+
+
+@pytest.mark.parametrize("name", ["d4", "e7", "e8"])
+def test_theta_marks_match_gauss_jordan(name):
+    basis = root_basis(name)
+    assert theta_marks(name) == _gauss_jordan_coefficients(basis.simple_roots, basis.theta)
+
+
+def test_unit_checks_of_the_element_builders():
+    imag, g2 = imaginary_units(), generate_G2_2()
+    brandt = octavian_unit_classes()[1][0]  # a unit with real part +-1/2
+    for u in (one(8), -one(8), imag[0]):
+        e8_element(u, imag[1], brandt, g2[0])
+    for bad in (brandt, 2 * imag[0], one(8) + imag[0]):
+        with pytest.raises(ValueError):
+            e8_element(bad, imag[1], one(8), g2[0])
+        with pytest.raises(ValueError):
+            e7_element(imag[1], bad, g2[0])
+    for bad in (2 * one(8), AlgElem.from_coords2(8, (1, 1, 1, 0, 0, 0, 0, 0))):
+        with pytest.raises(ValueError):
+            e8_element(one(8), one(8), bad, g2[0])
+        with pytest.raises(ValueError):
+            factor_into_imaginaries(bad)
+    with pytest.raises(ValueError):
+        e7_element(one(8), imag[0], g2[0])  # real, not imaginary
+    with pytest.raises(ValueError):
+        d4_even_element(2 * one(4), one(4))
+    # right multiplication by a unit off the lattice is an even isometry
+    # whose image of 1 is no unit octavian
+    off = AlgElem.from_coords2(8, (1, 1, 1, 1, 0, 0, 0, 0))
+    assert norm_sq(off) == 1 and not is_member(OCTAVIAN, off)
+    with pytest.raises(ValueError):
+        e8_decompose(rootsys._bimult_map(one(8), off))
 
 
 def test_d4_even_order():
