@@ -149,10 +149,16 @@ def _double_table(idx, sgn):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """a, made read-only in place: a cached array is shared by every
-    caller, so a write into it would corrupt later results."""
-    a.flags.writeable = False
-    return a
+    """A view of a through a read-only buffer: a cached array is shared by
+    every caller, so a write into it would corrupt later results.
+
+    Clearing the writeable flag alone is not enough, since any caller can
+    set it back on an array that owns its data; the flag of a view whose
+    buffer is read-only cannot be set.  The view shares a's memory, so
+    caching it costs no copy.  Object arrays have no buffer and raise
+    ValueError: cache Python objects as tuples instead.
+    """
+    return np.asarray(memoryview(a).toreadonly())
 
 
 @lru_cache(maxsize=None)
@@ -227,8 +233,14 @@ class AlgElem:
 
     @classmethod
     def from_coords2(cls, dim: int, coords2: Iterable[int]) -> "AlgElem":
-        """Build from doubled-integer coordinates (2x each coefficient)."""
-        return cls(dim, tuple(Fraction(int(c), 2) for c in coords2))
+        """Build from doubled-integer coordinates (2x each coefficient).
+
+        The coordinates are shared cached halves, and the given integers
+        seed the coords2 cache."""
+        c2 = tuple(map(int, coords2))
+        a = cls(dim, tuple(map(_half, c2)))
+        a.__dict__["coords2"] = c2
+        return a
 
     # -- views -------------------------------------------------------------
 
@@ -309,6 +321,13 @@ def basis_unit(dim: int, k: int) -> AlgElem:
     coords = [Fraction(0)] * dim
     coords[k] = Fraction(1)
     return AlgElem(dim, tuple(coords))
+
+
+@lru_cache(maxsize=1024)
+def _half(c2: int) -> Fraction:
+    """c2 / 2, shared: Fractions are immutable, and Euclid traces reuse a
+    few small coordinates."""
+    return Fraction(c2, 2)
 
 
 @lru_cache(maxsize=None)
@@ -430,28 +449,48 @@ def basis_sum_zero_divisor_search(dim: int):
 # -- numeric helpers for vectorized lattice work ---------------------------
 
 
+# rows x dim^2 products per block of _mult4: the block's int64 temporaries
+# (128 KiB each) stay in cache, and a single row pays for one block only
+_BLOCK_PRODUCTS = 1 << 14
+
+
 @lru_cache(maxsize=None)
-def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, sign) with e_i e_perm[i, k] = sign[i, k] e_k."""
+def _product_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (dim^2,) tables (xi, yi, sign), position dim i + k holding
+    xi = i and the j with e_i e_j = sign e_k: so (x y)_k is the sum over
+    i of sign x_xi y_yi at positions dim i + k."""
     idx, sgn = structure_table(dim)
     perm = np.argsort(idx, axis=1)
-    return _readonly(perm), _readonly(np.take_along_axis(sgn, perm, axis=1))
+    xi = np.repeat(np.arange(dim), dim)
+    return tuple(map(_readonly, (xi, perm.ravel(),
+                                 np.take_along_axis(sgn, perm, axis=1).ravel())))
 
 
 def _mult4(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """Row-wise product of doubled coordinates, unhalved: 4 (x2/2)(y2/2)
-    (on plain integer coordinates, the product itself)."""
-    perm, sign = _product_table(x2.shape[1])
-    raw = x2[:, :1] * (y2[:, perm[0]] * sign[0])
-    for i in range(1, x2.shape[1]):
-        raw += x2[:, i:i + 1] * (y2[:, perm[i]] * sign[i])
-    return raw
+    (on plain integer coordinates, the product itself).
+
+    Rows are int64 or Python-int objects, and may be read-only or
+    broadcast views.  Each block of _BLOCK_PRODUCTS // dim^2 rows (one
+    empty block for no rows) gathers the (rows, dim^2) factors x_i and
+    y_j through the flat _product_table, multiplies them and the signs,
+    and sums over i in the (rows, dim, dim) reshape.
+    """
+    dim = x2.shape[1]
+    xi, yi, sign = _product_table(dim)
+    step = _BLOCK_PRODUCTS // (dim * dim)
+    parts = []
+    for s in range(0, len(x2) or 1, step):
+        t = x2[s:s + step, xi] * y2[s:s + step, yi]
+        t *= sign
+        parts.append(np.add.reduce(t.reshape(-1, dim, dim), axis=1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """Row-wise algebra product on doubled coordinates, 2 (x2/2)(y2/2)."""
     raw = _mult4(x2, y2)
-    if np.any(raw & 1):
+    if (raw & 1).any():
         raise ArithmeticError("product left the half-integer lattice")
     return raw >> 1
 

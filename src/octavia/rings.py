@@ -194,6 +194,16 @@ def _coset_matrix(ring: Ring) -> np.ndarray:
     return _readonly(np.array(_cosets(ring), dtype=np.int64))
 
 
+@lru_cache(maxsize=None)
+def _decode_tables(ring: Ring) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g, g^T, w, g @ w) for _decode2: the (K, dim) glue code, its
+    transpose, the bit weights w_i = 2^(dim-1-i) and each codeword's bits
+    as one integer."""
+    g = _coset_matrix(ring)
+    w = 1 << np.arange(ring.dim - 1, -1, -1)
+    return tuple(map(_readonly, (g, np.ascontiguousarray(g.T), w, g @ w)))
+
+
 def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Doubled coordinates of the ring point nearest to each row num / den.
 
@@ -202,30 +212,35 @@ def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     decodes exactly; float input decodes to rounding.  Of equally near
     points the lexicographically least doubled coordinates win.
 
-    Each coordinate is rounded alone to its nearest even and nearest odd
-    value, halves down, so the squared distance to the best point of
-    each of the K <= 2 dim cosets is a sum of per-coordinate errors
-    (soft-decision decoding of the glue code; Conway & Sloane, IEEE
-    Trans. Inf. Theory 28, 1982).  Memory stays O(M dim).
+    Each coordinate x = num / den is rounded alone to its nearest even
+    value v0 = -2k and nearest odd value v1 = v0 +- 1, halves down, so the
+    squared distance to the best point of each of the K <= 2 dim cosets
+    is a sum of per-coordinate errors (soft-decision decoding of the glue
+    code; Conway & Sloane, IEEE Trans. Inf. Theory 28, 1982).  With
+    d0 = den (x - v0), the errors are e0 = d0^2 and e1 = (|d0| - den)^2,
+    so coset k lies e0.sum() + den (den - 2 |d0|) @ g[k] away: the row
+    constant and the factor den > 0 leave the order of the cosets alone,
+    and one matmul (den - 2 |d0|) @ g^T ranks all K.  Its entries stay
+    within dim den, and every other term within 2 |num| + 2 den, inside
+    the bound _exact_rows checks.  Memory stays O(M (dim + K)).
     """
-    g = _coset_matrix(ring)
-    dim = g.shape[1]
+    g, gt, w, gw = _decode_tables(ring)
     den = den[:, None]
-    den2 = 2 * den
-    v0 = -2 * ((den - num) // den2)
-    v1 = 1 - 2 * ((den2 - num) // den2)
-    e0 = (num - v0 * den) ** 2
-    e1 = (num - v1 * den) ** 2
-    dist = e0 @ (1 - g).T + e1 @ g.T
+    den2 = den + den
+    k = (den - num) // den2
+    d0 = num + k * den2
+    up = d0 > 0  # v1 = v0 + 1, else v0 - 1 (a tie goes down)
+    a = np.abs(d0)
+    dist = (den - a - a) @ gt  # the squared distances, less e0.sum(), over den
     # Two cosets' points first differ where the codewords do, and there
-    # the one taking the smaller of v0, v1 is less; so the rank below,
+    # the one taking the smaller of v0, v1 is less.  So the rank below,
     # with bit i (most significant first) set where coset k takes the
-    # larger value, orders the points lexicographically.
-    w = 1 << np.arange(dim - 1, -1, -1)
-    odd_less = (v1 < v0).astype(np.int64)
-    rank = (g @ w)[None, :] + (odd_less @ w)[:, None] - 2 * (odd_less * w) @ g.T
-    rank = np.where(dist == dist.min(axis=1, keepdims=True), rank, 1 << dim)
-    return np.where(g[rank.argmin(axis=1)] == 1, v1, v0)
+    # larger value, orders the points lexicographically: coset k takes
+    # the larger value where its codeword bit differs from v1 < v0 (~up),
+    # so the rank is the XOR of the two bit patterns.
+    rank = gw ^ (~up @ w)[:, None]
+    rank = np.where(dist == dist.min(axis=1, keepdims=True), rank, 1 << ring.dim)
+    return g[rank.argmin(axis=1)] * np.where(up, 1, -1) - (k + k)
 
 
 def nearest(ring: Ring, x) -> AlgElem:
@@ -337,15 +352,24 @@ def _exact_rows(*rows) -> list[np.ndarray]:
     it, else as Python-int object arrays.
 
     With m the largest |entry|, norms never grow along the chain, so every
-    entry stays below sqrt(dim) m and every intermediate below the
-    decoder's squared distances, dim den^2 <= dim^3 m^4.
+    entry stays below sqrt(dim) m, every norm and product entry below
+    dim m^2 and every _decode2 term below 4 dim m^2 + dim^2 m^2; the
+    check dim^3 (m + 2)^4 < 2^62 covers them all with room to spare.
+    The rows are returned without a copy where they already have the
+    dtype; no Euclid routine writes into them.
     """
     rows = [np.asarray(r) for r in rows]
     dim = rows[0].shape[1]
-    m = max((max(abs(int(r.max())), abs(int(r.min()))) for r in rows if r.size),
-            default=0)
+    m = max((int(np.abs(r).max()) for r in rows if r.size), default=0)
     dtype = np.int64 if dim ** 3 * (m + 2) ** 4 < 2 ** 62 else object
-    return [r.astype(dtype) for r in rows]
+    return [r.astype(dtype, copy=False) for r in rows]
+
+
+@lru_cache(maxsize=None)
+def _conj_sign(dim: int) -> np.ndarray:
+    """(1, -1, ..., -1): the doubled coordinates of conj(x) are x2 times
+    this."""
+    return _readonly(np.array([1] + [-1] * (dim - 1)))
 
 
 def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
@@ -364,7 +388,7 @@ def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     p, c = _exact_rows(first2, c2)
-    conj_sign = np.array([1] + [-1] * (ring.dim - 1))
+    conj_sign = _conj_sign(ring.dim)
     cn4 = (c * c).sum(axis=1)
     content = (p * p).sum(axis=1)
     chain = [] if record else None
@@ -373,18 +397,22 @@ def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     while len(idx):
         cbar = c * conj_sign
         # doubled target: right p c^-1 = p conj(c) / N(c), left c^-1 p
-        num = 4 * (_mult2(p, cbar) if side == "right" else _mult2(cbar, p))
+        num = _mult2(p, cbar) if side == "right" else _mult2(cbar, p)
+        num <<= 2
         q = _decode2(ring, num, cn4)
-        r = (_mult2(q, c) if side == "right" else _mult2(c, q)) - p
+        r = _mult2(q, c) if side == "right" else _mult2(c, q)
+        r -= p
         rn4 = (r * r).sum(axis=1)
-        if np.any(rn4 >= cn4):
+        if (rn4 >= cn4).any():
             raise ArithmeticError(f"Euclid step did not lower the norm in {ring} ({side})")
         if chain is not None:
             chain.append((idx, q, r))
         done = rn4 == 0
-        content[idx[done]] = cn4[done]
-        more = ~done
-        idx, p, c, cn4 = idx[more], c[more], r[more], rn4[more]
+        if done.any():  # drop the finished rows
+            content[idx[done]] = cn4[done]
+            more = ~done
+            idx, c, r, rn4 = idx[more], c[more], r[more], rn4[more]
+        p, c, cn4 = c, r, rn4
     return content, chain
 
 
@@ -403,8 +431,8 @@ def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
         raise ZeroDivisionError("Euclidean algorithm requires a nonzero divisor")
     _check_members(ring, first, c)
     _, chain = _euclid_rows(ring, [first.coords2], [c.coords2], side, record=True)
-    qs = tuple(_elem(ring.dim, q[0]) for _, q, _ in chain)
-    rs = tuple(_elem(ring.dim, r[0]) for _, _, r in chain[:-1])
+    qs = tuple(_elem(ring.dim, q[0].tolist()) for _, q, _ in chain)
+    rs = tuple(_elem(ring.dim, r[0].tolist()) for _, _, r in chain[:-1])
     return EuclTrace(side, ring, (first, c), qs, rs)
 
 
@@ -427,8 +455,8 @@ def left_euclid(ring: Ring, d: AlgElem, c: AlgElem) -> EuclTrace:
 
 
 def _coprime(ring: Ring, x: AlgElem, y: AlgElem, side: str) -> bool:
-    if not y.is_zero():
-        return norm_sq(_euclid(ring, x, y, side).last_divisor) == 1
+    if not y.is_zero():  # a unit last divisor: 4 |g|^2 = 4 on doubled coordinates
+        return sum(v * v for v in _euclid(ring, x, y, side).last_divisor.coords2) == 4
     _check_members(ring, x, y)
     if x.is_zero():
         raise ValueError("coprimality is undefined for (0, 0)")
@@ -469,7 +497,7 @@ def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4)
     g2 = enumerate_ball(ring, max_norm)
     n4 = (g2 * g2).sum(axis=1)
     g2, n4 = g2[n4 > 4], n4[n4 > 4]
-    gbar2, a2, c2 = _exact_rows(g2 * np.array([1] + [-1] * (ring.dim - 1)),
+    gbar2, a2, c2 = _exact_rows(g2 * _conj_sign(ring.dim),
                                 [a.coords2], [c.coords2])
     ok = np.ones(len(g2), dtype=bool)
     for x2 in (a2, c2):

@@ -148,6 +148,32 @@ def test_integer_products_match_fraction_loop(rng, dim):
         assert type(ip.numerator) is int
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_mult4_matches_cd_multiply_across_blocks(nprng, dim):
+    # rows are drawn from a pool of pairs whose products cd_multiply
+    # gives, so every row count is cheap to check; the counts straddle
+    # the block edges of the kernel
+    xs, ys = (nprng.integers(-9, 10, (40, dim)) for _ in range(2))
+
+    def product(x, y):
+        z = cd_multiply(AlgElem.make(dim, x.tolist()), AlgElem.make(dim, y.tolist()))
+        return [int(c) for c in z.coords]
+
+    pairs = np.array([product(x, y) for x, y in zip(xs, ys)])
+    row0 = np.array([product(xs[0], y) for y in ys])  # x = xs[0] on every row
+    block = algebra._BLOCK_PRODUCTS // dim ** 2
+    big = 10 ** 15  # object rows: products beyond int64
+    for m in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        pick = nprng.integers(0, len(xs), m)
+        got = algebra._mult4(xs[pick], ys[pick])
+        assert got.dtype == np.int64 and got.shape == (m, dim)
+        assert np.array_equal(got, pairs[pick])
+        got = algebra._mult4(xs[pick].astype(object) * big, ys[pick].astype(object) * big)
+        assert got.dtype == object and np.array_equal(got, pairs[pick].astype(object) * big ** 2)
+        x0 = np.broadcast_to(xs[0], (m, dim))  # read-only, stride 0
+        assert np.array_equal(algebra._mult4(x0, ys[pick]), row0[pick])
+
+
 def _basis_sum_pair_scan(dim):
     """Every pair (e_a + s e_b, e_c + t e_d) with zero product, one
     cd_multiply per pair in combination order."""

@@ -343,8 +343,12 @@ def test_verify_checks_independent_of_suite():
             assert c["value"] == full[c["name"]], c["name"]
 
 
-def test_verify_cli_exit_code(capsys):
-    assert main(["verify", "--suite", "algebra"]) == 0
+@pytest.mark.parametrize("suite", cli.SUITES + ("all",))
+def test_verify_cli_exit_code(suite, capsys):
+    # the shipped command, every suite and all of them: exit 0
+    assert main(["verify", "--suite", suite]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] and all(c["passed"] for c in report["checks"])
 
 
 def test_unknown_suite(capsys):

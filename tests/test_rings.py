@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
 import random
 from collections.abc import Mapping
@@ -27,6 +28,7 @@ import octavia
 from octavia.rings import (
     EuclTrace,
     _cosets,
+    _decode2,
     _euclid,
     _euclid_rows,
     HURWITZ,
@@ -284,6 +286,50 @@ def test_nearest_tie_takes_least_coords():
     assert nearest(HURWITZ, [Fraction(1, 4)] * 4) == zero(4)
 
 
+def _brute_nearest2(ring, num, den):
+    """(doubled coordinates, tie count) of the ring points nearest to the
+    row num / den, by search over every glue-code coset.  A point whose
+    coordinate i lies more than 1 from x_i = num_i / den moves 2 towards
+    x_i and comes strictly nearer within its coset, so every nearest
+    point has each coordinate among the values of its coset's parity
+    within 1 of x_i.  Exact on ints and on floats (Fraction); the least
+    (squared distance, coordinates) wins."""
+    x = [Fraction(n) / Fraction(den) for n in num]
+    scale = math.lcm(*(t.denominator for t in x))
+    a = [int(t * scale) for t in x]
+    cands = []
+    for code in _cosets(ring):
+        axes = [[v for v in range(math.ceil(t) - 1, math.floor(t) + 2)
+                 if v % 2 == b and abs(v - t) <= 1] for t, b in zip(x, code)]
+        for v in itertools.product(*axes):
+            cands.append((sum((vi * scale - ai) ** 2 for vi, ai in zip(v, a)), v))
+    best = min(cands)
+    return best[1], sum(d == best[0] for d, _ in cands)
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_decode2_matches_brute_force_nearest(ring, nprng):
+    dim, m = ring.dim, 120
+    num = nprng.integers(-60, 61, (m, dim))
+    den = nprng.integers(1, 31, m)
+    # exact ties: half-integer and integer targets
+    num[:40] = 2 * nprng.integers(-5, 6, (40, dim)) + 1
+    den[:40] = 2
+    num[40:60] = nprng.integers(-5, 6, (20, dim))
+    den[40:60] = 1
+    expect = [_brute_nearest2(ring, n.tolist(), int(d)) for n, d in zip(num, den)]
+    assert sum(ties > 1 for _, ties in expect) >= 10
+    expect = np.array([v for v, _ in expect])
+    got = _decode2(ring, num, den)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
+    big = 10 ** 20  # the same targets as Python-int object rows
+    got = _decode2(ring, num.astype(object) * big, den.astype(object) * big)
+    assert got.dtype == object and np.array_equal(got, expect)
+    targets = nprng.normal(scale=5.0, size=(m, dim))
+    expect = np.array([_brute_nearest2(ring, t.tolist(), 0.5)[0] for t in targets])
+    assert np.array_equal(_decode2(ring, 2.0 * targets, np.ones(m)), expect)
+
+
 def test_shell_counts_oracles():
     assert shell_counts(HURWITZ, 5) == [24, 24, 96, 24, 144]
     assert shell_counts(OCTAVIAN, 2) == [240, 2160]
@@ -333,6 +379,9 @@ CACHE_ARGS = {
     "_cosets": (OCTAVIAN,),
     "units": (HURWITZ,),
     "_coset_matrix": (OCTAVIAN,),
+    "_decode_tables": (OCTAVIAN,),
+    "_conj_sign": (8,),
+    "_half": (3,),
     "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
@@ -354,7 +403,14 @@ def _first_mutable(value):
     arrays, lists, dicts, sets and objects of any other kind count as
     mutable."""
     if isinstance(value, np.ndarray):
-        return "a writable array" if value.flags.writeable else None
+        if value.flags.writeable:
+            return "a writable array"
+        try:  # the flag must stay cleared, not just be cleared
+            value.flags.writeable = True
+        except ValueError:
+            return None
+        value.flags.writeable = False
+        return "an array whose writeable flag can be set back"
     if isinstance(value, (int, float, complex, str, bytes, Fraction, np.generic, type(None))):
         return None
     if isinstance(value, (tuple, frozenset)):
@@ -393,9 +449,10 @@ def test_vectorized_left_content_matches_scalar(rng):
     c, d = np.repeat(pts, len(pts), axis=0), np.tile(pts, (len(pts), 1))
     assert np.array_equal(left_content(Z, c, d) == 4,
                           np.gcd(c[:, 0], d[:, 0]) == 2)
-    for ring in (HURWITZ, OCTAVIAN):
+    # 2,500 octavian rows span several _mult4 blocks
+    for ring, draws in ((HURWITZ, 60), (OCTAVIAN, 2500)):
         cs, ds, expect = [], [], []
-        for _ in range(60):
+        for _ in range(draws):
             c = random_element(ring, rng, max_coord2=3)
             d = random_element(ring, rng, max_coord2=3)
             if c.is_zero() or d.is_zero():
