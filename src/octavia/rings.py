@@ -217,12 +217,15 @@ def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     squared distance to the best point of each of the K <= 2 dim cosets
     is a sum of per-coordinate errors (soft-decision decoding of the glue
     code; Conway & Sloane, IEEE Trans. Inf. Theory 28, 1982).  With
-    d0 = den (x - v0), the errors are e0 = d0^2 and e1 = (|d0| - den)^2,
-    so coset k lies e0.sum() + den (den - 2 |d0|) @ g[k] away: the row
+    d0 = den (x - v0), the squared errors times den^2 are e0 = d0^2 and
+    e1 = (den - |d0|)^2, so coset k lies e0.sum() + den (den - 2 |d0|)
+    @ g[k] away, times den^2: the row
     constant and the factor den > 0 leave the order of the cosets alone,
     and one matmul (den - 2 |d0|) @ g^T ranks all K.  Its entries stay
     within dim den, and every other term within 2 |num| + 2 den, inside
-    the bound _exact_rows checks.  Memory stays O(M (dim + K)).
+    the bound _exact_rows checks.  Of the nearest cosets, the least tie
+    rank (g @ w) XOR ((v1 < v0) @ w) wins (see below).  Memory stays
+    O(M (dim + K)).
     """
     g, gt, w, gw = _decode_tables(ring)
     den = den[:, None]
