@@ -23,7 +23,7 @@ from .rings import (
     Ring,
     _decode2,
     _lattice_basis2,
-    _orbit_reps,
+    _lattice_classes,
     _pair_chunks,
     enumerate_ball,
     left_content,
@@ -89,25 +89,36 @@ class FourierDatum:
 @lru_cache(maxsize=32)
 def _ball_data(ring: Ring, radius: int):
     """Ball points (doubled int and float coordinates) with squared norms,
-    and the unit-orbit quotient of rings._orbit_reps: the ball indices
-    `reps` of the representatives c and their orbit sizes `weight`.
+    and the one row partition of every series: the ball indices `reps` of
+    the first member c of each lattice class c^-bar O and the class sizes
+    `weight` (rings._lattice_classes).
+
+    The row of c, its d-sums per shell and its coprime mask, depends only
+    on |c|^2 and the lattice c^-bar O, since cu + d = c (u + c^-1 d) and
+    the left Euclid chain on (d, c) runs on c^-1 d alone; so each class
+    needs one row, counted with its size.
     """
     pts2 = enumerate_ball(ring, radius)
     pts = pts2.astype(float) / 2.0
-    reps, weight = _orbit_reps(ring, radius)
+    reps, weight = _lattice_classes(ring, radius)
     return tuple(map(_readonly, (pts2, pts, (pts * pts).sum(axis=1), reps, weight)))
 
 
 @lru_cache(maxsize=8)
 def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     """Left coprimality of the pairs (c, d) = (pts[reps[i]], pts[j]) of the
-    truncation ball, one row per unit-orbit representative c, as a
+    truncation ball, one row per lattice class of c (_ball_data), as a
     read-only (len(reps), m) boolean array.
 
-    The rows of the other members of an orbit repeat the representative's
-    (rings._orbit_reps; for the octavians only the central units +-1 keep
-    the left content: a non-central unit changes it for some pairs).  The
-    mask does not depend on the point z, so it is built once per
+    A member c' of the class of c has the row of c under d <-> d' =
+    c'(c^-1 d): the left Euclid chain on (d, c) maps t = c^-1 p to
+    (q - t)^-1 with q = nearest(t) at each step, since (c y)^-1 c = y^-1
+    in an alternative algebra, and its remainder norms are |c|^2 times
+    functions of c^-1 d.  So _decode2 sees the same input, ties included,
+    and the last remainder is a unit for both or for neither.  (A unit
+    pair action (c, d) -> (e c, e d) with e non-central would change the
+    content of some octavian pairs; the classes do not use it.)  The mask
+    does not depend on the point z, so it is built once per
     (ring, radius).
     """
     pts2, _, _, reps, _ = _ball_data(ring, radius)
@@ -134,18 +145,20 @@ def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
 def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
     """Shell-major compensated sum of v^s / |cz+d|^(2s).
 
-    The term depends only on |cz + d|, which the units of
-    rings._orbit_units leave alone under (c, d) -> (e c, e d) (this needs
-    (e c) z = e (c z): associativity, or a central e for the octavians),
-    as they do coprimality.  So c runs over one representative per unit
-    orbit, times the orbit size.
+    The term depends only on |cz + d|^2 = |c|^2 (|u + x|^2 + v^2) with
+    x = c^-1 d, and its shell on max(|c|^2, |d|^2 = |c|^2 |x|^2); x runs
+    over the lattice c^-1 O = c^-bar O / |c|^2 as d runs over the ring,
+    and coprimality is a function of x too (_coprime_mask).  So c runs
+    over one row per lattice class c^-bar O (_ball_data), times the
+    class size: the d-sums of a member c' equal those of the row under
+    d <-> d' = c'(c^-1 d), which keeps |d|.
 
     Representative rows go in chunks of about 64k pairs.  The
     denominators of a chunk are one matmul of augmented rows,
     [2 cu | |cu|^2 + |c|^2 v^2 | 1] @ [d | 1 | |d|^2]^T = |cu + d|^2 +
     |c|^2 v^2, into one reused buffer.  The ball is shell-major, so
     np.add.reduceat over the column segments of its shells gives each
-    row's per-shell sums; these are weighted by the orbit size and
+    row's per-shell sums; these are weighted by the class size and
     bucketed by the shell key max(|c|^2, |d|^2).  The per-shell totals
     are reduced in increasing shell order, so the result is deterministic
     and the summation order matches the truncation geometry.
@@ -308,10 +321,11 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     truncation of eisenstein_truncated is not periodic, and its
     aperiodicity would swamp the exponentially small Fourier modes.
 
-    For a unit e of rings._orbit_units, d -> e d maps the d-ball of c onto
-    the d-ball of e c with the same |cu + d| (this needs (e c) u =
-    e (c u): associativity, or a central e for the octavians), so c runs
-    over one representative per unit orbit, times the orbit size.
+    The truncation |cu + d|^2 = |c|^2 |u + c^-1 d|^2 <= radius is a
+    condition on |c|^2 and x = c^-1 d, so d <-> d' = c'(c^-1 d) maps the
+    d-ball of c onto the d-ball of any c' with c'^-bar O = c^-bar O,
+    term for term.  So c runs over one row per lattice class
+    (_ball_data), times the class size.
 
     Rows (point, c) go in chunks of about 512k (point, c, d) terms, each
     chunk within a block of whole points.  A row's displacement is w =
@@ -320,8 +334,7 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     the ball |cu + d|^2 <= radius.  The denominators of a chunk are one
     matmul of augmented rows, [2 w | |w|^2 + |c|^2 v^2 | 1] @
     [d | 1 | |d|^2]^T, into one reused buffer; each row is summed over its
-    kept d, then each point over its representatives with their orbit
-    sizes.
+    kept d, then each point over its rows with their class sizes.
     """
     s = complex(s)
     n = ring.dim

@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import (
     AlgElem,
     _mult2,
+    _mult4,
     _readonly,
     basis_unit,
     cd_multiply,
@@ -222,7 +223,7 @@ def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     @ g[k] away, times den^2: the row
     constant and the factor den > 0 leave the order of the cosets alone,
     and one matmul (den - 2 |d0|) @ g^T ranks all K.  Its entries stay
-    within dim den, and every other term within 2 |num| + 2 den, inside
+    within dim den, and every other term within |num| + 2 den, inside
     the bound _exact_rows checks.  Of the nearest cosets, the least tie
     rank (g @ w) XOR ((v1 < v0) @ w) wins (see below).  Memory stays
     O(M (dim + K)).
@@ -311,6 +312,11 @@ def _orbit_units(ring: Ring) -> tuple[AlgElem, ...]:
     all their units and the octavians only the central units +-1.  The
     action fixes |cz + d| and the left content, and it is free on pairs
     with c != 0, so each such orbit has len(_orbit_units(ring)) members.
+
+    Only the coset classes (coset_reps, _canonical_rows) need this action
+    on pairs.  A series row of c needs less and reduces further, to the
+    classes of _lattice_classes: these orbits for Z and the Hurwitz ring,
+    up to all 240 points e c for the octavians.
     """
     return (one(8), -one(8)) if ring is OCTAVIAN else units(ring)
 
@@ -350,21 +356,93 @@ def _orbit_reps(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, weight
 
 
+def _class_keys(ring: Ring, pts2: np.ndarray) -> np.ndarray:
+    """One exact integer key row per row c2 = 2c of pts2: the sorted
+    minimal vectors c^-bar e (e a unit) of the lattice c^-bar O, each
+    packed into one integer, so two rows share a key iff they span the
+    same lattice (c = 0: the zero row).
+
+    The digits are the coordinates of 4 c^-bar e = sum_i conj(c2)_i
+    (e_i * 2e), integers of absolute value at most h = isqrt(4 |c2|^2),
+    packed in balanced base lim = 2h + 1, which is one-to-one.  The packing is linear in c2,
+    so one float matmul pts2 @ t gives all keys; every partial sum of a
+    key is an integer below |c2|_1 max|t| in absolute value, so the
+    matmul is exact whatever its order while that bound is below 2^53.
+    Beyond it the keys raise OverflowError rather than round.
+    """
+    dim = ring.dim
+    e2 = enumerate_ball(ring, 1)[1:]  # the doubled units
+    n4 = int((pts2 * pts2).sum(axis=1).max(initial=0))
+    lim = 2 * math.isqrt(4 * n4) + 1
+    powers = [lim ** k for k in range(dim)]
+    # |e_i * 2e| <= 2 entrywise, so |t| <= 2 sum(powers)
+    if int(np.abs(pts2).sum(axis=1).max(initial=0)) * 2 * sum(powers) >= 2 ** 53:
+        raise OverflowError("class keys would exceed 2^53; the float matmul "
+                            "would round them")
+    eye = np.tile(np.eye(dim, dtype=np.int64), (len(e2), 1))
+    digits = _mult4(eye, np.repeat(e2, dim, axis=0)).reshape(len(e2), dim, dim)
+    t = (digits @ np.array(powers)).T * _conj_sign(dim)[:, None]  # [i, e]
+    keys = (pts2 @ t.astype(float)).astype(np.int64)
+    keys.sort(axis=1)
+    return keys
+
+
+def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]:
+    """The partition c ~ c' iff c^-bar O = c'^-bar O of enumerate_ball(ring,
+    max_norm): the ball index of the first member of each class, in
+    increasing order (0 first, the class {0}), and the class sizes.
+
+    A series row of c, its per-shell d-sums and its left-coprime mask,
+    depends only on this class.  Write cu + d = c (u + x) with x = c^-1 d,
+    which runs over the lattice c^-1 O = c^-bar O / |c|^2 as d runs over
+    O; then |cu + d|^2 = |c|^2 |u + x|^2 and |d|^2 = |c|^2 |x|^2.  The
+    left Euclid chain on (d, c) depends on the same data: with t = c^-1 p,
+    each step maps t to t' = (q - t)^-1, q = nearest(t), because
+    (c y)^-1 c = y^-1 in an alternative algebra, and its remainder norms
+    are |c|^2 times functions of x, so _decode2 sees the same (num, den)
+    on (c, d) and on (c', d') for c' in the class of c, d' = c'(c^-1 d).
+    So the members' rows equal the first member's under d <-> d'; both
+    facts rest on the alternative law c (c^-bar x) = |c|^2 x (Feingold,
+    Kleinschmidt and Nicolai, arXiv:0805.3018).
+
+    For Z and the Hurwitz ring the classes are the unit orbits of
+    _orbit_reps; for the octavians they hold 1, 16 or 240 points at
+    max_norm 2 (137 classes against 1,201 orbits {c, -c}).
+    """
+    keys = _class_keys(ring, enumerate_ball(ring, max_norm))
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def _exact_rows(*rows) -> list[np.ndarray]:
     """The row arrays as int64 where no Euclid intermediate can overflow
     it, else as Python-int object arrays.
 
-    With m the largest |entry|, norms never grow along the chain, so every
-    entry stays below sqrt(dim) m, every norm and product entry below
-    dim m^2 and every _decode2 term below 4 dim m^2 + dim^2 m^2; the
-    check dim^3 (m + 2)^4 < 2^62 covers them all with room to spare.
-    The rows are returned without a copy where they already have the
-    dtype; no Euclid routine writes into them.
+    With m the largest |entry|, every row has |x2| <= sqrt(dim) m, and
+    norms never grow along a chain (nor along its replay in
+    hyperweyl._canonical_rows, which keeps the remainder norms).  So:
+    - every _mult4 partial sum of two rows is at most |x2| |y2| <= dim m^2
+      (Cauchy-Schwarz: output k pairs each x_i with one y_j), and so is
+      every norm, den = |c2|^2 among them;
+    - num = 4 (x2 y2 >> 1) has |num| <= 2 dim m^2, so den - num,
+      k * den2 (within |num| + den of 0), den2 and the other _decode2
+      terms stay within |num| + 2 den <= 4 dim m^2;
+    - the ranking matmul (den - 2 |d0|) @ g^T stays within dim den <=
+      dim^2 m^2;
+    - quotients, remainders and their products stay within
+      |q2| |c2| <= 2 |p2| + sqrt(2) |c2| <= 4 sqrt(dim) m (the covering
+      radius is at most sqrt(1/2)).
+    The check (4 dim + dim^2) m^2 < 2^63 therefore keeps every
+    intermediate inside int64.  The rows are returned without a copy
+    where they already have the dtype; no Euclid routine writes into
+    them.
     """
     rows = [np.asarray(r) for r in rows]
     dim = rows[0].shape[1]
     m = max((int(np.abs(r).max()) for r in rows if r.size), default=0)
-    dtype = np.int64 if dim ** 3 * (m + 2) ** 4 < 2 ** 62 else object
+    dtype = np.int64 if (4 * dim + dim * dim) * m * m < 2 ** 63 else object
     return [r.astype(dtype, copy=False) for r in rows]
 
 

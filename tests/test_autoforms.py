@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
-from octavia.algebra import right_mult_matrix
+from octavia.algebra import _mult4, right_mult_matrix
 from octavia.autoforms import (
     SeriesParams,
     _ball_data,
@@ -37,6 +37,7 @@ from octavia.rings import (
     HURWITZ,
     OCTAVIAN,
     Z,
+    _conj_sign,
     _mult2,
     enumerate_ball,
     left_content,
@@ -116,7 +117,7 @@ def test_poincare_two_evaluation_paths_agree():
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-# -- the unit-orbit reduction against the full pair ball -----------------
+# -- the lattice-class reduction against the full pair ball --------------
 
 
 def _full_mask_rows(ring, c2, d2):
@@ -159,7 +160,7 @@ def _full_pair_series(p, coprime_only=False):
 @pytest.mark.parametrize("ring, radius", [(Z, 9), (HURWITZ, 4), (OCTAVIAN, 1)],
                          ids=["z", "hurwitz", "octavian"])
 def test_series_match_full_pair_oracle(ring, radius, s):
-    # fails if an orbit weight or the set of acting units is wrong
+    # fails if a class size or the class partition is wrong
     rng = np.random.default_rng(7)
     z = UhpPoint(rng.uniform(-0.5, 0.5, ring.dim), 1.05)
     p = SeriesParams(ring, s, radius, z)
@@ -169,17 +170,26 @@ def test_series_match_full_pair_oracle(ring, radius, s):
 
 
 def test_octavian_series_match_full_pair_oracle_radius_2():
-    # at radius 1 every c is a unit, and each unit c gives the same d-sum
-    # (c (u + conj(c) d) = cu + d), so only radius 2 sees the acting units
+    # at radius 1 the units form one lattice class (c^-bar O = O), so
+    # only radius 2 sees classes of 16 beside it
     z = UhpPoint(np.random.default_rng(8).uniform(-0.5, 0.5, 8), 0.95)
     p = SeriesParams(OCTAVIAN, 5.0, 2, z)
     ref = _full_pair_series(p)
     assert abs(eisenstein_truncated(p) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.heavy
+def test_octavian_poincare_radius_2_matches_full_pair_oracle():
+    # the coprime mask on 137 class rows against all 2401^2 pairs
+    z = UhpPoint(np.random.default_rng(8).uniform(-0.5, 0.5, 8), 0.95)
+    p = SeriesParams(OCTAVIAN, 5.0, 2, z)
+    ref = _full_pair_series(p, True)
+    assert abs(poincare_truncated(p) - ref) <= 1e-12 * abs(ref)
+
+
 def _row_by_row_series(p, coprime_only=False):
-    """Oracle on the reduced pair set: one representative row at a time,
-    with its orbit weight and coprime-mask row, per-shell fsum."""
+    """Oracle on the reduced pair set: one class row at a time, with its
+    class size and coprime-mask row, per-shell fsum."""
     _, pts, nrm, reps, weight = _ball_data(p.ring, p.radius)
     mask = _coprime_mask(p.ring, p.radius) if coprime_only else None
     u, v, s = p.z.u_vector(), p.z.v, complex(p.s)
@@ -241,8 +251,8 @@ def test_full_mask_invariant_under_orbit_units():
 
 
 def test_noncentral_octavian_unit_breaks_mask_invariance():
-    # why the octavian orbits are {c, -c}: (e c, e d) need not share the
-    # left coprimality of (c, d) when e is not central
+    # why the octavian pair orbits are {(c, d), (-c, -d)}: (e c, e d) need
+    # not share the left coprimality of (c, d) when e is not central
     pts2 = enumerate_ball(OCTAVIAN, 2)
     rows = np.arange(241, 2401, 97)
     e = next(x for x in units(OCTAVIAN) if abs(x.coords[0]) != 1)
@@ -258,10 +268,74 @@ def test_reduced_mask_is_representative_rows(ring, radius):
     pts2, _, _, reps, weight = _ball_data(ring, radius)
     full = _full_mask_rows(ring, pts2, pts2)
     assert np.array_equal(_coprime_mask(ring, radius), full[reps])
-    # c = 0 once, then one c per orbit of len(units) (Z, Hurwitz) or 2
-    n = 2 if ring is OCTAVIAN else len(units(ring))
-    assert reps[0] == 0 and weight[0] == 1.0
-    assert np.all(weight[1:] == n) and 1 + n * (len(reps) - 1) == len(pts2)
+    # c = 0 alone, and the classes cover the ball once
+    assert reps[0] == 0 and weight[0] == 1
+    assert weight.sum() == len(pts2)
+
+
+def _class_members(ring, pts2, i):
+    """Ball indices of the points c' with c'^-bar O = c^-bar O, c =
+    pts2[i], found exactly: such c' is e c for a unit e (c^-bar O holds
+    c'^-bar and the other way round, so the two differ by a unit factor),
+    and its minimal vectors c'^-bar e' must be those of c."""
+    index = {tuple(r): j for j, r in enumerate(pts2.tolist())}
+    e2 = enumerate_ball(ring, 1)[1:]
+
+    def minimal(c2):
+        cbar = np.broadcast_to(c2 * _conj_sign(ring.dim), e2.shape)
+        return {tuple(r) for r in _mult2(cbar, e2).tolist()}
+
+    c2 = pts2[i]
+    cands = {tuple(r) for r in _mult2(e2, np.broadcast_to(c2, e2.shape)).tolist()}
+    ref = minimal(c2)
+    return sorted(index[x] for x in cands if minimal(np.array(x)) == ref)
+
+
+def _member_image(c2, c2_member, d2, n):
+    """Doubled coordinates of d' = c'(c^-1 d) = c'(c^-bar d) / |c|^2 for
+    every row d2, n = |c|^2; exact, and it must land on the ring."""
+    y2 = _mult2(np.broadcast_to(c2 * _conj_sign(len(c2)), d2.shape), d2)  # 2 c^-bar d
+    z2 = _mult2(np.broadcast_to(c2_member, d2.shape), y2)  # 2 c'(c^-bar d)
+    assert not (z2 % n).any()
+    return z2 // n
+
+
+def _dist1024(c2, d2, u16):
+    """1024 |cu + d|^2 per row d2, exactly: 32 (cu + d) = (2c)(16u) +
+    16 (2d) on plain integer products."""
+    w = _mult4(np.broadcast_to(c2, d2.shape), np.broadcast_to(u16, d2.shape))
+    return ((w + 16 * d2) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("radius, sampled", [
+    (1, [(240, 0)]), (2, [(16, 0), (16, 67), (16, -1)]),
+    (3, [(16, 0), (6, 0), (6, -1)])], ids=["1", "2", "3"])
+def test_octavian_class_members_share_the_row(radius, sampled):
+    # d <-> d' = c'(c^-1 d) carries the row of c onto the row of every
+    # member c' of its class: the coprime mask and |cu + d|^2, both exact
+    # (u on a 1/16 grid), and it keeps |d|^2, so the shell sums agree.
+    # sampled: (class size, which class of that size)
+    pts2, _, _, reps, weight = _ball_data(OCTAVIAN, radius)
+    index = {tuple(r): j for j, r in enumerate(pts2.tolist())}
+    u16 = np.random.default_rng(radius).integers(-24, 25, 8)
+    n4 = (pts2 * pts2).sum(axis=1)
+    by_size = {}
+    for i, w in zip(reps.tolist(), weight.tolist()):
+        by_size.setdefault(w, []).append(i)
+    for size, k in sampled:
+        i = by_size[size][k]
+        members = _class_members(OCTAVIAN, pts2, i)
+        assert members[0] == i and len(members) == size
+        n = int(n4[i]) // 4
+        full = _full_mask_rows(OCTAVIAN, pts2[members], pts2)
+        ref = _dist1024(pts2[i], pts2, u16)
+        for row, j in zip(full, members):
+            image = _member_image(pts2[i], pts2[j], pts2, n)
+            perm = np.array([index[tuple(r)] for r in image.tolist()])
+            assert np.array_equal(np.sort(perm), np.arange(len(pts2)))
+            assert np.array_equal(n4[perm], n4)
+            assert np.array_equal(row[perm], full[0])
+            assert np.array_equal(_dist1024(pts2[j], image, u16), ref)
 
 
 def test_dual_basis_is_dual():
@@ -291,21 +365,23 @@ def test_periodic_truncation_is_periodic():
 
 
 def _per_point_value(ring, s, radius, u, v):
-    """Oracle: the periodic series value at one point u + iv, summed per
-    representative c over its d-ball centered at -cu, one point at a time."""
+    """Oracle: the periodic series value at one point u + iv, summed over
+    every c of the ball (no class reduction), each over its d-ball
+    centered at -cu, one point at a time."""
     s = complex(s)
-    _, cpts, cnrm, reps, weight = _ball_data(ring, radius)
-    cpts, cnrm = cpts[reps], cnrm[reps]
-    off = enumerate_ball(ring, _margin_norm(radius)).astype(float) / 2.0
+    cpts = enumerate_ball(ring, radius) / 2.0
+    cnrm = (cpts * cpts).sum(axis=1)
+    off = enumerate_ball(ring, _margin_norm(radius)) / 2.0
     cu = cpts @ right_mult_matrix(u, ring.dim).T
-    disp = cu + _nearest_lattice2(ring, -cu).astype(float) / 2.0
-    cud = disp[:, None, :] + off[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", cud, cud)
-    denom = d2 + cnrm[:, None] * v * v
-    keep = (d2 <= radius + 1e-9) & (denom > 1e-12)
-    vals = np.exp(-s * np.log(denom[keep])) * np.broadcast_to(
-        weight[:, None], keep.shape)[keep]
-    return v ** s * complex(vals.sum())
+    disp = cu + _nearest_lattice2(ring, -cu) / 2.0
+    total, rows = 0j, max(1, (1 << 17) // len(off))
+    for lo in range(0, len(cpts), rows):
+        cud = disp[lo:lo + rows, None, :] + off[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", cud, cud)
+        denom = d2 + cnrm[lo:lo + rows, None] * v * v
+        keep = (d2 <= radius + 1e-9) & (denom > 1e-12)
+        total += complex(np.exp(-s * np.log(denom[keep])).sum())
+    return v ** s * total
 
 
 @pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])

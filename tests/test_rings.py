@@ -16,6 +16,7 @@ import pytest
 
 from octavia.algebra import (
     AlgElem,
+    _mult2,
     basis_unit,
     cd_multiply,
     conj,
@@ -27,10 +28,15 @@ from octavia.algebra import (
 import octavia
 from octavia.rings import (
     EuclTrace,
+    _class_keys,
+    _conj_sign,
     _cosets,
     _decode2,
     _euclid,
     _euclid_rows,
+    _exact_rows,
+    _lattice_classes,
+    _orbit_reps,
     HURWITZ,
     OCTAVIAN,
     Z,
@@ -538,6 +544,111 @@ def test_batched_coprimality_on_octavian_balls(rng):
                                   AlgElem.from_coords2(8, pts[i]))
                   for i, j in pairs]
         assert list(got) == expect
+
+
+def _ring_rows(ring, nprng, m, count):
+    """count ring elements as doubled rows with every |entry| <= m: a
+    glue vector plus even offsets."""
+    code = np.array(_cosets(ring))
+    glue = code[nprng.integers(0, len(code), count)]
+    return glue + 2 * nprng.integers(-(m // 2), m // 2, (count, ring.dim))
+
+
+@pytest.mark.parametrize("ring", [HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_exact_rows_int64_up_to_the_proven_bound(ring, nprng, monkeypatch):
+    # every Euclid intermediate stays within (4 dim + dim^2) m^2, so rows
+    # up to the largest m with that below 2^63 run on int64, and give the
+    # contents and chains of the Python-int object path
+    dim = ring.dim
+    m = math.isqrt((2 ** 63 - 1) // (4 * dim + dim * dim))
+    c2 = _ring_rows(ring, nprng, m, 300)
+    d2 = _ring_rows(ring, nprng, m, 300)
+    # rows at the largest norm the bound allows: every entry +-m
+    c2[:100] = m * nprng.choice([-1, 1], (100, dim))
+    d2[50:150] = m * nprng.choice([-1, 1], (100, dim))
+    assert np.abs(c2).max() == m
+    assert all(r.dtype == np.int64 for r in _exact_rows(c2, d2))
+    assert all(r.dtype == object for r in _exact_rows(c2, d2 + (d2 == m)))
+    runs = [_euclid_rows(ring, d2, c2, side, record=True) for side in ("left", "right")]
+    monkeypatch.setattr(octavia.rings, "_exact_rows",
+                        lambda *rows: [np.asarray(r).astype(object) for r in rows])
+    for side, (content, chain) in zip(("left", "right"), runs):
+        obj_content, obj_chain = _euclid_rows(ring, d2, c2, side, record=True)
+        assert obj_content.dtype == object and np.array_equal(content, obj_content)
+        assert len(chain) == len(obj_chain) > 2
+        for step, obj_step in zip(chain, obj_chain):
+            assert all(np.array_equal(a, b) for a, b in zip(step, obj_step))
+
+
+@pytest.mark.parametrize("ring, radius, count", [
+    (Z, 9, 4), (HURWITZ, 4, 8), (HURWITZ, 6, 18), (HURWITZ, 9, 40), (HURWITZ, 16, 109)],
+    ids=["z-9", "hurwitz-4", "hurwitz-6", "hurwitz-9", "hurwitz-16"])
+def test_lattice_classes_are_the_unit_orbits_of_associative_rings(ring, radius, count):
+    # c^-bar H = c'^-bar H iff c' = e c for a unit e, so the series rows
+    # of Z and the Hurwitz ring stay those of the unit orbits
+    reps, weight = _lattice_classes(ring, radius)
+    orbit_reps, orbit_weight = _orbit_reps(ring, radius)
+    assert len(reps) == count
+    for got, expect in ((reps, orbit_reps), (weight, orbit_weight)):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("radius, sizes", [
+    (1, {1: 1, 240: 1}), (2, {1: 1, 16: 135, 240: 1}),
+    (3, {1: 1, 6: 1120, 16: 135, 240: 1})], ids=["1", "2", "3"])
+def test_octavian_lattice_class_counts(radius, sizes):
+    # 2, 137 and 1,257 rows against 121, 1,201 and 4,561 orbits {c, -c}
+    reps, weight = _lattice_classes(OCTAVIAN, radius)
+    size, count = np.unique(weight, return_counts=True)
+    assert dict(zip(size.tolist(), count.tolist())) == sizes
+    assert reps[0] == 0 and weight[0] == 1 and np.all(np.diff(reps) > 0)
+    assert weight.sum() == len(enumerate_ball(OCTAVIAN, radius))
+
+
+def _minimal_vector_classes(ring, radius):
+    """The partition by the exact set of minimal vectors c^-bar e of
+    c^-bar O (doubled, Python ints): first member and size per class."""
+    pts2 = enumerate_ball(ring, radius)
+    e2 = enumerate_ball(ring, 1)[1:]
+    cbar = np.repeat(pts2 * _conj_sign(ring.dim), len(e2), axis=0)
+    prods = _mult2(cbar, np.tile(e2, (len(pts2), 1))).reshape(len(pts2), -1, ring.dim)
+    classes = {}
+    for i, block in enumerate(prods.tolist()):
+        classes.setdefault(frozenset(map(tuple, block)), []).append(i)
+    firsts = sorted(v[0] for v in classes.values())
+    sizes = {v[0]: len(v) for v in classes.values()}
+    return np.array(firsts), np.array([sizes[i] for i in firsts])
+
+
+@pytest.mark.parametrize("ring, radius", [(Z, 16), (HURWITZ, 9), (OCTAVIAN, 2)],
+                         ids=["z", "hurwitz", "octavian"])
+def test_lattice_classes_match_exact_minimal_vector_sets(ring, radius):
+    # the packed float keys decide no class by a tolerance: they give the
+    # partition of exact integer sets
+    reps, weight = _lattice_classes(ring, radius)
+    expect_reps, expect_weight = _minimal_vector_classes(ring, radius)
+    assert np.array_equal(reps, expect_reps) and np.array_equal(weight, expect_weight)
+
+
+def test_class_keys_are_exact_up_to_2_53_and_raise_beyond():
+    # rows a (1, ..., 1) of growing a: the last row the keys accept packs
+    # its minimal vectors exactly (balanced base 2 isqrt(4 |c2|^2) + 1,
+    # digits 4 c^-bar e); the next one raises rather than round
+    e2 = enumerate_ball(OCTAVIAN, 1)[1:]
+    for a in range(1, 64):
+        try:
+            _class_keys(OCTAVIAN, np.full((1, 8), a + 1))
+        except OverflowError:
+            break
+    else:
+        pytest.fail("no OverflowError up to a = 64")
+    c2 = np.full((1, 8), a)
+    keys = _class_keys(OCTAVIAN, c2)
+    lim = 2 * math.isqrt(4 * 8 * a * a) + 1
+    digits = 2 * _mult2(np.broadcast_to(c2 * _conj_sign(8), e2.shape), e2)
+    expect = sorted(sum(int(x) * lim ** k for k, x in enumerate(row)) for row in digits)
+    assert keys.dtype == np.int64 and keys[0].tolist() == expect
+    assert max(abs(k) for k in expect) > 2 ** 50
 
 
 def _octavian_member_oracle(x2):
