@@ -2,11 +2,12 @@
 
 Supports the real numbers (dim 1), complex numbers (dim 2), quaternions
 (dim 4), octonions (dim 8) and, for the zero-divisor demonstration only,
-the 16-dimensional sedenions.  Coordinates are stored as exact rationals
-(``fractions.Fraction``), so every half-integer lattice element is
-represented without rounding error.  Products and inner products run on
-the integer numerators over each operand's least common denominator and
-build one ``Fraction`` per output coordinate.
+the 16-dimensional sedenions.  An element is stored as integer
+numerators over one positive denominator in lowest terms, so every
+rational element, half-integer lattice points included, is exact and
+has one representation.  Sums, products, conjugates, inner products and
+inverses run on those integers; ``fractions.Fraction`` appears only in
+the derived ``coords`` view and in scalar results such as ``norm_sq``.
 
 The octonion basis follows the convention in which ``(e1, e5, e6)`` is a
 quaternionic triple and the full multiplication table is generated from
@@ -213,59 +214,64 @@ def verify_octonion_table() -> tuple[int, ...]:
 class AlgElem:
     """An exact element of R, C, H, O (or the sedenions).
 
-    coords[k] is the rational coefficient of basis unit k.
+    Stored as integer numerators over one positive denominator in lowest
+    terms: coords[k] = num[k] / den with gcd(den, *num) = 1, so equal
+    elements have equal fields (and hashes).  coords and coords2 are views
+    derived on first use.
     """
 
     dim: int
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.dim not in VALID_DIMS:
-            raise ValueError(f"unsupported algebra dimension {self.dim}")
-        if len(self.coords) != self.dim:
-            raise ValueError("coordinate count does not match dimension")
+    def __init__(self, dim: int, coords: Iterable):
+        """The element with the given rational coordinates (ints and
+        Fractions as they are, anything else through Fraction)."""
+        coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+        _check_shape(dim, len(coords))
+        # lowest terms already: each prime power of the lcm divides some
+        # c.denominator and so not that coordinate's numerator
+        den = math.lcm(*[c.denominator for c in coords])
+        num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.__dict__.update(dim=dim, num=num, den=den)  # past the frozen __setattr__
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def make(cls, dim: int, coords: Iterable) -> "AlgElem":
-        return cls(dim, tuple(Fraction(c) for c in coords))
+        return cls(dim, coords)
 
     @classmethod
     def from_coords2(cls, dim: int, coords2: Iterable[int]) -> "AlgElem":
-        """Build from doubled-integer coordinates (2x each coefficient).
-
-        The coordinates are shared cached halves, and the given integers
-        seed the coords2 cache."""
+        """Build from doubled-integer coordinates (2x each coefficient)."""
         c2 = tuple(map(int, coords2))
-        a = cls(dim, tuple(map(_half, c2)))
-        a.__dict__["coords2"] = c2
-        return a
+        _check_shape(dim, len(c2))
+        if math.gcd(2, *c2) == 1:  # some coordinate is odd
+            return _new(dim, c2, 2)
+        return _new(dim, tuple(c >> 1 for c in c2), 1)
 
     # -- views -------------------------------------------------------------
 
-    def __hash__(self):
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        # computed on first use, so Euclid and Fraction temporaries that
-        # are never hashed pay nothing
-        return hash((self.dim, self.coords))
+    def coords(self) -> tuple[Fraction, ...]:
+        """coords[k] is the rational coefficient of basis unit k."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @cached_property
     def coords2(self) -> tuple[int, ...]:
         """Doubled coordinates; raises if the element is not half-integral
         (and then caches nothing)."""
-        if any(c.denominator > 2 for c in self.coords):
-            raise ValueError(f"{self} is not half-integral")
-        return tuple(2 * c.numerator // c.denominator for c in self.coords)
+        if self.den == 2:
+            return self.num
+        if self.den == 1:
+            return tuple(n + n for n in self.num)
+        raise ValueError(f"{self} is not half-integral")
 
     def floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coords])
+        return np.array([n / self.den for n in self.num])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -273,26 +279,29 @@ class AlgElem:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
         self._check(other)
-        return AlgElem(self.dim, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return _reduced(self.dim, [x * sa + y * sb for x, y in zip(self.num, other.num)], den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return AlgElem(self.dim, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return AlgElem(self.dim, tuple(-a for a in self.coords))
+        return _new(self.dim, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, AlgElem):
             return cd_multiply(self, other)
         f = Fraction(other)
-        return AlgElem(self.dim, tuple(a * f for a in self.coords))
+        return _reduced(self.dim, [x * f.numerator for x in self.num], self.den * f.denominator)
 
     def __rmul__(self, other):
-        f = Fraction(other)
-        return AlgElem(self.dim, tuple(f * a for a in self.coords))
+        return self * other
 
     def conj(self):
         return conj(self)
@@ -307,8 +316,33 @@ class AlgElem:
         return f"AlgElem({self.dim}, {[str(c) for c in self.coords]})"
 
 
+def _check_shape(dim: int, count: int) -> None:
+    if dim not in VALID_DIMS:
+        raise ValueError(f"unsupported algebra dimension {dim}")
+    if count != dim:
+        raise ValueError("coordinate count does not match dimension")
+
+
+def _new(dim: int, num: tuple[int, ...], den: int) -> AlgElem:
+    """The element num / den; the caller guarantees lowest terms, den > 0."""
+    a = object.__new__(AlgElem)
+    d = a.__dict__  # past the frozen __setattr__, as cached_property writes
+    d["dim"] = dim
+    d["num"] = num
+    d["den"] = den
+    return a
+
+
+def _reduced(dim: int, num, den: int) -> AlgElem:
+    """The element num / den (den > 0) brought to lowest terms."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return _new(dim, tuple(x // g for x in num), den // g)
+    return _new(dim, tuple(num), den)
+
+
 def zero(dim: int) -> AlgElem:
-    return AlgElem(dim, (Fraction(0),) * dim)
+    return AlgElem(dim, (0,) * dim)
 
 
 def one(dim: int) -> AlgElem:
@@ -318,16 +352,9 @@ def one(dim: int) -> AlgElem:
 def basis_unit(dim: int, k: int) -> AlgElem:
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dim {dim}")
-    coords = [Fraction(0)] * dim
-    coords[k] = Fraction(1)
-    return AlgElem(dim, tuple(coords))
-
-
-@lru_cache(maxsize=1024)
-def _half(c2: int) -> Fraction:
-    """c2 / 2, shared: Fractions are immutable, and Euclid traces reuse a
-    few small coordinates."""
-    return Fraction(c2, 2)
+    coords = [0] * dim
+    coords[k] = 1
+    return AlgElem(dim, coords)
 
 
 @lru_cache(maxsize=None)
@@ -337,45 +364,35 @@ def _table_rows(dim: int) -> tuple[tuple, tuple]:
     return tuple(tuple(map(tuple, t.tolist())) for t in structure_table(dim))
 
 
-def _scaled(a: AlgElem) -> tuple[list[int], int]:
-    """(numerators, den) with a.coords[k] = numerators[k] / den, den the
-    least common denominator."""
-    den = math.lcm(*[c.denominator for c in a.coords])
-    return [c.numerator * (den // c.denominator) for c in a.coords], den
-
-
 def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
-    """Exact product in the algebra shared by a and b."""
+    """Exact product in the algebra shared by a and b: the numerators
+    multiply through the structure table over the denominator a.den b.den."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     idx, sgn = _table_rows(a.dim)
-    an, ad = _scaled(a)
-    bn, bd = _scaled(b)
+    bn = b.num
     out = [0] * a.dim
-    for x, row_i, row_s in zip(an, idx, sgn):
+    for x, row_i, row_s in zip(a.num, idx, sgn):
         if x:
             for y, k, s in zip(bn, row_i, row_s):
                 if y:
                     out[k] += s * x * y
-    den = ad * bd
-    return AlgElem(a.dim, tuple(Fraction(n, den) for n in out))
+    return _reduced(a.dim, out, a.den * b.den)
 
 
 def conj(a: AlgElem) -> AlgElem:
-    return AlgElem(a.dim, (a.coords[0],) + tuple(-c for c in a.coords[1:]))
+    return _new(a.dim, (a.num[0],) + tuple(-x for x in a.num[1:]), a.den)
 
 
 def real_part(a: AlgElem) -> Fraction:
-    return a.coords[0]
+    return Fraction(a.num[0], a.den)
 
 
 def inner(a: AlgElem, b: AlgElem) -> Fraction:
     """Positive-definite inner product (a,b) = (a b~ + b a~)/2."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    an, ad = _scaled(a)
-    bn, bd = _scaled(b)
-    return Fraction(sum(x * y for x, y in zip(an, bn)), ad * bd)
+    return Fraction(sum(x * y for x, y in zip(a.num, b.num)), a.den * b.den)
 
 
 def norm_sq(a: AlgElem) -> Fraction:
@@ -383,14 +400,14 @@ def norm_sq(a: AlgElem) -> Fraction:
 
 
 def invert(a: AlgElem) -> AlgElem:
-    """Exact inverse a~ / |a|^2; defined for dim <= 8 only."""
+    """Exact inverse a~ / |a|^2 = a~ num den / |num|^2; defined for dim <= 8
+    only."""
     if a.dim == 16:
         raise ValueError("sedenions have no division")
-    n = norm_sq(a)
+    n = sum(x * x for x in a.num)
     if n == 0:
         raise ZeroDivisionError("cannot invert zero")
-    c = conj(a)
-    return AlgElem(a.dim, tuple(x / n for x in c.coords))
+    return _reduced(a.dim, [x * a.den for x in conj(a).num], n)
 
 
 def commutator(a: AlgElem, b: AlgElem) -> AlgElem:

@@ -385,13 +385,15 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     _periodic_series_value call.  ValueError unless grid >= 2 and
     radius >= 1.
     """
-    mu = np.array([float(c) for c in mu.coords]) if isinstance(mu, AlgElem) \
+    mu = mu.floats() if isinstance(mu, AlgElem) \
         else np.asarray(mu, dtype=float)
     if mu.shape != (ring.dim,):
         raise ValueError(f"mu has {mu.size} coordinates; the {ring.name} "
                          f"ring needs {ring.dim}")
     if not _in_dual_lattice(ring, mu):
         raise ValueError("mu is not in the dual lattice")
+    if not math.isfinite(v):
+        raise ValueError("v must be finite")
     if not v > 0:
         raise ValueError("v must be positive")
     if radius < 1:

@@ -322,7 +322,7 @@ def cmd_green(args) -> int:
 def _as_float_vec(text: str) -> np.ndarray:
     x = _parse_elem_or_vector(text)
     if isinstance(x, AlgElem):
-        return np.array([float(c) for c in x.coords])
+        return x.floats()
     return x
 
 
@@ -740,7 +740,7 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args, parser)
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -12,6 +12,7 @@ exact 2x2 matrix forms with the quaternionic determinant and inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ import numpy as np
 from .algebra import (
     AlgElem,
     _mult2,
+    _reduced,
     cd_multiply,
     commutator,
     conj,
@@ -154,13 +156,30 @@ class Rot:
     eps: AlgElem
 
 
+def _halve(v):
+    """v / 2: on ints an exact shift that raises ArithmeticError on an odd
+    value instead of rounding down, on anything else true division."""
+    if type(v) is int:
+        if v & 1:
+            raise ArithmeticError("halving an odd integer; scale the input first")
+        return v >> 1
+    return v / 2
+
+
 def act_coords(tokens, x_plus, x_minus, x):
     """The tokens, rightmost first, on the coordinates of [[x_plus, x],
     [conj(x), x_minus]]: Inv swaps x_plus, x_minus and takes x to -conj(x);
     Trans(y) adds 2 (x, y) + x_minus |y|^2 to x_plus and y x_minus to x;
-    Rot(eps) takes x to eps x eps.  Token data enter as integers (doubled
-    coordinates of y, doubled rows of sandwich_map(eps)), halved once per
-    step, so the loop is exact on Fractions and uhp.Jet2 and runs on floats."""
+    Rot(eps) takes x to eps x eps.
+
+    Token data enter as integers (doubled coordinates of y, doubled rows
+    of sandwich_map(eps)), and each step halves: Trans twice (x_minus / 2,
+    then its product with |y2|^2), Rot once.  So the loop runs on floats
+    and uhp.Jet2 (by true division) and on Fractions, and it is exact on
+    ints scaled by S = D 2^e, e = 2 #Trans + #Rot, when the input
+    denominators divide D: after k halvings every value's denominator
+    divides D 2^k, so its scaled value is an int divisible by 2^(e - k)
+    and each halving is an exact shift (apply_word)."""
     x = list(x)
     for tok in reversed(tokens):
         if isinstance(tok, Inv):
@@ -168,13 +187,13 @@ def act_coords(tokens, x_plus, x_minus, x):
             x[0] = -x[0]
         elif isinstance(tok, Trans):
             y2 = tok.y.coords2
-            h = x_minus / 2
+            h = _halve(x_minus)
             x_plus = (x_plus + sum(a * b for a, b in zip(x, y2) if b)
-                      + h * sum(b * b for b in y2) / 2)
+                      + _halve(h * sum(b * b for b in y2)))
             x = [a + b * h if b else a for a, b in zip(x, y2)]
         elif isinstance(tok, Rot):
             rows2 = sandwich_map(tok.eps).rows2
-            x = [sum(a * r[j] for a, r in zip(x, rows2) if r[j]) / 2
+            x = [_halve(sum(a * r[j] for a, r in zip(x, rows2) if r[j]))
                  for j in range(len(x))]
         else:
             raise TypeError(f"unknown token {tok!r}")
@@ -222,11 +241,20 @@ def random_word(ring: Ring, rng, length: int, max_coord2: int) -> GroupWord:
 
 
 def apply_word(w: GroupWord, X: HermMat) -> HermMat:
-    """The word acting on X, exactly; the rightmost token acts first."""
+    """The word acting on X, exactly; the rightmost token acts first.
+
+    X is lifted to ints over one denominator S = D 2^e (D the lcm of its
+    denominators, e = 2 #Trans + #Rot), so act_coords halves by shifts and
+    no Fraction is made until the result."""
     if X.dim != w.ring.dim:
         raise ValueError("ring mismatch between word and matrix")
-    x_plus, x_minus, x = act_coords(w.tokens, X.x_plus, X.x_minus, X.x.coords)
-    return HermMat(x_plus, x_minus, AlgElem(X.dim, tuple(x)))
+    e = sum(2 if isinstance(t, Trans) else 1 if isinstance(t, Rot) else 0 for t in w.tokens)
+    xp, xm, x = Fraction(X.x_plus), Fraction(X.x_minus), X.x
+    S = math.lcm(xp.denominator, xm.denominator, x.den) << e
+    x_plus, x_minus, num = act_coords(
+        w.tokens, xp.numerator * (S // xp.denominator),
+        xm.numerator * (S // xm.denominator), [n * (S // x.den) for n in x.num])
+    return HermMat(Fraction(x_plus, S), Fraction(x_minus, S), _reduced(X.dim, num, S))
 
 
 def row_act(row, w: GroupWord):
@@ -339,7 +367,7 @@ def psl_det_real_crosscheck(S) -> float:
     (a, b), (c, d) = S
     dim = a.dim
     def lm(x):
-        return left_mult_matrix([float(t) for t in x.coords], dim)
+        return left_mult_matrix(x.floats(), dim)
 
     blocks = [[lm(a), lm(b)], [lm(c), lm(d)]]
     m = np.block(blocks)
@@ -449,8 +477,18 @@ def coset_reps(ring: Ring, norm_bound: int):
         raise ValueError("norm_bound must be >= 1")
     pts = enumerate_ball(ring, norm_bound)
     reps, _ = _orbit_reps(ring, norm_bound)
-    found = [np.unique(_canonical_rows(ring, c2, d2), axis=0)
+    found = [_unique_rows(_canonical_rows(ring, c2, d2))
              for _, _, c2, d2 in _pair_chunks(pts[reps], pts)]
     dim = ring.dim
     return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
-            for r in np.unique(np.concatenate(found), axis=0)]
+            for r in _unique_rows(np.concatenate(found))]
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order, as
+    np.unique(rows, axis=0) gives them: one lexsort, and a row is kept
+    where it differs from the one before."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]

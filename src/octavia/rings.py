@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -182,9 +181,8 @@ def is_member(ring: Ring, x: AlgElem) -> bool:
     """True iff x lies on the ring lattice."""
     if x.dim != ring.dim:
         raise ValueError(f"dimension mismatch: element dim {x.dim}, ring dim {ring.dim}")
-    if any(c.denominator > 2 for c in x.coords):
-        return False
-    return tuple(int(c.denominator == 2) for c in x.coords) in _cosets(ring)
+    # every ring contains Z^dim; half-integers must follow the glue code
+    return x.den == 1 or (x.den == 2 and tuple(n & 1 for n in x.num) in _cosets(ring))
 
 
 # -- nearest-point decoding ------------------------------------------------
@@ -253,12 +251,12 @@ def nearest(ring: Ring, x) -> AlgElem:
     x may be an AlgElem or a coordinate sequence; floats are taken at
     their exact binary value.
     """
-    coords = x.coords if isinstance(x, AlgElem) else tuple(Fraction(c) for c in x)
-    if len(coords) != ring.dim:
+    if not isinstance(x, AlgElem):
+        x = AlgElem(ring.dim, x)
+    if x.dim != ring.dim:
         raise ValueError("coordinate count does not match ring dimension")
-    den = math.lcm(*(c.denominator for c in coords))
-    num = np.array([[int(2 * c * den) for c in coords]], dtype=object)
-    best = _decode2(ring, num, np.array([den], dtype=object))
+    num = np.array([[n + n for n in x.num]], dtype=object)
+    best = _decode2(ring, num, np.array([x.den], dtype=object))
     return _elem(ring.dim, best[0])
 
 

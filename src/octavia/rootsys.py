@@ -363,7 +363,7 @@ def is_automorphism_bimult(seq) -> bool:
     b = cd_multiply(seq[0], cd_multiply(seq[0], seq[0]))
     for a in seq[1:]:
         b = cd_multiply(a, cd_multiply(a, cd_multiply(b, a)))
-    return b == AlgElem(b.dim, (real_part(b),) + (Fraction(0),) * (b.dim - 1))
+    return not any(b.num[1:])
 
 
 def unit_corollary_check(seq) -> bool:

@@ -14,6 +14,7 @@ operator) can be certified exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,11 +70,15 @@ class UhpPoint:
     v: float
 
     def __init__(self, u, v):
-        vec = _as_vector(u)
+        u = tuple(_as_vector(u).tolist())
         v = float(v)
+        if not all(map(math.isfinite, u)):
+            raise ValueError("u must be finite")
+        if not math.isfinite(v):
+            raise ValueError("v must be finite")
         if not v > 0:
             raise ValueError("v must be positive")
-        object.__setattr__(self, "u", tuple(vec.tolist()))
+        object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
     @property

@@ -1,6 +1,8 @@
 """Cayley-Dickson arithmetic: composition, alternativity, serialization."""
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -123,8 +125,9 @@ def _fraction_multiply(a, b):
 
 def _rational(rng, dim):
     """A seeded element: zero, half-integral, with denominators 3 and 7,
-    or (dim <= 8) the inverse of a half-integral element."""
-    kind = rng.randrange(4)
+    with large numerators and denominators, or (dim <= 8) the inverse of
+    a half-integral element."""
+    kind = rng.randrange(5)
     if kind == 0:
         return zero(dim)
     if kind == 1 or (kind == 3 and dim == 16):
@@ -132,8 +135,31 @@ def _rational(rng, dim):
     if kind == 2:
         return AlgElem.make(dim, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
                                   for _ in range(dim)])
+    if kind == 4:
+        return AlgElem.make(dim, [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+                                  for _ in range(dim)])
     x = _rand(rng, dim)
     return invert(x) if not x.is_zero() else one(dim)
+
+
+# The Fraction implementations that the integer-numerator elements
+# replaced, on coordinate tuples: the oracles for the element arithmetic.
+
+def _fraction_inner(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _fraction_conj(a):
+    return (a[0],) + tuple(-x for x in a[1:])
+
+
+def _fraction_invert(a):
+    n = _fraction_inner(a, a)
+    return tuple(x / n for x in _fraction_conj(a))
+
+
+def _in_lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
@@ -146,6 +172,73 @@ def test_integer_products_match_fraction_loop(rng, dim):
         ip = inner(a, b)
         assert ip == sum((x * y for x, y in zip(a.coords, b.coords)), Fraction(0))
         assert type(ip.numerator) is int
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_integer_arithmetic_matches_fraction_oracle(rng, dim):
+    for _ in range(60):
+        a, b = _rational(rng, dim), _rational(rng, dim)
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        ac, bc = a.coords, b.coords
+        cases = [
+            (a + b, tuple(x + y for x, y in zip(ac, bc))),
+            (a - b, tuple(x - y for x, y in zip(ac, bc))),
+            (-a, tuple(-x for x in ac)),
+            (conj(a), _fraction_conj(ac)),
+            (a * f, tuple(x * f for x in ac)),
+            (f * a, tuple(f * x for x in ac)),
+            (cd_multiply(a, b), _fraction_multiply(a, b).coords),
+        ]
+        if dim <= 8 and not a.is_zero():
+            cases.append((invert(a), _fraction_invert(ac)))
+        for got, want in cases:
+            assert got.coords == want
+            assert _in_lowest_terms(got)
+        assert inner(a, b) == _fraction_inner(ac, bc)
+        assert norm_sq(a) == _fraction_inner(ac, ac)
+        assert algebra.real_part(a) == ac[0]
+        assert a.is_zero() == (ac == (0,) * dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_equal_elements_have_equal_fields_and_hashes(rng, dim):
+    for _ in range(40):
+        c2 = [rng.randint(-6, 6) for _ in range(dim)]
+        x = AlgElem.from_coords2(dim, c2)
+        y = _rational(rng, dim)
+        built = [
+            x,
+            AlgElem(dim, [Fraction(c, 2) for c in c2]),
+            AlgElem.make(dim, [c / 2 for c in c2]),  # floats, taken exactly
+            AlgElem.make(dim, [f"{c}/2" for c in c2]),
+            (x + y) - y,
+            -(-x),
+            conj(conj(x)),
+            x * Fraction(7, 3) * Fraction(3, 7),
+            cd_multiply(one(dim), x),
+            cd_multiply(x, one(dim)),
+        ]
+        for z in built:
+            assert z == x and hash(z) == hash(x)
+            assert (z.dim, z.num, z.den) == (x.dim, x.num, x.den)
+            assert z.coords2 == tuple(c2)
+    assert hash(zero(dim)) == hash(AlgElem(dim, [Fraction(0, 5)] * dim))
+
+
+def test_elements_store_only_their_fields():
+    # views are derived on first use and kept beside the fields
+    x = AlgElem(4, [Fraction(1, 2), -1, 0, Fraction(3, 2)])
+    assert (x.num, x.den) == ((1, -2, 0, 3), 2)
+    assert set(vars(x)) == {"dim", "num", "den"}
+    assert x.coords == (Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(3, 2))
+    assert x.coords2 == (1, -2, 0, 3)
+    assert [f.name for f in dataclasses.fields(x)] == ["dim", "num", "den"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.den = 1
+    with pytest.raises(ValueError):
+        AlgElem(3, [0, 0, 0])
+    with pytest.raises(ValueError):
+        AlgElem.from_coords2(4, [0, 0, 0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
@@ -289,7 +382,7 @@ def test_hash_and_doubled_coordinates_are_cached_views():
     d = cd_multiply(one(8), b)
     assert a == b == c == d
     assert len({hash(x) for x in (a, b, c, d)}) == 1
-    assert hash(a) == hash((a.dim, a.coords))  # the dataclass field hash
+    assert hash(a) == hash((a.dim, a.num, a.den))  # the dataclass field hash
     assert [f(x) for x in (a, b, c, d)] == [(1, 1, 1, 1, 0, 0, 0, 0)] * 4
     assert len(calls) == 1 and f.cache_info().hits == 3
 

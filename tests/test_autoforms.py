@@ -439,6 +439,12 @@ def test_fourier_rejects_non_dual_mu():
         fourier_coefficient([1, 0, 0, 0], -1.0, 5.0, 4, HURWITZ)
 
 
+@pytest.mark.parametrize("v", [math.inf, math.nan])
+def test_fourier_rejects_non_finite_height(v):
+    with pytest.raises(ValueError, match="v must be finite"):
+        fourier_coefficient([0], v, 5.0, 4, Z, grid=4)
+
+
 @pytest.mark.parametrize("radius, grid", [(4, 0), (4, 1), (0, 4), (-1, 4)])
 def test_fourier_rejects_small_grid_and_radius(radius, grid):
     # grid 0 gave NaN, grid 1 an error estimate of 0 (its half grid is the

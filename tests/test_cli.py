@@ -77,6 +77,24 @@ def test_euclid_rejects_non_member(capsys):
     assert code == 2
 
 
+def test_euclid_zero_divisor_exits_2(capsys):
+    # the library raises ZeroDivisionError; the CLI reports it like any input error
+    code, err = _error_exit(capsys, "euclid", "--ring", "hurwitz",
+                            "--a", "quat:2,0,0,0", "--c", "quat:0,0,0,0")
+    assert code == 2
+    assert err == "error: Euclidean algorithm requires a nonzero divisor\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eisenstein", "--ring", "hurwitz", "--z", "nan,0,0,0;1"), "u must be finite"),
+    (("eisenstein", "--ring", "hurwitz", "--z", "0,0,0,0;inf"), "v must be finite"),
+    (("fourier", "--ring", "z", "--v", "inf", "--grid", "4"), "v must be finite"),
+])
+def test_non_finite_points_exit_2(capsys, argv, message):
+    code, err = _error_exit(capsys, *argv)
+    assert code == 2 and err == f"error: {message}\n"
+
+
 def test_coset(capsys):
     data = _run_json(capsys, "coset", "--ring", "z", "--bound", "1", "--words")
     assert data["count"] == 4

@@ -23,6 +23,7 @@ from octavia.hyperweyl import (
     Rot,
     Trans,
     _canonical_rows,
+    act_coords,
     apply_word,
     build_w_ac,
     build_w_tilde_cd,
@@ -36,6 +37,7 @@ from octavia.hyperweyl import (
     psl_det,
     psl_det_real_crosscheck,
     psl_inverse,
+    random_word,
     row_act,
     simple_alpha,
 )
@@ -53,6 +55,8 @@ from octavia.rings import (
     right_euclid,
     units,
 )
+from octavia.rootsys import sandwich_map
+from octavia.uhp import UhpPoint, _hyperboloid, act_word
 
 RINGS = [(Z, ()), (HURWITZ, D4_SIMPLE_ROOTS), (OCTAVIAN, E8_SIMPLE_ROOTS)]
 
@@ -104,6 +108,65 @@ def test_tokens_preserve_quadratic_form(rng):
                 for _ in range(5))
             Y = apply_word(GroupWord(ring, toks), X)
             assert Y.norm_sq() == X.norm_sq()
+
+
+def _fraction_act_coords(tokens, x_plus, x_minus, x):
+    """The token loop of act_coords as it ran on Fractions and floats,
+    halving by true division: the oracle for the shifted-integer loop
+    of apply_word and for the float path of uhp.act_word."""
+    x = list(x)
+    for tok in reversed(tokens):
+        if isinstance(tok, Inv):
+            x_plus, x_minus = x_minus, x_plus
+            x[0] = -x[0]
+        elif isinstance(tok, Trans):
+            y2 = tok.y.coords2
+            h = x_minus / 2
+            x_plus = (x_plus + sum(a * b for a, b in zip(x, y2) if b)
+                      + h * sum(b * b for b in y2) / 2)
+            x = [a + b * h if b else a for a, b in zip(x, y2)]
+        else:
+            rows2 = sandwich_map(tok.eps).rows2
+            x = [sum(a * r[j] for a, r in zip(x, rows2) if r[j]) / 2
+                 for j in range(len(x))]
+    return x_plus, x_minus, x
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_apply_word_matches_fraction_loop(ring, rng):
+    for _ in range(25):
+        w = random_word(ring, rng, 20, 4)
+        if rng.randrange(2):  # the hyperboloid point of u + iv: 1/v diagonals
+            u = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ring.dim)]
+            v = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+            X = HermMat(v + sum(x * x for x in u) / v, 1 / v,
+                        AlgElem(ring.dim, [x / v for x in u]))
+        else:
+            X = HermMat(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5), 3),
+                        random_element(ring, rng, max_coord2=3))
+        x_plus, x_minus, x = _fraction_act_coords(w.tokens, X.x_plus, X.x_minus, X.x.coords)
+        assert apply_word(w, X) == HermMat(x_plus, x_minus, AlgElem(ring.dim, x))
+
+
+def test_act_coords_rejects_an_unscaled_odd_int():
+    # ints halve by exact shifts: an odd value raises instead of rounding down
+    with pytest.raises(ArithmeticError):
+        act_coords((Trans(one(4)),), 0, 1, [0] * 4)
+    eps = AlgElem.from_coords2(4, (1, 1, 1, 1))  # eps 1 eps = (-1 + e1 + e5 + e6)/2
+    with pytest.raises(ArithmeticError):
+        act_coords((Rot(eps),), 0, 0, [1, 0, 0, 0])
+    assert act_coords((Rot(eps),), 0, 0, [2, 0, 0, 0]) == (0, 0, [-1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_act_word_floats_unchanged(ring, rng, nprng):
+    # the float path still halves by true division, so every bit stays
+    for _ in range(25):
+        w = random_word(ring, rng, 20, 4)
+        z = UhpPoint(nprng.uniform(-2, 2, ring.dim), float(nprng.uniform(0.3, 3)))
+        _, x_minus, x = _fraction_act_coords(w.tokens, *_hyperboloid(z.u, z.v))
+        got = act_word(w, z)
+        assert got.u == tuple(a * (1 / x_minus) for a in x) and got.v == 1 / x_minus
 
 
 def test_translations_and_rotations_fix_delta(rng):

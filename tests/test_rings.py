@@ -387,7 +387,6 @@ CACHE_ARGS = {
     "_coset_matrix": (OCTAVIAN,),
     "_decode_tables": (OCTAVIAN,),
     "_conj_sign": (8,),
-    "_half": (3,),
     "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),

@@ -77,6 +77,19 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_coset_loads_no_numpy_ma():
+    # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
+    # cold coset call); coset_reps deduplicates rows with one lexsort
+    code = ("import sys, contextlib, io, octavia.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    octavia.cli.main(['coset', '--ring', 'hurwitz', '--bound', '2'])\n"
+            "print('numpy.ma' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
+
+
 def _references(node):
     """Names and attribute names read anywhere under node."""
     found = set()

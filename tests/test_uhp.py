@@ -36,6 +36,18 @@ def test_point_validation():
         UhpPoint([0.0, 0.0], -1.0)
 
 
+@pytest.mark.parametrize("u, v, name", [
+    ([float("nan"), 0.0, 0.0, 0.0], 1.0, "u"),
+    ([0.0, float("-inf"), 0.0, 0.0], 1.0, "u"),
+    ([0.0] * 4, float("inf"), "v"),
+    ([0.0] * 4, float("nan"), "v"),
+])
+def test_point_rejects_non_finite_coordinates(u, v, name):
+    # a nan coordinate used to pass and turn every series value into nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        UhpPoint(u, v)
+
+
 def test_embed_on_hyperboloid(nprng):
     for dim in (1, 4, 8):
         for _ in range(20):
