@@ -364,20 +364,25 @@ def _table_rows(dim: int) -> tuple[tuple, tuple]:
     return tuple(tuple(map(tuple, t.tolist())) for t in structure_table(dim))
 
 
+def _int_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The product of two integer coordinate sequences of one algebra
+    through its structure table, as a list of Python ints."""
+    idx, sgn = _table_rows(len(x))
+    out = [0] * len(x)
+    for a, row_i, row_s in zip(x, idx, sgn):
+        if a:
+            for b, k, s in zip(y, row_i, row_s):
+                if b:
+                    out[k] += s * a * b
+    return out
+
+
 def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
     """Exact product in the algebra shared by a and b: the numerators
     multiply through the structure table over the denominator a.den b.den."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    idx, sgn = _table_rows(a.dim)
-    bn = b.num
-    out = [0] * a.dim
-    for x, row_i, row_s in zip(a.num, idx, sgn):
-        if x:
-            for y, k, s in zip(bn, row_i, row_s):
-                if y:
-                    out[k] += s * x * y
-    return _reduced(a.dim, out, a.den * b.den)
+    return _reduced(a.dim, _int_product(a.num, b.num), a.den * b.den)
 
 
 def conj(a: AlgElem) -> AlgElem:

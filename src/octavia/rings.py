@@ -21,11 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
     AlgElem,
+    _int_product,
     _mult2,
     _mult4,
     _readonly,
@@ -245,19 +247,42 @@ def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return g[rank.argmin(axis=1)] * np.where(up, 1, -1) - (k + k)
 
 
+def _nearest2(ring: Ring, num: list[int], den: int) -> list[int]:
+    """Doubled coordinates of the ring point nearest to num / den: one row
+    of _decode2 on Python ints, by the same rule and tie rank."""
+    den2 = den + den
+    ks = [(den - n) // den2 for n in num]  # v0 = -2k
+    d0 = [n + k * den2 for n, k in zip(num, ks)]  # v1 = v0 + 1 where d0 > 0
+    gain = [den - abs(d) - abs(d) for d in d0]  # coset g: const + den (g @ gain)
+    cosets = _cosets(ring)
+    dist = [sum(itertools.compress(gain, g)) for g in cosets]
+    least = min(dist)
+    near = [g for g, x in zip(cosets, dist) if x == least]
+
+    def rank(g):  # (g @ w) XOR ((v1 < v0) @ w)
+        r = 0
+        for b, d in zip(g, d0):
+            r = r + r + (b ^ (d <= 0))
+        return r
+
+    word = near[0] if len(near) == 1 else min(near, key=rank)
+    return [(b if d > 0 else -b) - k - k for b, d, k in zip(word, d0, ks)]
+
+
 def nearest(ring: Ring, x) -> AlgElem:
     """The ring element nearest to x, the least by coords on a tie.
 
     x may be an AlgElem or a coordinate sequence; floats are taken at
-    their exact binary value.
+    their exact binary value.  Ties follow _decode2: each doubled
+    coordinate rounds to its nearest even value v0 and odd value v1,
+    halves down, and of the nearest cosets g the least rank (g @ w) XOR
+    ((v1 < v0) @ w), bit weights w_i = 2^(dim-1-i), wins.
     """
     if not isinstance(x, AlgElem):
         x = AlgElem(ring.dim, x)
     if x.dim != ring.dim:
         raise ValueError("coordinate count does not match ring dimension")
-    num = np.array([[n + n for n in x.num]], dtype=object)
-    best = _decode2(ring, num, np.array([x.den], dtype=object))
-    return _elem(ring.dim, best[0])
+    return _elem(ring.dim, _nearest2(ring, [n + n for n in x.num], x.den))
 
 
 # -- Euclidean algorithms --------------------------------------------------
@@ -416,7 +441,10 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
 
 def _exact_rows(*rows) -> list[np.ndarray]:
     """The row arrays as int64 where no Euclid intermediate can overflow
-    it, else as Python-int object arrays.
+    it, else as Python-int object arrays.  It serves batches only: the
+    _euclid_rows of left_content and hyperweyl._canonical_rows, and the
+    ball scan of common_right_divisors; the chain of one pair runs on
+    Python ints (_euclid).
 
     With m the largest |entry|, every row has |x2| <= sqrt(dim) m, and
     norms never grow along a chain (nor along its replay in
@@ -453,6 +481,11 @@ def _conj_sign(dim: int) -> np.ndarray:
 
 def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     """Sided Euclid with nearest quotients on each row pair (first, c).
+
+    This kernel serves batches only: left_content, which builds the
+    series masks, and hyperweyl._canonical_rows.  The chain of one pair
+    runs on Python ints (_euclid_chain), and each is the other's test
+    oracle.
 
     Inputs are (M, dim) doubled coordinates.  Returns (content, chain):
     content[i] is 4 |last nonzero remainder|^2 of row i (4 |first|^2 when
@@ -501,17 +534,54 @@ def _check_members(ring: Ring, *xs: AlgElem) -> None:
             raise ValueError(f"{x} is not a member of {ring}")
 
 
+def _product2(x2: Sequence[int], y2: Sequence[int]) -> list[int]:
+    """_mult2 on one pair of doubled-coordinate lists of Python ints."""
+    raw = _int_product(x2, y2)
+    if any(v & 1 for v in raw):
+        raise ArithmeticError("product left the half-integer lattice")
+    return [v >> 1 for v in raw]
+
+
+def _euclid_chain(ring: Ring, p: Sequence[int], c: Sequence[int], side: str) -> list:
+    """The steps (q2, r2) of the sided Euclid chain on the doubled
+    coordinates (p, c), c != 0: one row of _euclid_rows(record=True) on
+    Python ints, with the same checks and errors.  Each step decodes q
+    from (4 (raw >> 1), 4 |c|^2), raw = p conj(c) (right) or conj(c) p
+    (left), and takes r = q c - p (right) or c q - p (left)."""
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    right = side == "right"
+    cn4 = sum(v * v for v in c)
+    steps = []
+    while cn4:
+        cbar = [c[0]] + [-v for v in c[1:]]
+        num = _product2(p, cbar) if right else _product2(cbar, p)
+        q = _nearest2(ring, [v << 2 for v in num], cn4)
+        r = [x - y for x, y in zip(_product2(q, c) if right else _product2(c, q), p)]
+        rn4 = sum(v * v for v in r)
+        if rn4 >= cn4:
+            raise ArithmeticError(f"Euclid step did not lower the norm in {ring} ({side})")
+        steps.append((q, r))
+        p, c, cn4 = c, r, rn4
+    return steps
+
+
 @lru_cache(maxsize=32)
 def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
     """The one Euclid chain on (first, c): the word builders read it right
     after the coprimality test or the trace, so a few entries suffice.
-    Errors are not cached, so bad inputs raise on every call."""
+    Errors are not cached, so bad inputs raise on every call.
+
+    The chain runs on Python ints (_euclid_chain): a pair takes a few
+    steps of a few dim-sized products, and on (1, dim) numpy rows of the
+    batch kernel _euclid_rows that cost is almost all call overhead.
+    """
     if c.is_zero():
         raise ZeroDivisionError("Euclidean algorithm requires a nonzero divisor")
     _check_members(ring, first, c)
-    _, chain = _euclid_rows(ring, [first.coords2], [c.coords2], side, record=True)
-    qs = tuple(_elem(ring.dim, q[0].tolist()) for _, q, _ in chain)
-    rs = tuple(_elem(ring.dim, r[0].tolist()) for _, _, r in chain[:-1])
+    steps = _euclid_chain(ring, first.coords2, c.coords2, side)
+    qs = tuple(_elem(ring.dim, q) for q, _ in steps)
+    rs = tuple(_elem(ring.dim, r) for _, r in steps[:-1])
     return EuclTrace(side, ring, (first, c), qs, rs)
 
 

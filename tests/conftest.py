@@ -28,15 +28,15 @@ def nprng():
 
 @pytest.fixture
 def euclid_runs(monkeypatch):
-    """The side of each Euclid chain run from now on, with the trace
-    cache of rings._euclid cleared."""
+    """The side of each one-pair Euclid chain (rings._euclid_chain) run
+    from now on, with the trace cache of rings._euclid cleared."""
     calls = []
-    euclid_rows = octavia.rings._euclid_rows
+    euclid_chain = octavia.rings._euclid_chain
 
     def counted(*args, **kwargs):
         calls.append(args[3])
-        return euclid_rows(*args, **kwargs)
+        return euclid_chain(*args, **kwargs)
 
     octavia.rings._euclid.cache_clear()
-    monkeypatch.setattr(octavia.rings, "_euclid_rows", counted)
+    monkeypatch.setattr(octavia.rings, "_euclid_chain", counted)
     return calls

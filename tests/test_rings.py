@@ -33,6 +33,7 @@ from octavia.rings import (
     _cosets,
     _decode2,
     _euclid,
+    _euclid_chain,
     _euclid_rows,
     _exact_rows,
     _lattice_classes,
@@ -237,6 +238,82 @@ def test_euclid_errors_raise_on_every_call(euclid_runs):
     assert _euclid.cache_info().currsize == 0
 
 
+def _row_chains(chain, count):
+    """Per row of a recorded _euclid_rows chain, its (q2, r2) steps as
+    tuples of ints."""
+    rows = [[] for _ in range(count)]
+    for idx, q, r in chain:
+        for i, qi, ri in zip(idx.tolist(), q.tolist(), r.tolist()):
+            rows[i].append((tuple(qi), tuple(ri)))
+    return rows
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_euclid_traces_match_batched_chains(ring, rng, nprng):
+    # replay_ok shares the integer product with the one-pair chain, so the
+    # batch kernel (_product_table gathers, _decode2) is the oracle of the
+    # trace: random pairs, small coordinates, where nearest-point ties are
+    # frequent, and entries beyond the int64 bound of _exact_rows
+    dim = ring.dim
+    bound = math.isqrt((2 ** 63 - 1) // (4 * dim + dim * dim))
+    big = [AlgElem.from_coords2(dim, row) for row in _ring_rows(ring, nprng, 4 * bound, 200)]
+    cases = [
+        ([(random_element(ring, rng), random_element(ring, rng)) for _ in range(1000)], np.int64),
+        ([(random_element(ring, rng, 2), random_element(ring, rng, 2)) for _ in range(1000)],
+         np.int64),
+        (list(zip(big[:100], big[100:])), object),
+    ]
+    for pairs, dtype in cases:
+        pairs = [(a, c) for a, c in pairs if not c.is_zero()]
+        first2 = [a.coords2 for a, _ in pairs]
+        c2 = [c.coords2 for _, c in pairs]
+        assert _exact_rows(first2, c2)[0].dtype == dtype
+        for side in ("right", "left"):
+            _, chain = _euclid_rows(ring, first2, c2, side, record=True)
+            for (a, c), steps in zip(pairs, _row_chains(chain, len(pairs))):
+                tr = _euclid(ring, a, c, side)
+                assert [q.coords2 for q in tr.quotients] == [q for q, _ in steps]
+                assert [r.coords2 for r in tr.remainders] == [r for _, r in steps[:-1]]
+                assert not any(steps[-1][1])
+
+
+def test_euclid_rejects_products_off_the_lattice():
+    # (1/2, 0, 0, 0) is no Hurwitz element: 4 (1/2)(1/2) = 1 is odd, and
+    # both kernels refuse it on either side
+    half = (1, 0, 0, 0)
+    for side in ("right", "left"):
+        with pytest.raises(ArithmeticError, match="left the half-integer lattice"):
+            _euclid_chain(HURWITZ, half, half, side)
+        with pytest.raises(ArithmeticError, match="left the half-integer lattice"):
+            _euclid_rows(HURWITZ, [half], [half], side)
+
+
+def test_single_pairs_stay_off_the_row_kernel(rng, monkeypatch):
+    # one pair runs on Python ints and only batches reach the numpy
+    # kernel, so with the kernel disabled every one-pair path still works
+    class RowKernel(Exception):
+        pass
+
+    def disabled(*args, **kwargs):
+        raise RowKernel
+
+    for module in (octavia.algebra, octavia.rings):
+        monkeypatch.setattr(module, "_mult4", disabled)
+        monkeypatch.setattr(module, "_mult2", disabled)
+    monkeypatch.setattr(octavia.rings, "_decode2", disabled)
+    _euclid.cache_clear()
+    for ring in (Z, HURWITZ, OCTAVIAN):
+        a, c, d = (random_element(ring, rng) for _ in range(3))
+        while c.is_zero():
+            c = random_element(ring, rng)
+        assert right_euclid(ring, a, c).quotients
+        assert left_euclid(ring, a, c).quotients
+        assert is_left_coprime(ring, d, c) in (True, False)
+        assert is_member(ring, nearest(ring, [rng.uniform(-3, 3) for _ in range(ring.dim)]))
+        with pytest.raises(RowKernel):
+            left_content(ring, [c.coords2], [d.coords2])
+
+
 def test_replay_rejects_first_remainder_not_below_divisor():
     # 5 = 4 * 2 - 3, 2 = 1 * 3 - 1, 3 = 3 * 1: exact, and 9 > 1, but the
     # first remainder is not smaller than the divisor 2
@@ -331,9 +408,14 @@ def test_decode2_matches_brute_force_nearest(ring, nprng):
     big = 10 ** 20  # the same targets as Python-int object rows
     got = _decode2(ring, num.astype(object) * big, den.astype(object) * big)
     assert got.dtype == object and np.array_equal(got, expect)
+    # the scalar decoder of nearest on the same targets num / (2 den)
+    got = [nearest(ring, [Fraction(n, 2 * d) for n in row]).coords2
+           for row, d in zip(num.tolist(), den.tolist())]
+    assert got == list(map(tuple, expect.tolist()))
     targets = nprng.normal(scale=5.0, size=(m, dim))
     expect = np.array([_brute_nearest2(ring, t.tolist(), 0.5)[0] for t in targets])
     assert np.array_equal(_decode2(ring, 2.0 * targets, np.ones(m)), expect)
+    assert [nearest(ring, t).coords2 for t in targets] == list(map(tuple, expect.tolist()))
 
 
 def test_shell_counts_oracles():
