@@ -19,10 +19,8 @@ import numpy as np
 
 from .algebra import AlgElem, _readonly, _structure_float
 from .rings import (
-    OCTAVIAN,
     Ring,
     _decode2,
-    _lattice_basis2,
     _lattice_classes,
     _pair_chunks,
     enumerate_ball,
@@ -219,10 +217,10 @@ def _coset_class_words(ring: Ring, radius: int):
 
     Associative rings only: the orbit reduction uses |(e c) z + e d| =
     |e (cz + d)| = |cz + d|, which needs (e c) z = e (c z) for every unit
-    e, and then every orbit has exactly N = #units members.  Over the
-    octavians only the central units +-1 satisfy it (rings._orbit_units).
+    e (ring.associative), and then every orbit has exactly N = #units
+    members.  Over the octavians only the central units +-1 satisfy it.
     """
-    if ring is OCTAVIAN:
+    if not ring.associative:
         raise ValueError("octavian pairs do not reduce to unit orbits; "
                          "use the term-level Lemma check instead")
     return tuple(build_w_tilde_cd(ring, c, d) for c, d in coset_reps(ring, radius))
@@ -265,7 +263,7 @@ def zeta_relation_check(ring: Ring, z: UhpPoint, s: complex, radius: int) -> flo
 
 def lattice_basis(ring: Ring) -> np.ndarray:
     """Rows: a Z-basis of the ring lattice (the simple-root basis)."""
-    return np.array(_lattice_basis2(ring)) / 2.0
+    return np.array(ring.basis2) / 2.0
 
 
 def dual_basis(ring: Ring) -> np.ndarray:
@@ -281,7 +279,7 @@ def _in_dual_lattice(ring: Ring, mu: np.ndarray) -> bool:
         return False
     mu = [Fraction(float(c)) for c in mu]
     return all(sum(m * b for m, b in zip(mu, b2)) % 2 == 0
-               for b2 in _lattice_basis2(ring))
+               for b2 in ring.basis2)
 
 
 def _nearest_lattice2(ring: Ring, targets: np.ndarray) -> np.ndarray:

@@ -174,7 +174,7 @@ def cmd_units(args) -> int:
     us = rings.units(ring)
     payload = {"ring": ring.name, "count": len(us),
                "elements": [elem_json(u) for u in us]}
-    if ring is OCTAVIAN:
+    if ring is OCTAVIAN:  # the CLI JSON pins the octavian-only partition
         real, brandt, imag = rings.octavian_unit_classes()
         payload["partition"] = {"real": len(real), "brandt": len(brandt),
                                 "imaginary": len(imag)}

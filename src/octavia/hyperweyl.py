@@ -33,13 +33,13 @@ from .algebra import (
 )
 from .rings import (
     HURWITZ,
-    OCTAVIAN,
     Ring,
     Z,
     _check_members,
+    _elem,
     _euclid_rows,
     _exact_rows,
-    _orbit_reps,
+    _lattice_classes,
     _pair_chunks,
     _unit_orbit_min,
     enumerate_ball,
@@ -120,18 +120,19 @@ def minus_delta(dim: int) -> HermMat:
     return -delta(dim)
 
 
-def simple_alpha(ring: Ring, index, simple_roots) -> HermMat:
+def simple_alpha(ring: Ring, index) -> HermMat:
     """Simple roots of the over-extended algebra in H2(A).
 
     index -1 is the over-extended root, 0 the affine root, i >= 1 the
-    finite simple roots embedded in the off-diagonal.
+    finite simple roots ring.basis2 embedded in the off-diagonal (Z: the
+    root 1, which gives AE3).
     """
     dim = ring.dim
     if index == -1:
         return HermMat(Fraction(1), Fraction(-1), zero(dim))
     if index == 0:
         return HermMat(Fraction(-1), Fraction(0), -one(dim))
-    return HermMat(Fraction(0), Fraction(0), simple_roots[index - 1])
+    return HermMat(Fraction(0), Fraction(0), _elem(dim, ring.basis2[index - 1]))
 
 
 # -- generator tokens ------------------------------------------------------
@@ -416,23 +417,24 @@ def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
 
     One left Euclid run on (d, c) decides coprimality (content 4; for
     c = 0 or d = 0 that means the other entry is a unit).  The class of
-    (c, d) is canonicalized per ring:
-      Z:        the sign that makes the leading nonzero entry positive;
-      Hurwitz:  the lexicographically least of the 24 rows (u c, u d);
-      octavians: the recorded chain d = c q1 - r1, c = r1 q2 - r2, ...,
+    (c, d) is canonicalized by the ring's data:
+      associative: the lexicographically least of the rows (u c, u d)
+                over the units u; Z instead takes the sign that makes
+                the leading nonzero entry positive;
+      otherwise:   the recorded chain d = c q1 - r1, c = r1 q2 - r2, ...,
                 replayed bottom-up with the last remainder set to the
                 least unit.
     """
     c2, d2 = _exact_rows(c2, d2)
-    content, chain = _euclid_rows(ring, d2, c2, "left", record=ring is OCTAVIAN)
+    content, chain = _euclid_rows(ring, d2, c2, "left", record=not ring.associative)
     keep = content == 4
-    if ring is Z:
+    if ring is Z:  # the golden coset-z-* rows pin the sign rule
         lead = np.where(c2[:, :1] != 0, c2[:, :1], d2[:, :1])
         rows = np.concatenate([c2, d2], axis=1) * np.where(lead < 0, -1, 1)
         return rows[keep]
-    if ring is HURWITZ:
+    if ring.associative:
         return _unit_orbit_min(ring, c2[keep], d2[keep])
-    # Octavians: s, s_next start as (least unit, 0) and run
+    # Non-associative: s, s_next start as (least unit, 0) and run
     # s, s_next = s q_k - s_next, s for k = L..2; then (c, d) = (s, s q1 - s_next).
     # Rows with c = 0 never enter the chain and stay (0, least unit).
     s = np.tile(np.array(units(ring)[0].coords2, dtype=c2.dtype), (len(c2), 1))
@@ -467,16 +469,19 @@ def coset_reps(ring: Ring, norm_bound: int):
     Gamma_infinity \\ Gamma that have a left-coprime row with
     max(|c|^2, |d|^2) <= norm_bound, sorted by doubled coordinates.
 
-    The class of (e c, e d), for e in rings._orbit_units, is that of
-    (c, d) with the same norms, so c runs over the unit-orbit
-    representatives of rings._orbit_reps and d over the whole ball.  The
-    pairs run through _canonical_rows in chunks (one batched Euclid run
-    each), so no pair is handled alone.
+    For c' in the lattice class of c (rings._lattice_classes), d ->
+    c'(c^-1 d) is a norm-preserving bijection of the ring, and the pair
+    (c', c'(c^-1 d)) runs the left Euclid quotients of (c, d).  Its
+    canonical row is that of (c, d): the chain replay reads only those
+    quotients and the coprimality, and over an associative ring c' = e c
+    for a unit e, so the pair is (e c, e d).  So c runs over the first
+    member of each class and d over the whole ball, in chunks through
+    _canonical_rows (one batched Euclid run each).
     """
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
     pts = enumerate_ball(ring, norm_bound)
-    reps, _ = _orbit_reps(ring, norm_bound)
+    reps, _ = _lattice_classes(ring, norm_bound)
     found = [_unique_rows(_canonical_rows(ring, c2, d2))
              for _, _, c2, d2 in _pair_chunks(pts[reps], pts)]
     dim = ring.dim

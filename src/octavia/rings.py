@@ -4,11 +4,11 @@ Three rings are supported: the rational integers Z (dim 1), the Hurwitz
 quaternions H (dim 4: all-integer or all-half-integer coordinates, the
 D4 root lattice) and the octavians O (dim 8, the E8 root lattice).
 
-Each ring is defined once, by the simple-root basis of its lattice
-(_lattice_basis2).  Construction A derives the rest from it: the glue code
-(_cosets) gives membership and the ball, and the units are the norm-1
-shell of the ball, counted against the divisor sieve (Conway & Sloane,
-SPLAG, ch. 4 and 8).
+Each ring is one Ring record, defined by the simple-root basis of its
+lattice (Ring.basis2).  Construction A derives the rest from it: the
+glue code (_cosets) gives membership and the ball, and the units are the
+norm-1 shell of the ball, counted against the divisor sieve (Conway &
+Sloane, SPLAG, ch. 4 and 8).
 
 Provides membership tests, unit enumeration, nearest-lattice-point
 decoding, sided Euclidean algorithms on integer doubled coordinates,
@@ -69,20 +69,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ring:
-    """One of the supported integer rings."""
+    """One supported integer ring, as data.
+
+    basis2 holds the doubled coordinates of the simple roots, a Z-basis of
+    the lattice and the one definition of the ring; associative says
+    whether (e c) z = e (c z) for every unit e; shells = (factor, power,
+    step) is the sieve of shell_counts: factor times the sum of d^power
+    over the divisors d = 1 mod step of k, or factor per square k when
+    step is 0.  The rings are module singletons, so a record hashes by
+    identity (eq=False), which each lru_cache keyed on a ring does on
+    every call.
+    """
 
     name: str
     dim: int
+    basis2: tuple[tuple[int, ...], ...]
+    associative: bool
+    shells: tuple[int, int, int]
 
     def __repr__(self):
         return f"Ring({self.name})"
 
 
-Z = Ring("Z", 1)
-HURWITZ = Ring("hurwitz", 4)
-OCTAVIAN = Ring("octavian", 8)
+# D4 in quaternion coordinates (1, e1, e5, e6); E8 in octonion
+# coordinates, chosen so the E7 roots are imaginary, the extra 112 roots
+# are Brandt numbers and the highest root is 1.
+Z = Ring("Z", 1, ((2,),), True, (2, 0, 0))
+HURWITZ = Ring("hurwitz", 4, (
+    (0, 2, 0, 0),       # e1
+    (1, -1, -1, -1),    # (1 - e1 - e5 - e6)/2
+    (0, 0, 2, 0),       # e5
+    (0, 0, 0, 2),       # e6
+), True, (24, 1, 2))
+OCTAVIAN = Ring("octavian", 8, (
+    (1, -1, 0, 0, 0, -1, -1, 0),
+    (0, 2, 0, 0, 0, 0, 0, 0),
+    (0, -1, -1, 0, 0, 0, 1, 1),
+    (0, 0, 2, 0, 0, 0, 0, 0),
+    (0, 0, -1, -1, -1, 0, 0, -1),
+    (0, 0, 0, 2, 0, 0, 0, 0),
+    (0, 0, 0, -1, 0, 1, -1, 1),
+    (0, 0, 0, 0, 2, 0, 0, 0),
+), False, (240, 3, 1))
 
 _RINGS = {r.name.lower(): r for r in (Z, HURWITZ, OCTAVIAN)}
 
@@ -98,38 +128,8 @@ def _elem(dim, coords2):
     return AlgElem.from_coords2(dim, coords2)
 
 
-# Simple roots.  D4 in quaternion coordinates (1, e1, e5, e6); E8 in
-# octonion coordinates, chosen so the E7 roots are imaginary, the extra
-# 112 roots are Brandt numbers and the highest root is 1.
-D4_SIMPLE_ROOTS = (
-    _elem(4, (0, 2, 0, 0)),       # e1
-    _elem(4, (1, -1, -1, -1)),    # (1 - e1 - e5 - e6)/2
-    _elem(4, (0, 0, 2, 0)),       # e5
-    _elem(4, (0, 0, 0, 2)),       # e6
-)
-
-E8_SIMPLE_ROOTS = (
-    _elem(8, (1, -1, 0, 0, 0, -1, -1, 0)),
-    _elem(8, (0, 2, 0, 0, 0, 0, 0, 0)),
-    _elem(8, (0, -1, -1, 0, 0, 0, 1, 1)),
-    _elem(8, (0, 0, 2, 0, 0, 0, 0, 0)),
-    _elem(8, (0, 0, -1, -1, -1, 0, 0, -1)),
-    _elem(8, (0, 0, 0, 2, 0, 0, 0, 0)),
-    _elem(8, (0, 0, 0, -1, 0, 1, -1, 1)),
-    _elem(8, (0, 0, 0, 0, 2, 0, 0, 0)),
-)
-
-
-def _lattice_basis2(ring: Ring) -> tuple[tuple[int, ...], ...]:
-    """Doubled coordinates of the simple-root Z-basis of the ring lattice,
-    the one definition of each ring."""
-    if ring is Z:
-        return ((2,),)
-    if ring is HURWITZ:
-        return tuple(r.coords2 for r in D4_SIMPLE_ROOTS)
-    if ring is OCTAVIAN:
-        return tuple(r.coords2 for r in E8_SIMPLE_ROOTS)
-    raise ValueError(f"unknown ring {ring}")
+D4_SIMPLE_ROOTS = tuple(_elem(4, b2) for b2 in HURWITZ.basis2)
+E8_SIMPLE_ROOTS = tuple(_elem(8, b2) for b2 in OCTAVIAN.basis2)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +142,7 @@ def _cosets(ring: Ring) -> tuple[tuple[int, ...], ...]:
     extended Hamming code for the octavians.
     """
     code = {(0,) * ring.dim}
-    for b2 in _lattice_basis2(ring):
+    for b2 in ring.basis2:
         code |= {tuple((c + b) % 2 for c, b in zip(w, b2)) for w in code}
     return tuple(sorted(code))
 
@@ -328,28 +328,13 @@ class EuclTrace:
         return self.remainders[-1] if self.remainders else self.inputs[1]
 
 
-def _orbit_units(ring: Ring) -> tuple[AlgElem, ...]:
-    """The units e that act on modular pairs by (c, d) -> (e c, e d).
-
-    (e c) z = e (c z) needs associativity, so Z and the Hurwitz ring use
-    all their units and the octavians only the central units +-1.  The
-    action fixes |cz + d| and the left content, and it is free on pairs
-    with c != 0, so each such orbit has len(_orbit_units(ring)) members.
-
-    Only the coset classes (coset_reps, _canonical_rows) need this action
-    on pairs.  A series row of c needs less and reduces further, to the
-    classes of _lattice_classes: these orbits for Z and the Hurwitz ring,
-    up to all 240 points e c for the octavians.
-    """
-    return (one(8), -one(8)) if ring is OCTAVIAN else units(ring)
-
-
 def _unit_orbit_min(ring: Ring, *blocks: np.ndarray) -> np.ndarray:
     """Row-wise lexicographic least of the rows [e b1 | e b2 | ...] over
-    the units e of _orbit_units(ring); each block holds (M, dim) doubled
-    coordinates."""
+    the units e of the ring; each block holds (M, dim) doubled
+    coordinates.  For an associative ring this is the least member of the
+    orbit of the pair rows under (c, d) -> (e c, e d)."""
     best = None
-    for e in _orbit_units(ring):
+    for e in units(ring):
         e2 = np.broadcast_to(np.array(e.coords2, dtype=blocks[0].dtype),
                              blocks[0].shape)
         cand = np.concatenate([_mult2(e2, b) for b in blocks], axis=1)
@@ -362,21 +347,6 @@ def _unit_orbit_min(ring: Ring, *blocks: np.ndarray) -> np.ndarray:
         take = diff[np.arange(len(diff)), first] < 0
         best[take] = cand[take]
     return best
-
-
-def _orbit_reps(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unit-orbit quotient of enumerate_ball(ring, max_norm): the ball
-    indices of 0 and of the least member e c (_unit_orbit_min) of the
-    orbit of each c != 0, and the orbit sizes (1 for 0).
-
-    A modular pair (e c, e d) shares |cz + d|, the left content and the
-    coset class of (c, d), so a sum or scan over the pairs of the ball
-    needs c only over these rows, each counted with its orbit size.
-    """
-    pts2 = enumerate_ball(ring, max_norm)
-    reps = np.flatnonzero((_unit_orbit_min(ring, pts2) == pts2).all(axis=1))
-    weight = np.where(pts2[reps].any(axis=1), len(_orbit_units(ring)), 1)
-    return reps, weight
 
 
 def _class_keys(ring: Ring, pts2: np.ndarray) -> np.ndarray:
@@ -426,11 +396,13 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
     on (c, d) and on (c', d') for c' in the class of c, d' = c'(c^-1 d).
     So the members' rows equal the first member's under d <-> d'; both
     facts rest on the alternative law c (c^-bar x) = |c|^2 x (Feingold,
-    Kleinschmidt and Nicolai, arXiv:0805.3018).
+    Kleinschmidt and Nicolai, arXiv:0805.3018).  This is the one quotient
+    of the ball: the series rows (autoforms._ball_data) and the coset
+    classes (hyperweyl.coset_reps) both take c over the first members.
 
-    For Z and the Hurwitz ring the classes are the unit orbits of
-    _orbit_reps; for the octavians they hold 1, 16 or 240 points at
-    max_norm 2 (137 classes against 1,201 orbits {c, -c}).
+    For Z and the Hurwitz ring the classes are the unit orbits {e c}; for
+    the octavians they hold 1, 16 or 240 points at max_norm 2 (137
+    classes against 1,201 orbits {c, -c}).
     """
     keys = _class_keys(ring, enumerate_ball(ring, max_norm))
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
@@ -709,23 +681,18 @@ def ball_elements(ring: Ring, max_norm: int, include_zero: bool = False) -> list
 
 
 def shell_counts(ring: Ring, n_max: int) -> list[int]:
-    """sigma(k) = #{a in ring : |a|^2 = k} for k = 1..n_max by divisor
-    sieve: Z 2 per square, Hurwitz 24 times the sum of the odd divisors of
-    k, octavians 240 times the sum of the cubed divisors."""
+    """sigma(k) = #{a in ring : |a|^2 = k} for k = 1..n_max by the sieve
+    ring.shells: Z 2 per square, Hurwitz 24 times the sum of the odd
+    divisors of k, octavians 240 times the sum of the cubed divisors."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    factor, power, step = ring.shells
     counts = np.zeros(n_max + 1, dtype=np.int64)
-    if ring is Z:
-        for a in range(1, math.isqrt(n_max) + 1):
-            counts[a * a] = 2
-    elif ring is HURWITZ:
-        for d in range(1, n_max + 1, 2):
-            counts[d::d] += 24 * d
-    elif ring is OCTAVIAN:
-        for d in range(1, n_max + 1):
-            counts[d::d] += 240 * d ** 3
+    if step:
+        for d in range(1, n_max + 1, step):
+            counts[d::d] += factor * d ** power
     else:
-        raise ValueError(f"unknown ring {ring}")
+        counts[np.arange(1, math.isqrt(n_max) + 1) ** 2] = factor
     return [int(c) for c in counts[1:]]
 
 
@@ -793,7 +760,7 @@ def _pivot_product(hnf_rows) -> int:
 def commutator_ideal_index() -> int:
     """Index of the commutator ideal as a sublattice of the Hurwitz ring."""
     cbasis = [b.coords2 for b in commutator_ideal_basis()]
-    hbasis = _hnf_rows(_lattice_basis2(HURWITZ))
+    hbasis = _hnf_rows(HURWITZ.basis2)
     index, rem = divmod(_pivot_product(cbasis), _pivot_product(hbasis))
     if rem:
         raise ArithmeticError("commutator ideal is not a sublattice of the Hurwitz ring")
@@ -823,7 +790,7 @@ def random_element(ring: Ring, rng, max_coord2: int = 6) -> AlgElem:
     """Uniform random ring element with doubled coordinates in a box: a
     uniform glue vector plus even offsets (Z: the wider box of even values
     up to 2 max_coord2)."""
-    if ring is Z:
+    if ring is Z:  # a pinned stream: test_random_element_matches_per_ring_draw
         return AlgElem.from_coords2(1, [2 * rng.randint(-max_coord2, max_coord2)])
     code = _cosets(ring)
     cw = code[rng.randrange(len(code))]

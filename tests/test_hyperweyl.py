@@ -1,5 +1,6 @@
 """Hyperbolic Weyl group action on 2x2 Hermitian matrices."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from octavia.hyperweyl import (
     Rot,
     Trans,
     _canonical_rows,
+    _unique_rows,
     act_coords,
     apply_word,
     build_w_ac,
@@ -46,8 +48,8 @@ from octavia.rings import (
     HURWITZ,
     OCTAVIAN,
     Z,
-    D4_SIMPLE_ROOTS,
-    E8_SIMPLE_ROOTS,
+    _class_keys,
+    _lattice_classes,
     enumerate_ball,
     is_left_coprime,
     is_right_coprime,
@@ -58,7 +60,8 @@ from octavia.rings import (
 from octavia.rootsys import sandwich_map
 from octavia.uhp import UhpPoint, _hyperboloid, act_word
 
-RINGS = [(Z, ()), (HURWITZ, D4_SIMPLE_ROOTS), (OCTAVIAN, E8_SIMPLE_ROOTS)]
+# the exact Cartan matrix where it is pinned: Z with its root 1 gives AE3
+RINGS = [(Z, [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]), (HURWITZ, None), (OCTAVIAN, None)]
 
 
 def _coprime_pairs(ring, rng, count, side="right"):
@@ -80,11 +83,13 @@ def test_delta_is_null():
         assert minus_delta(dim).norm_sq() == 0
 
 
-@pytest.mark.parametrize("ring,simple", RINGS, ids=lambda x: getattr(x, "name", ""))
-def test_overextended_cartan_shape(ring, simple):
-    n = len(simple)
-    alphas = [simple_alpha(ring, i, simple) for i in range(-1, n + 1)]
+@pytest.mark.parametrize("ring,cartan", RINGS, ids=lambda x: getattr(x, "name", ""))
+def test_overextended_cartan_shape(ring, cartan):
+    alphas = [simple_alpha(ring, i) for i in range(-1, len(ring.basis2) + 1)]
     gram = [[2 * a.bilinear(b) for b in alphas] for a in alphas]
+    if cartan is not None:
+        assert gram == cartan
+        return
     for i, row in enumerate(gram):
         assert row[i] == 2
         for j, v in enumerate(row):
@@ -314,8 +319,8 @@ def test_coset_reps_counts():
                                          (OCTAVIAN, 1)],
                          ids=["z-9", "hurwitz-2", "hurwitz-3", "octavian-1"])
 def test_coset_reps_match_full_ball_scan(ring, bound):
-    # coset_reps takes c over unit-orbit representatives only; every pair
-    # of the ball must give the same classes
+    # coset_reps takes c over one member per lattice class c^-bar O only;
+    # every pair of the ball must give the same classes
     pts = enumerate_ball(ring, bound)
     rows = _canonical_rows(ring, np.repeat(pts, len(pts), axis=0),
                            np.tile(pts, (len(pts), 1)))
@@ -324,14 +329,44 @@ def test_coset_reps_match_full_ball_scan(ring, bound):
 
 
 def test_octavian_classes_are_sign_invariant():
-    # what the octavian quotient of coset_reps rests on beyond bound 1,
-    # where every c is a unit: (-c, -d) runs the quotients of (c, d), so
-    # both canonicalize alike
+    # what the octavian quotient of coset_reps rests on: for c' in the
+    # lattice class of c, (c', c'(c^-1 d)) runs the quotients of (c, d),
+    # so both canonicalize alike.  The sign case c' = -c, row by row:
     pts = enumerate_ball(OCTAVIAN, 2)
     c = np.repeat(pts[241::97], len(pts), axis=0)
     d = np.tile(pts, (len(pts[241::97]), 1))
     rows = _canonical_rows(OCTAVIAN, c, d)
     assert len(rows) and np.array_equal(_canonical_rows(OCTAVIAN, -c, -d), rows)
+    # sampled members c' of the size-240 class and of size-16 classes,
+    # -c among them: over the whole ball, c' gives the rows c gives
+    keys = _class_keys(OCTAVIAN, pts)
+    reps, weight = _lattice_classes(OCTAVIAN, 2)
+    classes = list(zip(reps[weight == 240], weight[weight == 240]))
+    classes += list(zip(reps[weight == 16], weight[weight == 16]))[::27]
+    assert len(classes) == 6
+
+    def class_rows(i):
+        c = np.repeat(pts[i:i + 1], len(pts), axis=0)
+        return _unique_rows(_canonical_rows(OCTAVIAN, c, pts))
+
+    for r, size in classes:
+        members = np.flatnonzero((keys == keys[r]).all(axis=1))
+        neg = np.flatnonzero((pts == -pts[r]).all(axis=1))[0]
+        assert len(members) == size and neg in members
+        expect = class_rows(r)
+        assert len(expect)
+        for i in {*members[1::size // 4], neg}:
+            assert np.array_equal(class_rows(i), expect)
+
+
+def test_octavian_coset_reps_bound_2():
+    # 21,842 classes; the digest is of the rows computed when c still ran
+    # over the 1,201 sign orbits {c, -c} instead of the 137 lattice classes
+    rows = np.array([c.coords2 + d.coords2 for c, d in coset_reps(OCTAVIAN, 2)],
+                    dtype="<i8")
+    assert rows.shape == (21842, 16)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "859e92aca4c2aef57a335ef5bd27a3e07cbc830df6fcf6f82a65d3a74cb5aa0e")
 
 
 GOLDEN = Path(__file__).parent / "golden"

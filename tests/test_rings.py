@@ -37,7 +37,7 @@ from octavia.rings import (
     _euclid_rows,
     _exact_rows,
     _lattice_classes,
-    _orbit_reps,
+    _unit_orbit_min,
     HURWITZ,
     OCTAVIAN,
     Z,
@@ -668,7 +668,9 @@ def test_lattice_classes_are_the_unit_orbits_of_associative_rings(ring, radius, 
     # c^-bar H = c'^-bar H iff c' = e c for a unit e, so the series rows
     # of Z and the Hurwitz ring stay those of the unit orbits
     reps, weight = _lattice_classes(ring, radius)
-    orbit_reps, orbit_weight = _orbit_reps(ring, radius)
+    pts2 = enumerate_ball(ring, radius)  # the orbit oracle: least members e c
+    orbit_reps = np.flatnonzero((_unit_orbit_min(ring, pts2) == pts2).all(axis=1))
+    orbit_weight = np.where(pts2[orbit_reps].any(axis=1), len(units(ring)), 1)
     assert len(reps) == count
     for got, expect in ((reps, orbit_reps), (weight, orbit_weight)):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)

@@ -116,6 +116,32 @@ def test_no_unused_private_definitions():
     assert found == []
 
 
+def test_ring_identity_tests_stay_at_the_pinned_conventions():
+    # behaviour reads the Ring record's fields; a comparison against a ring
+    # constant is left only where a test or the CLI JSON pins a convention
+    # of one ring: Z's sign rule (golden coset-z-* rows), Z's wider random
+    # box (test_random_element_matches_per_ring_draw) and the octavian unit
+    # partition of `units`
+    names = {"Z", "HURWITZ", "OCTAVIAN"}
+
+    def rings_named(node):
+        nodes = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(n, ast.Name) and n.id in names
+                   or isinstance(n, ast.Attribute) and n.attr in names for n in nodes)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            found += [f"{path.name} {func.name}" for node in ast.walk(func)
+                      if isinstance(node, ast.Compare)
+                      and any(map(rings_named, [node.left, *node.comparators]))]
+    assert sorted(found) == ["cli.py cmd_units", "hyperweyl.py _canonical_rows",
+                             "rings.py random_element"]
+
+
 def test_all_names_are_bound():
     # a stale __all__ entry surfaces only at a user's `import *`
     found = []
