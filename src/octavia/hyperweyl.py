@@ -125,9 +125,11 @@ def simple_alpha(ring: Ring, index) -> HermMat:
 
     index -1 is the over-extended root, 0 the affine root, i >= 1 the
     finite simple roots ring.basis2 embedded in the off-diagonal (Z: the
-    root 1, which gives AE3).
+    root 1, which gives AE3); any other index raises ValueError.
     """
-    dim = ring.dim
+    dim, n = ring.dim, len(ring.basis2)
+    if not -1 <= index <= n:
+        raise ValueError(f"simple root index {index} of {ring.name} is outside -1..{n}")
     if index == -1:
         return HermMat(Fraction(1), Fraction(-1), zero(dim))
     if index == 0:

@@ -36,7 +36,6 @@ from .algebra import (
 )
 from .rings import (
     D4_SIMPLE_ROOTS,
-    E8_SIMPLE_ROOTS,
     HURWITZ,
     OCTAVIAN,
     is_unit,
@@ -110,7 +109,12 @@ class LinMap:
         return LinMap(self.dim, tuple(map(tuple, prod.tolist())))
 
     def key(self) -> bytes:
-        return self.matrix2().astype(np.int8).tobytes()
+        """int8 bytes of matrix2(); ValueError for an entry outside int8,
+        which would wrap onto the key of another map."""
+        m = self.matrix2()
+        if m.min() < -128 or m.max() > 127:
+            raise ValueError("a matrix2() entry lies outside the int8 key range")
+        return m.astype(np.int8).tobytes()
 
     def is_orthogonal(self) -> bool:
         m = self.matrix2()
@@ -195,19 +199,17 @@ class RootBasis:
     theta: AlgElem
 
 
-def _simple_roots(algebra: str) -> tuple:
-    algebra = algebra.lower()
-    if algebra == "d4":
-        simple = D4_SIMPLE_ROOTS
-    elif algebra == "e8":
-        simple = E8_SIMPLE_ROOTS
-    elif algebra == "e7":
-        simple = E8_SIMPLE_ROOTS[1:]
-    else:
-        raise ValueError(f"unknown root system {algebra!r}")
-    if any(norm_sq(r) != 1 for r in simple):
-        raise RuntimeError(f"simple roots of {algebra} do not have unit norm")
-    return simple
+# The doubled simple roots of each finite root system: D4 and E8 are the
+# Hurwitz and octavian lattice bases, E7 drops E8's first root.
+_SIMPLE2 = MappingProxyType({"d4": HURWITZ.basis2, "e7": OCTAVIAN.basis2[1:],
+                             "e8": OCTAVIAN.basis2})
+
+
+def _simple2(algebra: str) -> np.ndarray:
+    try:
+        return np.array(_SIMPLE2[algebra.lower()], dtype=np.int64)
+    except KeyError:
+        raise ValueError(f"unknown root system {algebra.lower()!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -215,14 +217,15 @@ def root_basis(algebra: str) -> RootBasis:
     """Simple roots and highest root theta.
 
     In an irreducible simply-laced root system the highest root is the
-    only root with (theta, alpha) >= 0 for every simple root alpha.
+    only root with <theta, alpha_i^vee> = (A theta)_i >= 0 for every
+    simple root alpha_i; it is read off the closure's coefficient rows.
     """
-    simple = _simple_roots(algebra)
-    dominant = [r for r in all_roots(algebra)
-                if all(inner(r, a) >= 0 for a in simple)]
+    coef = np.array(list(_root_closure(algebra).values()))
+    dominant = np.flatnonzero((coef @ np.array(cartan_matrix(algebra)).T >= 0).all(1))
     if len(dominant) != 1:
         raise RuntimeError(f"{algebra} has {len(dominant)} dominant roots, expected 1")
-    return RootBasis(algebra.lower(), simple, dominant[0])
+    simple = tuple(AlgElem.from_coords2(len(r), r) for r in _simple2(algebra).tolist())
+    return RootBasis(algebra.lower(), simple, all_roots(algebra)[dominant[0]])
 
 
 def reflect(x: AlgElem, a: AlgElem) -> AlgElem:
@@ -233,35 +236,32 @@ def reflect(x: AlgElem, a: AlgElem) -> AlgElem:
     return -cd_multiply(a, cd_multiply(conj(x), a)) * (1 / n)
 
 
+def _reflect_rows(cartan: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Every simple reflection of every row of simple-root coefficients:
+    out[r, i] = s_i beta_r = beta_r - (A beta_r)_i e_i, where
+    A_ij = <alpha_i^vee, alpha_j>, so a symmetrizable Cartan matrix needs
+    nothing more than a symmetric one."""
+    k = len(cartan)
+    return coef[:, None, :] - (coef @ cartan.T)[:, :, None] * np.eye(k, dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _root_closure(algebra: str) -> MappingProxyType:
-    """Closure of the simple roots under the simple reflections: a
-    read-only map from each root's doubled coordinates, in sorted order,
-    to its integer coefficients over the simple roots.
-
-    Reflecting x in the unit simple root a gives x - 2 (x, a) a, so only
-    a's coefficient changes, by -2 (x, a) = -(x2 . a2) / 2 on doubled
-    coordinates.  Batched over frontier x simple roots.
-    """
-    s2 = np.array([r.coords2 for r in _simple_roots(algebra)], dtype=np.int64)
-    k, dim = s2.shape
-    eye = np.eye(k, dtype=np.int64)
-    roots = dict(zip(map(tuple, s2.tolist()), map(tuple, eye.tolist())))
-    x2, coef = s2, eye
-    while len(x2):
-        dots = x2 @ s2.T
-        if np.any(dots & 1):
-            raise ArithmeticError(f"a reflection of {algebra} leaves the root lattice")
-        n = dots[:, :, None] // 2  # 2 (x, a) per (frontier root, simple root)
-        img = (x2[:, None] - n * s2).reshape(-1, dim).tolist()
-        img_coef = (coef[:, None] - n * eye).reshape(-1, k).tolist()
-        new = {}
-        for y, c in zip(map(tuple, img), map(tuple, img_coef)):
-            if y not in roots:
-                roots[y] = new[y] = c
-        x2 = np.array(list(new), dtype=np.int64).reshape(-1, dim)
-        coef = np.array(list(new.values()), dtype=np.int64).reshape(-1, k)
-    return MappingProxyType(dict(sorted(roots.items())))
+    """The orbit of the simple roots e_i under _reflect_rows: a read-only
+    map from each root's doubled coordinates (its coefficient row times
+    the doubled simple roots), in sorted order, to its integer
+    coefficients over the simple roots."""
+    s2, cartan = _simple2(algebra), np.array(cartan_matrix(algebra))
+    k = len(s2)
+    roots = dict.fromkeys(map(tuple, np.eye(k, dtype=np.int64).tolist()))
+    frontier = list(roots)
+    while frontier:
+        img = _reflect_rows(cartan, np.array(frontier)).reshape(-1, k).tolist()
+        frontier = list(dict.fromkeys(c for c in map(tuple, img) if c not in roots))
+        roots.update(dict.fromkeys(frontier))
+    coef = list(roots)
+    x2 = map(tuple, (np.array(coef) @ s2).tolist())
+    return MappingProxyType(dict(sorted(zip(x2, coef))))
 
 
 @lru_cache(maxsize=None)
@@ -271,18 +271,15 @@ def all_roots(algebra: str) -> tuple:
 
 
 def cartan_matrix(algebra: str) -> list[list[int]]:
-    """A_ij = 2 (eps_i, eps_j) for the unit-norm simple roots."""
-    simple = _simple_roots(algebra)
-    out = []
-    for a in simple:
-        row = []
-        for b in simple:
-            v = 2 * inner(a, b)
-            if v.denominator != 1:
-                raise ArithmeticError(f"Cartan entry {v} of {algebra} is not an integer")
-            row.append(v.numerator)
-        out.append(row)
-    return out
+    """A_ij = 2 (alpha_i, alpha_j) = (s2 s2^T)_ij / 2 on the doubled simple
+    roots s2; RuntimeError unless every A_ii is 2 and every A_ij an
+    integer, i.e. unless the simple roots are unit roots of a
+    simply-laced system."""
+    s2 = _simple2(algebra)
+    gram = s2 @ s2.T
+    if np.any(gram % 2) or np.any(np.diag(gram) != 4):
+        raise RuntimeError(f"the simple roots of {algebra} give no simply-laced Cartan matrix")
+    return (gram // 2).tolist()
 
 
 def theta_marks(algebra: str) -> list[int]:

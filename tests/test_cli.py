@@ -49,6 +49,12 @@ def test_roots_with_cartan(capsys):
     assert len(data["theta_marks"]) == 8
 
 
+def test_roots_rejects_unknown_algebra(capsys):
+    code, err = _error_exit(capsys, "roots", "--algebra", "f4")
+    assert code == 2
+    assert "unknown root system" in err
+
+
 def test_group_orders(capsys):
     assert _run_json(capsys, "group", "--which", "d4")["order"] == 96
     assert _run_json(capsys, "group", "--which", "g2")["order"] == 12096

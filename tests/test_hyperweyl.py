@@ -57,11 +57,27 @@ from octavia.rings import (
     right_euclid,
     units,
 )
-from octavia.rootsys import sandwich_map
+from octavia.rootsys import cartan_matrix, sandwich_map, theta_marks
 from octavia.uhp import UhpPoint, _hyperboloid, act_word
 
-# the exact Cartan matrix where it is pinned: Z with its root 1 gives AE3
-RINGS = [(Z, [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]), (HURWITZ, None), (OCTAVIAN, None)]
+# the exact Cartan matrix, nodes -1, 0, 1..n as simple_alpha numbers them:
+# Z with its root 1 gives AE3; the Hurwitz and octavian rings over-extend
+# the finite root system named
+RINGS = [(Z, [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]), (HURWITZ, "d4"), (OCTAVIAN, "e8")]
+
+
+def _overextended_cartan(algebra):
+    """The Cartan matrix of the over-extension of a finite simply-laced
+    root system: the affine root is delta - theta, so its row is
+    -A marks, and the over-extended node links only to the affine one."""
+    a = np.array(cartan_matrix(algebra))
+    n = len(a)
+    out = np.zeros((n + 2, n + 2), dtype=np.int64)
+    out[2:, 2:] = a
+    out[1, 2:] = out[2:, 1] = -(a @ theta_marks(algebra))
+    out[0, 0] = out[1, 1] = 2
+    out[0, 1] = out[1, 0] = -1
+    return out.tolist()
 
 
 def _coprime_pairs(ring, rng, count, side="right"):
@@ -87,18 +103,17 @@ def test_delta_is_null():
 def test_overextended_cartan_shape(ring, cartan):
     alphas = [simple_alpha(ring, i) for i in range(-1, len(ring.basis2) + 1)]
     gram = [[2 * a.bilinear(b) for b in alphas] for a in alphas]
-    if cartan is not None:
-        assert gram == cartan
-        return
-    for i, row in enumerate(gram):
-        assert row[i] == 2
-        for j, v in enumerate(row):
-            assert v == gram[j][i]
-            if i != j:
-                assert v in (0, -1)
-    # over-extended node attaches only to the affine node
-    assert gram[0][1] == -1
-    assert all(v == 0 for v in gram[0][2:])
+    assert gram == (_overextended_cartan(cartan) if isinstance(cartan, str) else cartan)
+    if ring is OCTAVIAN:  # E10 is unimodular
+        assert round(np.linalg.det(np.array(gram, dtype=float))) == -1
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_simple_alpha_rejects_indices_outside_range(ring):
+    n = len(ring.basis2)
+    for index in (-2, -5, n + 1):
+        with pytest.raises(ValueError, match=rf"-1\.\.{n}"):
+            simple_alpha(ring, index)
 
 
 def test_tokens_preserve_quadratic_form(rng):

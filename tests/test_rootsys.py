@@ -168,6 +168,41 @@ def test_theta_marks_match_gauss_jordan(name):
     assert theta_marks(name) == _gauss_jordan_coefficients(basis.simple_roots, basis.theta)
 
 
+@pytest.mark.parametrize("name", ["d4", "e7", "e8"])
+def test_reflection_kernel_matches_reflect(name):
+    # every root x simple root image, mapped to coordinates, is the
+    # sandwich reflection of the algebra
+    simple = root_basis(name).simple_roots
+    coef = np.array(list(rootsys._root_closure(name).values()))
+    img = rootsys._reflect_rows(np.array(cartan_matrix(name)), coef)
+    s2 = np.array([a.coords2 for a in simple])
+    for x, row in zip(all_roots(name), (img @ s2).tolist()):
+        assert list(map(tuple, row)) == [reflect(x, a).coords2 for a in simple]
+
+
+@pytest.mark.parametrize("name", ["d4", "e7", "e8"])
+def test_reflection_kernel_coxeter_relations(name):
+    # s_i^2 = 1 and (s_i s_j)^m_ij = 1 on every coefficient row, with
+    # m_ij = 2 or 3 as A_ij A_ji = 0 or 1
+    cartan = np.array(cartan_matrix(name))
+    rows = np.array(list(rootsys._root_closure(name).values()))
+    k = len(cartan)
+    for i in range(k):
+        for j in range(k):
+            link = cartan[i, j] * cartan[j, i]
+            assert i == j or link in (0, 1)
+            x = rows
+            for _ in range(1 if i == j else 2 + link):
+                x = rootsys._reflect_rows(cartan, rootsys._reflect_rows(cartan, x)[:, j])[:, i]
+            assert np.array_equal(x, rows), (i, j)
+
+
+def test_unknown_root_system_raises():
+    for f in (all_roots, cartan_matrix, root_basis, theta_marks):
+        with pytest.raises(ValueError, match="unknown root system 'f4'"):
+            f("f4")
+
+
 def test_unit_checks_of_the_element_builders():
     imag, g2 = imaginary_units(), generate_G2_2()
     brandt = octavian_unit_classes()[1][0]  # a unit with real part +-1/2
@@ -193,6 +228,24 @@ def test_unit_checks_of_the_element_builders():
     assert norm_sq(off) == 1 and not is_member(OCTAVIAN, off)
     with pytest.raises(ValueError):
         e8_decompose(rootsys._bimult_map(one(8), off))
+
+
+def test_key_rejects_entries_outside_int8():
+    # a G2(2) element with 256 added to one entry would wrap onto its own
+    # int8 key and pass as an automorphism
+    g = generate_G2_2()[5]
+    rows = [list(r) for r in g.rows2]
+    rows[3][4] += 256
+    bad = LinMap(8, tuple(map(tuple, rows)))
+    assert not bad.is_orthogonal()
+    imag = imaginary_units()
+    with pytest.raises(ValueError):
+        bad.key()
+    with pytest.raises(ValueError):
+        e7_element(imag[0], imag[1], bad)
+    with pytest.raises(ValueError):
+        e8_element(one(8), imag[1], one(8), bad)
+    assert g.key() in g2_key_set()
 
 
 def test_d4_even_order():

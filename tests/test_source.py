@@ -142,6 +142,22 @@ def test_ring_identity_tests_stay_at_the_pinned_conventions():
                              "rings.py random_element"]
 
 
+def test_rootsys_has_no_algebra_name_dispatch():
+    # the finite root systems differ only in the table of their simple
+    # roots; no branch of rootsys compares against an algebra's name
+    names = {"d4", "e7", "e8"}
+
+    def named(node):
+        nodes = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and n.value.lower() in names for n in nodes)
+
+    tree = ast.parse((SRC / "rootsys.py").read_text())
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(map(named, [node.left, *node.comparators]))]
+    assert found == []
+
+
 def test_all_names_are_bound():
     # a stale __all__ entry surfaces only at a user's `import *`
     found = []
