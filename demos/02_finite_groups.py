@@ -1,8 +1,9 @@
 """Finite rotation groups built from unit multiplications.
 
 W+(D4) comes from admissible pairs (a, b) acting by x -> a x b, Aut(O) =
-G2(2) from closures of Brandt conjugations, and |W+(E8)| by orbit-stabilizer
-rather than enumeration.  Run with:  python3 demos/02_finite_groups.py
+G2(2) from Brandt conjugations and one outer automorphism, and |W+(E7)| and
+|W+(E8)| from stabilizer chains on the 240 unit octavians rather than
+enumeration.  Run with:  python3 demos/02_finite_groups.py
 """
 
 import random
@@ -14,6 +15,7 @@ from octavia.rootsys import (
     e8_decompose,
     e8_element,
     generate_G2_2,
+    generate_w_e7,
     imaginary_units,
     w_e8_order,
 )
@@ -25,8 +27,9 @@ def main():
     t0 = time.perf_counter()
     g2 = generate_G2_2()
     print(f"|G2(2)| = |Aut(O)| = {len(g2)}  (expected 12096, "
-          f"{time.perf_counter() - t0:.1f}s by matrix closure)")
+          f"{time.perf_counter() - t0:.1f}s as H u H phi, H from a stabilizer chain)")
 
+    print(f"|W+(E7)| = {generate_w_e7()} = 120 x 12096")
     order = w_e8_order()
     print(f"|W+(E8)| = {order} = 240 x 120 x 12096")
 

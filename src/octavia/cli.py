@@ -201,23 +201,18 @@ def cmd_roots(args) -> int:
 
 def cmd_group(args) -> int:
     which = (args.which or "g2").lower()
-    t0 = time.perf_counter()
-    if which == "d4":
-        order, elements = rootsys.d4_even_count(), None
-    elif which == "g2":
-        order = len(rootsys.g2_key_set())
-        elements = rootsys.generate_G2_2() if args.elements else None
-    elif which == "e7":
-        if not args.heavy:
-            raise ValueError("the W+(E7) closure is minutes-scale; pass --heavy")
-        order, elements = rootsys.generate_w_e7(), None
-    elif which == "e8":
-        order, elements = rootsys.w_e8_order(), None
-    else:
+    orders = {"d4": rootsys.d4_even_count, "g2": lambda: len(rootsys.g2_key_set()),
+              "e7": rootsys.generate_w_e7, "e8": rootsys.w_e8_order}
+    if which not in orders:
         raise ValueError(f"unknown group {which!r}; expected d4, g2, e7 or e8")
+    if args.elements and which != "g2":
+        raise ValueError(f"--elements lists the elements of g2 only, not of {which}")
+    t0 = time.perf_counter()
+    order = orders[which]()
+    elements = rootsys.generate_G2_2() if args.elements else ()
     payload = {"group": which, "order": order,
                "seconds": round(time.perf_counter() - t0, 3)}
-    if args.elements and elements is not None:
+    if args.elements:
         payload["elements"] = [[list(row) for row in m.rows2] for m in elements]
     _emit(args, payload)
     return 0
@@ -438,7 +433,6 @@ class Check(NamedTuple):
     run: Callable[[random.Random], object]
     expected: object
     tol: float | None = None
-    heavy: bool = False
 
 
 # the Hurwitz point of the Eisenstein and zeta checks
@@ -543,8 +537,8 @@ CHECKS = (
           lambda rng: len(rootsys.g2_key_set()), 12096),
     Check("W+(E8) order", "groups", "rootsys.w_e8_order",
           lambda rng: rootsys.w_e8_order(), 240 * 120 * 12096),
-    Check("W+(E7) order (heavy)", "groups", "rootsys.generate_w_e7",
-          lambda rng: rootsys.generate_w_e7(), 1451520, heavy=True),
+    Check("W+(E7) order", "groups", "rootsys.generate_w_e7",
+          lambda rng: rootsys.generate_w_e7(), 1451520),
     Check("Z coset representatives (bound 4)", "hyperbolic", "hyperweyl.coset_reps",
           lambda rng: len(hyperweyl.coset_reps(Z, 4)), 8),
     Check("orbit of -delta matches [[|a|^2, a c*],[c a*, |c|^2]]", "hyperbolic",
@@ -597,21 +591,19 @@ def run_check(check: Check, seed: int = 0) -> dict:
             "seconds": round(seconds, 3)}
 
 
-def run_verify(suite: str, heavy: bool = False, seed: int = 0) -> dict:
+def run_verify(suite: str, seed: int = 0) -> dict:
     """Run the checks of one suite (or all) and return the report."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of "
                          f"{list(SUITES) + ['all']}")
-    report = [run_check(c, seed) for c in CHECKS
-              if suite in ("all", c.suite) and (heavy or not c.heavy)]
+    report = [run_check(c, seed) for c in CHECKS if suite in ("all", c.suite)]
     return {"suite": suite, "seed": seed,
             "passed": all(c["passed"] for c in report), "checks": report}
 
 
 def cmd_verify(args) -> int:
     suite = args.suite or "all"
-    result = run_verify(suite, heavy=bool(args.heavy),
-                        seed=int(args.seed or 0))
+    result = run_verify(suite, seed=int(args.seed or 0))
     _emit(args, result)
     for c in result["checks"]:
         status = "pass" if c["passed"] else "FAIL"
@@ -650,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("group", help="finite group orders and elements")
     sp.add_argument("--which", help="d4, g2, e7 or e8")
     sp.add_argument("--elements", action="store_true")
-    sp.add_argument("--heavy", action="store_true")
     _add_common(sp)
     sp.set_defaults(fn=cmd_group)
 
@@ -710,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", help="|".join(SUITES + ("all",)))
-    sp.add_argument("--heavy", action="store_true")
     sp.add_argument("--seed")
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)

@@ -2,17 +2,18 @@
 
 Roots are unit lattice elements; reflections are the quaternion/octonion
 sandwich maps x -> -a conj(x) a.  The module also builds the octavian
-automorphism group G2(2) = Aut(O) as H u H phi, where H is the matrix
-closure of the Brandt conjugations (the index-2 derived subgroup) and
-phi one outer automorphism; the even Weyl groups W+(D4), W+(E7) (normal
-forms, optional full closure) and the orbit-stabilizer bookkeeping for
-W+(E8), together with the nested conjugation automorphism criterion and
-its unit corollary.
+automorphism group G2(2) = Aut(O) as H u H phi, where H is the group of
+the Brandt conjugations (the index-2 derived subgroup) and phi one outer
+automorphism; the even Weyl groups W+(D4), W+(E7) and W+(E8) with their
+normal forms, together with the nested conjugation automorphism
+criterion and its unit corollary.  H and the orders of W+(E7) and W+(E8)
+come from stabilizer chains on the 240 unit octavians.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -28,7 +29,6 @@ from .algebra import (
     basis_unit,
     cd_multiply,
     conj,
-    inner,
     norm_sq,
     one,
     real_part,
@@ -187,6 +187,97 @@ def is_automorphism_map(m: LinMap) -> bool:
     r, n = m.matrix2(), m.dim
     lhs = _mult4(np.repeat(r, n, axis=0), np.tile(r, (n, 1)))  # pair (i, j) at n i + j
     return bool(np.array_equal(lhs, 2 * sgn.reshape(-1, 1) * r[idx.reshape(-1)]))
+
+
+# -- stabilizer chains on the 240 unit octavians ----------------------------
+
+
+def _unit_codes(x2: np.ndarray) -> np.ndarray:
+    """Base-5 integer code of each row of doubled unit coordinates
+    (entries in [-2, 2]); the code of -x is 5^8 - 1 minus that of x."""
+    return (np.asarray(x2, dtype=np.int64) + 2) @ 5 ** np.arange(8, dtype=np.int64)
+
+
+@lru_cache(maxsize=1)
+def _coded_units() -> tuple:
+    """The sorted _unit_codes of the 240 unit octavians and their doubled
+    coordinates in that order: point i of a chain is unit i."""
+    units2 = np.array([u.coords2 for u in units(OCTAVIAN)], dtype=np.int64)
+    codes = _unit_codes(units2)
+    order = np.argsort(codes)
+    return _readonly(codes[order]), _readonly(units2[order])
+
+
+def _unit_perms(mats) -> np.ndarray:
+    """Row k maps point i to the unit x_i mats[k] / 2; ValueError unless
+    every doubled-coordinate matrix permutes the units."""
+    codes, units2 = _coded_units()
+    img = units2 @ np.asarray(mats, dtype=np.int64)  # twice the doubled images
+    found = _unit_codes(img // 2)
+    perms = np.searchsorted(codes, found).clip(max=239)
+    # the codes are exact on [-2, 2], the range of a doubled unit coordinate
+    if (np.any(img % 2) or np.abs(img).max() > 4 or np.any(codes[perms] != found)
+            or np.any(np.sort(perms, axis=-1) != np.arange(240))):
+        raise ValueError("a matrix does not permute the unit octavians")
+    return perms
+
+
+def _sift(chain, perms: np.ndarray, start: int = 0) -> tuple:
+    """Sift permutation rows through chain[start:] in one batch: their
+    residues, and the level where each left the orbit (len(chain) if none
+    did).  A row p maps i to p[i], so "p, then q" is q[p]."""
+    perms, stop, live = perms.copy(), np.full(len(perms), len(chain)), np.arange(len(perms))
+    for depth, (point, _, inv, where) in enumerate(chain[start:], start):
+        pos = where[perms[live, point]]
+        stop[live[pos < 0]] = depth
+        live, pos = live[pos >= 0], pos[pos >= 0]
+        perms[live] = inv.ravel()[pos[:, None] * 240 + perms[live]]  # row, then inv[pos]
+    return perms, stop
+
+
+def _stabilizer_chain(mats) -> tuple:
+    """Deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory (2005) 4.4.2) for the group of a stack of
+    doubled-coordinate matrices on the 240 unit octavians, which span R^8.
+    Level d is (point, trans, inv, where): trans[k] maps the base point to
+    orbit point k, inv[k] is its inverse, where[x] the k of x (-1 off the
+    orbit).  Sifting u_x g through its level gives the Schreier generator
+    u_x g u_{g(x)}^{-1}; the input sifts as a level above the first.  The
+    first residue that is not the identity joins every level it reached,
+    and a new level's base point is the first point it moves."""
+    perms, ident = _unit_perms(mats), np.arange(240)
+    gens, chain, depth = [], [], -1
+    while True:
+        # one batch per generator g: the rows u_x g for every orbit point x
+        for rows in ([perms] if depth < 0 else (g[chain[depth][1]] for g in gens[depth])):
+            res, stop = _sift(chain, rows, max(depth, 0))
+            bad = np.flatnonzero((stop < len(chain)) | np.any(res != ident, axis=1))
+            if len(bad):
+                break
+        else:
+            if depth < 0:
+                return tuple(chain)
+            depth -= 1
+            continue
+        h, reached = res[bad[0]], int(stop[bad[0]])
+        if reached == len(chain):
+            gens.append([])
+            chain.append((int(np.flatnonzero(h != ident)[0]),))
+        for d in range(depth + 1, reached + 1):
+            gens[d].append(h)
+            point, where, trans = chain[d][0], np.full(240, -1), [ident]
+            where[point] = 0
+            for u in trans:  # the orbit of point, breadth first
+                for g in gens[d]:
+                    if where[g[u[point]]] < 0:
+                        where[g[u[point]]] = len(trans)
+                        trans.append(g[u])
+            chain[d] = (point, np.array(trans), np.argsort(trans, axis=1), where)
+        depth = reached
+
+
+def _order(chain) -> int:
+    return math.prod(len(trans) for _, trans, _, _ in chain)
 
 
 # -- root bases ------------------------------------------------------------
@@ -380,40 +471,17 @@ def unit_corollary_check(seq) -> bool:
 # -- G2(2) = Aut(O) --------------------------------------------------------
 
 
-def _basis_generated_automorphism(x, y, z) -> LinMap:
-    """Automorphism candidate from images of e1, e5, e2 (which generate O)."""
-    img = {1: x, 5: y, 2: z}
-    img[6] = cd_multiply(x, y)       # e6 = e1 e5
-    img[4] = cd_multiply(x, z)       # e4 = e1 e2
-    img[3] = -cd_multiply(z, y)      # e3 = -e2 e5  (from e2 e3 = e5)
-    img[7] = cd_multiply(x, img[3])  # e7 = e1 e3
-    rows = [one(8).coords2] + [img[k].coords2 for k in range(1, 8)]
-    return LinMap(8, tuple(rows))
-
-
 @lru_cache(maxsize=None)
 def _outer_automorphism() -> LinMap:
-    """A lattice automorphism outside the Brandt-conjugation closure.
-
-    The conjugations x -> a x a^{-1} by Brandt units generate only the
-    index-2 derived subgroup of Aut(O) (order 6048), so one element of
-    the outer coset is located by deterministic search over images of
-    the generating units e1, e5, e2.
-    """
+    """A lattice automorphism outside H, the group of the Brandt
+    conjugations, which has index 2 in Aut(O): the first sign change of
+    e1..e7 that is an automorphism and not in H.  (Every sign change that
+    keeps the octonion table keeps the octavian lattice too.)"""
     inner_keys = set(_keys(_brandt_closure()))
-    for x in imaginary_units():
-        for y in imaginary_units():
-            if inner(x, y) != 0:
-                continue
-            xy = cd_multiply(x, y)
-            for z in imaginary_units():
-                if inner(z, x) or inner(z, y) or inner(z, xy):
-                    continue
-                phi = _basis_generated_automorphism(x, y, z)
-                if phi.key() in inner_keys:
-                    continue
-                if is_automorphism_map(phi):
-                    return phi
+    for signs in itertools.product((-2, 2), repeat=7):
+        phi = LinMap(8, tuple(map(tuple, np.diag((2,) + signs).tolist())))
+        if phi.key() not in inner_keys and is_automorphism_map(phi):
+            return phi
     raise RuntimeError("no outer automorphism found (table inconsistency)")
 
 
@@ -421,28 +489,6 @@ def _keys(mats: np.ndarray) -> list:
     """int8 byte keys of a stack of 8x8 doubled-coordinate matrices."""
     flat = mats.astype(np.int8).tobytes()
     return [flat[i:i + 64] for i in range(0, len(flat), 64)]
-
-
-def _from_keys(keys) -> np.ndarray:
-    return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(-1, 8, 8).astype(np.int64)
-
-
-def _matrix_closure(gens: np.ndarray, limit: int) -> list:
-    """Keys of the group generated by gens, breadth first from the
-    identity, in discovery order."""
-    seen = dict.fromkeys(_keys(LinMap.identity(8).matrix2()[None]))
-    frontier = list(seen)
-    while frontier:
-        mats = _from_keys(frontier)
-        frontier = []
-        for g in gens:
-            for k in _keys(_product2(mats, g)):
-                if k not in seen:
-                    seen[k] = None
-                    frontier.append(k)
-        if len(seen) > limit:
-            raise RuntimeError("closure exceeded the safety bound")
-    return list(seen)
 
 
 # Three Brandt conjugations, by index into octavian_unit_classes()[1],
@@ -454,14 +500,18 @@ _BRANDT_GENERATORS = (111, 110, 109)
 @lru_cache(maxsize=None)
 def _brandt_closure() -> np.ndarray:
     """The 6048 matrices of H = G2(2)', the group generated by the
-    Brandt conjugations, closed from three of them."""
+    Brandt conjugations: each element of the stabilizer chain of three of
+    them is "u_k, then ..., then u_1", one transversal row u_d per level,
+    and its matrix rows are its images of the basis units."""
     _, brandt, _ = octavian_unit_classes()
-    gens = np.stack([brandt_conjugation(brandt[i]).matrix2()
-                     for i in _BRANDT_GENERATORS])
-    keys = _matrix_closure(gens, limit=6048)
-    if len(keys) != 6048:
-        raise RuntimeError(f"the Brandt closure has {len(keys)} elements, expected 6048")
-    return _readonly(_from_keys(keys))
+    codes, units2 = _coded_units()
+    images = np.searchsorted(codes, _unit_codes(2 * np.eye(8)))[None]
+    for _, trans, _, _ in reversed(_stabilizer_chain(np.stack(
+            [brandt_conjugation(brandt[i]).matrix2() for i in _BRANDT_GENERATORS]))):
+        images = trans[:, images].reshape(-1, 8)
+    if len(images) != 6048:
+        raise RuntimeError(f"the Brandt closure has {len(images)} elements, expected 6048")
+    return _readonly(units2[images])
 
 
 @lru_cache(maxsize=None)
@@ -520,12 +570,6 @@ def _sandwich_stack() -> np.ndarray:
     return _readonly(np.stack([sandwich_map(g).matrix2() for g in imaginary_units()]))
 
 
-def _unit_codes(x2: np.ndarray) -> np.ndarray:
-    """Base-5 integer code of each row of doubled unit coordinates
-    (entries in [-2, 2]); the code of -x is 5^8 - 1 minus that of x."""
-    return (np.asarray(x2, dtype=np.int64) + 2) @ 5 ** np.arange(8, dtype=np.int64)
-
-
 @lru_cache(maxsize=1)
 def _imaginary_factor_table() -> tuple:
     """The products of the 126 x 126 imaginary-unit pairs, in one batched
@@ -537,17 +581,14 @@ def _imaginary_factor_table() -> tuple:
     240 unit octavians, prod[k] the position in codes of g h, first[u]
     the least pair with g h = u and class_first[u] the least pair with
     g h = +-u.  Pairs with equal +-gh lie in one left coset of G2(2)
-    (checked by w_e8_order), so the 120 class-first pairs stand for
-    all 15 876.
+    (checked by tests/test_rootsys.py::test_w_e8_orbit_stabilizer_proof),
+    so the 120 class-first pairs stand for all 15 876.
     """
     # int8 holds every doubled product coordinate (|sums| <= 8 * 2 * 2)
     imag2 = np.array([g.coords2 for g in imaginary_units()], dtype=np.int8)
-    n = len(imag2)
-    codes, prod = np.unique(
-        _unit_codes(_mult2(np.repeat(imag2, n, axis=0), np.tile(imag2, (n, 1)))),
-        return_inverse=True)
-    if len(codes) != 240:
-        raise RuntimeError(f"imaginary pairs give {len(codes)} products, expected 240")
+    n, codes = len(imag2), _coded_units()[0]
+    prod = np.searchsorted(codes, _unit_codes(
+        _mult2(np.repeat(imag2, n, axis=0), np.tile(imag2, (n, 1)))))
     first = np.full(len(codes), n * n)
     np.minimum.at(first, prod, np.arange(n * n))
     neg = np.searchsorted(codes, 5 ** 8 - 1 - codes)
@@ -610,19 +651,20 @@ def e7_normal_form(m: LinMap):
     return bc, phi, (g, h)
 
 
-def generate_w_e7() -> int:
-    """Full matrix closure of W+(E7) (heavy: ~1.45M 8x8 matrices).
-
-    Returns the group order.  Generators: three Brandt conjugations
-    (in G2(2)) plus four imaginary sandwich pairs.
-    """
+def _w_e7_generators() -> np.ndarray:
+    """Three Brandt conjugations and four imaginary sandwich pairs."""
     imag = imaginary_units()
     _, brandt, _ = octavian_unit_classes()
     # conjugations by (1 + e1 + e2 +- e4)/2 and (1 + e1 - e2 + e4)/2
     gens = [brandt_conjugation(brandt[i]).matrix2() for i in (111, 110, 101)]
     for g, h in itertools.islice(itertools.combinations(imag, 2), 4):
         gens.append((sandwich_map(g) * sandwich_map(h)).matrix2())
-    return len(_matrix_closure(np.stack(gens), limit=2_000_000))
+    return np.stack(gens)
+
+
+def generate_w_e7() -> int:
+    """|W+(E7)| = 1 451 520 from the stabilizer chain of its generators."""
+    return _order(_stabilizer_chain(_w_e7_generators()))
 
 
 # -- W+(E8) ----------------------------------------------------------------
@@ -677,45 +719,9 @@ def e8_decompose(m: LinMap):
 
 
 def w_e8_order() -> int:
-    """|W+(E8)| = 240 x 120 x 12096 via orbit-stabilizer.
-
-    Verifies the ingredients rather than enumerating: the orbit of 1 under
-    right multiplications is all 240 units (each an even isometry), every
-    unit factors into two imaginaries (120 stabilizer cosets mod sign),
-    and every one of the 126 x 126 sandwich pairs lies in the G2 coset of
-    the class-first pair with the same +-gh.
-    """
-    all_units = units(OCTAVIAN)
-    orbit = set()
-    for b in all_units:
-        rho = right_mult_map(b)
-        if not rho.is_orthogonal() or rho.det() != 1:
-            raise RuntimeError(f"right multiplication by {b} is not an even isometry")
-        orbit.add(rho.rows2[0])
-    if len(orbit) != 240:
-        raise RuntimeError(f"orbit of 1 has {len(orbit)} points, expected 240")
-    cosets = set()
-    for b in all_units:
-        g, h = factor_into_imaginaries(b)
-        if cd_multiply(g, h) != b:
-            raise RuntimeError(f"{b} does not factor into the imaginaries {g}, {h}")
-        cosets.add(min(b, -b, key=lambda u: u.coords))
-    if len(cosets) != 120:
-        raise RuntimeError(f"{len(cosets)} stabilizer cosets, expected 120")
-    # pair (g, h), its class-first pair (g', h'): equal +-gh must put
-    # sigma(h') o sigma(g') o sigma(g) o sigma(h) in G2(2); one batched
-    # product per g keeps the temporaries small
-    _, prod, _, class_first = _imaginary_factor_table()
-    s = _sandwich_stack().astype(np.int8)
-    imag = imaginary_units()
-    n = len(imag)
-    keys = g2_key_set()
-    for i, g in enumerate(imag):
-        pairs = _product2(s, s[i])  # sigma(g) o sigma(h) for every h
-        k1 = class_first[prod[i * n:(i + 1) * n]]
-        back = _product2(s[k1 // n], s[k1 % n])  # sigma(h') o sigma(g')
-        for h, key in zip(imag, _keys(_product2(pairs, back))):
-            if key not in keys:
-                raise RuntimeError(f"the sandwich pair ({g}, {h}) is not in the G2 "
-                                   f"coset of its class-first pair")
-    return 240 * 120 * 12096
+    """|W+(E8)| = 348 364 800 = 240 x 120 x 12096, the order of the
+    stabilizer chain of the W+(E7) generators and one right multiplication
+    by a Brandt unit, which moves 1."""
+    b = octavian_unit_classes()[1][0]
+    return _order(_stabilizer_chain(np.concatenate(
+        [_w_e7_generators(), right_mult_map(b).matrix2()[None]])))

@@ -10,7 +10,7 @@ import octavia.rings
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("OCTAVIA_HEAVY"):
         return
-    skip = pytest.mark.skip(reason="heavy closure; set OCTAVIA_HEAVY=1 to run")
+    skip = pytest.mark.skip(reason="heavy brute-force oracle; set OCTAVIA_HEAVY=1 to run")
     for item in items:
         if "heavy" in item.keywords:
             item.add_marker(skip)

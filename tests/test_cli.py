@@ -60,10 +60,17 @@ def test_group_orders(capsys):
     assert _run_json(capsys, "group", "--which", "g2")["order"] == 12096
 
 
-def test_group_e7_requires_heavy(capsys):
-    code, err = _error_exit(capsys, "group", "--which", "e7")
-    assert code == 2
-    assert err == "error: the W+(E7) closure is minutes-scale; pass --heavy\n"
+def test_group_e7_and_e8_orders(capsys):
+    assert _run_json(capsys, "group", "--which", "e7")["order"] == 1451520
+    assert _run_json(capsys, "group", "--which", "e8")["order"] == 348364800
+
+
+def test_group_elements_only_for_g2(capsys):
+    for which in ("d4", "e7", "e8"):
+        code, err = _error_exit(capsys, "group", "--which", which, "--elements")
+        assert code == 2
+        assert err == f"error: --elements lists the elements of g2 only, not of {which}\n"
+    assert len(_run_json(capsys, "group", "--which", "g2", "--elements")["elements"]) == 12096
 
 
 def test_euclid(capsys):
@@ -306,7 +313,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     code, err = _error_exit(capsys, "units", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2 and err.startswith("error:")
     for text in ("ring = octavian\nno equals sign\n", "bogus_key = 7\n",
-                 "words = yes\n", "heavy = 1\n"):
+                 "words = yes\n", "elements = 1\n"):
         cfg = tmp_path / "octavia.cfg"
         cfg.write_text(text)
         code, err = _error_exit(capsys, "units", "--config", str(cfg))
@@ -346,12 +353,7 @@ def test_export(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def _check_case(check):
-    marks = [pytest.mark.heavy] if check.heavy else []
-    return pytest.param(check, id=check.name, marks=marks)
-
-
-@pytest.mark.parametrize("check", [_check_case(c) for c in CHECKS])
+@pytest.mark.parametrize("check", CHECKS, ids=[c.name for c in CHECKS])
 def test_verify_check(check):
     entry = run_check(check, seed=0)
     assert entry["passed"], f"{entry['value']} vs {entry['expected']}"

@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, octonion automorphisms."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -425,12 +426,64 @@ def test_factor_into_imaginaries():
         assert (g, h) == _factor_by_fraction_loop(b, imag_set)
 
 
-def test_brandt_closure_from_three_generators_is_all_of_h():
+def _bfs_closure(gens):
+    """The int8 keys of the group that a stack of doubled-coordinate
+    matrices generates, closed breadth first from the identity: the
+    oracle of the stabilizer chains."""
+    seen = set(rootsys._keys(LinMap.identity(8).matrix2()[None]))
+    frontier = list(seen)
+    while frontier:
+        mats = np.frombuffer(b"".join(frontier), dtype=np.int8).reshape(-1, 8, 8)
+        frontier = []
+        for g in gens:
+            for k in rootsys._keys(rootsys._product2(mats.astype(np.int64), g)):
+                if k not in seen:
+                    seen.add(k)
+                    frontier.append(k)
+    return seen
+
+
+def _brandt_generators():
     _, brandt, _ = octavian_unit_classes()
-    gens = np.stack([brandt_conjugation(a).matrix2() for a in brandt])
-    full = rootsys._matrix_closure(gens, limit=20000)
-    assert set(rootsys._keys(rootsys._brandt_closure())) == set(full)
+    return np.stack([brandt_conjugation(brandt[i]).matrix2()
+                     for i in rootsys._BRANDT_GENERATORS])
+
+
+def _w_e8_generators():
+    b = octavian_unit_classes()[1][0]
+    return np.concatenate([rootsys._w_e7_generators(), right_mult_map(b).matrix2()[None]])
+
+
+def _members(chain, mats):
+    """Which matrices of a stack sift through the chain to the identity."""
+    res, stop = rootsys._sift(chain, rootsys._unit_perms(mats))
+    return (stop == len(chain)) & (res == np.arange(240)).all(1)
+
+
+def test_brandt_closure_from_three_generators_is_all_of_h():
+    # H's chain order against an independent count
+    _, brandt, _ = octavian_unit_classes()
+    full = _bfs_closure(np.stack([brandt_conjugation(a).matrix2() for a in brandt]))
     assert len(full) == 6048
+    assert rootsys._order(rootsys._stabilizer_chain(_brandt_generators())) == len(full)
+    h = rootsys._brandt_closure()
+    assert len(h) == 6048 and set(rootsys._keys(h)) == full
+    with_phi = np.concatenate([_brandt_generators(),
+                               rootsys._outer_automorphism().matrix2()[None]])
+    assert rootsys._order(rootsys._stabilizer_chain(with_phi)) == len(g2_key_set())
+
+
+def test_sign_change_automorphisms_keep_the_lattice():
+    # _outer_automorphism takes the first sign change of e1..e7 outside H
+    # and relies on every automorphic one lying in G2(2)
+    autos = [m for m in (LinMap(8, tuple(map(tuple, np.diag((2,) + s).tolist())))
+                         for s in itertools.product((2, -2), repeat=7))
+             if is_automorphism_map(m)]
+    assert len(autos) == 8 and {m.key() for m in autos} <= g2_key_set()
+    h = set(rootsys._keys(rootsys._brandt_closure()))
+    assert sum(m.key() in h for m in autos) == 4
+    assert rootsys._outer_automorphism() in autos
+    assert rootsys._outer_automorphism().key() not in h
 
 
 def _full_scan(m, outer_first):
@@ -514,7 +567,84 @@ def test_w_e8_order():
     assert w_e8_order() == 240 * 120 * 12096
 
 
+def test_w_e8_orbit_stabilizer_proof():
+    # |W+(E8)| = |orbit of 1| x |stabilizer cosets| x |G2(2)| by hand, the
+    # oracle of the chain; _sigma_residue_search relies on the third fact
+    all_units = units(OCTAVIAN)
+    orbit = set()
+    for b in all_units:
+        rho = right_mult_map(b)
+        assert rho.is_orthogonal() and rho.det() == 1, b
+        orbit.add(rho.rows2[0])
+    assert orbit == {u.coords2 for u in all_units}
+    # every unit factors into two imaginaries: 120 stabilizer cosets mod sign
+    cosets = set()
+    for b in all_units:
+        g, h = factor_into_imaginaries(b)
+        assert cd_multiply(g, h) == b
+        cosets.add(min(b, -b, key=lambda u: u.coords))
+    assert len(cosets) == 120
+    # pair (g, h), its class-first pair (g', h'): equal +-gh must put
+    # sigma(h') o sigma(g') o sigma(g) o sigma(h) in G2(2); one batched
+    # product per g keeps the temporaries small
+    _, prod, _, class_first = rootsys._imaginary_factor_table()
+    s = rootsys._sandwich_stack().astype(np.int8)
+    imag = imaginary_units()
+    n = len(imag)
+    keys = g2_key_set()
+    for i, g in enumerate(imag):
+        pairs = rootsys._product2(s, s[i])  # sigma(g) o sigma(h) for every h
+        k1 = class_first[prod[i * n:(i + 1) * n]]
+        back = rootsys._product2(s[k1 // n], s[k1 % n])  # sigma(h') o sigma(g')
+        assert set(rootsys._keys(rootsys._product2(pairs, back))) <= keys, g
+    assert w_e8_order() == len(orbit) * len(cosets) * len(keys)
+
+
+def test_chain_orders_do_not_depend_on_generator_order():
+    rng = random.Random(22)
+    for gens, order in ((_brandt_generators(), 6048),
+                        (rootsys._w_e7_generators(), 1451520),
+                        (_w_e8_generators(), 348364800)):
+        for _ in range(3):
+            shuffled = gens[rng.sample(range(len(gens)), len(gens))]
+            assert rootsys._order(rootsys._stabilizer_chain(shuffled)) == order
+
+
+def test_normal_form_elements_sift_through_their_chains():
+    rng = random.Random(23)
+    imag = imaginary_units()
+    g2 = generate_G2_2()
+    us = units(OCTAVIAN)
+    e7 = np.stack([e7_element(rng.choice(imag), rng.choice(imag), rng.choice(g2)).matrix2()
+                   for _ in range(200)])
+    e8 = np.stack([e8_element(rng.choice(imag), rng.choice(imag), rng.choice(us),
+                              rng.choice(g2)).matrix2() for _ in range(200)])
+    assert _members(rootsys._stabilizer_chain(rootsys._w_e7_generators()), e7).all()
+    assert _members(rootsys._stabilizer_chain(_w_e8_generators()), e8).all()
+
+
+def test_right_multiplications_leave_w_e7():
+    # W+(E7) fixes 1 and x -> x b maps 1 to b, so only b = 1 sifts
+    chain = rootsys._stabilizer_chain(rootsys._w_e7_generators())
+    us = units(OCTAVIAN)
+    member = _members(chain, np.stack([right_mult_map(b).matrix2() for b in us]))
+    assert [b for b, m in zip(us, member) if m] == [one(8)]
+
+
+def test_chain_rejects_matrices_that_do_not_permute_the_units():
+    ident = LinMap.identity(8).matrix2()
+    odd = ident.copy()
+    odd[0, 0] = 1  # a half-integer unit goes off the lattice
+    projection = np.diag([2] + [0] * 7)  # e1 goes to 0
+    for m in (2 * ident, odd, projection):
+        with pytest.raises(ValueError, match="does not permute the unit octavians"):
+            rootsys._unit_perms(m[None])
+        with pytest.raises(ValueError, match="does not permute the unit octavians"):
+            rootsys._stabilizer_chain(np.stack([ident, m]))
+
+
 @pytest.mark.heavy
 def test_w_e7_closure_order():
+    # the breadth-first closure of the seven generators: about 30 s and 1.6 GB
     from octavia.rootsys import generate_w_e7
-    assert generate_w_e7() == 1451520
+    assert generate_w_e7() == len(_bfs_closure(rootsys._w_e7_generators())) == 1451520
