@@ -60,6 +60,7 @@ class SeriesParams:
     exploratory: bool = field(default=False)
 
     def __post_init__(self):
+        _require_int("radius", self.radius)
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
         if self.z.dim != self.ring.dim:
@@ -81,15 +82,41 @@ class FourierDatum:
     error_estimate: float
 
 
+def _require_int(name: str, value) -> None:
+    """ValueError unless value is a Python or numpy integer: a float radius
+    or grid would truncate or tick at the wrong places without an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 # -- modular pair bookkeeping ------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _d_side(ring: Ring, norm: int):
+    """The d side of both series kernels over the ball |d|^2 <= norm, which
+    does not depend on the point: the augmented rows b = [d | 1 | |d|^2]^T
+    of their matmuls (C order: a fast matmul) and the start of each
+    shell's column segment in the shell-major ball.  Shells with no point
+    have no segment, since np.add.reduceat would return the next element,
+    not 0, for an empty one.  _series_sum reads the truncation ball,
+    _periodic_series_value the margin ball.
+    """
+    pts = enumerate_ball(ring, norm).astype(float) / 2.0
+    nrm = (pts * pts).sum(axis=1)
+    b = np.vstack([pts.T, np.ones(len(pts)), nrm])
+    starts = np.flatnonzero(np.diff(np.rint(nrm).astype(np.int64), prepend=-1))
+    return _readonly(b), _readonly(starts)
 
 
 @lru_cache(maxsize=32)
 def _ball_data(ring: Ring, radius: int):
     """Ball points (doubled int and float coordinates) with squared norms,
-    and the one row partition of every series: the ball indices `reps` of
-    the first member c of each lattice class c^-bar O and the class sizes
-    `weight` (rings._lattice_classes).
+    the one row partition of every series: the ball indices `reps` of the
+    first member c of each lattice class c^-bar O and the class sizes
+    `weight` (rings._lattice_classes), and the shell keys max(|c|^2,
+    |d|^2) of each row against each shell segment of _d_side(ring,
+    radius), where _series_sum bins the row's per-shell sums.
 
     The row of c, its d-sums per shell and its coprime mask, depends only
     on |c|^2 and the lattice c^-bar O, since cu + d = c (u + c^-1 d) and
@@ -98,8 +125,11 @@ def _ball_data(ring: Ring, radius: int):
     """
     pts2 = enumerate_ball(ring, radius)
     pts = pts2.astype(float) / 2.0
+    nrm = (pts * pts).sum(axis=1)
     reps, weight = _lattice_classes(ring, radius)
-    return tuple(map(_readonly, (pts2, pts, (pts * pts).sum(axis=1), reps, weight)))
+    shell = np.rint(nrm).astype(np.int64)  # squared norms are integers
+    key = np.maximum(shell[reps, None], shell[None, _d_side(ring, radius)[1]])
+    return tuple(map(_readonly, (pts2, pts, nrm, reps, weight, key)))
 
 
 @lru_cache(maxsize=8)
@@ -119,7 +149,7 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     does not depend on the point z, so it is built once per
     (ring, radius).
     """
-    pts2, _, _, reps, _ = _ball_data(ring, radius)
+    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
     mask = np.empty((len(reps), len(pts2)), dtype=bool)
     for lo, hi, c2, d2 in _pair_chunks(pts2[reps], pts2):
         mask[lo:hi] = (left_content(ring, c2, d2) == 4).reshape(hi - lo, len(pts2))
@@ -159,25 +189,23 @@ def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
     row's per-shell sums; these are weighted by the class size and
     bucketed by the shell key max(|c|^2, |d|^2).  The per-shell totals
     are reduced in increasing shell order, so the result is deterministic
-    and the summation order matches the truncation geometry.
+    and the summation order matches the truncation geometry.  Only the
+    c side depends on z: the d rows, the segment starts and the shell
+    keys are cached (_d_side, _ball_data).
     """
     ring, z, s = p.ring, p.z, complex(p.s)
-    _, pts, nrm, reps, weight = _ball_data(ring, p.radius)
+    _, pts, nrm, reps, weight, key = _ball_data(ring, p.radius)
+    b, starts = _d_side(ring, p.radius)
     u, v = z.u_vector(), z.v
     cu = _rep_products(pts[reps], u[None])[0]  # row i: c_i * u
     a = np.column_stack([2.0 * cu, (cu * cu).sum(axis=1) + nrm[reps] * v * v,
                          np.ones(len(reps))])
-    b = np.vstack([pts.T, np.ones(len(pts)), nrm])  # C order: a fast matmul
-    shell = np.rint(nrm).astype(np.int64)  # squared norms are integers
-    # segment starts of the shells present; np.add.reduceat would return
-    # the next element, not 0, for an empty segment
-    starts = np.flatnonzero(np.diff(shell, prepend=-1))
     n_shell = p.radius + 1
     mask = _coprime_mask(ring, p.radius) if coprime_only else None
     acc_re = np.zeros(n_shell)
     acc_im = np.zeros(n_shell)
-    chunk = min(len(reps), max(1, (1 << 16) // len(pts)))  # about 64k pairs
-    buf = np.empty((chunk, len(pts)))
+    chunk = min(len(reps), max(1, (1 << 16) // b.shape[1]))  # about 64k pairs
+    buf = np.empty((chunk, b.shape[1]))
     for lo in range(0, len(reps), chunk):
         hi = min(lo + chunk, len(reps))
         denom = np.matmul(a[lo:hi], b, out=buf[:hi - lo])
@@ -189,10 +217,10 @@ def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
         if mask is not None:
             vals *= mask[lo:hi]
         sums = np.add.reduceat(vals, starts, axis=1) * weight[lo:hi, None]
-        key = np.maximum(shell[reps[lo:hi], None], shell[None, starts]).ravel()
-        acc_re += np.bincount(key, weights=sums.real.ravel(), minlength=n_shell)
+        row_key = key[lo:hi].ravel()
+        acc_re += np.bincount(row_key, weights=sums.real.ravel(), minlength=n_shell)
         if np.iscomplexobj(sums):
-            acc_im += np.bincount(key, weights=sums.imag.ravel(), minlength=n_shell)
+            acc_im += np.bincount(row_key, weights=sums.imag.ravel(), minlength=n_shell)
     # shell 0 holds only the pair (0, 0), which the series leaves out
     total = complex(math.fsum(acc_re[1:]), math.fsum(acc_im[1:]))
     return np.exp(s * np.log(v)) * total
@@ -241,6 +269,7 @@ def poincare_via_words(p: SeriesParams) -> complex:
 
 def zeta_partial(ring: Ring, s: complex, n_max: int) -> complex:
     """Partial sum of sum_{a != 0} (|a|^2)^(-s) = sum_k sigma(k) k^(-s)."""
+    _require_int("n_max", n_max)
     counts = shell_counts(ring, n_max)
     s = complex(s)
     ks = np.arange(1, n_max + 1, dtype=float)
@@ -331,19 +360,20 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     per block), and d runs over the margin ball around d0, which covers
     the ball |cu + d|^2 <= radius.  The denominators of a chunk are one
     matmul of augmented rows, [2 w | |w|^2 + |c|^2 v^2 | 1] @
-    [d | 1 | |d|^2]^T, into one reused buffer; each row is summed over its
-    kept d, then each point over its rows with their class sizes.
+    [d | 1 | |d|^2]^T (the cached _d_side of the margin ball), into one
+    reused buffer; each row is summed over its kept d, then each point
+    over its rows with their class sizes.
     """
     s = complex(s)
     n = ring.dim
-    _, cpts, cnrm, reps, weight = _ball_data(ring, radius)
+    _, cpts, cnrm, reps, weight, _ = _ball_data(ring, radius)
     n_rep = len(reps)
     cv2 = cnrm[reps] * v * v
-    off = enumerate_ball(ring, _margin_norm(radius)).astype(float) / 2.0
-    b = np.vstack([off.T, np.ones(len(off)), (off * off).sum(axis=1)])
-    chunk = max(1, (1 << 19) // len(off))  # rows per matmul
+    b, _ = _d_side(ring, _margin_norm(radius))
+    m = b.shape[1]
+    chunk = max(1, (1 << 19) // m)  # rows per matmul
     block = min(len(us), max(1, chunk // n_rep))  # points per block
-    buf = np.empty((min(chunk, block * n_rep), len(off)))
+    buf = np.empty((min(chunk, block * n_rep), m))
     keep = np.empty(buf.shape, dtype=bool)
     out = np.empty(len(us), dtype=complex)
     for lo in range(0, len(us), block):
@@ -359,7 +389,7 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
             denom = np.matmul(a[r0:r1], b, out=buf[:r1 - r0])
             kept = np.less_equal(denom, (row_cv2[r0:r1] + (radius + 1e-9))[:, None],
                                  out=keep[:r1 - r0])
-            # (c, d) = (0, 0): reps[0] and off[0] are zero, and so is the w
+            # (c, d) = (0, 0): reps[0] and d[0] are zero, and so is the w
             # of c = 0, on every n_rep-th row
             zero = np.arange(-r0 % n_rep, r1 - r0, n_rep)
             kept[zero, 0] = False
@@ -379,9 +409,19 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     Uses the translation-covariant truncation (see _periodic_series_value)
     so that the integrand is exactly periodic.  The midpoint rule on a
     periodic smooth integrand is spectrally accurate; the error estimate
-    compares against the half-resolution grid.  Both grids go through one
-    _periodic_series_value call.  ValueError unless grid >= 2 and
-    radius >= 1.
+    compares against the half-resolution grid.  ValueError unless grid
+    and radius are integers, grid >= 2 and radius >= 1.
+
+    The truncated series V is even, V(-u) = V(u), in every ring: c(-u) =
+    -(cu) by linearity of the product alone (no associativity), and
+    d -> -d maps each d-ball |cu + d|^2 <= radius of u onto that of -u,
+    term for term.  A midpoint grid of m ticks per lattice axis is closed
+    under t -> 1 - t, and 1 - t = -t modulo the lattice, where V is
+    periodic; in the ravelled indexing="ij" order that map sends point k
+    to m^n - 1 - k.  So V is evaluated on the first ceil(m^n / 2) points
+    of each grid (both grids in one _periodic_series_value call) and
+    mirrored; for odd m the middle point is its own image.  The phases
+    are taken at every grid point.
     """
     mu = mu.floats() if isinstance(mu, AlgElem) \
         else np.asarray(mu, dtype=float)
@@ -394,6 +434,8 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
         raise ValueError("v must be finite")
     if not v > 0:
         raise ValueError("v must be positive")
+    _require_int("radius", radius)
+    _require_int("grid", grid)
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if grid < 2:
@@ -404,11 +446,16 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
         mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
         return np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
 
+    def mean_term(us: np.ndarray, first: np.ndarray) -> complex:
+        # first: V at the first ceil(len(us) / 2) points; the rest mirror them
+        vals = np.concatenate([first, first[:len(us) // 2][::-1]])
+        return complex((vals * np.exp(-2j * np.pi * (us @ mu))).mean())
+
     grids = [midpoints(grid), midpoints(grid // 2)]
-    us = np.concatenate(grids)
-    terms = _periodic_series_value(ring, s, radius, us, v) \
-        * np.exp(-2j * np.pi * (us @ mu))
-    full, half = (complex(t.mean()) for t in np.split(terms, [len(grids[0])]))
+    firsts = [g[:(len(g) + 1) // 2] for g in grids]
+    vals = _periodic_series_value(ring, s, radius, np.concatenate(firsts), v)
+    full, half = (mean_term(g, h)
+                  for g, h in zip(grids, np.split(vals, [len(firsts[0])])))
     return FourierDatum(tuple(mu), float(v), full, abs(full - half))
 
 

@@ -405,12 +405,9 @@ def d4_even_element(a: AlgElem, b: AlgElem) -> LinMap:
 
 def d4_even_count() -> int:
     """|W+(D4)| by enumerating admissible bimultiplications mod (a,b)~(-a,-b)."""
-    seen = set()
-    for a in units(HURWITZ):
-        for b in units(HURWITZ):
-            if cd_multiply(a, b) in _qset():
-                seen.add(d4_even_element(a, b).key())
-    return len(seen)
+    qset = set(_qset())
+    return len({_bimult_map(a, b).key() for a in units(HURWITZ) for b in units(HURWITZ)
+                if cd_multiply(a, b) in qset})
 
 
 def s_relation_composite() -> LinMap:

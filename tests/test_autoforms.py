@@ -58,6 +58,15 @@ def test_series_params_validation():
         SeriesParams(HURWITZ, 5.0, 0, _z(4))
     with pytest.raises(ValueError):
         SeriesParams(HURWITZ, 5.0, 4, _z(8))
+    # a float radius used to pass here and fail inside the kernel
+    for radius in (2.5, 2.0):
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            SeriesParams(HURWITZ, 5.0, radius, _z(4))
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        zeta_partial(HURWITZ, 5.0, 2.5)
+    p = SeriesParams(HURWITZ, 5.0, np.int64(2), _z(4, 0.1))
+    assert eisenstein_truncated(p) == eisenstein_truncated(
+        SeriesParams(HURWITZ, 5.0, 2, _z(4, 0.1)))
     with pytest.warns(UserWarning):
         SeriesParams(HURWITZ, 1.5, 4, _z(4))
 
@@ -190,7 +199,7 @@ def test_octavian_poincare_radius_2_matches_full_pair_oracle():
 def _row_by_row_series(p, coprime_only=False):
     """Oracle on the reduced pair set: one class row at a time, with its
     class size and coprime-mask row, per-shell fsum."""
-    _, pts, nrm, reps, weight = _ball_data(p.ring, p.radius)
+    _, pts, nrm, reps, weight, _ = _ball_data(p.ring, p.radius)
     mask = _coprime_mask(p.ring, p.radius) if coprime_only else None
     u, v, s = p.z.u_vector(), p.z.v, complex(p.s)
     rmat = right_mult_matrix(u, p.ring.dim)
@@ -215,7 +224,7 @@ def test_series_match_row_by_row_oracle_across_chunks(s):
     # Hurwitz R = 16: 109 representative rows in 5 chunks of 25, so the
     # (0, 0) drop and the mask slices cross chunks; the shell routing
     # only orders the summation, so values see it to rounding alone
-    _, pts, _, reps, _ = _ball_data(HURWITZ, 16)
+    _, pts, _, reps, _, _ = _ball_data(HURWITZ, 16)
     assert len(reps) == 109 and (1 << 16) // len(pts) == 25
     z = UhpPoint(np.random.default_rng(9).uniform(-0.5, 0.5, 4), 0.9)
     p = SeriesParams(HURWITZ, s, 16, z)
@@ -265,7 +274,7 @@ def test_noncentral_octavian_unit_breaks_mask_invariance():
 @pytest.mark.parametrize("ring, radius", [(Z, 9), (HURWITZ, 4), (OCTAVIAN, 1)],
                          ids=["z", "hurwitz", "octavian"])
 def test_reduced_mask_is_representative_rows(ring, radius):
-    pts2, _, _, reps, weight = _ball_data(ring, radius)
+    pts2, _, _, reps, weight, _ = _ball_data(ring, radius)
     full = _full_mask_rows(ring, pts2, pts2)
     assert np.array_equal(_coprime_mask(ring, radius), full[reps])
     # c = 0 alone, and the classes cover the ball once
@@ -315,7 +324,7 @@ def test_octavian_class_members_share_the_row(radius, sampled):
     # member c' of its class: the coprime mask and |cu + d|^2, both exact
     # (u on a 1/16 grid), and it keeps |d|^2, so the shell sums agree.
     # sampled: (class size, which class of that size)
-    pts2, _, _, reps, weight = _ball_data(OCTAVIAN, radius)
+    pts2, _, _, reps, weight, _ = _ball_data(OCTAVIAN, radius)
     index = {tuple(r): j for j, r in enumerate(pts2.tolist())}
     u16 = np.random.default_rng(radius).integers(-24, 25, 8)
     n4 = (pts2 * pts2).sum(axis=1)
@@ -358,10 +367,20 @@ def test_dual_lattice_membership_is_exact():
 
 
 def test_periodic_truncation_is_periodic():
+    # periodic on the ring lattice, and even: fourier_coefficient evaluates
+    # half of each midpoint grid and mirrors it on this identity
     u = np.array([0.37, -0.21, 0.05, 0.6])
     shift = np.array([1.0, 1.0, 0.0, 0.0])
     a, b = _periodic_series_value(HURWITZ, 5.0, 9, np.stack([u, u + shift]), 0.7)
     assert abs(a - b) < 1e-12 * abs(a)
+    rng = np.random.default_rng(14)
+    for ring, radius in ((Z, 9), (HURWITZ, 9), (HURWITZ, 1), (OCTAVIAN, 1)):
+        for s in (5.0, 5.0 + 1.5j):
+            u = rng.uniform(-1.5, 1.5, ring.dim)
+            shift = rng.integers(-2, 3, ring.dim) @ lattice_basis(ring)
+            vals = _periodic_series_value(ring, s, radius,
+                                          np.stack([u, u + shift, -u]), 0.7)
+            assert np.abs(vals[1:] - vals[0]).max() < 1e-12 * abs(vals[0])
 
 
 def _per_point_value(ring, s, radius, u, v):
@@ -400,7 +419,7 @@ def test_periodic_values_match_per_point_oracle(ring, radius, s):
 def test_rep_products_are_right_multiplications(ring):
     # a wrong contraction of the structure constants can still give the
     # right periodic values when the truncation is symmetric; the rows can't
-    _, pts, _, reps, _ = _ball_data(ring, 4 if ring is not OCTAVIAN else 1)
+    _, pts, _, reps, _, _ = _ball_data(ring, 4 if ring is not OCTAVIAN else 1)
     us = np.random.default_rng(12).uniform(-1.5, 1.5, (6, ring.dim))
     got = _rep_products(pts[reps], us)
     for u, rows in zip(us, got):
@@ -422,10 +441,17 @@ def _per_point_fourier(mu, v, s, radius, ring, grid):
     return full, abs(full - half)
 
 
-@pytest.mark.parametrize("mu", [(0, 0, 0, 0), (1, 1, 0, 0)], ids=["zero", "11"])
-def test_fourier_matches_per_point_oracle(mu):
-    got = fourier_coefficient(list(mu), 0.5, 5.0, 4, HURWITZ, grid=4)
-    coef, err = _per_point_fourier(mu, 0.5, 5.0, 4, HURWITZ, 4)
+@pytest.mark.parametrize("ring, mu, radius, grid", [
+    pytest.param(HURWITZ, (0, 0, 0, 0), 4, 4, id="zero"),
+    pytest.param(HURWITZ, (1, 1, 0, 0), 4, 4, id="11"),
+    # odd grids: the half grid of 3 is one point, its own mirror image
+    pytest.param(HURWITZ, (1, 1, 0, 0), 4, 3, id="hurwitz-grid-3"),
+    pytest.param(Z, (1,), 9, 7, id="z-grid-7"),
+    pytest.param(Z, (2,), 9, 6, id="z-grid-6"),
+])
+def test_fourier_matches_per_point_oracle(ring, mu, radius, grid):
+    got = fourier_coefficient(list(mu), 0.5, 5.0, radius, ring, grid=grid)
+    coef, err = _per_point_fourier(mu, 0.5, 5.0, radius, ring, grid)
     assert abs(got.coefficient - coef) <= 1e-12 * abs(coef)
     assert abs(got.error_estimate - err) <= 1e-12 * err
 
@@ -445,12 +471,24 @@ def test_fourier_rejects_non_finite_height(v):
         fourier_coefficient([0], v, 5.0, 4, Z, grid=4)
 
 
-@pytest.mark.parametrize("radius, grid", [(4, 0), (4, 1), (0, 4), (-1, 4)])
+@pytest.mark.parametrize("radius, grid", [(4, 0), (4, 1), (0, 4), (-1, 4),
+                                          (4, 2.5), (4, 4.0), (4.5, 4), (4.0, 4)])
 def test_fourier_rejects_small_grid_and_radius(radius, grid):
     # grid 0 gave NaN, grid 1 an error estimate of 0 (its half grid is the
-    # full grid), radius 0 a coefficient of 0
+    # full grid), radius 0 a coefficient of 0; grid 2.5 ticked at 0.2,
+    # 0.6 and 1.0, which are not midpoints, and returned a wrong value
     with pytest.raises(ValueError):
         fourier_coefficient([0], 1.0, 5.0, radius, Z, grid=grid)
+
+
+def test_fourier_takes_integer_arguments_only():
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        fourier_coefficient([0] * 4, 0.5, 5.0, 2, HURWITZ, grid=2.5)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        fourier_coefficient([0] * 4, 0.5, 5.0, 2.0, HURWITZ, grid=2)
+    assert fourier_coefficient([0] * 4, 0.5, 5.0, np.int64(2), HURWITZ,
+                               grid=np.int32(2)) \
+        == fourier_coefficient([0] * 4, 0.5, 5.0, 2, HURWITZ, grid=2)
 
 
 def test_zero_mode_leading_exponent():

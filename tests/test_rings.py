@@ -478,6 +478,7 @@ CACHE_ARGS = {
     "all_roots": ("e8",),
     "_root_closure": ("e8",),
     "_class_composites": (True,),
+    "_d_side": (HURWITZ, 2),
     "_ball_data": (HURWITZ, 2),
     "_coprime_mask": (HURWITZ, 2),
     "_coset_class_words": (HURWITZ, 2),
