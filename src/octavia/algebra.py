@@ -364,17 +364,35 @@ def _table_rows(dim: int) -> tuple[tuple, tuple]:
     return tuple(tuple(map(tuple, t.tolist())) for t in structure_table(dim))
 
 
-def _int_product(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """The product of two integer coordinate sequences of one algebra
-    through its structure table, as a list of Python ints."""
-    idx, sgn = _table_rows(len(x))
-    out = [0] * len(x)
-    for a, row_i, row_s in zip(x, idx, sgn):
-        if a:
-            for b, k, s in zip(y, row_i, row_s):
-                if b:
-                    out[k] += s * a * b
-    return out
+def _compiled(name: str, source: str):
+    """The function `name` that source defines, compiled once: the one
+    place where the package turns generated text into code.
+
+    The source runs in a namespace of its own with no builtins, so the
+    function can read no global name, and the kernels built from a table
+    (_product_kernel, rings._coset_sums) are plain straight-line
+    arithmetic on their arguments.
+    """
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<octavia {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _product_kernel(dim: int):
+    """The product of two integer coordinate sequences of the algebra of
+    dimension dim, as a list of Python ints: _table_rows(dim) compiled to
+    one signed sum of x_i y_j per output coordinate.  A sequence of
+    another length raises ValueError."""
+    idx, sgn = _table_rows(dim)
+    terms = [[] for _ in range(dim)]
+    for i, (row_i, row_s) in enumerate(zip(idx, sgn)):
+        for j, (k, s) in enumerate(zip(row_i, row_s)):
+            terms[k].append(f"{'+' if s > 0 else '-'} x{i} * y{j}")
+    sums = ", ".join(" ".join(t).removeprefix("+ ") for t in terms)
+    xs, ys = (" ".join(f"{v}{i}," for i in range(dim)) for v in "xy")
+    return _compiled("product", f"def product(x, y):\n    {xs} = x\n    {ys} = y\n"
+                                f"    return [{sums}]\n")
 
 
 def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
@@ -382,7 +400,7 @@ def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
     multiply through the structure table over the denominator a.den b.den."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _reduced(a.dim, _int_product(a.num, b.num), a.den * b.den)
+    return _reduced(a.dim, _product_kernel(a.dim)(a.num, b.num), a.den * b.den)
 
 
 def conj(a: AlgElem) -> AlgElem:

@@ -27,9 +27,10 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
-    _int_product,
+    _compiled,
     _mult2,
     _mult4,
+    _product_kernel,
     _readonly,
     basis_unit,
     cd_multiply,
@@ -247,6 +248,18 @@ def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return g[rank.argmin(axis=1)] * np.where(up, 1, -1) - (k + k)
 
 
+@lru_cache(maxsize=None)
+def _coset_sums(ring: Ring):
+    """The function gain -> [g @ gain for g in _cosets(ring)] on Python
+    ints: the glue code compiled to one sum of gain entries per codeword.
+    A gain of another length raises ValueError."""
+    sums = ", ".join(" + ".join(f"g{i}" for i, b in enumerate(g) if b) or "0"
+                     for g in _cosets(ring))
+    gs = " ".join(f"g{i}," for i in range(ring.dim))
+    return _compiled("coset_sums", f"def coset_sums(gain):\n    {gs} = gain\n"
+                                   f"    return [{sums}]\n")
+
+
 def _nearest2(ring: Ring, num: list[int], den: int) -> list[int]:
     """Doubled coordinates of the ring point nearest to num / den: one row
     of _decode2 on Python ints, by the same rule and tie rank."""
@@ -255,7 +268,7 @@ def _nearest2(ring: Ring, num: list[int], den: int) -> list[int]:
     d0 = [n + k * den2 for n, k in zip(num, ks)]  # v1 = v0 + 1 where d0 > 0
     gain = [den - abs(d) - abs(d) for d in d0]  # coset g: const + den (g @ gain)
     cosets = _cosets(ring)
-    dist = [sum(itertools.compress(gain, g)) for g in cosets]
+    dist = _coset_sums(ring)(gain)
     least = min(dist)
     near = [g for g, x in zip(cosets, dist) if x == least]
 
@@ -508,7 +521,7 @@ def _check_members(ring: Ring, *xs: AlgElem) -> None:
 
 def _product2(x2: Sequence[int], y2: Sequence[int]) -> list[int]:
     """_mult2 on one pair of doubled-coordinate lists of Python ints."""
-    raw = _int_product(x2, y2)
+    raw = _product_kernel(len(x2))(x2, y2)
     if any(v & 1 for v in raw):
         raise ArithmeticError("product left the half-integer lattice")
     return [v >> 1 for v in raw]

@@ -594,17 +594,19 @@ def _imaginary_factor_table() -> tuple:
 
 @lru_cache(maxsize=2)
 def _class_composites(outer_first: bool) -> tuple:
-    """The 120 class-first pairs, ascending, and their int8 sandwich
-    composites: matrix(sigma(h) o sigma(g)) when outer_first, else
-    matrix(sigma(g) o sigma(h)).  Entries lie in [-2, 2], so int8 also
-    holds every product with another such matrix (|sums| <= 32)."""
+    """The 120 class-first pairs, ascending, as Python ints, and their
+    float32 sandwich composites: matrix(sigma(h) o sigma(g)) when
+    outer_first, else matrix(sigma(g) o sigma(h)).  Entries lie in
+    [-2, 2], so every product with another such 8 x 8 matrix sums terms
+    of at most 4 to at most 32 < 2^24, and float32 holds each partial
+    sum exactly."""
     ks = np.unique(_imaginary_factor_table()[3])
     s = _sandwich_stack()
     n = len(s)
     # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
     gs, hs = s[ks // n], s[ks % n]
     comps = _product2(gs, hs) if outer_first else _product2(hs, gs)
-    return _readonly(ks), _readonly(comps.astype(np.int8))
+    return tuple(ks.tolist()), _readonly(comps.astype(np.float32))
 
 
 def _sigma_residue_search(m: LinMap, outer_first: bool):
@@ -616,18 +618,21 @@ def _sigma_residue_search(m: LinMap, outer_first: bool):
     W(E8) stabilizer form).  Pairs with equal +-gh all pass or all fail
     (they share a G2(2) coset), so only the 120 class-first pairs of
     _imaginary_factor_table are keyed, in ascending order; the first
-    that passes is the first pair of the full 126 x 126 scan.
+    that passes is the first pair of the full 126 x 126 scan.  All 120
+    candidates come from one float32 matmul, exact by the bound in
+    _class_composites, halved and floored as the integer product would be.
     """
     m2 = m.matrix2()
-    if np.abs(m2).max() > 2:  # not an isometry; also keeps int8 exact
+    if np.abs(m2).max() > 2:  # not an isometry; also keeps float32 exact
         raise ValueError("no sandwich-pair residue is an automorphism")
     ks, comps = _class_composites(outer_first)
-    cand = m2.astype(np.int8) @ comps
-    cand //= 2
+    cand = m2.astype(np.float32) @ comps
+    cand *= 0.5
+    cand = np.floor(cand, out=cand).astype(np.int8)
     keys = g2_key_set()
     imag = imaginary_units()
-    for k, c, key in zip(ks.tolist(), cand, _keys(cand)):
-        if key in keys:
+    for k, c in zip(ks, cand):
+        if c.tobytes() in keys:
             g, h = divmod(k, len(imag))
             return imag[g], imag[h], LinMap(8, tuple(map(tuple, c.tolist())))
     raise ValueError("no sandwich-pair residue is an automorphism")
@@ -689,7 +694,10 @@ def e8_element(e: AlgElem, f: AlgElem, b: AlgElem, phi: LinMap) -> LinMap:
         raise ValueError("b must be a unit octavian")
     if phi.key() not in g2_key_set():
         raise ValueError("phi is not an octavian automorphism")
-    return right_mult_map(b) * (sandwich_map(f) * (sandwich_map(e) * phi))
+    # R_b o sigma_f o sigma_e o phi, in the order of the nested products
+    rows = reduce(_product2, [m.matrix2() for m in (
+        phi, sandwich_map(e), sandwich_map(f), right_mult_map(b))])
+    return LinMap(8, tuple(map(tuple, rows.tolist())))
 
 
 def e8_decompose(m: LinMap):

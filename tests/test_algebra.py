@@ -174,6 +174,40 @@ def test_integer_products_match_fraction_loop(rng, dim):
         assert type(ip.numerator) is int
 
 
+def _table_loop_product(x, y):
+    """The structure-table loop that the compiled product kernel replaced:
+    the test oracle of algebra._product_kernel."""
+    idx, sgn = algebra._table_rows(len(x))
+    out = [0] * len(x)
+    for a, row_i, row_s in zip(x, idx, sgn):
+        if a:
+            for b, k, s in zip(y, row_i, row_s):
+                if b:
+                    out[k] += s * a * b
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_product_kernel_matches_table_loop(rng, dim):
+    product = algebra._product_kernel(dim)
+
+    def draw():  # zeros, small entries and entries beyond int64
+        return [rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 80, 2 ** 80)))
+                for _ in range(dim)]
+
+    seen = set()
+    for _ in range(200):
+        x, y = draw(), draw()
+        assert product(x, y) == _table_loop_product(x, y)
+        assert product(tuple(x), tuple(y)) == product(x, y)
+        seen.update("zero" if v == 0 else "big" if abs(v) > 2 ** 63 else "small"
+                    for v in x + y)
+    assert seen == {"zero", "small", "big"}
+    for x, y in (([1] * (dim + 1), [1] * dim), ([1] * dim, [1] * (dim + 1))):
+        with pytest.raises(ValueError):
+            product(x, y)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
 def test_integer_arithmetic_matches_fraction_oracle(rng, dim):
     for _ in range(60):

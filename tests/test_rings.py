@@ -7,6 +7,7 @@ import itertools
 import math
 import pkgutil
 import random
+import types
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -16,6 +17,7 @@ import pytest
 
 from octavia.algebra import (
     AlgElem,
+    _compiled,
     _mult2,
     basis_unit,
     cd_multiply,
@@ -30,6 +32,7 @@ from octavia.rings import (
     EuclTrace,
     _class_keys,
     _conj_sign,
+    _coset_sums,
     _cosets,
     _decode2,
     _euclid,
@@ -418,6 +421,19 @@ def test_decode2_matches_brute_force_nearest(ring, nprng):
     assert [nearest(ring, t).coords2 for t in targets] == list(map(tuple, expect.tolist()))
 
 
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_coset_sums_match_compress(ring, rng):
+    # the compiled glue code against the sum over each codeword's support,
+    # on gains with zeros, small and beyond-int64 entries
+    sums, cosets = _coset_sums(ring), _cosets(ring)
+    for _ in range(300):
+        gain = [rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+                for _ in range(ring.dim)]
+        assert sums(gain) == [sum(itertools.compress(gain, g)) for g in cosets]
+    with pytest.raises(ValueError):
+        sums([1] * (ring.dim + 1))
+
+
 def test_shell_counts_oracles():
     assert shell_counts(HURWITZ, 5) == [24, 24, 96, 24, 144]
     assert shell_counts(OCTAVIAN, 2) == [240, 2160]
@@ -469,6 +485,8 @@ CACHE_ARGS = {
     "_coset_matrix": (OCTAVIAN,),
     "_decode_tables": (OCTAVIAN,),
     "_conj_sign": (8,),
+    "_coset_sums": (OCTAVIAN,),
+    "_product_kernel": (8,),
     "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
@@ -485,11 +503,22 @@ CACHE_ARGS = {
 }
 
 
+def _is_compiled_kernel(value) -> bool:
+    """True for a function as algebra._compiled makes it: no closure, no
+    defaults, no attributes, no global or attribute reads, and globals that
+    hold only the empty builtins and the function itself.  Its result then
+    depends on its arguments alone."""
+    return (isinstance(value, types.FunctionType) and value.__closure__ is None
+            and value.__defaults__ is None and value.__kwdefaults__ is None
+            and not value.__dict__ and not value.__code__.co_names
+            and value.__globals__ == {"__builtins__": {}, value.__name__: value})
+
+
 def _first_mutable(value):
     """Where the first mutable object reachable from value through tuples,
     frozensets, mappings and frozen dataclasses sits, or None.  Writable
-    arrays, lists, dicts, sets and objects of any other kind count as
-    mutable."""
+    arrays, lists, dicts, sets, functions other than a compiled kernel and
+    objects of any other kind count as mutable."""
     if isinstance(value, np.ndarray):
         if value.flags.writeable:
             return "a writable array"
@@ -500,6 +529,8 @@ def _first_mutable(value):
         value.flags.writeable = False
         return "an array whose writeable flag can be set back"
     if isinstance(value, (int, float, complex, str, bytes, Fraction, np.generic, type(None))):
+        return None
+    if _is_compiled_kernel(value):
         return None
     if isinstance(value, (tuple, frozenset)):
         items = enumerate(value)
@@ -514,6 +545,25 @@ def _first_mutable(value):
         if where is not None:
             return f"[{label!r}] {where}"
     return None
+
+
+def test_first_mutable_accepts_only_compiled_kernels():
+    kernel = _compiled("f", "def f(x):\n    return [x + 1]\n")
+    assert _first_mutable((kernel,)) is None
+
+    def closure(x):
+        return kernel(x)
+
+    widened = _compiled("f", "def f(x):\n    return x\n")
+    widened.__globals__["state"] = []
+    tagged = _compiled("f", "def f(x):\n    return x\n")
+    tagged.state = []
+    # every other function stays mutable: module functions, lambdas,
+    # closures, defaults, global reads, extra globals or attributes
+    for value in (len, _first_mutable, lambda x: x, closure,
+                  _compiled("f", "def f(x=[]):\n    return x\n"),
+                  _compiled("f", "def f(x):\n    return len(x)\n"), widened, tagged):
+        assert _first_mutable(value) == f"a {type(value).__name__}"
 
 
 @pytest.mark.parametrize("name", sorted(LRU_CACHES))

@@ -519,6 +519,76 @@ def test_class_first_search_matches_full_scan():
         assert rootsys._sigma_residue_search(m, True) == _full_scan(m, True)
 
 
+def _int8_search(m, outer_first):
+    """The int8 residue search that the float32 matmul replaced, its test
+    oracle: int8 composites of the 120 class-first pairs, one int8 matmul,
+    floor halving, every key built, the first hit in ascending pair order."""
+    ks = np.unique(rootsys._imaginary_factor_table()[3])
+    s = rootsys._sandwich_stack()
+    gs, hs = s[ks // len(s)], s[ks % len(s)]
+    comps = rootsys._product2(gs, hs) if outer_first else rootsys._product2(hs, gs)
+    m2 = m.matrix2()
+    if np.abs(m2).max() > 2:
+        raise ValueError("no sandwich-pair residue is an automorphism")
+    cand = m2.astype(np.int8) @ comps.astype(np.int8)
+    cand //= 2
+    keys = g2_key_set()
+    imag = imaginary_units()
+    for k, c, key in zip(ks.tolist(), cand, rootsys._keys(cand)):
+        if key in keys:
+            g, h = divmod(k, len(imag))
+            return imag[g], imag[h], LinMap(8, tuple(map(tuple, c.tolist())))
+    raise ValueError("no sandwich-pair residue is an automorphism")
+
+
+def _outcome(search, m, outer_first):
+    try:
+        return search(m, outer_first)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("outer_first", [True, False])
+def test_float32_search_matches_int8_search(outer_first):
+    # W(E7) elements, W(E8) stabilizer forms and matrices with entries in
+    # [-2, 2] that are no isometry (odd candidates, floor halving)
+    rng = random.Random(29)
+    imag, g2 = imaginary_units(), generate_G2_2()
+    hits = 0
+    for i in range(300):
+        g, h, phi = rng.choice(imag), rng.choice(imag), rng.choice(g2)
+        if i % 3 == 0:
+            m = e7_element(g, h, phi)
+        elif i % 3 == 1:
+            m = e8_element(g, h, one(8), phi)
+        else:
+            m = LinMap(8, tuple(tuple(rng.randint(-2, 2) for _ in range(8))
+                                for _ in range(8)))
+        got = _outcome(rootsys._sigma_residue_search, m, outer_first)
+        assert got == _outcome(_int8_search, m, outer_first)
+        hits += isinstance(got, tuple)
+    assert hits >= 100
+
+
+def test_class_composites_are_exact_in_float32():
+    # both factors of the search matmul have entries in [-2, 2], so its
+    # sums stay within 8 * 2 * 2 = 32 < 2^24 and float32 is exact
+    for outer_first in (True, False):
+        ks, comps = rootsys._class_composites(outer_first)
+        assert comps.dtype == np.float32 and comps.shape == (120, 8, 8)
+        assert np.abs(comps).max() == 2 and np.array_equal(comps, np.round(comps))
+        assert list(ks) == sorted(ks) and all(type(k) is int for k in ks)
+
+
+def test_one_chain_e8_element_matches_nested_products(rng):
+    imag, g2, us = imaginary_units(), generate_G2_2(), units(OCTAVIAN)
+    for _ in range(200):
+        e, f = (rng.choice(imag + (one(8), -one(8))) for _ in range(2))
+        b, phi = rng.choice(us), rng.choice(g2)
+        assert e8_element(e, f, b, phi) == (
+            right_mult_map(b) * (sandwich_map(f) * (sandwich_map(e) * phi)))
+
+
 def test_det_is_exact():
     assert LinMap.identity(8).det() == 1
     assert LinMap(4, tuple(tuple(-2 * int(i == j) for j in range(4))
@@ -556,7 +626,7 @@ def test_e7_normal_form_round_trip(rng):
         assert e7_element(g, h, phi).key() == m.key()
         assert min(cd_multiply(g, h), -cd_multiply(g, h),
                    key=lambda u: u.coords) == b
-    # entries beyond an isometry's are rejected before the int8 search
+    # entries beyond an isometry's are rejected before the float32 search
     for scale in (2, 64):
         with pytest.raises(ValueError):
             e7_normal_form(LinMap(8, tuple(

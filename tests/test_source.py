@@ -220,3 +220,20 @@ def test_element_keyed_caches_are_bounded():
                         found.append(f"{path.name}:{node.lineno} {node.name}")
     assert {"_euclid", "sandwich_map", "right_mult_map"} <= set(checked)
     assert found == []
+
+
+def test_code_generation_stays_in_one_helper():
+    # generated text becomes code in algebra._compiled and nowhere else
+    names = {"exec", "eval", "compile"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(func):
+                    owner[node] = getattr(func, "name", "<lambda>")
+        found += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and node.attr in names]
+    assert found == [("algebra.py", "_compiled")] * 2
