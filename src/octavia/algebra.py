@@ -246,9 +246,7 @@ class AlgElem:
         """Build from doubled-integer coordinates (2x each coefficient)."""
         c2 = tuple(map(int, coords2))
         _check_shape(dim, len(c2))
-        if math.gcd(2, *c2) == 1:  # some coordinate is odd
-            return _new(dim, c2, 2)
-        return _new(dim, tuple(c >> 1 for c in c2), 1)
+        return _from2(dim, c2)
 
     # -- views -------------------------------------------------------------
 
@@ -341,8 +339,21 @@ def _reduced(dim: int, num, den: int) -> AlgElem:
     return _new(dim, tuple(num), den)
 
 
+def _from2(dim: int, c2: tuple[int, ...]) -> AlgElem:
+    """The element with doubled coordinates c2, a tuple of dim Python ints
+    (the caller checks the shape), with its coords2 view seeded."""
+    if math.gcd(2, *c2) == 1:  # some coordinate is odd
+        a = _new(dim, c2, 2)
+    else:
+        a = _new(dim, tuple(c >> 1 for c in c2), 1)
+    a.__dict__["coords2"] = c2
+    return a
+
+
 def zero(dim: int) -> AlgElem:
-    return AlgElem(dim, (0,) * dim)
+    num = (0,) * dim
+    _check_shape(dim, len(num))
+    return _new(dim, num, 1)
 
 
 def one(dim: int) -> AlgElem:
@@ -354,7 +365,8 @@ def basis_unit(dim: int, k: int) -> AlgElem:
         raise ValueError(f"basis index {k} out of range for dim {dim}")
     coords = [0] * dim
     coords[k] = 1
-    return AlgElem(dim, coords)
+    _check_shape(dim, len(coords))
+    return _new(dim, tuple(coords), 1)
 
 
 @lru_cache(maxsize=None)
@@ -370,29 +382,49 @@ def _compiled(name: str, source: str):
 
     The source runs in a namespace of its own with no builtins, so the
     function can read no global name, and the kernels built from a table
-    (_product_kernel, rings._coset_sums) are plain straight-line
-    arithmetic on their arguments.
+    (_product_kernel, _halving_kernel, rings._nearest2) are loop-free
+    integer code on their arguments.
     """
     namespace = {"__builtins__": {}}
     exec(compile(source, f"<octavia {name}>", "exec"), namespace)
     return namespace[name]
 
 
-@lru_cache(maxsize=None)
-def _product_kernel(dim: int):
-    """The product of two integer coordinate sequences of the algebra of
-    dimension dim, as a list of Python ints: _table_rows(dim) compiled to
-    one signed sum of x_i y_j per output coordinate.  A sequence of
-    another length raises ValueError."""
+def _product_source(dim: int) -> tuple[str, list[str]]:
+    """The source lines that unpack two integer coordinate sequences x, y
+    of the algebra of dimension dim (a sequence of another length raises
+    ValueError), and the product's coordinates as expressions in them:
+    _table_rows(dim) written out as one signed sum of x_i y_j each."""
     idx, sgn = _table_rows(dim)
     terms = [[] for _ in range(dim)]
     for i, (row_i, row_s) in enumerate(zip(idx, sgn)):
         for j, (k, s) in enumerate(zip(row_i, row_s)):
             terms[k].append(f"{'+' if s > 0 else '-'} x{i} * y{j}")
-    sums = ", ".join(" ".join(t).removeprefix("+ ") for t in terms)
     xs, ys = (" ".join(f"{v}{i}," for i in range(dim)) for v in "xy")
-    return _compiled("product", f"def product(x, y):\n    {xs} = x\n    {ys} = y\n"
-                                f"    return [{sums}]\n")
+    return f"    {xs} = x\n    {ys} = y\n", [" ".join(t).removeprefix("+ ") for t in terms]
+
+
+@lru_cache(maxsize=None)
+def _product_kernel(dim: int):
+    """The product of two integer coordinate sequences of the algebra of
+    dimension dim, as a list of Python ints (_product_source)."""
+    unpack, sums = _product_source(dim)
+    return _compiled("product", f"def product(x, y):\n{unpack}    return [{', '.join(sums)}]\n")
+
+
+@lru_cache(maxsize=None)
+def _halving_kernel(dim: int):
+    """Half the product of two integer coordinate sequences of the
+    algebra of dimension dim, as a list of Python ints, or None when a
+    coordinate of the product is odd: on doubled coordinates x2, y2 this
+    is 2 (x2/2)(y2/2), and None means the product left the half-integer
+    lattice (the caller raises)."""
+    unpack, sums = _product_source(dim)
+    zs = [f"z{k}" for k in range(dim)]
+    body = "".join(f"    {z} = {t}\n" for z, t in zip(zs, sums))
+    return _compiled("halving", f"def halving(x, y):\n{unpack}{body}"
+                                f"    if ({' | '.join(zs)}) & 1:\n        return None\n"
+                                f"    return [{', '.join(z + ' >> 1' for z in zs)}]\n")
 
 
 def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
@@ -420,6 +452,11 @@ def inner(a: AlgElem, b: AlgElem) -> Fraction:
 
 def norm_sq(a: AlgElem) -> Fraction:
     return inner(a, a)
+
+
+def _is_unit_norm(a: AlgElem) -> bool:
+    """norm_sq(a) == 1, compared on integers: |num|^2 against den^2."""
+    return sum(x * x for x in a.num) == a.den * a.den
 
 
 def invert(a: AlgElem) -> AlgElem:

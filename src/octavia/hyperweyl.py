@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import (
     AlgElem,
+    _is_unit_norm,
     _mult2,
     _reduced,
     cd_multiply,
@@ -111,11 +113,14 @@ class HermMat:
         return HermMat(-self.x_plus, -self.x_minus, -self.x)
 
 
+@lru_cache(maxsize=None)
 def delta(dim: int) -> HermMat:
-    """The affine null root direction: delta = [[-1, 0], [0, 0]]."""
+    """The affine null root direction: delta = [[-1, 0], [0, 0]], built
+    once per dim (only the valid dims, so at most five entries)."""
     return HermMat(Fraction(-1), Fraction(0), zero(dim))
 
 
+@lru_cache(maxsize=None)
 def minus_delta(dim: int) -> HermMat:
     return -delta(dim)
 
@@ -289,7 +294,7 @@ def build_w_ac(ring: Ring, a: AlgElem, c: AlgElem) -> GroupWord:
             raise ValueError("(a, 0) requires a to be a unit")
         return GroupWord(ring, (Rot(a),))
     tr = right_euclid(ring, a, c)
-    if norm_sq(tr.last_divisor) != 1:
+    if not _is_unit_norm(tr.last_divisor):
         raise ValueError("(a, c) must be right coprime")
     toks = []
     for q in tr.quotients:
@@ -308,7 +313,7 @@ def build_w_tilde_cd(ring: Ring, c: AlgElem, d: AlgElem) -> GroupWord:
             raise ValueError("(0, d) requires d to be a unit")
         return GroupWord(ring, (Rot(conj(d)),))
     tr = left_euclid(ring, d, c)
-    if norm_sq(tr.last_divisor) != 1:
+    if not _is_unit_norm(tr.last_divisor):
         raise ValueError("(d, c) must be left coprime")
     toks = [Rot(conj(tr.last_divisor)), Inv()]
     for q in reversed(tr.quotients):

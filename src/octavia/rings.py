@@ -28,14 +28,15 @@ import numpy as np
 from .algebra import (
     AlgElem,
     _compiled,
+    _from2,
+    _halving_kernel,
+    _is_unit_norm,
     _mult2,
     _mult4,
-    _product_kernel,
     _readonly,
     basis_unit,
     cd_multiply,
     commutator,
-    norm_sq,
     one,
     zero,
 )
@@ -174,7 +175,7 @@ def octavian_unit_classes() -> tuple[tuple[AlgElem, ...], tuple[AlgElem, ...], t
 
 
 def is_unit(ring: Ring, x: AlgElem) -> bool:
-    return is_member(ring, x) and norm_sq(x) == 1
+    return is_member(ring, x) and _is_unit_norm(x)
 
 
 # -- membership ------------------------------------------------------------
@@ -249,37 +250,41 @@ def _decode2(ring: Ring, num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _coset_sums(ring: Ring):
-    """The function gain -> [g @ gain for g in _cosets(ring)] on Python
-    ints: the glue code compiled to one sum of gain entries per codeword.
-    A gain of another length raises ValueError."""
-    sums = ", ".join(" + ".join(f"g{i}" for i, b in enumerate(g) if b) or "0"
-                     for g in _cosets(ring))
-    gs = " ".join(f"g{i}," for i in range(ring.dim))
-    return _compiled("coset_sums", f"def coset_sums(gain):\n    {gs} = gain\n"
-                                   f"    return [{sums}]\n")
-
-
-def _nearest2(ring: Ring, num: list[int], den: int) -> list[int]:
-    """Doubled coordinates of the ring point nearest to num / den: one row
-    of _decode2 on Python ints, by the same rule and tie rank."""
-    den2 = den + den
-    ks = [(den - n) // den2 for n in num]  # v0 = -2k
-    d0 = [n + k * den2 for n, k in zip(num, ks)]  # v1 = v0 + 1 where d0 > 0
-    gain = [den - abs(d) - abs(d) for d in d0]  # coset g: const + den (g @ gain)
-    cosets = _cosets(ring)
-    dist = _coset_sums(ring)(gain)
-    least = min(dist)
-    near = [g for g, x in zip(cosets, dist) if x == least]
-
-    def rank(g):  # (g @ w) XOR ((v1 < v0) @ w)
-        r = 0
-        for b, d in zip(g, d0):
-            r = r + r + (b ^ (d <= 0))
-        return r
-
-    word = near[0] if len(near) == 1 else min(near, key=rank)
-    return [(b if d > 0 else -b) - k - k for b, d, k in zip(word, d0, ks)]
+def _nearest2(ring: Ring):
+    """The one-point decoder of the ring: the function (num, den) -> the
+    doubled coordinates of the ring point nearest to num / den, a tuple of
+    Python ints, for a sequence num of ring.dim ints (another length
+    raises ValueError) and an int den > 0.  It is one row of _decode2, by
+    the same rule and tie rank, compiled to loop-free code per coordinate
+    and per codeword g of the glue code, whose bits are the integer
+    g @ w, w_i = 2^(dim-1-i):
+      k_i = (den - n_i) // 2 den        v0 = -2 k_i
+      d_i = n_i + 2 k_i den             v1 = v0 + 1 if d_i > 0 else v0 - 1
+      a_i = den - 2 |d_i|               coset g lies const + den (g @ a)
+    The first nearest coset wins; after a scan in which two distances
+    tied, a second pass takes the least rank (g @ w) XOR ((v1 < v0) @ w)
+    among all nearest cosets."""
+    dim, code = ring.dim, _cosets(ring)
+    bits = [1 << (dim - 1 - i) for i in range(dim)]
+    words = [sum(b for b, x in zip(bits, g) if x) for g in code]  # g @ w
+    lines = [" ".join(f"n{i}," for i in range(dim)) + " = num", "den2 = den + den"]
+    for i in range(dim):
+        lines += [f"k{i} = (den - n{i}) // den2", f"d{i} = n{i} + k{i} * den2",
+                  f"a{i} = den - d{i} - d{i} if d{i} > 0 else den + d{i} + d{i}"]
+    lines += [f"s{k} = " + (" + ".join(f"a{i}" for i, x in enumerate(g) if x) or "0")
+              for k, g in enumerate(code)]
+    lines += ["best = s0", f"g = {words[0]}", "tie = 0"]
+    for k, word in enumerate(words[1:], 1):
+        lines += [f"if s{k} < best:", f"    best = s{k}", f"    g = {word}",
+                  f"elif s{k} == best:", "    tie = 1"]
+    low = " + ".join(f"(d{i} <= 0) * {b}" for i, b in enumerate(bits))  # (v1 < v0) @ w
+    lines += ["if tie:", f"    t = {low}"]
+    for k, word in enumerate(words):
+        lines += [f"    if s{k} == best and {word} ^ t < g ^ t:", f"        g = {word}"]
+    out = ", ".join(f"((1 if d{i} > 0 else -1) if g & {b} else 0) - k{i} - k{i}"
+                    for i, b in enumerate(bits))
+    body = "".join(f"    {line}\n" for line in lines)
+    return _compiled("nearest2", f"def nearest2(num, den):\n{body}    return ({out},)\n")
 
 
 def nearest(ring: Ring, x) -> AlgElem:
@@ -295,7 +300,7 @@ def nearest(ring: Ring, x) -> AlgElem:
         x = AlgElem(ring.dim, x)
     if x.dim != ring.dim:
         raise ValueError("coordinate count does not match ring dimension")
-    return _elem(ring.dim, _nearest2(ring, [n + n for n in x.num], x.den))
+    return _elem(ring.dim, _nearest2(ring)([n + n for n in x.num], x.den))
 
 
 # -- Euclidean algorithms --------------------------------------------------
@@ -319,21 +324,19 @@ class EuclTrace:
 
     def replay_ok(self) -> bool:
         """Exactly re-substitute the division chain and check that the
-        norms |c|^2 > |r1|^2 > |r2|^2 > ... > 0 strictly decrease."""
+        norms |c|^2 > |r1|^2 > |r2|^2 > ... > 0 strictly decrease, each
+        compared on integers as |num|^2 over den^2."""
         first, c = self.inputs
-        seq = [first, c] + list(self.remainders) + [zero(self.ring.dim)]
         if len(self.quotients) != len(self.remainders) + 1:
             return False
-        for i, q in enumerate(self.quotients):
-            prev, cur, nxt = seq[i], seq[i + 1], seq[i + 2]
-            if self.side == "right":
-                if prev != cd_multiply(q, cur) - nxt:
-                    return False
-            else:
-                if prev != cd_multiply(cur, q) - nxt:
-                    return False
-        norms = [norm_sq(c)] + [norm_sq(r) for r in self.remainders]
-        return all(a > b for a, b in zip(norms, norms[1:])) and all(n > 0 for n in norms)
+        seq = [first, c, *self.remainders, zero(self.ring.dim)]
+        right = self.side == "right"
+        for q, prev, cur, nxt in zip(self.quotients, seq, seq[1:], seq[2:]):
+            if prev != (cd_multiply(q, cur) if right else cd_multiply(cur, q)) - nxt:
+                return False
+        norms = [(sum(v * v for v in x.num), x.den * x.den) for x in seq[1:-1]]
+        return (all(n > 0 for n, _ in norms)
+                and all(n * e > m * d for (n, d), (m, e) in zip(norms, norms[1:])))
 
     @property
     def last_divisor(self) -> AlgElem:
@@ -519,30 +522,33 @@ def _check_members(ring: Ring, *xs: AlgElem) -> None:
             raise ValueError(f"{x} is not a member of {ring}")
 
 
-def _product2(x2: Sequence[int], y2: Sequence[int]) -> list[int]:
-    """_mult2 on one pair of doubled-coordinate lists of Python ints."""
-    raw = _product_kernel(len(x2))(x2, y2)
-    if any(v & 1 for v in raw):
-        raise ArithmeticError("product left the half-integer lattice")
-    return [v >> 1 for v in raw]
-
-
 def _euclid_chain(ring: Ring, p: Sequence[int], c: Sequence[int], side: str) -> list:
     """The steps (q2, r2) of the sided Euclid chain on the doubled
-    coordinates (p, c), c != 0: one row of _euclid_rows(record=True) on
-    Python ints, with the same checks and errors.  Each step decodes q
-    from (4 (raw >> 1), 4 |c|^2), raw = p conj(c) (right) or conj(c) p
-    (left), and takes r = q c - p (right) or c q - p (left)."""
+    coordinates (p, c) of ring members, c != 0: one row of
+    _euclid_rows(record=True) on Python ints, with the same checks and
+    errors.  Each step decodes q from (raw >> 1, |c|^2), raw = p conj(c)
+    (right) or conj(c) p (left): _euclid_rows decodes the same point
+    from (4 (raw >> 1), 4 |c|^2), since a member's norm is an integer
+    and the decoder's rule is unchanged by a common factor.  Then
+    r = q c - p (right) or c q - p (left).  Both products run through
+    _halving_kernel, and the odd entry it reports raises here."""
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     right = side == "right"
+    halving, decode = _halving_kernel(ring.dim), _nearest2(ring)
     cn4 = sum(v * v for v in c)
     steps = []
     while cn4:
-        cbar = [c[0]] + [-v for v in c[1:]]
-        num = _product2(p, cbar) if right else _product2(cbar, p)
-        q = _nearest2(ring, [v << 2 for v in num], cn4)
-        r = [x - y for x, y in zip(_product2(q, c) if right else _product2(c, q), p)]
+        cbar = [-v for v in c]
+        cbar[0] = c[0]
+        num = halving(p, cbar) if right else halving(cbar, p)
+        if num is None:
+            raise ArithmeticError("product left the half-integer lattice")
+        q = decode(num, cn4 >> 2)
+        qc = halving(q, c) if right else halving(c, q)
+        if qc is None:
+            raise ArithmeticError("product left the half-integer lattice")
+        r = [x - y for x, y in zip(qc, p)]
         rn4 = sum(v * v for v in r)
         if rn4 >= cn4:
             raise ArithmeticError(f"Euclid step did not lower the norm in {ring} ({side})")
@@ -565,8 +571,9 @@ def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
         raise ZeroDivisionError("Euclidean algorithm requires a nonzero divisor")
     _check_members(ring, first, c)
     steps = _euclid_chain(ring, first.coords2, c.coords2, side)
-    qs = tuple(_elem(ring.dim, q) for q, _ in steps)
-    rs = tuple(_elem(ring.dim, r) for _, r in steps[:-1])
+    dim = ring.dim
+    qs = tuple(_from2(dim, q) for q, _ in steps)
+    rs = tuple(_from2(dim, tuple(r)) for _, r in steps[:-1])
     return EuclTrace(side, ring, (first, c), qs, rs)
 
 
@@ -589,12 +596,12 @@ def left_euclid(ring: Ring, d: AlgElem, c: AlgElem) -> EuclTrace:
 
 
 def _coprime(ring: Ring, x: AlgElem, y: AlgElem, side: str) -> bool:
-    if not y.is_zero():  # a unit last divisor: 4 |g|^2 = 4 on doubled coordinates
-        return sum(v * v for v in _euclid(ring, x, y, side).last_divisor.coords2) == 4
+    if not y.is_zero():  # a unit last divisor
+        return _is_unit_norm(_euclid(ring, x, y, side).last_divisor)
     _check_members(ring, x, y)
     if x.is_zero():
         raise ValueError("coprimality is undefined for (0, 0)")
-    return norm_sq(x) == 1
+    return _is_unit_norm(x)
 
 
 def is_right_coprime(ring: Ring, a: AlgElem, c: AlgElem) -> bool:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
+    _is_unit_norm,
     _mult2,
     _mult4,
     _readonly,
@@ -31,7 +32,6 @@ from .algebra import (
     conj,
     norm_sq,
     one,
-    real_part,
     structure_table,
 )
 from .rings import (
@@ -109,16 +109,20 @@ class LinMap:
         return LinMap(self.dim, tuple(map(tuple, prod.tolist())))
 
     def key(self) -> bytes:
-        """int8 bytes of matrix2(); ValueError for an entry outside int8,
-        which would wrap onto the key of another map."""
-        m = self.matrix2()
-        if m.min() < -128 or m.max() > 127:
-            raise ValueError("a matrix2() entry lies outside the int8 key range")
-        return m.astype(np.int8).tobytes()
+        """int8 bytes of matrix2(), read off rows2: each entry v as the
+        byte v + 128, which bytes() rejects outside int8 (an entry there
+        would wrap onto the key of another map), then translated to v's
+        two's complement byte."""
+        try:
+            return bytes([v + 128 for row in self.rows2 for v in row]).translate(_INT8_BYTES)
+        except ValueError:
+            raise ValueError("a matrix2() entry lies outside the int8 key range") from None
 
     def is_orthogonal(self) -> bool:
         m = self.matrix2()
-        return bool(np.array_equal(m @ m.T, 4 * np.eye(self.dim, dtype=np.int64)))
+        gram = m @ m.T
+        gram.flat[::self.dim + 1] -= 4
+        return not gram.any()
 
     def det(self) -> Fraction:
         """Exact determinant: fraction-free (Bareiss) elimination on the
@@ -139,12 +143,17 @@ class LinMap:
         return Fraction(sign * a[n - 1][n - 1], 2 ** n)
 
 
+# byte v + 128 -> the int8 byte of v, for LinMap.key
+_INT8_BYTES = bytes((b - 128) & 255 for b in range(256))
+
+
 def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a @ b) / 2 for doubled-coordinate matrices (stacks broadcast)."""
+    """(a @ b) / 2 for integer doubled-coordinate matrices (stacks
+    broadcast)."""
     prod = a @ b
-    if np.any(prod % 2):
+    if (prod & 1).any():
         raise ArithmeticError("product left the half-integer lattice")
-    return prod // 2
+    return prod >> 1
 
 
 def _bimult_map(a: AlgElem, b: AlgElem) -> LinMap:
@@ -174,7 +183,7 @@ def brandt_conjugation(a: AlgElem) -> LinMap:
     """x -> a x a^{-1} = a x conj(a) for a unit a; an automorphism exactly
     when a is a Brandt unit.  Any other a raises ValueError, because only
     a unit's conjugate is its inverse."""
-    if norm_sq(a) != 1:
+    if not _is_unit_norm(a):
         raise ValueError(f"{a} is not a unit")
     return _bimult_map(a, conj(a))
 
@@ -553,7 +562,7 @@ def imaginary_units() -> tuple:
 def e7_element(g: AlgElem, h: AlgElem, phi: LinMap) -> LinMap:
     """x -> g(h phi(x) h)g for imaginary units g, h and phi in G2(2)."""
     for u in (g, h):
-        if real_part(u) != 0 or not is_unit(OCTAVIAN, u):
+        if u.num[0] or not is_unit(OCTAVIAN, u):
             raise ValueError("g and h must be imaginary unit octavians")
     if phi.key() not in g2_key_set():
         raise ValueError("phi is not an octavian automorphism")
@@ -622,19 +631,20 @@ def _sigma_residue_search(m: LinMap, outer_first: bool):
     candidates come from one float32 matmul, exact by the bound in
     _class_composites, halved and floored as the integer product would be.
     """
-    m2 = m.matrix2()
+    m2 = np.array(m.rows2, dtype=np.float32)
     if np.abs(m2).max() > 2:  # not an isometry; also keeps float32 exact
         raise ValueError("no sandwich-pair residue is an automorphism")
     ks, comps = _class_composites(outer_first)
-    cand = m2.astype(np.float32) @ comps
+    cand = m2 @ comps
     cand *= 0.5
     cand = np.floor(cand, out=cand).astype(np.int8)
     keys = g2_key_set()
-    imag = imaginary_units()
-    for k, c in zip(ks, cand):
-        if c.tobytes() in keys:
+    flat = cand.tobytes()  # candidate i is the key flat[64 i:64 i + 64]
+    for i, k in enumerate(ks):
+        if flat[64 * i:64 * i + 64] in keys:
+            imag = imaginary_units()
             g, h = divmod(k, len(imag))
-            return imag[g], imag[h], LinMap(8, tuple(map(tuple, c.tolist())))
+            return imag[g], imag[h], LinMap(8, tuple(map(tuple, cand[i].tolist())))
     raise ValueError("no sandwich-pair residue is an automorphism")
 
 
@@ -688,7 +698,7 @@ def e8_element(e: AlgElem, f: AlgElem, b: AlgElem, phi: LinMap) -> LinMap:
     """x -> (f(e phi(x) e)f) b; with b = 1 this is the stabilizer form."""
     for u in (e, f):
         # a unit with real part 0 or +-1 is imaginary or +-1
-        if not is_unit(OCTAVIAN, u) or abs(real_part(u)) not in (0, 1):
+        if not is_unit(OCTAVIAN, u) or u.coords2[0] not in (-2, 0, 2):
             raise ValueError("e and f must be imaginary or real units")
     if not is_unit(OCTAVIAN, b):
         raise ValueError("b must be a unit octavian")

@@ -209,6 +209,60 @@ def test_product_kernel_matches_table_loop(rng, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_halving_kernel_matches_table_loop(rng, dim):
+    # half the product when every coordinate is even, else None
+    halving = algebra._halving_kernel(dim)
+    outcomes = set()
+    for _ in range(300):
+        x, y = ([rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 80, 2 ** 80)))
+                 for _ in range(dim)] for _ in range(2))
+        if rng.randrange(2):  # even products half of the time
+            x = [v + v for v in x]
+        raw = _table_loop_product(x, y)
+        want = None if any(v & 1 for v in raw) else [v >> 1 for v in raw]
+        assert halving(x, y) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+    for x, y in (([1] * (dim + 1), [1] * dim), ([1] * dim, [1] * (dim + 1))):
+        with pytest.raises(ValueError):
+            halving(x, y)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_constants_match_the_coercing_constructor(dim):
+    # zero, one and basis_unit skip the constructor's Fraction coercion:
+    # the same fields, hash and views, and the same errors on bad input
+    units = [basis_unit(dim, k) for k in range(dim)]
+    expect = [AlgElem(dim, [int(i == k) for i in range(dim)]) for k in range(dim)]
+    for got, want in [(zero(dim), AlgElem(dim, [0] * dim)), (one(dim), expect[0]),
+                      *zip(units, expect)]:
+        assert (got.dim, got.num, got.den) == (want.dim, want.num, want.den)
+        assert type(got.num) is tuple and all(type(v) is int for v in got.num)
+        assert type(got.den) is int and hash(got) == hash(want)
+        assert got.coords == want.coords and got.coords2 == want.coords2
+    for k in (-1, dim, dim + 3):
+        with pytest.raises(ValueError, match=f"basis index {k} out of range for dim {dim}"):
+            basis_unit(dim, k)
+    with pytest.raises(TypeError):
+        basis_unit(dim, 0.0)
+
+
+def test_constants_reject_bad_dims():
+    # the index is checked before the dim, as the constructor did it
+    for dim in (3, 5, 32):
+        for make in (zero, one, lambda d: basis_unit(d, 1)):
+            with pytest.raises(ValueError, match=f"unsupported algebra dimension {dim}"):
+                make(dim)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"unsupported algebra dimension {dim}"):
+            zero(dim)
+        with pytest.raises(ValueError, match=f"basis index 0 out of range for dim {dim}"):
+            one(dim)
+    with pytest.raises(TypeError):
+        zero(4.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
 def test_integer_arithmetic_matches_fraction_oracle(rng, dim):
     for _ in range(60):
         a, b = _rational(rng, dim), _rational(rng, dim)

@@ -99,6 +99,23 @@ def test_delta_is_null():
         assert minus_delta(dim).norm_sq() == 0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_delta_is_built_once_and_matches_make(dim):
+    zero_x = AlgElem(dim, [0] * dim)
+    for got, want in ((delta(dim), HermMat.make(-1, 0, zero_x)),
+                      (minus_delta(dim), HermMat.make(1, 0, zero_x))):
+        assert got == want and type(got.x_plus) is type(got.x_minus) is Fraction
+        assert (got.x.num, got.x.den) == (want.x.num, want.x.den)
+    assert delta(dim) is delta(dim) and minus_delta(dim) is minus_delta(dim)
+
+
+def test_delta_rejects_bad_dims_on_every_call():
+    for _ in range(2):  # an error is not cached
+        for make in (delta, minus_delta):
+            with pytest.raises(ValueError, match="unsupported algebra dimension 3"):
+                make(3)
+
+
 @pytest.mark.parametrize("ring,cartan", RINGS, ids=lambda x: getattr(x, "name", ""))
 def test_overextended_cartan_shape(ring, cartan):
     alphas = [simple_alpha(ring, i) for i in range(-1, len(ring.basis2) + 1)]

@@ -1,6 +1,7 @@
 """Integer rings: membership, units, Euclid, coprimality, lattices."""
 
 import dataclasses
+import dis
 import importlib
 import inspect
 import itertools
@@ -32,7 +33,6 @@ from octavia.rings import (
     EuclTrace,
     _class_keys,
     _conj_sign,
-    _coset_sums,
     _cosets,
     _decode2,
     _euclid,
@@ -40,6 +40,7 @@ from octavia.rings import (
     _euclid_rows,
     _exact_rows,
     _lattice_classes,
+    _nearest2,
     _unit_orbit_min,
     HURWITZ,
     OCTAVIAN,
@@ -226,6 +227,52 @@ def test_each_euclid_chain_runs_once(ring, rng, euclid_runs):
     # a copy equal to the inputs finds the same trace
     assert right_euclid(ring, AlgElem(ring.dim, a.coords), AlgElem(ring.dim, c.coords)) is tr
     assert len(euclid_runs) == 2
+
+
+def _unit_candidates(ring, rng):
+    """Members and non-members of the ring, with zero, the units, random
+    members and rationals over denominators 1, 2 and 4; of norm 1 and no
+    member, also (3, 4, 0, ...) / 5 and, for the octavians, (3, 1, ..., 1) / 4
+    (Z has no such element)."""
+    dim = ring.dim
+    xs = [zero(dim), one(dim), -one(dim), *units(ring)]
+    xs += [random_element(ring, rng, rng.choice((2, 4))) for _ in range(300)]
+    xs += [AlgElem(dim, [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4))) for _ in range(dim)])
+           for _ in range(300)]
+    if dim > 1:
+        xs.append(AlgElem(dim, [Fraction(3, 5), Fraction(4, 5)] + [0] * (dim - 2)))
+    if dim == 8:
+        xs.append(AlgElem(8, [Fraction(3, 4)] + [Fraction(1, 4)] * 7))
+    return xs
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_integer_unit_tests_match_norm_sq(ring, rng):
+    # is_unit and the coprimality tests compare integer norms; the Fraction
+    # norm_sq is their oracle
+    xs = _unit_candidates(ring, rng)
+    kinds = set()
+    for x in xs:
+        unit_norm = norm_sq(x) == 1
+        member = is_member(ring, x)
+        assert is_unit(ring, x) == (member and unit_norm)
+        kinds.add((member, unit_norm, x.den))
+        if not member:
+            continue
+        if not x.is_zero():  # (x, 0): coprime iff x is a unit
+            assert is_right_coprime(ring, x, zero(ring.dim)) == unit_norm
+            assert is_left_coprime(ring, x, zero(ring.dim)) == unit_norm
+        c = rng.choice(xs)
+        if is_member(ring, c) and not c.is_zero():
+            for side, coprime in (("right", is_right_coprime), ("left", is_left_coprime)):
+                last = _euclid(ring, x, c, side).last_divisor
+                assert coprime(ring, x, c) == (norm_sq(last) == 1)
+    # members and non-members of unit and other norms, over den 1, 2 and 4
+    expect = {(True, True), (True, False), (False, False)}
+    if ring.dim > 1:
+        expect.add((False, True))
+    assert {k[:2] for k in kinds} == expect
+    assert {1, 2, 4} <= {k[2] for k in kinds}
 
 
 def test_euclid_errors_raise_on_every_call(euclid_runs):
@@ -422,16 +469,22 @@ def test_decode2_matches_brute_force_nearest(ring, nprng):
 
 
 @pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
-def test_coset_sums_match_compress(ring, rng):
-    # the compiled glue code against the sum over each codeword's support,
-    # on gains with zeros, small and beyond-int64 entries
-    sums, cosets = _coset_sums(ring), _cosets(ring)
-    for _ in range(300):
-        gain = [rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
-                for _ in range(ring.dim)]
-        assert sums(gain) == [sum(itertools.compress(gain, g)) for g in cosets]
+def test_nearest2_kernel_matches_decode2(ring, rng):
+    # the compiled one-point decoder against the batch decoder on Python-int
+    # object rows: entries with zeros, small and beyond-int64 values, over
+    # denominators 1 and 2 (exact ties), small and beyond int64
+    decode = _nearest2(ring)
+    nums, dens = [], []
+    for _ in range(600):
+        nums.append([rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+                     for _ in range(ring.dim)])
+        dens.append(rng.choice((1, 2, rng.randint(1, 40), rng.randint(1, 2 ** 70))))
+    expect = _decode2(ring, np.array(nums, dtype=object), np.array(dens, dtype=object))
+    got = [decode(n, d) for n, d in zip(nums, dens)]
+    assert got == list(map(tuple, expect.tolist()))
+    assert all(type(v) is int for row in got for v in row)
     with pytest.raises(ValueError):
-        sums([1] * (ring.dim + 1))
+        decode([1] * (ring.dim + 1), 1)
 
 
 def test_shell_counts_oracles():
@@ -485,8 +538,11 @@ CACHE_ARGS = {
     "_coset_matrix": (OCTAVIAN,),
     "_decode_tables": (OCTAVIAN,),
     "_conj_sign": (8,),
-    "_coset_sums": (OCTAVIAN,),
+    "_nearest2": (OCTAVIAN,),
     "_product_kernel": (8,),
+    "_halving_kernel": (8,),
+    "delta": (4,),
+    "minus_delta": (4,),
     "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
@@ -512,6 +568,19 @@ def _is_compiled_kernel(value) -> bool:
             and value.__defaults__ is None and value.__kwdefaults__ is None
             and not value.__dict__ and not value.__code__.co_names
             and value.__globals__ == {"__builtins__": {}, value.__name__: value})
+
+
+def test_kernels_are_compiled_and_loop_free():
+    # every generated kernel reads its arguments only: no builtins, so no
+    # raise, min or abs, and no loop or comprehension in its code
+    kernels = [octavia.algebra._product_kernel(d) for d in (1, 2, 4, 8, 16)]
+    kernels += [octavia.algebra._halving_kernel(d) for d in (1, 2, 4, 8, 16)]
+    kernels += [_nearest2(ring) for ring in (Z, HURWITZ, OCTAVIAN)]
+    assert all(map(_is_compiled_kernel, kernels))
+    loops = {"FOR_ITER", "JUMP_BACKWARD", "JUMP_BACKWARD_NO_INTERRUPT"}
+    for k in kernels:
+        assert not any(isinstance(c, types.CodeType) for c in k.__code__.co_consts)
+        assert not any(op.opname in loops for op in dis.get_instructions(k))
 
 
 def _first_mutable(value):

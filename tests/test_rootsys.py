@@ -693,6 +693,33 @@ def test_normal_form_elements_sift_through_their_chains():
     assert _members(rootsys._stabilizer_chain(_w_e8_generators()), e8).all()
 
 
+def test_normal_forms_sift_through_the_g2_chain():
+    # the residues phi of e8_decompose and e7_normal_form are members of
+    # G2(2) by the stabilizer chain of the Brandt generators and the outer
+    # automorphism, an oracle apart from the g2_key_set lookup that the
+    # searches use; each decomposition rebuilds its input by plain products
+    chain = rootsys._stabilizer_chain(np.concatenate(
+        [_brandt_generators(), rootsys._outer_automorphism().matrix2()[None]]))
+    assert rootsys._order(chain) == 12096
+    rng = random.Random(41)
+    imag, g2, us = imaginary_units(), generate_G2_2(), units(OCTAVIAN)
+    phis = []
+    for i in range(200):
+        e, f = (rng.choice(imag + (one(8), -one(8))) for _ in range(2))
+        m = e8_element(e, f, rng.choice(us), rng.choice(g2))
+        e, f, b, phi = e8_decompose(m)
+        assert right_mult_map(b) * (sandwich_map(f) * (sandwich_map(e) * phi)) == m
+        phis.append(phi.matrix2())
+        m = sandwich_map(rng.choice(imag)) * (sandwich_map(rng.choice(imag)) * rng.choice(g2))
+        b, phi, (g, h) = e7_normal_form(m)
+        assert sandwich_map(g) * (sandwich_map(h) * phi) == m
+        assert b in (cd_multiply(g, h), -cd_multiply(g, h))
+        phis.append(phi.matrix2())
+    assert _members(chain, np.stack(phis)).all()
+    # and the chain is no sieve that passes everything
+    assert not _members(chain, sandwich_map(imag[0]).matrix2()[None]).any()
+
+
 def test_right_multiplications_leave_w_e7():
     # W+(E7) fixes 1 and x -> x b maps 1 to b, so only b = 1 sifts
     chain = rootsys._stabilizer_chain(rootsys._w_e7_generators())

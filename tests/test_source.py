@@ -237,3 +237,36 @@ def test_code_generation_stays_in_one_helper():
                   if isinstance(node, ast.Name) and node.id in names
                   or isinstance(node, ast.Attribute) and node.attr in names]
     assert found == [("algebra.py", "_compiled")] * 2
+
+
+def test_exact_hot_path_builds_no_fractions():
+    # the exact path compares integer norms: these functions build no
+    # Fraction and call neither norm_sq nor real_part, which return one
+    wanted = {("rings.py", "is_unit"), ("rings.py", "_euclid"),
+              ("rings.py", "EuclTrace.replay_ok"), ("hyperweyl.py", "build_w_ac"),
+              ("hyperweyl.py", "build_w_tilde_cd"), ("rootsys.py", "e7_element"),
+              ("rootsys.py", "e8_element")}
+    banned = {"Fraction", "norm_sq", "real_part"}
+    seen, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                funcs.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                funcs += [(f"{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, ast.FunctionDef)]
+        for name, func in funcs:
+            if (path.name, name) not in wanted:
+                continue
+            seen.add((path.name, name))
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call):
+                    callee = call.func
+                    called = callee.id if isinstance(callee, ast.Name) else getattr(
+                        callee, "attr", None)
+                    if called in banned:
+                        found.append(f"{path.name}:{call.lineno} {name} calls {called}")
+    assert seen == wanted
+    assert found == []
