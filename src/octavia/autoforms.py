@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgElem, _readonly, _structure_float
+from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
 from .rings import (
     Ring,
     _decode2,
@@ -401,6 +401,70 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     return np.exp(s * np.log(v)) * out
 
 
+@lru_cache(maxsize=None)
+def _grid_maps(ring: Ring):
+    """The unit maps u -> e u e' that carry every midpoint grid to itself
+    modulo the lattice: (maps, shift), the integer matrices M of the maps
+    in lattice coordinates (row vectors, t -> t M) and the index shifts
+    (1 M - 1) / 2.
+
+    The series V of _periodic_series_value is invariant under these maps.
+    For associative rings e and e' run over all units: c (e u e') + d =
+    ((c e) u + d e'^-1) e', and c -> c e permutes the c-ball, d -> d e'^-1
+    the lattice, and the d-ball of each c moves with them.  The octavians
+    take only the central units +-1 (their right multiplications are
+    symmetries too, by Moufang, but none fixes a grid).  The pairs (e, e')
+    and (-e, -e') give one map, so e runs over the first half of the
+    sorted units, which holds one unit of each pair +-e.
+
+    One batched _mult2 gives the products e b of these e with the simple
+    roots, a second the products (e b) e'; their lattice coordinates are
+    checked exactly in integers.  The grid point t = (2k + 1) / 2m, k in
+    [0, m)^n, goes to t M = (2 k M + 1 M) / 2m, a grid point modulo the
+    lattice for every m exactly when 1 M - 1 is even, and then its index
+    is k M + (1 M - 1) / 2 mod m.  The kept maps form a group, since
+    1 M M' - 1 = (1 M - 1) M' + (1 M' - 1).
+    """
+    n = ring.dim
+    us = np.array([e.coords2 for e in (units(ring) if ring.associative
+                                       else (-one(n), one(n)))])
+    left = us[:len(us) // 2]
+    basis2 = np.array(ring.basis2)
+    eb = _mult2(np.repeat(left, n, axis=0), np.tile(basis2, (len(left), 1)))
+    ebe = _mult2(np.repeat(eb, len(us), axis=0), np.tile(us, (len(eb), 1)))
+    # rows (e, b_r, e') -> map (e, e'), row r
+    x2 = ebe.reshape(len(left), n, len(us), n).swapaxes(1, 2).reshape(-1, n)
+    maps = np.rint(x2 @ np.linalg.inv(basis2)).astype(np.int64)
+    if not np.array_equal(maps @ basis2, x2):
+        raise ArithmeticError("a unit map left the lattice")
+    maps = maps.reshape(-1, n, n)
+    odd = maps.sum(axis=1) - 1
+    fix = ~(odd & 1).any(axis=1)
+    return _readonly(maps[fix]), _readonly(odd[fix] >> 1)
+
+
+@lru_cache(maxsize=16)
+def _grid_orbits(ring: Ring, m: int):
+    """Orbits of the midpoint grid of m ticks per lattice axis, in the
+    ravelled indexing="ij" order, under the maps of _grid_maps: (reps,
+    orbit), the ascending indices of the least point of each orbit and
+    the orbit number of every point.
+
+    The maps form a group, so the least image of a point over all maps is
+    the least point of its orbit, shared by every member: one vectorised
+    min labels every point, and the points that are their own label are
+    the representatives.
+    """
+    maps, shift = _grid_maps(ring)
+    n = ring.dim
+    k = np.indices((m,) * n).reshape(n, -1).T
+    # one 2-D matmul for all maps: column (map g, axis j) of k M_g
+    images = (k @ maps.swapaxes(0, 1).reshape(n, -1) + shift.ravel()) % m
+    label = (images.reshape(len(k), -1, n) @ m ** np.arange(n - 1, -1, -1)).min(axis=1)
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    return _readonly(reps), _readonly(np.searchsorted(reps, label))
+
+
 def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
                         grid: int = 8) -> FourierDatum:
     """Midpoint-rule integral of the truncated series at height v against
@@ -412,16 +476,13 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     compares against the half-resolution grid.  ValueError unless grid
     and radius are integers, grid >= 2 and radius >= 1.
 
-    The truncated series V is even, V(-u) = V(u), in every ring: c(-u) =
-    -(cu) by linearity of the product alone (no associativity), and
-    d -> -d maps each d-ball |cu + d|^2 <= radius of u onto that of -u,
-    term for term.  A midpoint grid of m ticks per lattice axis is closed
-    under t -> 1 - t, and 1 - t = -t modulo the lattice, where V is
-    periodic; in the ravelled indexing="ij" order that map sends point k
-    to m^n - 1 - k.  So V is evaluated on the first ceil(m^n / 2) points
-    of each grid (both grids in one _periodic_series_value call) and
-    mirrored; for odd m the middle point is its own image.  The phases
-    are taken at every grid point.
+    The series V is the same at every point of an orbit of the grid under
+    the unit maps u -> e u e' (_grid_orbits), so it is evaluated once per
+    orbit, both grids in one _periodic_series_value call: 23 points for
+    the Hurwitz grid 4 and its half grid instead of 272.  Each orbit's
+    phases are summed into one weight, sum cos 2 pi (mu, u) / #points:
+    u -> -u is in every orbit group, so the sines cancel, and for real s
+    the coefficient is real.
     """
     mu = mu.floats() if isinstance(mu, AlgElem) \
         else np.asarray(mu, dtype=float)
@@ -446,16 +507,12 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
         mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
         return np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
 
-    def mean_term(us: np.ndarray, first: np.ndarray) -> complex:
-        # first: V at the first ceil(len(us) / 2) points; the rest mirror them
-        vals = np.concatenate([first, first[:len(us) // 2][::-1]])
-        return complex((vals * np.exp(-2j * np.pi * (us @ mu))).mean())
-
-    grids = [midpoints(grid), midpoints(grid // 2)]
-    firsts = [g[:(len(g) + 1) // 2] for g in grids]
-    vals = _periodic_series_value(ring, s, radius, np.concatenate(firsts), v)
-    full, half = (mean_term(g, h)
-                  for g, h in zip(grids, np.split(vals, [len(firsts[0])])))
+    grids = [(midpoints(m), *_grid_orbits(ring, int(m))) for m in (grid, grid // 2)]
+    vals = _periodic_series_value(ring, s, radius,
+                                  np.concatenate([us[reps] for us, reps, _ in grids]), v)
+    full, half = (complex(vs @ np.bincount(orbit, np.cos(2 * np.pi * (us @ mu))))
+                  / len(us)
+                  for (us, _, orbit), vs in zip(grids, np.split(vals, [len(grids[0][1])])))
     return FourierDatum(tuple(mu), float(v), full, abs(full - half))
 
 

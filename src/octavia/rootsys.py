@@ -715,21 +715,30 @@ def e8_decompose(m: LinMap):
 
     b = m(1); the residual m o (right mult b)^{-1} fixes 1 and is searched
     as sandwich pair times automorphism.
+
+    A decomposition proves det m = 1, since right multiplications by
+    units, sandwich maps and G2(2) all lie in SO(8).  So the determinant
+    is computed only on failure: an odd isometry raises "m is not an even
+    isometry" whatever step failed, as if it had been checked first.
     """
-    if not m.is_orthogonal() or m.det() != 1:
+    if not m.is_orthogonal():
         raise ValueError("m is not an even isometry")
-    b = AlgElem.from_coords2(8, m.rows2[0])
-    if not is_unit(OCTAVIAN, b):
-        raise ValueError("m does not preserve the octavian lattice")
-    stab = right_mult_map(conj(b)) * m
-    keys = g2_key_set()
-    if stab.key() in keys:
-        return one(8), one(8), b, stab
     try:
-        # phi = sigma(e) o sigma(f) o stab, i.e. sigma^{-1}: x -> e(f x f)e
-        e, f, phi = _sigma_residue_search(stab, outer_first=False)
-    except ValueError:
-        raise ValueError("decomposition search failed (lattice inconsistency)")
+        b = AlgElem.from_coords2(8, m.rows2[0])
+        if not is_unit(OCTAVIAN, b):
+            raise ValueError("m does not preserve the octavian lattice")
+        stab = right_mult_map(conj(b)) * m
+        if stab.key() in g2_key_set():
+            return one(8), one(8), b, stab
+        try:
+            # phi = sigma(e) o sigma(f) o stab, i.e. sigma^{-1}: x -> e(f x f)e
+            e, f, phi = _sigma_residue_search(stab, outer_first=False)
+        except ValueError:
+            raise ValueError("decomposition search failed (lattice inconsistency)")
+    except (ValueError, ArithmeticError):
+        if m.det() != 1:
+            raise ValueError("m is not an even isometry") from None
+        raise
     return e, f, b, phi
 
 

@@ -8,11 +8,13 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
-from octavia.algebra import _mult4, right_mult_matrix
+from octavia.algebra import _mult4, left_mult_matrix, one, right_mult_matrix
 from octavia.autoforms import (
     SeriesParams,
     _ball_data,
     _coprime_mask,
+    _grid_maps,
+    _grid_orbits,
     _in_dual_lattice,
     _margin_norm,
     _nearest_lattice2,
@@ -368,7 +370,8 @@ def test_dual_lattice_membership_is_exact():
 
 def test_periodic_truncation_is_periodic():
     # periodic on the ring lattice, and even: fourier_coefficient evaluates
-    # half of each midpoint grid and mirrors it on this identity
+    # one point per orbit of each midpoint grid under the unit maps
+    # u -> e u e', whose orbit groups all hold u -> -u
     u = np.array([0.37, -0.21, 0.05, 0.6])
     shift = np.array([1.0, 1.0, 0.0, 0.0])
     a, b = _periodic_series_value(HURWITZ, 5.0, 9, np.stack([u, u + shift]), 0.7)
@@ -427,13 +430,19 @@ def test_rep_products_are_right_multiplications(ring):
         assert np.abs(rows - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
+def _midpoints(ring, m):
+    """The midpoint grid of m ticks per lattice axis, ravelled in
+    indexing="ij" order."""
+    ticks = (np.arange(m) + 0.5) / m
+    mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
+    return np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
+
+
 def _per_point_fourier(mu, v, s, radius, ring, grid):
     mu = np.asarray(mu, dtype=float)
 
     def estimate(m):
-        ticks = (np.arange(m) + 0.5) / m
-        mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
-        us = np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
+        us = _midpoints(ring, m)
         vals = np.array([_per_point_value(ring, s, radius, u, v) for u in us])
         return complex((vals * np.exp(-2j * np.pi * (us @ mu))).mean())
 
@@ -454,6 +463,87 @@ def test_fourier_matches_per_point_oracle(ring, mu, radius, grid):
     coef, err = _per_point_fourier(mu, 0.5, 5.0, radius, ring, grid)
     assert abs(got.coefficient - coef) <= 1e-12 * abs(coef)
     assert abs(got.error_estimate - err) <= 1e-12 * err
+
+
+def _unit_pairs(ring):
+    """Every pair (e, e') of the maps u -> e u e': all units of an
+    associative ring, the central units +-1 of the octavians."""
+    us = units(ring) if ring.associative else (-one(ring.dim), one(ring.dim))
+    return [(e, f) for e in us for f in us]
+
+
+def _grid_images(ring, m, e, f):
+    """Oracle: the grid index of e u f for each point u of the grid of m
+    ticks, taken in the algebra and reduced modulo the lattice, or None
+    when some image is no grid point."""
+    us = _midpoints(ring, m)
+    img = (us @ left_mult_matrix(e.floats(), ring.dim).T
+           @ right_mult_matrix(f.floats(), ring.dim).T)
+    t = img @ np.linalg.inv(lattice_basis(ring)) * m - 0.5
+    k = np.rint(t)
+    if np.abs(t - k).max() > 1e-9:
+        return None
+    return (k.astype(np.int64) % m) @ m ** np.arange(ring.dim - 1, -1, -1)
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=["z", "hurwitz", "octavian"])
+def test_grid_maps_are_the_unit_maps_that_fix_the_grid(ring):
+    basis = lattice_basis(ring)
+    kept = {tuple(mat.ravel()) for mat in _grid_maps(ring)[0]}
+    fixing = set()
+    for e, f in _unit_pairs(ring):
+        moves = [_grid_images(ring, m, e, f) for m in (2, 3)]
+        # a map fixes every grid or none
+        assert (moves[0] is None) == (moves[1] is None)
+        if moves[0] is not None:
+            assert all(np.array_equal(np.sort(idx), np.arange(len(idx))) for idx in moves)
+            mat = (basis @ left_mult_matrix(e.floats(), ring.dim).T
+                   @ right_mult_matrix(f.floats(), ring.dim).T @ np.linalg.inv(basis))
+            fixing.add(tuple(np.rint(mat).astype(np.int64).ravel()))
+    # every kept map carries the grid onto itself, and no grid-fixing
+    # unit map is missing
+    assert kept == fixing
+
+
+@pytest.mark.parametrize("ring, m, count", [
+    (Z, 2, 1), (Z, 3, 2), (Z, 7, 4),
+    (HURWITZ, 2, 3), (HURWITZ, 3, 9), (HURWITZ, 4, 20), (HURWITZ, 5, 41),
+    (OCTAVIAN, 2, 128),
+], ids=lambda x: getattr(x, "name", x))
+def test_grid_orbits_are_the_unit_map_orbits(ring, m, count):
+    reps, orbit = _grid_orbits(ring, m)
+    assert len(reps) == count
+    moves = [idx for e, f in _unit_pairs(ring)
+             if (idx := _grid_images(ring, m, e, f)) is not None]
+    # the grid-fixing maps form a group, so each point's least image is
+    # the least point of its orbit
+    least = np.min(moves, axis=0)
+    assert np.array_equal(reps, np.flatnonzero(least == np.arange(m ** ring.dim)))
+    assert np.array_equal(reps[orbit], least)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_grid_orbit_members_share_the_series_value(m):
+    s, radius, v = 5.0 + 1.5j, 4, 0.5
+    us = _midpoints(HURWITZ, m)
+    reps, orbit = _grid_orbits(HURWITZ, m)
+    vals = _periodic_series_value(HURWITZ, s, radius, us[reps], v)
+    for u, o in zip(us, orbit):
+        ref = _per_point_value(HURWITZ, s, radius, u, v)
+        assert abs(vals[o] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("ring, mu, radius, grid", [
+    pytest.param(Z, (1,), 9, 7, id="z"),
+    pytest.param(HURWITZ, (1, 1, 0, 0), 4, 4, id="hurwitz-11"),
+    pytest.param(HURWITZ, (0, 0, 0, 0), 4, 3, id="hurwitz-zero"),
+    pytest.param(OCTAVIAN, (0,) * 8, 1, 2, id="octavian"),
+])
+def test_fourier_coefficient_is_real_for_real_s(ring, mu, radius, grid):
+    # each orbit's phases sum to a real weight, since u -> -u is in every
+    # orbit group, and V is real for real s
+    d = fourier_coefficient(list(mu), 0.5, 5.0, radius, ring, grid=grid)
+    assert d.coefficient.imag == 0.0 and d.coefficient.real != 0.0
 
 
 def test_fourier_rejects_non_dual_mu():

@@ -556,6 +556,8 @@ CACHE_ARGS = {
     "_ball_data": (HURWITZ, 2),
     "_coprime_mask": (HURWITZ, 2),
     "_coset_class_words": (HURWITZ, 2),
+    "_grid_maps": (HURWITZ,),
+    "_grid_orbits": (HURWITZ, 4),
 }
 
 

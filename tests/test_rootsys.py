@@ -13,6 +13,7 @@ from octavia.algebra import (
     AlgElem,
     basis_unit,
     cd_multiply,
+    conj,
     inner,
     invert,
     norm_sq,
@@ -604,6 +605,15 @@ def test_det_is_exact():
     assert swap.det() == -1
     singular = LinMap(2, ((2, 4), (1, 2)))
     assert singular.det() == 0
+
+
+def test_e8_decompose_rejects_odd_isometries():
+    # x -> conj(x) fixes 1 and the lattice but has det -1: the decomposition
+    # search fails on it, and the error names the determinant
+    m = LinMap.from_callable(8, conj)
+    assert m.is_orthogonal() and m.det() == -1
+    with pytest.raises(ValueError, match="even isometry"):
+        e8_decompose(m)
 
 
 def test_e8_decompose_round_trip(rng):

@@ -77,17 +77,29 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_coset_loads_no_numpy_ma():
-    # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
-    # cold coset call); coset_reps deduplicates rows with one lexsort
+def _cold_cli_loads_numpy_ma(argv) -> bool:
+    """Whether one CLI call in a fresh process imports numpy.ma."""
     code = ("import sys, contextlib, io, octavia.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    octavia.cli.main(['coset', '--ring', 'hurwitz', '--bound', '2'])\n"
+            f"    octavia.cli.main({list(argv)!r})\n"
             "print('numpy.ma' in sys.modules)")
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_coset_loads_no_numpy_ma():
+    # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
+    # cold coset call); coset_reps deduplicates rows with one lexsort
+    assert not _cold_cli_loads_numpy_ma(["coset", "--ring", "hurwitz", "--bound", "2"])
+
+
+def test_fourier_loads_no_numpy_ma():
+    # the grid orbit table is built on the first fourier call; np.unique
+    # on its rows would load numpy.ma (about 15 ms of a cold call)
+    assert not _cold_cli_loads_numpy_ma(["fourier", "--ring", "hurwitz", "--mu", "1,1,0,0",
+                                         "--radius", "4", "--grid", "4"])
 
 
 def _references(node):
