@@ -9,6 +9,7 @@ are exact squared-norm bounds on the lattice shells.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,9 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
+from .algebra import AlgElem, _mult2, _mult4, _readonly, _structure_float, one
 from .rings import (
     Ring,
+    _conj_sign,
     _decode2,
     _lattice_classes,
     _pair_chunks,
@@ -65,6 +67,7 @@ class SeriesParams:
             raise ValueError("radius must be >= 1")
         if self.z.dim != self.ring.dim:
             raise ValueError("point dimension does not match ring")
+        _require_finite_s(self.s)
         if complex(self.s).real <= self.ring.dim / 2 and not self.exploratory:
             warnings.warn(
                 "Re(s) <= n/2: outside the certified convergence region",
@@ -80,6 +83,13 @@ class FourierDatum:
     v: float
     coefficient: complex
     error_estimate: float
+
+
+def _require_finite_s(s) -> None:
+    """ValueError unless s is a finite number: a nan or infinite exponent
+    would give a nan series value, which no JSON output can carry."""
+    if not cmath.isfinite(complex(s)):
+        raise ValueError("s must be finite")
 
 
 def _require_int(name: str, value) -> None:
@@ -170,8 +180,10 @@ def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
     return phase
 
 
-def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
-    """Shell-major compensated sum of v^s / |cz+d|^(2s).
+def _series_rows(p: SeriesParams, coprime_only: bool = False) -> complex:
+    """Shell-major compensated sum of v^s / |cz+d|^(2s), one class row of
+    c against the whole d-ball at a time: the kernel of the associative
+    rings (_series_sum).
 
     The term depends only on |cz + d|^2 = |c|^2 (|u + x|^2 + v^2) with
     x = c^-1 d, and its shell on max(|c|^2, |d|^2 = |c|^2 |x|^2); x runs
@@ -224,6 +236,186 @@ def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
     # shell 0 holds only the pair (0, 0), which the series leaves out
     total = complex(math.fsum(acc_re[1:]), math.fsum(acc_im[1:]))
     return np.exp(s * np.log(v)) * total
+
+
+def _distinct(key: np.ndarray, mult: np.ndarray, pair: np.ndarray, bits: int):
+    """The distinct values of key (|key| < 2^bits) in increasing order,
+    each with the sum of its multiplicities and one of its pairs (any
+    one: they share the term and its coprimality).
+
+    The order comes from one np.sort of key 2^b + index, b the bits of the
+    index, which is several times faster than an argsort; where that would
+    not fit in int64 (large radii), from an argsort.
+    """
+    b = len(key).bit_length()
+    if bits + b < 63:
+        packed = key << b
+        packed |= np.arange(len(key))
+        packed.sort()
+        key, order = packed >> b, packed & ((1 << b) - 1)
+    else:
+        order = key.argsort()
+        key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    head = np.flatnonzero(first)
+    return key[head], np.add.reduceat(mult[order], head), pair[order[head]]
+
+
+def _runs(cols: np.ndarray, mult: np.ndarray, pair: np.ndarray):
+    """(cols, mult, starts, pair) for terms sorted by (shell max(k, |d|^2),
+    multiplicity): starts holds the first term of each run of equal
+    (shell, multiplicity), so one np.add.reduceat gives the run sums,
+    which _series_keys weights whole."""
+    n = len(cols) - 2
+    shell = np.maximum(cols[n], cols[n + 1])
+    starts = np.flatnonzero((np.diff(shell, prepend=-1) != 0)
+                            | (np.diff(mult, prepend=-1) != 0))
+    return tuple(map(_readonly, (cols, mult, starts, pair)))
+
+
+@lru_cache(maxsize=8)
+def _key_terms(ring: Ring, radius: int):
+    """The distinct terms of the series over the truncation ball: one per
+    key (k, y) = (|c|^2, c^-bar d) of the pairs (c, d) != (0, 0), with the
+    number of pairs that share it.
+
+    For c != 0 the term depends only on the key, |cu + d|^2 + |c|^2 v^2 =
+    (2y, u) + k (|u|^2 + v^2) + |d|^2 with |d|^2 = |y|^2 / k, by the
+    alternative law c (c^-bar x) = |c|^2 x (Feingold, Kleinschmidt and
+    Nicolai, arXiv:0805.3018), and so does the left coprimality of (d, c)
+    (see _coprime_mask).  For c = 0 it depends on |d|^2, so every key
+    carries |d|^2.  The pairs are the class rows of _ball_data against the
+    ball, counted with their class sizes; (c, -d) has the key (k, -y), so
+    the rows run against one d of each pair +-d, and the table is merged
+    with its mirror image.
+
+    A key is one integer: K = k (radius + 1) + |d|^2 above the digits of
+    2y in balanced base lim = 4 radius + 1 (|2y|_i <= 2 |c| |d|).  The
+    digits are bilinear in (c, d), so one float matmul of the class rows,
+    packed through the structure constants, with the ball gives the keys
+    of a chunk; its partial sums are integers below the bound checked
+    here, so it is exact.  Chunks of about 16k pairs wait until they hold
+    as many pairs as the table has keys, and then one _distinct merges
+    them in: the build never holds the whole pair set.  The chunks are a
+    quarter of the rings._pair_chunks size because the allocator keeps
+    the build's freed temporaries in the process: at octavian radius 2
+    the RSS stayed 11 MB higher after a build in 64k chunks, 5 MB in 16k.
+
+    Returns (cols, mult, starts, pair) by _runs: the terms as the columns
+    [2y | k | |d|^2] of one (n + 2, T) array, so that one GEMV with
+    [u | |u|^2 + v^2 | 1] gives every denominator, sorted by (shell,
+    multiplicity); the multiplicities; the run starts; and one pair per
+    key for _coprime_key_terms, i m + j for (c, d) = (class row i, ball
+    point j) and -1 - (i m + j) for (c, -d).  Octavian radius 2 has
+    22,084 terms, 22,082 with c != 0 for 326,536 class-row pairs.
+    """
+    pts2, _, nrm, reps, weight, _ = _ball_data(ring, radius)
+    n, m = ring.dim, len(pts2)
+    shell = np.rint(nrm).astype(np.int64)
+    lim = 4 * radius + 1
+    base = lim ** n  # the weight of K
+    eye = np.eye(n, dtype=np.int64)
+    prod = _mult4(np.repeat(eye, n, axis=0), np.tile(eye, (n, 1))).reshape(n, n, n)
+    # the digits of 4 c^-bar d = 2 (2y) of the pair (c, d) are packed[c] . d2
+    packed = pts2[reps] @ ((prod @ lim ** np.arange(n)) * _conj_sign(n)[:, None])
+    bits = (base * (radius + 1) ** 2).bit_length()  # |key| < 2^bits
+    if (int(np.abs(packed).max()) * int(np.abs(pts2).sum(axis=1).max()) >= 2 ** 53
+            or bits > 62):
+        raise OverflowError("series keys would exceed 2^53 or 2^62; the float "
+                            "matmul would round them")
+    packed = packed.astype(float)
+    # one of each pair +-d, d != 0: the first nonzero coordinate positive
+    half = np.flatnonzero(pts2[np.arange(m), (pts2 != 0).argmax(axis=1)] > 0)
+    d2 = pts2[half].T.astype(float)
+    table = (np.empty(0, dtype=np.int64),) * 3
+    pending, size = [], 0
+    chunk = max(1, (1 << 14) // len(half))
+    for lo in range(0, len(reps), chunk):
+        hi = min(lo + chunk, len(reps))
+        key = (packed[lo:hi] @ d2).astype(np.int64) >> 1
+        key += base * shell[half]
+        key += (base * (radius + 1) * shell[reps[lo:hi]])[:, None]
+        pending.append((key.ravel(), np.repeat(weight[lo:hi], len(half)),
+                        (np.arange(lo * m, hi * m, m)[:, None] + half).ravel()))
+        size += key.size
+        if size >= max(len(table[0]), 1 << 14) or hi == len(reps):
+            table = _distinct(*map(np.concatenate, zip(table, *pending)), bits)
+            pending, size = [], 0
+    # the pairs (c, -d) have the keys (K, -y), stored as the pair -1 -
+    # (i m + j), and the pairs (c, 0), c != 0, the keys (K, 0); (0, 0),
+    # which the series leaves out, has none
+    key, mult, pair = table
+    top = (key + (base - 1) // 2) // base
+    key, mult, pair = _distinct(
+        np.concatenate([key, 2 * base * top - key,
+                        base * (radius + 1) * shell[reps[1:]]]),
+        np.concatenate([mult, mult, weight[1:]]),
+        np.concatenate([pair, -1 - pair, np.arange(m, len(reps) * m, m)]), bits)
+    top = (key + (base - 1) // 2) // base
+    k, dn = np.divmod(top, radius + 1)
+    order = np.lexsort((mult, np.maximum(k, dn)))
+    digits = key[order] - base * top[order] + (base - 1) // 2
+    cols = np.empty((n + 2, len(key)))
+    for i in range(n):
+        digits, cols[i] = np.divmod(digits, lim)
+    cols[:n] -= 2 * radius
+    cols[n], cols[n + 1] = k[order], dn[order]
+    return _runs(cols, mult[order], pair[order])
+
+
+@lru_cache(maxsize=8)
+def _coprime_key_terms(ring: Ring, radius: int):
+    """The terms of _key_terms(ring, radius) whose pairs are left coprime,
+    in the same layout: one left_content row per key, on its stored pair,
+    in chunks of 64k rows.  Coprimality is a function of the key (see
+    _coprime_mask), so the stored pair decides for every pair of the key:
+    22,084 Euclid rows at octavian radius 2, where _coprime_mask runs
+    326,536.
+    """
+    cols, mult, _, pair = _key_terms(ring, radius)
+    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    i, j = np.divmod(np.where(pair < 0, -1 - pair, pair), len(pts2))
+    sign = np.where(pair < 0, -1, 1)[:, None]
+    coprime = np.concatenate([
+        left_content(ring, pts2[reps[i[rows]]], sign[rows] * pts2[j[rows]]) == 4
+        for rows in (slice(lo, lo + (1 << 16)) for lo in range(0, len(pair), 1 << 16))])
+    return _runs(cols[:, coprime], mult[coprime], pair[coprime])
+
+
+def _series_keys(p: SeriesParams, coprime_only: bool = False) -> complex:
+    """The series sum over the distinct terms of _key_terms (or
+    _coprime_key_terms): one GEMV gives every denominator, one
+    np.add.reduceat the sums of the runs of equal (shell, multiplicity),
+    and the runs, times their multiplicities, are summed with math.fsum
+    in increasing shell order.  The kernel of the octavians
+    (_series_sum)."""
+    cols, mult, starts, _ = (_coprime_key_terms if coprime_only else _key_terms)(
+        p.ring, p.radius)
+    s, u, v = complex(p.s), p.z.u_vector(), p.z.v
+    a = np.concatenate([u, [u @ u + v * v, 1.0]])
+    denom = np.empty(cols.shape[1])
+    # GEMVs of at most 32k columns: OpenBLAS runs larger ones on two
+    # threads, which took 0.9 or 8 ms by turns at octavian radius 3
+    # (338,166 terms) on a 2-core host, against 1.4 ms in blocks
+    for lo in range(0, len(denom), 1 << 15):
+        np.matmul(a, cols[:, lo:lo + (1 << 15)], out=denom[lo:lo + (1 << 15)])
+    vals = _neg_power(denom, s)
+    runs = np.add.reduceat(vals, starts) * mult[starts]
+    total = complex(math.fsum(runs.real), math.fsum(runs.imag))
+    return np.exp(s * np.log(v)) * total
+
+
+def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
+    """The truncated series by the kernel that suits the ring.  Over the
+    octavians the class rows against the ball hold few distinct keys
+    (|c|^2, c^-bar d) (22,082 of 326,536 pairs at radius 2), so
+    _series_keys evaluates each once; over Z and the Hurwitz ring nearly
+    every pair has its own key (92-94 %), and the class-row matmuls of
+    _series_rows are faster.  Each kernel is the other's test oracle."""
+    kernel = _series_rows if p.ring.associative else _series_keys
+    return kernel(p, coprime_only)
 
 
 def eisenstein_truncated(p: SeriesParams) -> complex:
@@ -495,6 +687,7 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
         raise ValueError("v must be finite")
     if not v > 0:
         raise ValueError("v must be positive")
+    _require_finite_s(s)
     _require_int("radius", radius)
     _require_int("grid", grid)
     if radius < 1:

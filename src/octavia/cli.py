@@ -96,7 +96,10 @@ def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace("i", "j").replace(" ", ""))
+    """'5', '5+1.5i' or '5+1.5j' -> complex.  Only a trailing i is the
+    imaginary unit, so inf and nan keep their spelling."""
+    text = text.strip().replace(" ", "")
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _parse_vector(text: str) -> np.ndarray:

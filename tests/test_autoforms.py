@@ -12,14 +12,19 @@ from octavia.algebra import _mult4, left_mult_matrix, one, right_mult_matrix
 from octavia.autoforms import (
     SeriesParams,
     _ball_data,
+    _coprime_key_terms,
     _coprime_mask,
+    _distinct,
     _grid_maps,
     _grid_orbits,
     _in_dual_lattice,
+    _key_terms,
     _margin_norm,
     _nearest_lattice2,
     _periodic_series_value,
     _rep_products,
+    _series_keys,
+    _series_rows,
     _trapezoid,
     bessel_k,
     critical_line_diagnostic,
@@ -71,6 +76,17 @@ def test_series_params_validation():
         SeriesParams(HURWITZ, 5.0, 2, _z(4, 0.1)))
     with pytest.warns(UserWarning):
         SeriesParams(HURWITZ, 1.5, 4, _z(4))
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(5, math.inf),
+                               complex(math.nan, 1)], ids=str)
+def test_series_and_fourier_reject_non_finite_s(s):
+    # a nan exponent gave a nan value, which the CLI printed as NaN
+    for exploratory in (False, True):
+        with pytest.raises(ValueError, match="s must be finite"):
+            SeriesParams(HURWITZ, s, 2, _z(4), exploratory=exploratory)
+    with pytest.raises(ValueError, match="s must be finite"):
+        fourier_coefficient([0.0], 1.0, s, 2, Z, grid=2)
 
 
 def test_eisenstein_exact_invariance():
@@ -233,6 +249,114 @@ def test_series_match_row_by_row_oracle_across_chunks(s):
     for f, coprime in ((eisenstein_truncated, False), (poincare_truncated, True)):
         ref = _row_by_row_series(p, coprime)
         assert abs(f(p) - ref) <= 1e-12 * abs(ref)
+
+
+def _kernels_agree(ring, radius, s, coprime_only, seed=10):
+    z = UhpPoint(np.random.default_rng(seed).uniform(-0.5, 0.5, ring.dim), 0.9)
+    p = SeriesParams(ring, s, radius, z)
+    rows, keys = _series_rows(p, coprime_only), _series_keys(p, coprime_only)
+    return abs(rows - keys) <= 1e-12 * abs(rows)
+
+
+@pytest.mark.parametrize("coprime_only", [False, True], ids=["eisenstein", "poincare"])
+@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
+@pytest.mark.parametrize("ring, radius", [
+    (Z, 9), (HURWITZ, 4), (HURWITZ, 9), (HURWITZ, 16), (OCTAVIAN, 1), (OCTAVIAN, 2)],
+    ids=["z-9", "hurwitz-4", "hurwitz-9", "hurwitz-16", "octavian-1", "octavian-2"])
+def test_series_kernels_agree(ring, radius, s, coprime_only):
+    # the class-row kernel (associative rings) and the distinct-key kernel
+    # (octavians) are each other's oracle, on every ring
+    assert _kernels_agree(ring, radius, s, coprime_only)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
+def test_series_kernels_agree_octavian_radius_3(s):
+    # 11,455,976 class-row pairs against 338,163 distinct keys with c != 0
+    assert _key_terms(OCTAVIAN, 3)[0].shape[1] == 338163 + 3
+    assert _kernels_agree(OCTAVIAN, 3, s, False)
+
+
+@pytest.mark.parametrize("bits", [40, 62], ids=["packed-sort", "argsort"])
+def test_distinct_merges_equal_keys(bits):
+    # 40-bit keys with up to 2^17 entries sort as key 2^b + index; 62-bit
+    # keys leave no room for the index and take the argsort
+    rng = np.random.default_rng(11)
+    values = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), 3000)
+    key = rng.choice(values, 1 << 17)
+    mult = rng.integers(1, 50, len(key))
+    pair = np.arange(len(key))
+    got_key, got_mult, got_pair = _distinct(key, mult, pair, bits)
+    want_key, inv = np.unique(key, return_inverse=True)
+    assert np.array_equal(got_key, want_key)
+    assert np.array_equal(got_mult, np.bincount(inv.ravel(), mult).astype(np.int64))
+    assert np.array_equal(key[got_pair], got_key)
+
+
+def _void_rows(a):
+    """Each row of the int64 array a as one opaque scalar, for np.unique."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+
+def _pair_keys(ring, radius):
+    """Test-side keys of every class row c against every d of the ball,
+    as rows (|c|^2, |d|^2, 2 c^-bar d) in the (rows, m) pair order, and
+    the class size of each pair's row."""
+    pts2, _, nrm, reps, weight, _ = _ball_data(ring, radius)
+    c2 = np.repeat(pts2[reps], len(pts2), axis=0)
+    d2 = np.tile(pts2, (len(reps), 1))
+    shell = np.rint(nrm).astype(np.int64)
+    keys = np.column_stack([np.repeat(shell[reps], len(pts2)), np.tile(shell, len(reps)),
+                            _mult2(c2 * _conj_sign(ring.dim), d2)])
+    return keys, np.repeat(weight, len(pts2))
+
+
+@pytest.mark.parametrize("ring, radius", [(HURWITZ, 4), (OCTAVIAN, 2)],
+                         ids=["hurwitz-4", "octavian-2"])
+def test_coprimality_is_a_function_of_the_key(ring, radius):
+    # the fact _coprime_key_terms rests on: the left coprimality of (d, c)
+    # is constant on every key (|c|^2, c^-bar d), so one Euclid row per key
+    # decides for all its pairs, and the per-key Poincare multiplicities
+    # are the per-pair sums of class size times mask
+    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    mask = _full_mask_rows(ring, pts2[reps], pts2).ravel()
+    keys, weight = _pair_keys(ring, radius)
+    keys, weight, mask = keys[1:], weight[1:], mask[1:]  # not (0, 0)
+    distinct, inv = np.unique(_void_rows(keys), return_inverse=True)
+    inv = inv.ravel()
+    size = np.bincount(inv)
+    coprime = np.bincount(inv, mask)
+    assert np.all((coprime == 0) | (coprime == size))
+
+    def table(terms):
+        cols, mult, _, _ = terms
+        n = ring.dim
+        rows = _void_rows(np.column_stack([cols[n], cols[n + 1], cols[:n].T]).astype(np.int64))
+        order = np.argsort(rows)
+        return rows[order], mult[order]
+
+    got_keys, got_mult = table(_key_terms(ring, radius))
+    assert np.array_equal(got_keys, distinct)
+    assert np.array_equal(got_mult, np.bincount(inv, weight))
+    flag = coprime > 0
+    got_keys, got_mult = table(_coprime_key_terms(ring, radius))
+    assert np.array_equal(got_keys, distinct[flag])
+    assert np.array_equal(got_mult, np.bincount(inv, weight * mask)[flag])
+
+
+def test_octavian_key_counts():
+    # the distinct keys with c != 0 are 241, 22,082 and 338,163 at radius
+    # 1, 2 and 3; for |c|^2 = 2 the c^-bar d are exactly the octavians of
+    # norm 0, 2 and 4.  c = 0 adds one term per norm of d.
+    for radius, count in ((1, 241), (2, 22082)):
+        assert _key_terms(OCTAVIAN, radius)[0].shape[1] == count + radius
+    cols = _key_terms(OCTAVIAN, 2)[0]
+    y2 = cols[:8, cols[8] == 2].T.astype(np.int64)
+    ball = enumerate_ball(OCTAVIAN, 4)
+    even = ball[(ball * ball).sum(axis=1) % 8 == 0]
+    assert len(y2) == len(even) == 19681
+    assert np.array_equal(y2[np.lexsort(y2.T[::-1])], even[np.lexsort(even.T[::-1])])
 
 
 def _ball_index(pts2):

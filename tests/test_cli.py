@@ -102,6 +102,13 @@ def test_euclid_zero_divisor_exits_2(capsys):
     (("eisenstein", "--ring", "hurwitz", "--z", "nan,0,0,0;1"), "u must be finite"),
     (("eisenstein", "--ring", "hurwitz", "--z", "0,0,0,0;inf"), "v must be finite"),
     (("fourier", "--ring", "z", "--v", "inf", "--grid", "4"), "v must be finite"),
+    # nan went through and printed the invalid JSON token NaN; inf was
+    # read as "jnf" and failed to parse
+    (("eisenstein", "--ring", "hurwitz", "--radius", "2", "--s", "nan"), "s must be finite"),
+    (("eisenstein", "--ring", "hurwitz", "--radius", "2", "--s", "inf"), "s must be finite"),
+    (("eisenstein", "--ring", "z", "--radius", "2", "--s=-inf+2i"), "s must be finite"),
+    (("fourier", "--ring", "z", "--grid", "4", "--s", "nan"), "s must be finite"),
+    (("fourier", "--ring", "z", "--grid", "4", "--s", "5+infi"), "s must be finite"),
 ])
 def test_non_finite_points_exit_2(capsys, argv, message):
     code, err = _error_exit(capsys, *argv)
