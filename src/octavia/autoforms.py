@@ -238,44 +238,26 @@ def _series_rows(p: SeriesParams, coprime_only: bool = False) -> complex:
     return np.exp(s * np.log(v)) * total
 
 
-def _distinct(key: np.ndarray, mult: np.ndarray, pair: np.ndarray, bits: int):
-    """The distinct values of key (|key| < 2^bits) in increasing order,
-    each with the sum of its multiplicities and one of its pairs (any
-    one: they share the term and its coprimality).
-
-    The order comes from one np.sort of key 2^b + index, b the bits of the
-    index, which is several times faster than an argsort; where that would
-    not fit in int64 (large radii), from an argsort.
-    """
-    b = len(key).bit_length()
-    if bits + b < 63:
-        packed = key << b
-        packed |= np.arange(len(key))
-        packed.sort()
-        key, order = packed >> b, packed & ((1 << b) - 1)
-    else:
-        order = key.argsort()
-        key = key[order]
-    first = np.empty(len(key), dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    head = np.flatnonzero(first)
+def _distinct(key: np.ndarray, mult: np.ndarray, pair: np.ndarray):
+    """The distinct values of key in increasing order, each with the sum
+    of its multiplicities and one of its pairs (any one: they share the
+    term and its coprimality)."""
+    order = key.argsort()
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
     return key[head], np.add.reduceat(mult[order], head), pair[order[head]]
 
 
-def _runs(cols: np.ndarray, mult: np.ndarray, pair: np.ndarray):
-    """(cols, mult, starts, pair) for terms sorted by (shell max(k, |d|^2),
-    multiplicity): starts holds the first term of each run of equal
-    (shell, multiplicity), so one np.add.reduceat gives the run sums,
-    which _series_keys weights whole."""
+def _by_shell(cols: np.ndarray, mult: np.ndarray, pair: np.ndarray):
+    """(cols, mult, starts, pair) for terms sorted by shell max(k, |d|^2),
+    read-only, with the multiplicities as floats: starts holds the first
+    term of each shell, so one np.add.reduceat gives the shell sums."""
     n = len(cols) - 2
-    shell = np.maximum(cols[n], cols[n + 1])
-    starts = np.flatnonzero((np.diff(shell, prepend=-1) != 0)
-                            | (np.diff(mult, prepend=-1) != 0))
-    return tuple(map(_readonly, (cols, mult, starts, pair)))
+    starts = np.flatnonzero(np.diff(np.maximum(cols[n], cols[n + 1]), prepend=-1))
+    return tuple(map(_readonly, (cols, mult.astype(float), starts, pair)))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _key_terms(ring: Ring, radius: int):
     """The distinct terms of the series over the truncation ball: one per
     key (k, y) = (|c|^2, c^-bar d) of the pairs (c, d) != (0, 0), with the
@@ -303,11 +285,11 @@ def _key_terms(ring: Ring, radius: int):
     the build's freed temporaries in the process: at octavian radius 2
     the RSS stayed 11 MB higher after a build in 64k chunks, 5 MB in 16k.
 
-    Returns (cols, mult, starts, pair) by _runs: the terms as the columns
-    [2y | k | |d|^2] of one (n + 2, T) array, so that one GEMV with
-    [u | |u|^2 + v^2 | 1] gives every denominator, sorted by (shell,
-    multiplicity); the multiplicities; the run starts; and one pair per
-    key for _coprime_key_terms, i m + j for (c, d) = (class row i, ball
+    Returns (cols, mult, starts, pair) by _by_shell: the terms as the
+    columns [2y | k | |d|^2] of one (n + 2, T) array, so that one GEMV
+    with [u | |u|^2 + v^2 | 1] gives every denominator, sorted by shell;
+    the multiplicities; the shell starts; and one pair per key for
+    _coprime_key_terms, i m + j for (c, d) = (class row i, ball
     point j) and -1 - (i m + j) for (c, -d).  Octavian radius 2 has
     22,084 terms, 22,082 with c != 0 for 326,536 class-row pairs.
     """
@@ -320,9 +302,8 @@ def _key_terms(ring: Ring, radius: int):
     prod = _mult4(np.repeat(eye, n, axis=0), np.tile(eye, (n, 1))).reshape(n, n, n)
     # the digits of 4 c^-bar d = 2 (2y) of the pair (c, d) are packed[c] . d2
     packed = pts2[reps] @ ((prod @ lim ** np.arange(n)) * _conj_sign(n)[:, None])
-    bits = (base * (radius + 1) ** 2).bit_length()  # |key| < 2^bits
     if (int(np.abs(packed).max()) * int(np.abs(pts2).sum(axis=1).max()) >= 2 ** 53
-            or bits > 62):
+            or base * (radius + 1) ** 2 >= 2 ** 62):
         raise OverflowError("series keys would exceed 2^53 or 2^62; the float "
                             "matmul would round them")
     packed = packed.astype(float)
@@ -341,7 +322,7 @@ def _key_terms(ring: Ring, radius: int):
                         (np.arange(lo * m, hi * m, m)[:, None] + half).ravel()))
         size += key.size
         if size >= max(len(table[0]), 1 << 14) or hi == len(reps):
-            table = _distinct(*map(np.concatenate, zip(table, *pending)), bits)
+            table = _distinct(*map(np.concatenate, zip(table, *pending)))
             pending, size = [], 0
     # the pairs (c, -d) have the keys (K, -y), stored as the pair -1 -
     # (i m + j), and the pairs (c, 0), c != 0, the keys (K, 0); (0, 0),
@@ -352,20 +333,20 @@ def _key_terms(ring: Ring, radius: int):
         np.concatenate([key, 2 * base * top - key,
                         base * (radius + 1) * shell[reps[1:]]]),
         np.concatenate([mult, mult, weight[1:]]),
-        np.concatenate([pair, -1 - pair, np.arange(m, len(reps) * m, m)]), bits)
+        np.concatenate([pair, -1 - pair, np.arange(m, len(reps) * m, m)]))
     top = (key + (base - 1) // 2) // base
     k, dn = np.divmod(top, radius + 1)
-    order = np.lexsort((mult, np.maximum(k, dn)))
+    order = np.argsort(np.maximum(k, dn))
     digits = key[order] - base * top[order] + (base - 1) // 2
     cols = np.empty((n + 2, len(key)))
     for i in range(n):
         digits, cols[i] = np.divmod(digits, lim)
     cols[:n] -= 2 * radius
     cols[n], cols[n + 1] = k[order], dn[order]
-    return _runs(cols, mult[order], pair[order])
+    return _by_shell(cols, mult[order], pair[order])
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _coprime_key_terms(ring: Ring, radius: int):
     """The terms of _key_terms(ring, radius) whose pairs are left coprime,
     in the same layout: one left_content row per key, on its stored pair,
@@ -381,41 +362,47 @@ def _coprime_key_terms(ring: Ring, radius: int):
     coprime = np.concatenate([
         left_content(ring, pts2[reps[i[rows]]], sign[rows] * pts2[j[rows]]) == 4
         for rows in (slice(lo, lo + (1 << 16)) for lo in range(0, len(pair), 1 << 16))])
-    return _runs(cols[:, coprime], mult[coprime], pair[coprime])
+    return _by_shell(cols[:, coprime], mult[coprime], pair[coprime])
 
 
 def _series_keys(p: SeriesParams, coprime_only: bool = False) -> complex:
     """The series sum over the distinct terms of _key_terms (or
-    _coprime_key_terms): one GEMV gives every denominator, one
-    np.add.reduceat the sums of the runs of equal (shell, multiplicity),
-    and the runs, times their multiplicities, are summed with math.fsum
-    in increasing shell order.  The kernel of the octavians
-    (_series_sum)."""
+    _coprime_key_terms): one GEMV gives every denominator, and the terms,
+    times their multiplicities, are summed per shell by one
+    np.add.reduceat and across the shells with math.fsum in increasing
+    shell order.  The kernel of the small octavian tables (_series_sum)."""
     cols, mult, starts, _ = (_coprime_key_terms if coprime_only else _key_terms)(
         p.ring, p.radius)
     s, u, v = complex(p.s), p.z.u_vector(), p.z.v
-    a = np.concatenate([u, [u @ u + v * v, 1.0]])
-    denom = np.empty(cols.shape[1])
-    # GEMVs of at most 32k columns: OpenBLAS runs larger ones on two
-    # threads, which took 0.9 or 8 ms by turns at octavian radius 3
-    # (338,166 terms) on a 2-core host, against 1.4 ms in blocks
-    for lo in range(0, len(denom), 1 << 15):
-        np.matmul(a, cols[:, lo:lo + (1 << 15)], out=denom[lo:lo + (1 << 15)])
-    vals = _neg_power(denom, s)
-    runs = np.add.reduceat(vals, starts) * mult[starts]
-    total = complex(math.fsum(runs.real), math.fsum(runs.imag))
+    vals = _neg_power(np.concatenate([u, [u @ u + v * v, 1.0]]) @ cols, s)
+    vals *= mult
+    shells = np.add.reduceat(vals, starts)
+    total = complex(math.fsum(shells.real), math.fsum(shells.imag))
     return np.exp(s * np.log(v)) * total
 
 
+# The key table sorts every class-row pair of the half ball, which costs
+# more than the one power per pair of a class-row call, so it is built
+# only up to this many class-row pairs.  Octavian radius 2 has 326,536 (a
+# 2 MB table, built in about 10 ms); radius 3 has 11,455,976, whose 31 MB
+# table took 0.57 s to build, against 0.13 s for a whole cold class-row
+# call, and radius 4 a 270 MB table in 15 s.
+_KEY_PAIRS = 1 << 20
+
+
 def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
-    """The truncated series by the kernel that suits the ring.  Over the
-    octavians the class rows against the ball hold few distinct keys
-    (|c|^2, c^-bar d) (22,082 of 326,536 pairs at radius 2), so
-    _series_keys evaluates each once; over Z and the Hurwitz ring nearly
-    every pair has its own key (92-94 %), and the class-row matmuls of
-    _series_rows are faster.  Each kernel is the other's test oracle."""
-    kernel = _series_rows if p.ring.associative else _series_keys
-    return kernel(p, coprime_only)
+    """The truncated series by the kernel that suits the ring and radius.
+    Over the octavians the class rows against the ball hold few distinct
+    keys (|c|^2, c^-bar d) (22,082 of 326,536 pairs at radius 2), so
+    _series_keys evaluates each once, from a table that is built while the
+    pairs number at most _KEY_PAIRS (radius <= 2).  Over Z and the
+    Hurwitz ring nearly every pair has its own key (92-94 %), and the
+    class-row matmuls of _series_rows are faster, as they are for larger
+    octavian balls unless a call repeats many times.  Each kernel is the
+    other's test oracle."""
+    pts2, _, _, reps, _, _ = _ball_data(p.ring, p.radius)
+    keyed = not p.ring.associative and len(reps) * len(pts2) <= _KEY_PAIRS
+    return (_series_keys if keyed else _series_rows)(p, coprime_only)
 
 
 def eisenstein_truncated(p: SeriesParams) -> complex:

@@ -8,6 +8,7 @@ import pytest
 import scipy.special as sps
 from scipy import integrate
 
+from octavia import autoforms
 from octavia.algebra import _mult4, left_mult_matrix, one, right_mult_matrix
 from octavia.autoforms import (
     SeriesParams,
@@ -277,20 +278,32 @@ def test_series_kernels_agree_octavian_radius_3(s):
     assert _kernels_agree(OCTAVIAN, 3, s, False)
 
 
-@pytest.mark.parametrize("bits", [40, 62], ids=["packed-sort", "argsort"])
-def test_distinct_merges_equal_keys(bits):
-    # 40-bit keys with up to 2^17 entries sort as key 2^b + index; 62-bit
-    # keys leave no room for the index and take the argsort
+def test_distinct_merges_equal_keys():
+    # keys of either sign up to 2^62 with up to 2^17 entries
     rng = np.random.default_rng(11)
-    values = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), 3000)
+    values = rng.integers(-(1 << 61), 1 << 61, 3000)
     key = rng.choice(values, 1 << 17)
     mult = rng.integers(1, 50, len(key))
     pair = np.arange(len(key))
-    got_key, got_mult, got_pair = _distinct(key, mult, pair, bits)
+    got_key, got_mult, got_pair = _distinct(key, mult, pair)
     want_key, inv = np.unique(key, return_inverse=True)
     assert np.array_equal(got_key, want_key)
     assert np.array_equal(got_mult, np.bincount(inv.ravel(), mult).astype(np.int64))
     assert np.array_equal(key[got_pair], got_key)
+
+
+def test_series_sum_builds_key_tables_only_while_small(monkeypatch):
+    # octavian radius 3 has 11,455,976 class-row pairs, whose key table
+    # costs more to build than a cold class-row call
+    picked = []
+    for name in ("_series_keys", "_series_rows"):
+        monkeypatch.setattr(autoforms, name, lambda p, coprime_only, name=name:
+                            picked.append((p.ring, p.radius, name)))
+    for ring, radius in ((OCTAVIAN, 1), (OCTAVIAN, 2), (OCTAVIAN, 3), (HURWITZ, 9), (Z, 9)):
+        autoforms._series_sum(SeriesParams(ring, 12.0, radius, _z(ring.dim)))
+    assert picked == [(OCTAVIAN, 1, "_series_keys"), (OCTAVIAN, 2, "_series_keys"),
+                      (OCTAVIAN, 3, "_series_rows"), (HURWITZ, 9, "_series_rows"),
+                      (Z, 9, "_series_rows")]
 
 
 def _void_rows(a):
