@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import AlgElem, _mult2, _mult4, _readonly, _structure_float, one
 from .rings import (
     Ring,
+    _EUCLID_BATCH,
     _conj_sign,
     _decode2,
     _lattice_classes,
@@ -278,12 +279,12 @@ def _key_terms(ring: Ring, radius: int):
     digits are bilinear in (c, d), so one float matmul of the class rows,
     packed through the structure constants, with the ball gives the keys
     of a chunk; its partial sums are integers below the bound checked
-    here, so it is exact.  Chunks of about 16k pairs wait until they hold
-    as many pairs as the table has keys, and then one _distinct merges
-    them in: the build never holds the whole pair set.  The chunks are a
-    quarter of the rings._pair_chunks size because the allocator keeps
-    the build's freed temporaries in the process: at octavian radius 2
-    the RSS stayed 11 MB higher after a build in 64k chunks, 5 MB in 16k.
+    here, so it is exact.  Chunks of rings._EUCLID_BATCH pairs wait until
+    they hold as many pairs as the table has keys, and then one _distinct
+    merges them in: the build never holds the whole pair set.  The chunks
+    stay small because the allocator keeps the build's freed temporaries
+    in the process: at octavian radius 2 the RSS stayed 11 MB higher after
+    a build in 64k chunks, 5 MB in 16k.
 
     Returns (cols, mult, starts, pair) by _by_shell: the terms as the
     columns [2y | k | |d|^2] of one (n + 2, T) array, so that one GEMV
@@ -312,7 +313,7 @@ def _key_terms(ring: Ring, radius: int):
     d2 = pts2[half].T.astype(float)
     table = (np.empty(0, dtype=np.int64),) * 3
     pending, size = [], 0
-    chunk = max(1, (1 << 14) // len(half))
+    chunk = max(1, _EUCLID_BATCH // len(half))
     for lo in range(0, len(reps), chunk):
         hi = min(lo + chunk, len(reps))
         key = (packed[lo:hi] @ d2).astype(np.int64) >> 1
@@ -321,7 +322,7 @@ def _key_terms(ring: Ring, radius: int):
         pending.append((key.ravel(), np.repeat(weight[lo:hi], len(half)),
                         (np.arange(lo * m, hi * m, m)[:, None] + half).ravel()))
         size += key.size
-        if size >= max(len(table[0]), 1 << 14) or hi == len(reps):
+        if size >= max(len(table[0]), _EUCLID_BATCH) or hi == len(reps):
             table = _distinct(*map(np.concatenate, zip(table, *pending)))
             pending, size = [], 0
     # the pairs (c, -d) have the keys (K, -y), stored as the pair -1 -
@@ -350,10 +351,10 @@ def _key_terms(ring: Ring, radius: int):
 def _coprime_key_terms(ring: Ring, radius: int):
     """The terms of _key_terms(ring, radius) whose pairs are left coprime,
     in the same layout: one left_content row per key, on its stored pair,
-    in chunks of 64k rows.  Coprimality is a function of the key (see
-    _coprime_mask), so the stored pair decides for every pair of the key:
-    22,084 Euclid rows at octavian radius 2, where _coprime_mask runs
-    326,536.
+    in chunks of rings._EUCLID_BATCH rows.  Coprimality is a function of
+    the key (see _coprime_mask), so the stored pair decides for every pair
+    of the key: 22,084 Euclid rows at octavian radius 2, where
+    _coprime_mask runs 326,536.
     """
     cols, mult, _, pair = _key_terms(ring, radius)
     pts2, _, _, reps, _, _ = _ball_data(ring, radius)
@@ -361,7 +362,8 @@ def _coprime_key_terms(ring: Ring, radius: int):
     sign = np.where(pair < 0, -1, 1)[:, None]
     coprime = np.concatenate([
         left_content(ring, pts2[reps[i[rows]]], sign[rows] * pts2[j[rows]]) == 4
-        for rows in (slice(lo, lo + (1 << 16)) for lo in range(0, len(pair), 1 << 16))])
+        for rows in (slice(lo, lo + _EUCLID_BATCH)
+                     for lo in range(0, len(pair), _EUCLID_BATCH))])
     return _by_shell(cols[:, coprime], mult[coprime], pair[coprime])
 
 

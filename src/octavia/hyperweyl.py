@@ -483,17 +483,25 @@ def coset_reps(ring: Ring, norm_bound: int):
     quotients and the coprimality, and over an associative ring c' = e c
     for a unit e, so the pair is (e c, e d).  So c runs over the first
     member of each class and d over the whole ball, in chunks through
-    _canonical_rows (one batched Euclid run each).
+    _canonical_rows (one batched Euclid run each).  The chunks' rows wait
+    until there are as many as the table of distinct rows holds, and then
+    one _unique_rows merges them in, so the build holds about twice the
+    classes, never every canonical row.
     """
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
     pts = enumerate_ball(ring, norm_bound)
     reps, _ = _lattice_classes(ring, norm_bound)
-    found = [_unique_rows(_canonical_rows(ring, c2, d2))
-             for _, _, c2, d2 in _pair_chunks(pts[reps], pts)]
     dim = ring.dim
+    table, pending, size = np.empty((0, 2 * dim), dtype=pts.dtype), [], 0
+    for _, hi, c2, d2 in _pair_chunks(pts[reps], pts):
+        pending.append(_canonical_rows(ring, c2, d2))
+        size += len(pending[-1])
+        if size >= len(table) or hi == len(reps):
+            table = _unique_rows(np.concatenate([table, *pending]))
+            pending, size = [], 0
     return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
-            for r in _unique_rows(np.concatenate(found))]
+            for r in table]
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ __all__ = [
 # -- exact linear maps -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinMap:
     """Exact real-linear map of the algebra, rows in doubled coordinates.
 
@@ -508,7 +508,8 @@ def _brandt_closure() -> np.ndarray:
     """The 6048 matrices of H = G2(2)', the group generated by the
     Brandt conjugations: each element of the stabilizer chain of three of
     them is "u_k, then ..., then u_1", one transversal row u_d per level,
-    and its matrix rows are its images of the basis units."""
+    and its matrix rows are its images of the basis units, in int8 (the
+    doubled coordinates of a unit lie in [-2, 2])."""
     _, brandt, _ = octavian_unit_classes()
     codes, units2 = _coded_units()
     images = np.searchsorted(codes, _unit_codes(2 * np.eye(8)))[None]
@@ -517,7 +518,7 @@ def _brandt_closure() -> np.ndarray:
         images = trans[:, images].reshape(-1, 8)
     if len(images) != 6048:
         raise RuntimeError(f"the Brandt closure has {len(images)} elements, expected 6048")
-    return _readonly(units2[images])
+    return _readonly(units2[images].astype(np.int8))
 
 
 @lru_cache(maxsize=None)
@@ -530,8 +531,9 @@ def _g2_stack() -> np.ndarray:
     phi found by _outer_automorphism.  Entries lie in [-2, 2].
     """
     h = _brandt_closure()
-    phi = _outer_automorphism().matrix2()
-    mats = np.concatenate([h, _product2(h, phi)]).astype(np.int8)
+    # entries lie in [-2, 2], so each product sums 8 terms of at most 4
+    # to at most 32 < 127: int8 holds it
+    mats = np.concatenate([h, _product2(h, _outer_automorphism().matrix2().astype(np.int8))])
     if len(set(_keys(mats))) != 12096:
         raise RuntimeError("H u H phi does not have 12096 distinct elements")
     flat = mats.reshape(len(mats), -1)
@@ -540,8 +542,14 @@ def _g2_stack() -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def generate_G2_2() -> tuple:
-    """Aut(O) = G2(2), order 12 096, sorted by rows2 (see _g2_stack)."""
-    return tuple(LinMap(8, tuple(map(tuple, m.tolist()))) for m in _g2_stack())
+    """Aut(O) = G2(2), order 12 096, sorted by rows2 (see _g2_stack).
+
+    An automorphism fixes 1 and maps e1..e7 to imaginary units, so the
+    maps share 127 row tuples: the image of 1 and the 126 imaginary units.
+    """
+    rows = {}
+    return tuple(LinMap(8, tuple(rows.setdefault(r, r) for r in map(tuple, m.tolist())))
+                 for m in _g2_stack())
 
 
 @lru_cache(maxsize=None)

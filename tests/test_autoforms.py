@@ -1,6 +1,7 @@
 """Truncated Eisenstein series, Fourier modes, Bessel and Green kernels."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -419,6 +420,20 @@ def test_reduced_mask_is_representative_rows(ring, radius):
     # c = 0 alone, and the classes cover the ball once
     assert reps[0] == 0 and weight[0] == 1
     assert weight.sum() == len(pts2)
+
+
+def test_coprime_mask_memory_is_one_euclid_batch():
+    # Hurwitz radius 9: 40 class rows against 937 points, 37,480 pairs;
+    # in one 64k-pair batch the build peaked at about 15 MB
+    _ball_data(HURWITZ, 9)
+    tracemalloc.start()
+    try:
+        mask = autoforms._coprime_mask.__wrapped__(HURWITZ, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask, _coprime_mask(HURWITZ, 9)) and mask.shape == (40, 937)
+    assert peak < 10 * 2 ** 20
 
 
 def _class_members(ring, pts2, i):

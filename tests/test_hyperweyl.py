@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -399,6 +400,24 @@ def test_octavian_coset_reps_bound_2():
     assert rows.shape == (21842, 16)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "859e92aca4c2aef57a335ef5bd27a3e07cbc830df6fcf6f82a65d3a74cb5aa0e")
+
+
+@pytest.mark.heavy
+def test_octavian_coset_reps_bound_3():
+    # 1,257 class rows against the 9,121 points of the ball: 11.5M
+    # canonical rows, 337,682 classes; 80-105 s under tracemalloc, with a
+    # traced peak of about 260 MB
+    tracemalloc.start()
+    try:
+        reps = coset_reps(OCTAVIAN, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 30
+    rows = np.array([c.coords2 + d.coords2 for c, d in reps], dtype="<i8")
+    assert rows.shape == (337682, 16)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "d71a485c5782dcc1ae6f52968957c0a043dc30f8db3dcab8def65fe1c17dc0e6")
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -317,6 +318,38 @@ def test_g2_order_and_multiplicativity(rng):
     assert hashlib.sha256(rows.tobytes()).hexdigest() == G2_DIGEST
     for _ in range(5):
         assert is_automorphism_map(rng.choice(maps))
+
+
+def test_g2_stack_matches_the_int64_build():
+    # the oracle builds H u H phi in int64 and sorts it by rows2, as the
+    # stack was built before H was kept in int8
+    h = rootsys._brandt_closure()
+    assert h.dtype == np.int8
+    h = h.astype(np.int64)
+    mats = np.concatenate([h, rootsys._product2(h, rootsys._outer_automorphism().matrix2())])
+    mats = mats[np.lexsort(mats.reshape(len(mats), -1).T[::-1])]
+    stack = rootsys._g2_stack()
+    assert stack.dtype == np.int8
+    assert stack.tobytes() == mats.astype(np.int8).tobytes()
+
+
+def test_g2_maps_share_their_rows():
+    # a cold build of H, the stack and the maps; the unit tables and the
+    # outer automorphism stay warm
+    rootsys._outer_automorphism()
+    for fn in (generate_G2_2, rootsys._g2_stack, rootsys._brandt_closure):
+        fn.cache_clear()
+    tracemalloc.start()
+    try:
+        maps = generate_G2_2()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a row tuple per map, a __dict__ per LinMap and H in int64 kept 15.6 MB
+    assert retained < 4 * 2 ** 20
+    # 1 and the 126 imaginary units
+    assert len({id(row) for m in maps for row in m.rows2}) == 127
+    assert not hasattr(maps[0], "__dict__")
 
 
 def nested_conjugation(seq, x: AlgElem) -> AlgElem:
