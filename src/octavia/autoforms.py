@@ -18,14 +18,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgElem, _mult2, _mult4, _readonly, _structure_float, one
+from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
 from .rings import (
     Ring,
     _EUCLID_BATCH,
-    _conj_sign,
+    _cbar_packing,
     _decode2,
+    _distinct,
     _lattice_classes,
+    _merge_distinct,
     _pair_chunks,
+    _require_int,
     enumerate_ball,
     left_content,
     shell_counts,
@@ -93,13 +96,6 @@ def _require_finite_s(s) -> None:
         raise ValueError("s must be finite")
 
 
-def _require_int(name: str, value) -> None:
-    """ValueError unless value is a Python or numpy integer: a float radius
-    or grid would truncate or tick at the wrong places without an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
 # -- modular pair bookkeeping ------------------------------------------------
 
 
@@ -128,11 +124,6 @@ def _ball_data(ring: Ring, radius: int):
     `weight` (rings._lattice_classes), and the shell keys max(|c|^2,
     |d|^2) of each row against each shell segment of _d_side(ring,
     radius), where _series_sum bins the row's per-shell sums.
-
-    The row of c, its d-sums per shell and its coprime mask, depends only
-    on |c|^2 and the lattice c^-bar O, since cu + d = c (u + c^-1 d) and
-    the left Euclid chain on (d, c) runs on c^-1 d alone; so each class
-    needs one row, counted with its size.
     """
     pts2 = enumerate_ball(ring, radius)
     pts = pts2.astype(float) / 2.0
@@ -147,18 +138,12 @@ def _ball_data(ring: Ring, radius: int):
 def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     """Left coprimality of the pairs (c, d) = (pts[reps[i]], pts[j]) of the
     truncation ball, one row per lattice class of c (_ball_data), as a
-    read-only (len(reps), m) boolean array.
-
-    A member c' of the class of c has the row of c under d <-> d' =
-    c'(c^-1 d): the left Euclid chain on (d, c) maps t = c^-1 p to
-    (q - t)^-1 with q = nearest(t) at each step, since (c y)^-1 c = y^-1
-    in an alternative algebra, and its remainder norms are |c|^2 times
-    functions of c^-1 d.  So _decode2 sees the same input, ties included,
-    and the last remainder is a unit for both or for neither.  (A unit
-    pair action (c, d) -> (e c, e d) with e non-central would change the
-    content of some octavian pairs; the classes do not use it.)  The mask
-    does not depend on the point z, so it is built once per
-    (ring, radius).
+    read-only (len(reps), m) boolean array: a member c' of the class has
+    the row of c under d <-> d' = c'(c^-1 d) (rings._lattice_classes).
+    (A unit pair action (c, d) -> (e c, e d) with e non-central would
+    change the content of some octavian pairs; the classes do not use
+    it.)  The mask does not depend on the point z, so it is built once
+    per (ring, radius).
     """
     pts2, _, _, reps, _, _ = _ball_data(ring, radius)
     mask = np.empty((len(reps), len(pts2)), dtype=bool)
@@ -184,15 +169,8 @@ def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
 def _series_rows(p: SeriesParams, coprime_only: bool = False) -> complex:
     """Shell-major compensated sum of v^s / |cz+d|^(2s), one class row of
     c against the whole d-ball at a time: the kernel of the associative
-    rings (_series_sum).
-
-    The term depends only on |cz + d|^2 = |c|^2 (|u + x|^2 + v^2) with
-    x = c^-1 d, and its shell on max(|c|^2, |d|^2 = |c|^2 |x|^2); x runs
-    over the lattice c^-1 O = c^-bar O / |c|^2 as d runs over the ring,
-    and coprimality is a function of x too (_coprime_mask).  So c runs
-    over one row per lattice class c^-bar O (_ball_data), times the
-    class size: the d-sums of a member c' equal those of the row under
-    d <-> d' = c'(c^-1 d), which keeps |d|.
+    rings (_series_sum).  c runs over one row per lattice class c^-bar O
+    (_ball_data, rings._lattice_classes), times the class size.
 
     Representative rows go in chunks of about 64k pairs.  The
     denominators of a chunk are one matmul of augmented rows,
@@ -239,16 +217,6 @@ def _series_rows(p: SeriesParams, coprime_only: bool = False) -> complex:
     return np.exp(s * np.log(v)) * total
 
 
-def _distinct(key: np.ndarray, mult: np.ndarray, pair: np.ndarray):
-    """The distinct values of key in increasing order, each with the sum
-    of its multiplicities and one of its pairs (any one: they share the
-    term and its coprimality)."""
-    order = key.argsort()
-    key = key[order]
-    head = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
-    return key[head], np.add.reduceat(mult[order], head), pair[order[head]]
-
-
 def _by_shell(cols: np.ndarray, mult: np.ndarray, pair: np.ndarray):
     """(cols, mult, starts, pair) for terms sorted by shell max(k, |d|^2),
     read-only, with the multiplicities as floats: starts holds the first
@@ -266,25 +234,17 @@ def _key_terms(ring: Ring, radius: int):
 
     For c != 0 the term depends only on the key, |cu + d|^2 + |c|^2 v^2 =
     (2y, u) + k (|u|^2 + v^2) + |d|^2 with |d|^2 = |y|^2 / k, by the
-    alternative law c (c^-bar x) = |c|^2 x (Feingold, Kleinschmidt and
-    Nicolai, arXiv:0805.3018), and so does the left coprimality of (d, c)
-    (see _coprime_mask).  For c = 0 it depends on |d|^2, so every key
-    carries |d|^2.  The pairs are the class rows of _ball_data against the
-    ball, counted with their class sizes; (c, -d) has the key (k, -y), so
-    the rows run against one d of each pair +-d, and the table is merged
-    with its mirror image.
+    alternative law c (c^-bar x) = |c|^2 x, and so does the left
+    coprimality of (d, c) (see _coprime_mask).  For c = 0 it depends on
+    |d|^2, so every key carries |d|^2.  The pairs are the class rows of
+    _ball_data against the ball, counted with their class sizes; (c, -d)
+    has the key (k, -y), so the rows run against one d of each pair +-d,
+    and the table is merged with its mirror image.
 
     A key is one integer: K = k (radius + 1) + |d|^2 above the digits of
-    2y in balanced base lim = 4 radius + 1 (|2y|_i <= 2 |c| |d|).  The
-    digits are bilinear in (c, d), so one float matmul of the class rows,
-    packed through the structure constants, with the ball gives the keys
-    of a chunk; its partial sums are integers below the bound checked
-    here, so it is exact.  Chunks of rings._EUCLID_BATCH pairs wait until
-    they hold as many pairs as the table has keys, and then one _distinct
-    merges them in: the build never holds the whole pair set.  The chunks
-    stay small because the allocator keeps the build's freed temporaries
-    in the process: at octavian radius 2 the RSS stayed 11 MB higher after
-    a build in 64k chunks, 5 MB in 16k.
+    2y in balanced base lim = 4 radius + 1 (|2y|_i <= 2 |c| |d|), packed
+    by rings._cbar_packing, in chunks of rings._EUCLID_BATCH pairs merged
+    as they arrive (rings._merge_distinct).
 
     Returns (cols, mult, starts, pair) by _by_shell: the terms as the
     columns [2y | k | |d|^2] of one (n + 2, T) array, so that one GEMV
@@ -299,10 +259,8 @@ def _key_terms(ring: Ring, radius: int):
     shell = np.rint(nrm).astype(np.int64)
     lim = 4 * radius + 1
     base = lim ** n  # the weight of K
-    eye = np.eye(n, dtype=np.int64)
-    prod = _mult4(np.repeat(eye, n, axis=0), np.tile(eye, (n, 1))).reshape(n, n, n)
     # the digits of 4 c^-bar d = 2 (2y) of the pair (c, d) are packed[c] . d2
-    packed = pts2[reps] @ ((prod @ lim ** np.arange(n)) * _conj_sign(n)[:, None])
+    packed = pts2[reps] @ _cbar_packing(n, lim)
     if (int(np.abs(packed).max()) * int(np.abs(pts2).sum(axis=1).max()) >= 2 ** 53
             or base * (radius + 1) ** 2 >= 2 ** 62):
         raise OverflowError("series keys would exceed 2^53 or 2^62; the float "
@@ -311,24 +269,21 @@ def _key_terms(ring: Ring, radius: int):
     # one of each pair +-d, d != 0: the first nonzero coordinate positive
     half = np.flatnonzero(pts2[np.arange(m), (pts2 != 0).argmax(axis=1)] > 0)
     d2 = pts2[half].T.astype(float)
-    table = (np.empty(0, dtype=np.int64),) * 3
-    pending, size = [], 0
     chunk = max(1, _EUCLID_BATCH // len(half))
-    for lo in range(0, len(reps), chunk):
-        hi = min(lo + chunk, len(reps))
-        key = (packed[lo:hi] @ d2).astype(np.int64) >> 1
-        key += base * shell[half]
-        key += (base * (radius + 1) * shell[reps[lo:hi]])[:, None]
-        pending.append((key.ravel(), np.repeat(weight[lo:hi], len(half)),
-                        (np.arange(lo * m, hi * m, m)[:, None] + half).ravel()))
-        size += key.size
-        if size >= max(len(table[0]), _EUCLID_BATCH) or hi == len(reps):
-            table = _distinct(*map(np.concatenate, zip(table, *pending)))
-            pending, size = [], 0
+
+    def chunks():
+        for lo in range(0, len(reps), chunk):
+            hi = min(lo + chunk, len(reps))
+            key = (packed[lo:hi] @ d2).astype(np.int64) >> 1
+            key += base * shell[half]
+            key += (base * (radius + 1) * shell[reps[lo:hi]])[:, None]
+            yield (key.ravel(), np.repeat(weight[lo:hi], len(half)),
+                   (np.arange(lo * m, hi * m, m)[:, None] + half).ravel())
+
+    key, mult, pair = _merge_distinct(chunks())
     # the pairs (c, -d) have the keys (K, -y), stored as the pair -1 -
     # (i m + j), and the pairs (c, 0), c != 0, the keys (K, 0); (0, 0),
     # which the series leaves out, has none
-    key, mult, pair = table
     top = (key + (base - 1) // 2) // base
     key, mult, pair = _distinct(
         np.concatenate([key, 2 * base * top - key,
@@ -450,7 +405,6 @@ def poincare_via_words(p: SeriesParams) -> complex:
 
 def zeta_partial(ring: Ring, s: complex, n_max: int) -> complex:
     """Partial sum of sum_{a != 0} (|a|^2)^(-s) = sum_k sigma(k) k^(-s)."""
-    _require_int("n_max", n_max)
     counts = shell_counts(ring, n_max)
     s = complex(s)
     ks = np.arange(1, n_max + 1, dtype=float)

@@ -42,7 +42,9 @@ from .rings import (
     _euclid_rows,
     _exact_rows,
     _lattice_classes,
+    _merge_distinct,
     _pair_chunks,
+    _require_int,
     _unit_orbit_min,
     enumerate_ball,
     is_in_commutator_ideal,
@@ -483,32 +485,31 @@ def coset_reps(ring: Ring, norm_bound: int):
     quotients and the coprimality, and over an associative ring c' = e c
     for a unit e, so the pair is (e c, e d).  So c runs over the first
     member of each class and d over the whole ball, in chunks through
-    _canonical_rows (one batched Euclid run each).  The chunks' rows wait
-    until there are as many as the table of distinct rows holds, and then
-    one _unique_rows merges them in, so the build holds about twice the
-    classes, never every canonical row.
+    _canonical_rows (one batched Euclid run each).  A canonical row keeps
+    the norms of its pair, so its doubled coordinates lie within
+    h = isqrt(4 norm_bound), and each row is one int64 key (_row_weights
+    in base 2h + 1); the chunks are merged by key as they arrive
+    (rings._merge_distinct).
     """
+    _require_int("norm_bound", norm_bound)
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
+    dim, h = ring.dim, math.isqrt(4 * norm_bound)
+    weights = _row_weights(2 * h + 1, 2 * dim)
     pts = enumerate_ball(ring, norm_bound)
     reps, _ = _lattice_classes(ring, norm_bound)
-    dim = ring.dim
-    table, pending, size = np.empty((0, 2 * dim), dtype=pts.dtype), [], 0
-    for _, hi, c2, d2 in _pair_chunks(pts[reps], pts):
-        pending.append(_canonical_rows(ring, c2, d2))
-        size += len(pending[-1])
-        if size >= len(table) or hi == len(reps):
-            table = _unique_rows(np.concatenate([table, *pending]))
-            pending, size = [], 0
+    rows = (_canonical_rows(ring, c2, d2) for _, _, c2, d2 in _pair_chunks(pts[reps], pts))
+    # the rows carry no multiplicity: a dummy stands in for it
+    _, _, table = _merge_distinct(((r + h) @ weights, np.zeros(len(r), np.int8), r)
+                                  for r in rows)
     return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
             for r in table]
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array in lexicographic order, as
-    np.unique(rows, axis=0) gives them: one lexsort, and a row is kept
-    where it differs from the one before."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+def _row_weights(lim: int, width: int) -> np.ndarray:
+    """The weights lim^(width - 1), ..., 1 that pack a row of digits in
+    [0, lim) into one int64 in the lexicographic order of the rows;
+    OverflowError when lim^width reaches 2^63."""
+    if lim ** width >= 2 ** 63:
+        raise OverflowError(f"rows of {width} digits in base {lim} do not fit in int64")
+    return lim ** np.arange(width - 1, -1, -1, dtype=np.int64)

@@ -126,6 +126,14 @@ def ring_by_name(name: str) -> Ring:
         raise ValueError(f"unknown ring {name!r}; expected one of {sorted(_RINGS)}")
 
 
+def _require_int(name: str, value) -> None:
+    """ValueError unless value is a Python or numpy integer: a float bound,
+    radius or grid would truncate or tick at the wrong places without an
+    error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _elem(dim, coords2):
     return AlgElem.from_coords2(dim, coords2)
 
@@ -369,28 +377,20 @@ def _class_keys(ring: Ring, pts2: np.ndarray) -> np.ndarray:
     """One exact integer key row per row c2 = 2c of pts2: the sorted
     minimal vectors c^-bar e (e a unit) of the lattice c^-bar O, each
     packed into one integer, so two rows share a key iff they span the
-    same lattice (c = 0: the zero row).
-
-    The digits are the coordinates of 4 c^-bar e = sum_i conj(c2)_i
-    (e_i * 2e), integers of absolute value at most h = isqrt(4 |c2|^2),
-    packed in balanced base lim = 2h + 1, which is one-to-one.  The packing is linear in c2,
-    so one float matmul pts2 @ t gives all keys; every partial sum of a
-    key is an integer below |c2|_1 max|t| in absolute value, so the
-    matmul is exact whatever its order while that bound is below 2^53.
-    Beyond it the keys raise OverflowError rather than round.
-    """
+    same lattice (c = 0: the zero row).  The digits of 4 c^-bar e lie
+    within h = isqrt(4 |c2|^2), packed by _cbar_packing in base
+    lim = 2h + 1; past the float bound the keys raise OverflowError."""
     dim = ring.dim
     e2 = enumerate_ball(ring, 1)[1:]  # the doubled units
     n4 = int((pts2 * pts2).sum(axis=1).max(initial=0))
     lim = 2 * math.isqrt(4 * n4) + 1
-    powers = [lim ** k for k in range(dim)]
-    # |e_i * 2e| <= 2 entrywise, so |t| <= 2 sum(powers)
-    if int(np.abs(pts2).sum(axis=1).max(initial=0)) * 2 * sum(powers) >= 2 ** 53:
+    # t[i, e] packs conj(e_i) (2e), whose entries are at most 2, so
+    # |t| <= 2 sum(lim^k)
+    if int(np.abs(pts2).sum(axis=1).max(initial=0)) * 2 * sum(
+            lim ** k for k in range(dim)) >= 2 ** 53:
         raise OverflowError("class keys would exceed 2^53; the float matmul "
                             "would round them")
-    eye = np.tile(np.eye(dim, dtype=np.int64), (len(e2), 1))
-    digits = _mult4(eye, np.repeat(e2, dim, axis=0)).reshape(len(e2), dim, dim)
-    t = (digits @ np.array(powers)).T * _conj_sign(dim)[:, None]  # [i, e]
+    t = _cbar_packing(dim, lim) @ e2.T  # [i, e]
     keys = (pts2 @ t.astype(float)).astype(np.int64)
     keys.sort(axis=1)
     return keys
@@ -655,13 +655,15 @@ def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4)
 # -- lattice enumeration and shell counts ----------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     """Doubled coordinates of all ring elements with |x|^2 <= max_norm.
 
     Returns an int array sorted shell-major (then lexicographically); the
-    zero element is included.
+    zero element is included.  The cache is typed, so a float bound never
+    meets the entry of an equal int and always raises ValueError.
     """
+    _require_int("max_norm", max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
     dim = ring.dim
@@ -682,11 +684,13 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     return _readonly(pts[order])
 
 
-# Pairs per numpy Euclid batch.  A batch's temporaries set the peak
-# memory of a mask or coset build, while no batch size from 4k to 64k
+# Pairs per numpy Euclid batch, and the floor of _merge_distinct.  A
+# batch's temporaries set the peak memory of a build, and the allocator
+# keeps them: the RSS stayed 11 MB higher after the octavian radius 2 key
+# table was built in 64k chunks, 5 MB in 16k.  No size from 4k to 64k
 # pairs was measurably faster: the Hurwitz radius 9 coprime mask (37,480
-# pairs) took 42-80 ms warm at each, and its traced peak was 15.1 MB in
-# one 64k batch and 6.9 MB in 16k batches.
+# pairs) took 42-80 ms warm at each, with a traced peak of 15.1 MB in one
+# 64k batch and 6.9 MB in 16k batches.
 _EUCLID_BATCH = 1 << 14
 
 
@@ -700,19 +704,16 @@ def _pair_chunks(cs: np.ndarray, ds: np.ndarray):
         yield lo, hi, np.repeat(cs[lo:hi], m, axis=0), np.tile(ds, (hi - lo, 1))
 
 
-def ball_elements(ring: Ring, max_norm: int, include_zero: bool = False) -> list[AlgElem]:
-    """Ring elements with 0 < |x|^2 <= max_norm (optionally including 0)."""
-    pts = enumerate_ball(ring, max_norm)
-    out = [_elem(ring.dim, row) for row in pts]
-    if not include_zero:
-        out = [x for x in out if not x.is_zero()]
-    return out
+def ball_elements(ring: Ring, max_norm: int) -> list[AlgElem]:
+    """Ring elements with 0 < |x|^2 <= max_norm."""
+    return [_elem(ring.dim, row) for row in enumerate_ball(ring, max_norm)[1:]]
 
 
 def shell_counts(ring: Ring, n_max: int) -> list[int]:
     """sigma(k) = #{a in ring : |a|^2 = k} for k = 1..n_max by the sieve
     ring.shells: Z 2 per square, Hurwitz 24 times the sum of the odd
     divisors of k, octavians 240 times the sum of the cubed divisors."""
+    _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     factor, power, step = ring.shells
@@ -723,6 +724,48 @@ def shell_counts(ring: Ring, n_max: int) -> list[int]:
     else:
         counts[np.arange(1, math.isqrt(n_max) + 1) ** 2] = factor
     return [int(c) for c in counts[1:]]
+
+
+# -- distinct keys of lattice pairs ------------------------------------------
+
+
+def _distinct(key: np.ndarray, mult: np.ndarray, item: np.ndarray):
+    """The distinct values of key in increasing order, each with the sum
+    of its multiplicities and one of its items (any one: the callers'
+    items agree wherever it matters)."""
+    order = key.argsort()
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    return key[head], np.add.reduceat(mult[order], head), item[order[head]]
+
+
+def _merge_distinct(chunks):
+    """_distinct of the concatenation of a stream of one or more (key,
+    mult, item) chunks, without holding the whole stream: the chunks wait
+    until they hold as many entries as the running table, and at least
+    _EUCLID_BATCH, and then one _distinct merges them in.  So the build
+    holds about twice the table, and the sorts take in at most three times
+    the entries of the stream."""
+    parts, size, floor = [], 0, _EUCLID_BATCH
+    for chunk in chunks:
+        parts.append(chunk)
+        size += len(chunk[0])
+        if size >= floor:
+            parts = [_distinct(*map(np.concatenate, zip(*parts)))]
+            size, floor = 0, max(len(parts[0][0]), _EUCLID_BATCH)
+    return _distinct(*map(np.concatenate, zip(*parts)))
+
+
+def _cbar_packing(dim: int, lim: int) -> np.ndarray:
+    """The (dim, dim) integer matrix P with (c2 @ P) @ x2 = sum_k lim^k
+    (4 c^-bar x)_k for doubled coordinates c2 = 2c and x2 = 2x, one-to-one
+    while every |(4 c^-bar x)_k| <= lim // 2.  It is bilinear, so one
+    float matmul of the rows c2 @ P with a stack of x2 packs a block; its
+    partial sums are integers, so it is exact in any order while they
+    stay below 2^53, a bound each caller checks on its own inputs."""
+    eye = np.eye(dim, dtype=np.int64)
+    prod = _mult4(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1))).reshape(dim, dim, dim)
+    return (prod @ lim ** np.arange(dim)) * _conj_sign(dim)[:, None]
 
 
 # -- Hurwitz commutator ideal ----------------------------------------------

@@ -6,8 +6,8 @@ automorphism group G2(2) = Aut(O) as H u H phi, where H is the group of
 the Brandt conjugations (the index-2 derived subgroup) and phi one outer
 automorphism; the even Weyl groups W+(D4), W+(E7) and W+(E8) with their
 normal forms, together with the nested conjugation automorphism
-criterion and its unit corollary.  H and the orders of W+(E7) and W+(E8)
-come from stabilizer chains on the 240 unit octavians.
+criterion and its unit corollary.  H and the orders of W+(D4), W+(E7)
+and W+(E8) come from stabilizer chains on the units of the ring.
 """
 
 from __future__ import annotations
@@ -198,20 +198,28 @@ def is_automorphism_map(m: LinMap) -> bool:
     return bool(np.array_equal(lhs, 2 * sgn.reshape(-1, 1) * r[idx.reshape(-1)]))
 
 
-# -- stabilizer chains on the 240 unit octavians ----------------------------
+# -- stabilizer chains on the ring units ------------------------------------
+
+
+# The ring whose units a chain on dim x dim matrices runs on, and their
+# name in errors.
+_CHAIN_UNITS = {4: (HURWITZ, "Hurwitz units"), 8: (OCTAVIAN, "unit octavians")}
 
 
 def _unit_codes(x2: np.ndarray) -> np.ndarray:
     """Base-5 integer code of each row of doubled unit coordinates
-    (entries in [-2, 2]); the code of -x is 5^8 - 1 minus that of x."""
-    return (np.asarray(x2, dtype=np.int64) + 2) @ 5 ** np.arange(8, dtype=np.int64)
+    (entries in [-2, 2]), the first coordinate least significant; the
+    code of -x is 5^dim - 1 minus that of x."""
+    x2 = np.asarray(x2, dtype=np.int64)
+    return (x2 + 2) @ 5 ** np.arange(x2.shape[-1], dtype=np.int64)
 
 
-@lru_cache(maxsize=1)
-def _coded_units() -> tuple:
-    """The sorted _unit_codes of the 240 unit octavians and their doubled
-    coordinates in that order: point i of a chain is unit i."""
-    units2 = np.array([u.coords2 for u in units(OCTAVIAN)], dtype=np.int64)
+@lru_cache(maxsize=None)
+def _coded_units(dim: int) -> tuple:
+    """The sorted _unit_codes of the units of the ring of _CHAIN_UNITS[dim]
+    and their doubled coordinates in that order: point i of a chain is
+    unit i."""
+    units2 = np.array([u.coords2 for u in units(_CHAIN_UNITS[dim][0])], dtype=np.int64)
     codes = _unit_codes(units2)
     order = np.argsort(codes)
     return _readonly(codes[order]), _readonly(units2[order])
@@ -220,14 +228,16 @@ def _coded_units() -> tuple:
 def _unit_perms(mats) -> np.ndarray:
     """Row k maps point i to the unit x_i mats[k] / 2; ValueError unless
     every doubled-coordinate matrix permutes the units."""
-    codes, units2 = _coded_units()
-    img = units2 @ np.asarray(mats, dtype=np.int64)  # twice the doubled images
+    mats = np.asarray(mats, dtype=np.int64)
+    dim = mats.shape[-1]
+    codes, units2 = _coded_units(dim)
+    img = units2 @ mats  # twice the doubled images
     found = _unit_codes(img // 2)
-    perms = np.searchsorted(codes, found).clip(max=239)
+    perms = np.searchsorted(codes, found).clip(max=len(codes) - 1)
     # the codes are exact on [-2, 2], the range of a doubled unit coordinate
     if (np.any(img % 2) or np.abs(img).max() > 4 or np.any(codes[perms] != found)
-            or np.any(np.sort(perms, axis=-1) != np.arange(240))):
-        raise ValueError("a matrix does not permute the unit octavians")
+            or np.any(np.sort(perms, axis=-1) != np.arange(len(codes)))):
+        raise ValueError(f"a matrix does not permute the {_CHAIN_UNITS[dim][1]}")
     return perms
 
 
@@ -236,25 +246,28 @@ def _sift(chain, perms: np.ndarray, start: int = 0) -> tuple:
     residues, and the level where each left the orbit (len(chain) if none
     did).  A row p maps i to p[i], so "p, then q" is q[p]."""
     perms, stop, live = perms.copy(), np.full(len(perms), len(chain)), np.arange(len(perms))
+    n = perms.shape[1]
     for depth, (point, _, inv, where) in enumerate(chain[start:], start):
         pos = where[perms[live, point]]
         stop[live[pos < 0]] = depth
         live, pos = live[pos >= 0], pos[pos >= 0]
-        perms[live] = inv.ravel()[pos[:, None] * 240 + perms[live]]  # row, then inv[pos]
+        perms[live] = inv.ravel()[pos[:, None] * n + perms[live]]  # row, then inv[pos]
     return perms, stop
 
 
 def _stabilizer_chain(mats) -> tuple:
     """Deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory (2005) 4.4.2) for the group of a stack of
-    doubled-coordinate matrices on the 240 unit octavians, which span R^8.
+    doubled-coordinate matrices on the units of their ring (_CHAIN_UNITS:
+    the 24 Hurwitz units or the 240 unit octavians), which span the algebra.
     Level d is (point, trans, inv, where): trans[k] maps the base point to
     orbit point k, inv[k] is its inverse, where[x] the k of x (-1 off the
     orbit).  Sifting u_x g through its level gives the Schreier generator
     u_x g u_{g(x)}^{-1}; the input sifts as a level above the first.  The
     first residue that is not the identity joins every level it reached,
     and a new level's base point is the first point it moves."""
-    perms, ident = _unit_perms(mats), np.arange(240)
+    perms = _unit_perms(mats)
+    ident = np.arange(perms.shape[1])
     gens, chain, depth = [], [], -1
     while True:
         # one batch per generator g: the rows u_x g for every orbit point x
@@ -274,7 +287,7 @@ def _stabilizer_chain(mats) -> tuple:
             chain.append((int(np.flatnonzero(h != ident)[0]),))
         for d in range(depth + 1, reached + 1):
             gens[d].append(h)
-            point, where, trans = chain[d][0], np.full(240, -1), [ident]
+            point, where, trans = chain[d][0], np.full(len(ident), -1), [ident]
             where[point] = 0
             for u in trans:  # the orbit of point, breadth first
                 for g in gens[d]:
@@ -402,8 +415,14 @@ def _qset() -> tuple:
 
 def d4_even_element(a: AlgElem, b: AlgElem) -> LinMap:
     """The even Weyl element x -> a x b, admissible only when ab lies in
-    the quaternion group {+-1, +-e1, +-e5, +-e6} (triality elements are
-    rejected)."""
+    the quaternion group Q8 = {+-1, +-e1, +-e5, +-e6} (triality elements
+    are rejected).
+
+    These 96 maps form the group W+(D4) of the 24 Hurwitz elements of
+    norm 2.  It is conjugate under triality to the group generated by
+    the products of reflections in the roots all_roots("d4"), the 24
+    units, which is {x -> a x b : a conj(b) in Q8}; the two share 32
+    elements.  Which of them the paper's convention means is open."""
     for u in (a, b):
         if not is_unit(HURWITZ, u):
             raise ValueError("a, b must be Hurwitz units")
@@ -413,10 +432,13 @@ def d4_even_element(a: AlgElem, b: AlgElem) -> LinMap:
 
 
 def d4_even_count() -> int:
-    """|W+(D4)| by enumerating admissible bimultiplications mod (a,b)~(-a,-b)."""
-    qset = set(_qset())
-    return len({_bimult_map(a, b).key() for a in units(HURWITZ) for b in units(HURWITZ)
-                if cd_multiply(a, b) in qset})
+    """|W+(D4)| = 96, the group of d4_even_element: the order of the
+    stabilizer chain of its generators, the conjugations x -> a x conj(a)
+    and the right multiplications x -> x q, q in Q8, since x -> a x b is
+    x -> (a x conj(a)) q with q = ab."""
+    gens = ([d4_even_element(a, conj(a)) for a in units(HURWITZ)]
+            + [d4_even_element(one(4), q) for q in _qset()])
+    return _order(_stabilizer_chain(np.stack([g.matrix2() for g in gens])))
 
 
 def s_relation_composite() -> LinMap:
@@ -511,7 +533,7 @@ def _brandt_closure() -> np.ndarray:
     and its matrix rows are its images of the basis units, in int8 (the
     doubled coordinates of a unit lie in [-2, 2])."""
     _, brandt, _ = octavian_unit_classes()
-    codes, units2 = _coded_units()
+    codes, units2 = _coded_units(8)
     images = np.searchsorted(codes, _unit_codes(2 * np.eye(8)))[None]
     for _, trans, _, _ in reversed(_stabilizer_chain(np.stack(
             [brandt_conjugation(brandt[i]).matrix2() for i in _BRANDT_GENERATORS]))):
@@ -600,7 +622,7 @@ def _imaginary_factor_table() -> tuple:
     """
     # int8 holds every doubled product coordinate (|sums| <= 8 * 2 * 2)
     imag2 = np.array([g.coords2 for g in imaginary_units()], dtype=np.int8)
-    n, codes = len(imag2), _coded_units()[0]
+    n, codes = len(imag2), _coded_units(8)[0]
     prod = np.searchsorted(codes, _unit_codes(
         _mult2(np.repeat(imag2, n, axis=0), np.tile(imag2, (n, 1)))))
     first = np.full(len(codes), n * n)

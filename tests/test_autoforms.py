@@ -16,7 +16,6 @@ from octavia.autoforms import (
     _ball_data,
     _coprime_key_terms,
     _coprime_mask,
-    _distinct,
     _grid_maps,
     _grid_orbits,
     _in_dual_lattice,
@@ -47,6 +46,7 @@ from octavia.rings import (
     OCTAVIAN,
     Z,
     _conj_sign,
+    _distinct,
     _mult2,
     enumerate_ball,
     left_content,

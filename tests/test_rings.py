@@ -20,6 +20,7 @@ from octavia.algebra import (
     AlgElem,
     _compiled,
     _mult2,
+    _mult4,
     basis_unit,
     cd_multiply,
     conj,
@@ -30,7 +31,9 @@ from octavia.algebra import (
 )
 import octavia
 from octavia.rings import (
+    _EUCLID_BATCH,
     EuclTrace,
+    _cbar_packing,
     _class_keys,
     _conj_sign,
     _cosets,
@@ -40,6 +43,7 @@ from octavia.rings import (
     _euclid_rows,
     _exact_rows,
     _lattice_classes,
+    _merge_distinct,
     _nearest2,
     _unit_orbit_min,
     HURWITZ,
@@ -546,6 +550,7 @@ CACHE_ARGS = {
     "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
+    "_coded_units": (4,),
     "sandwich_map": (basis_unit(8, 3),),
     "right_mult_map": (basis_unit(8, 3),),
     "root_basis": ("e8",),
@@ -835,6 +840,49 @@ def test_lattice_classes_match_exact_minimal_vector_sets(ring, radius):
     reps, weight = _lattice_classes(ring, radius)
     expect_reps, expect_weight = _minimal_vector_classes(ring, radius)
     assert np.array_equal(reps, expect_reps) and np.array_equal(weight, expect_weight)
+
+
+def test_merge_distinct_matches_np_unique():
+    # streams of (key, mult, item) chunks: sizes on both sides of the
+    # merge floor, a first chunk below it, empty chunks, one chunk alone
+    rng = np.random.default_rng(29)
+    sizes = [[5], [0, 7], [3, _EUCLID_BATCH - 3, 1, 0, 2 * _EUCLID_BATCH + 5, 11],
+             [_EUCLID_BATCH // 2] * 9 + [3 * _EUCLID_BATCH, 1]]
+    for spread in (50, 1 << 40):
+        for lens in sizes:
+            chunks = [(rng.integers(-spread, spread, n), rng.integers(1, 9, n),
+                       rng.integers(0, 1 << 30, n)) for n in lens]
+            key, mult, item = _merge_distinct(iter(chunks))
+            all_key, all_mult, all_item = map(np.concatenate, zip(*chunks))
+            want, inv = np.unique(all_key, return_inverse=True)
+            assert np.array_equal(key, want)
+            assert np.array_equal(mult, np.bincount(inv.ravel(), all_mult))
+            # each key keeps an item of one of its entries
+            assert all(i in set(all_item[all_key == k]) for k, i in
+                       zip(key[::max(1, len(key) // 50)], item[::max(1, len(key) // 50)]))
+
+
+def test_cbar_packing_packs_4_conj_c_x():
+    rng = np.random.default_rng(30)
+    for ring in (Z, HURWITZ, OCTAVIAN):
+        pts = enumerate_ball(ring, 3)
+        c2, x2 = pts[rng.integers(0, len(pts), 200)], pts[rng.integers(0, len(pts), 200)]
+        lim = 4 * 3 * 2 + 1  # |4 c^-bar x|_i <= 4 |c| |x| <= 12
+        got = ((c2 @ _cbar_packing(ring.dim, lim)) * x2).sum(axis=1)
+        digits = _mult4(c2 * _conj_sign(ring.dim), x2)
+        assert got.tolist() == [sum(int(v) * lim ** k for k, v in enumerate(row))
+                                for row in digits]
+
+
+def test_ring_bounds_must_be_integers():
+    enumerate_ball(HURWITZ, 2)  # an equal int bound is cached
+    for call in (lambda: enumerate_ball(HURWITZ, 2.5), lambda: enumerate_ball(HURWITZ, 2.0),
+                 lambda: enumerate_ball(Z, True), lambda: ball_elements(Z, 1.5),
+                 lambda: shell_counts(OCTAVIAN, 3.0),
+                 lambda: common_right_divisors(HURWITZ, one(4), one(4), 2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert len(enumerate_ball(HURWITZ, np.int64(2))) == 1 + 24 + 24
 
 
 def test_class_keys_are_exact_up_to_2_53_and_raise_beyond():

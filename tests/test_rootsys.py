@@ -24,6 +24,7 @@ from octavia.algebra import (
 from octavia.rings import (
     D4_SIMPLE_ROOTS,
     E8_SIMPLE_ROOTS,
+    HURWITZ,
     OCTAVIAN,
     is_member,
     octavian_unit_classes,
@@ -253,6 +254,28 @@ def test_key_rejects_entries_outside_int8():
 
 def test_d4_even_order():
     assert d4_even_count() == 96
+
+
+def test_d4_reflection_group_meets_the_even_group_in_32_elements():
+    # the products of reflections in the roots all_roots("d4") generate
+    # a group of order 96, triality-conjugate to d4_even_element's group,
+    # and the two groups share exactly 32 elements
+    refl = [LinMap.from_callable(4, lambda x: reflect(x, r)) for r in all_roots("d4")]
+    chain = rootsys._stabilizer_chain(np.stack([(s * refl[0]).matrix2() for s in refl]))
+    assert rootsys._order(chain) == 96
+    even = {}
+    for a in units(HURWITZ):
+        for b in units(HURWITZ):
+            if cd_multiply(a, b) in rootsys._qset():
+                m = d4_even_element(a, b)
+                even[m.key()] = m.matrix2()
+    assert len(even) == 96
+    assert _members(chain, np.stack(list(even.values()))).sum() == 32
+    # the reflection group is {x -> a x b : a conj(b) in Q8}
+    conj_pairs = np.stack([LinMap.from_callable(4, lambda x: cd_multiply(cd_multiply(a, x), b))
+                           .matrix2() for a in units(HURWITZ) for b in units(HURWITZ)
+                           if cd_multiply(a, conj(b)) in rootsys._qset()])
+    assert len(conj_pairs) == 192 and _members(chain, conj_pairs).all()
 
 
 def test_d4_even_elements_are_isometries(rng):
@@ -491,7 +514,7 @@ def _w_e8_generators():
 def _members(chain, mats):
     """Which matrices of a stack sift through the chain to the identity."""
     res, stop = rootsys._sift(chain, rootsys._unit_perms(mats))
-    return (stop == len(chain)) & (res == np.arange(240)).all(1)
+    return (stop == len(chain)) & (res == np.arange(res.shape[1])).all(1)
 
 
 def test_brandt_closure_from_three_generators_is_all_of_h():

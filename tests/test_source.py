@@ -91,7 +91,7 @@ def _cold_cli_loads_numpy_ma(argv) -> bool:
 
 def test_coset_loads_no_numpy_ma():
     # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
-    # cold coset call); coset_reps deduplicates rows with one lexsort
+    # cold coset call); coset_reps deduplicates rows on one int64 key each
     assert not _cold_cli_loads_numpy_ma(["coset", "--ring", "hurwitz", "--bound", "2"])
 
 

@@ -30,7 +30,6 @@ from octavia.algebra import AlgElem, one, zero
 from octavia.autoforms import SeriesParams, _coprime_key_terms, _key_terms, fourier_coefficient
 from octavia.hyperweyl import (
     Inv,
-    Rot,
     Trans,
     build_w_ac,
     build_w_tilde_cd,
