@@ -22,12 +22,11 @@ from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
 from .rings import (
     Ring,
     _EUCLID_BATCH,
-    _cbar_packing,
+    _coprime_classes,
     _decode2,
-    _distinct,
+    _key_range,
     _lattice_classes,
-    _merge_distinct,
-    _pair_chunks,
+    _pair_classes,
     _require_int,
     enumerate_ball,
     left_content,
@@ -146,9 +145,13 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     per (ring, radius).
     """
     pts2, _, _, reps, _, _ = _ball_data(ring, radius)
-    mask = np.empty((len(reps), len(pts2)), dtype=bool)
-    for lo, hi, c2, d2 in _pair_chunks(pts2[reps], pts2):
-        mask[lo:hi] = (left_content(ring, c2, d2) == 4).reshape(hi - lo, len(pts2))
+    m = len(pts2)
+    mask = np.empty((len(reps), m), dtype=bool)
+    chunk = max(1, _EUCLID_BATCH // m)
+    for lo in range(0, len(reps), chunk):
+        c2 = np.repeat(pts2[reps[lo:lo + chunk]], m, axis=0)
+        d2 = np.tile(pts2, (len(c2) // m, 1))
+        mask[lo:lo + chunk] = (left_content(ring, c2, d2) == 4).reshape(-1, m)
     return _readonly(mask)
 
 
@@ -217,109 +220,44 @@ def _series_rows(p: SeriesParams, coprime_only: bool = False) -> complex:
     return np.exp(s * np.log(v)) * total
 
 
-def _by_shell(cols: np.ndarray, mult: np.ndarray, pair: np.ndarray):
-    """(cols, mult, starts, pair) for terms sorted by shell max(k, |d|^2),
-    read-only, with the multiplicities as floats: starts holds the first
-    term of each shell, so one np.add.reduceat gives the shell sums."""
-    n = len(cols) - 2
-    starts = np.flatnonzero(np.diff(np.maximum(cols[n], cols[n + 1]), prepend=-1))
-    return tuple(map(_readonly, (cols, mult.astype(float), starts, pair)))
-
-
-@lru_cache(maxsize=4)
-def _key_terms(ring: Ring, radius: int):
-    """The distinct terms of the series over the truncation ball: one per
-    key (k, y) = (|c|^2, c^-bar d) of the pairs (c, d) != (0, 0), with the
-    number of pairs that share it.
-
-    For c != 0 the term depends only on the key, |cu + d|^2 + |c|^2 v^2 =
-    (2y, u) + k (|u|^2 + v^2) + |d|^2 with |d|^2 = |y|^2 / k, by the
-    alternative law c (c^-bar x) = |c|^2 x, and so does the left
-    coprimality of (d, c) (see _coprime_mask).  For c = 0 it depends on
-    |d|^2, so every key carries |d|^2.  The pairs are the class rows of
-    _ball_data against the ball, counted with their class sizes; (c, -d)
-    has the key (k, -y), so the rows run against one d of each pair +-d,
-    and the table is merged with its mirror image.
-
-    A key is one integer: K = k (radius + 1) + |d|^2 above the digits of
-    2y in balanced base lim = 4 radius + 1 (|2y|_i <= 2 |c| |d|), packed
-    by rings._cbar_packing, in chunks of rings._EUCLID_BATCH pairs merged
-    as they arrive (rings._merge_distinct).
-
-    Returns (cols, mult, starts, pair) by _by_shell: the terms as the
-    columns [2y | k | |d|^2] of one (n + 2, T) array, so that one GEMV
-    with [u | |u|^2 + v^2 | 1] gives every denominator, sorted by shell;
-    the multiplicities; the shell starts; and one pair per key for
-    _coprime_key_terms, i m + j for (c, d) = (class row i, ball
-    point j) and -1 - (i m + j) for (c, -d).  Octavian radius 2 has
-    22,084 terms, 22,082 with c != 0 for 326,536 class-row pairs.
-    """
-    pts2, _, nrm, reps, weight, _ = _ball_data(ring, radius)
-    n, m = ring.dim, len(pts2)
-    shell = np.rint(nrm).astype(np.int64)
-    lim = 4 * radius + 1
-    base = lim ** n  # the weight of K
-    # the digits of 4 c^-bar d = 2 (2y) of the pair (c, d) are packed[c] . d2
-    packed = pts2[reps] @ _cbar_packing(n, lim)
-    if (int(np.abs(packed).max()) * int(np.abs(pts2).sum(axis=1).max()) >= 2 ** 53
-            or base * (radius + 1) ** 2 >= 2 ** 62):
-        raise OverflowError("series keys would exceed 2^53 or 2^62; the float "
-                            "matmul would round them")
-    packed = packed.astype(float)
-    # one of each pair +-d, d != 0: the first nonzero coordinate positive
-    half = np.flatnonzero(pts2[np.arange(m), (pts2 != 0).argmax(axis=1)] > 0)
-    d2 = pts2[half].T.astype(float)
-    chunk = max(1, _EUCLID_BATCH // len(half))
-
-    def chunks():
-        for lo in range(0, len(reps), chunk):
-            hi = min(lo + chunk, len(reps))
-            key = (packed[lo:hi] @ d2).astype(np.int64) >> 1
-            key += base * shell[half]
-            key += (base * (radius + 1) * shell[reps[lo:hi]])[:, None]
-            yield (key.ravel(), np.repeat(weight[lo:hi], len(half)),
-                   (np.arange(lo * m, hi * m, m)[:, None] + half).ravel())
-
-    key, mult, pair = _merge_distinct(chunks())
-    # the pairs (c, -d) have the keys (K, -y), stored as the pair -1 -
-    # (i m + j), and the pairs (c, 0), c != 0, the keys (K, 0); (0, 0),
-    # which the series leaves out, has none
-    top = (key + (base - 1) // 2) // base
-    key, mult, pair = _distinct(
-        np.concatenate([key, 2 * base * top - key,
-                        base * (radius + 1) * shell[reps[1:]]]),
-        np.concatenate([mult, mult, weight[1:]]),
-        np.concatenate([pair, -1 - pair, np.arange(m, len(reps) * m, m)]))
+def _key_layout(ring: Ring, radius: int, coprime_only: bool):
+    """The keys (k, y, |d|^2) = (|c|^2, c^-bar d, |d|^2) of
+    rings._pair_classes, or its coprime keys, as terms sorted by shell
+    max(k, |d|^2), read only: the columns [2y | k | |d|^2] of one (n + 2,
+    T) array, so that one GEMV with [u | |u|^2 + v^2 | 1] gives every
+    denominator; the multiplicities as floats; the first term of each
+    shell, for np.add.reduceat; and the stored pairs."""
+    key, mult, pair = _pair_classes(ring, radius)
+    lim, base = _key_range(ring, radius)
+    n = ring.dim
     top = (key + (base - 1) // 2) // base
     k, dn = np.divmod(top, radius + 1)
     order = np.argsort(np.maximum(k, dn))
+    if coprime_only:  # the coprime terms in the order of all terms
+        order = order[_coprime_classes(ring, radius)[order]]
     digits = key[order] - base * top[order] + (base - 1) // 2
-    cols = np.empty((n + 2, len(key)))
+    cols = np.empty((n + 2, len(order)))
     for i in range(n):
         digits, cols[i] = np.divmod(digits, lim)
     cols[:n] -= 2 * radius
     cols[n], cols[n + 1] = k[order], dn[order]
-    return _by_shell(cols, mult[order], pair[order])
+    starts = np.flatnonzero(np.diff(np.maximum(cols[n], cols[n + 1]), prepend=-1))
+    return tuple(map(_readonly, (cols, mult[order].astype(float), starts, pair[order])))
+
+
+@lru_cache(maxsize=4)
+def _key_terms(ring: Ring, radius: int):
+    """The distinct terms of the series over the truncation ball
+    (_key_layout).  For c != 0 a term depends only on its key, |cu + d|^2
+    + |c|^2 v^2 = (2y, u) + k (|u|^2 + v^2) + |d|^2 by the alternative law
+    c (c^-bar x) = |c|^2 x; for c = 0 on |d|^2."""
+    return _key_layout(ring, radius, False)
 
 
 @lru_cache(maxsize=4)
 def _coprime_key_terms(ring: Ring, radius: int):
-    """The terms of _key_terms(ring, radius) whose pairs are left coprime,
-    in the same layout: one left_content row per key, on its stored pair,
-    in chunks of rings._EUCLID_BATCH rows.  Coprimality is a function of
-    the key (see _coprime_mask), so the stored pair decides for every pair
-    of the key: 22,084 Euclid rows at octavian radius 2, where
-    _coprime_mask runs 326,536.
-    """
-    cols, mult, _, pair = _key_terms(ring, radius)
-    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
-    i, j = np.divmod(np.where(pair < 0, -1 - pair, pair), len(pts2))
-    sign = np.where(pair < 0, -1, 1)[:, None]
-    coprime = np.concatenate([
-        left_content(ring, pts2[reps[i[rows]]], sign[rows] * pts2[j[rows]]) == 4
-        for rows in (slice(lo, lo + _EUCLID_BATCH)
-                     for lo in range(0, len(pair), _EUCLID_BATCH))])
-    return _by_shell(cols[:, coprime], mult[coprime], pair[coprime])
+    """The terms of _key_terms(ring, radius) whose pairs are left coprime."""
+    return _key_layout(ring, radius, True)
 
 
 def _series_keys(p: SeriesParams, coprime_only: bool = False) -> complex:

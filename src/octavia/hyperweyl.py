@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
+    _from2,
     _is_unit_norm,
     _mult2,
     _reduced,
@@ -38,15 +39,14 @@ from .rings import (
     Ring,
     Z,
     _check_members,
+    _coprime_classes,
     _elem,
     _euclid_rows,
     _exact_rows,
-    _lattice_classes,
-    _merge_distinct,
-    _pair_chunks,
+    _pair_classes,
     _require_int,
+    _stored_pairs,
     _unit_orbit_min,
-    enumerate_ball,
     is_in_commutator_ideal,
     is_unit,
     left_euclid,
@@ -478,38 +478,19 @@ def coset_reps(ring: Ring, norm_bound: int):
     Gamma_infinity \\ Gamma that have a left-coprime row with
     max(|c|^2, |d|^2) <= norm_bound, sorted by doubled coordinates.
 
-    For c' in the lattice class of c (rings._lattice_classes), d ->
-    c'(c^-1 d) is a norm-preserving bijection of the ring, and the pair
-    (c', c'(c^-1 d)) runs the left Euclid quotients of (c, d).  Its
-    canonical row is that of (c, d): the chain replay reads only those
-    quotients and the coprimality, and over an associative ring c' = e c
-    for a unit e, so the pair is (e c, e d).  So c runs over the first
-    member of each class and d over the whole ball, in chunks through
-    _canonical_rows (one batched Euclid run each).  A canonical row keeps
-    the norms of its pair, so its doubled coordinates lie within
-    h = isqrt(4 norm_bound), and each row is one int64 key (_row_weights
-    in base 2h + 1); the chunks are merged by key as they arrive
-    (rings._merge_distinct).
+    Each class is one left-coprime key (|c|^2, c^-bar d, |d|^2) of
+    rings._pair_classes (rings._coprime_classes): the pairs of a key
+    share their Euclid quotients, so their class, and a canonical row
+    keeps the key of its pair.  So _canonical_rows runs once on the
+    stored pair of each coprime key, one Euclid batch per slice.
     """
     _require_int("norm_bound", norm_bound)
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    dim, h = ring.dim, math.isqrt(4 * norm_bound)
-    weights = _row_weights(2 * h + 1, 2 * dim)
-    pts = enumerate_ball(ring, norm_bound)
-    reps, _ = _lattice_classes(ring, norm_bound)
-    rows = (_canonical_rows(ring, c2, d2) for _, _, c2, d2 in _pair_chunks(pts[reps], pts))
-    # the rows carry no multiplicity: a dummy stands in for it
-    _, _, table = _merge_distinct(((r + h) @ weights, np.zeros(len(r), np.int8), r)
-                                  for r in rows)
-    return [(AlgElem.from_coords2(dim, r[:dim]), AlgElem.from_coords2(dim, r[dim:]))
-            for r in table]
-
-
-def _row_weights(lim: int, width: int) -> np.ndarray:
-    """The weights lim^(width - 1), ..., 1 that pack a row of digits in
-    [0, lim) into one int64 in the lexicographic order of the rows;
-    OverflowError when lim^width reaches 2^63."""
-    if lim ** width >= 2 ** 63:
-        raise OverflowError(f"rows of {width} digits in base {lim} do not fit in int64")
-    return lim ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    pair = _pair_classes(ring, norm_bound)[2][_coprime_classes(ring, norm_bound)]
+    rows = np.concatenate([_canonical_rows(ring, c2, d2)
+                           for c2, d2 in _stored_pairs(ring, norm_bound, pair)])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    dim = ring.dim
+    return [(_from2(dim, tuple(r[:dim].tolist())), _from2(dim, tuple(r[dim:].tolist())))
+            for r in rows]

@@ -396,10 +396,11 @@ def _class_keys(ring: Ring, pts2: np.ndarray) -> np.ndarray:
     return keys
 
 
+@lru_cache(maxsize=32)
 def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]:
     """The partition c ~ c' iff c^-bar O = c'^-bar O of enumerate_ball(ring,
-    max_norm): the ball index of the first member of each class, in
-    increasing order (0 first, the class {0}), and the class sizes.
+    max_norm), read only: the ball index of the first member of each
+    class, in increasing order (0 first, the class {0}), and the class sizes.
 
     A series row of c, its per-shell d-sums and its left-coprime mask,
     depends only on this class.  Write cu + d = c (u + x) with x = c^-1 d,
@@ -413,8 +414,8 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
     So the members' rows equal the first member's under d <-> d'; both
     facts rest on the alternative law c (c^-bar x) = |c|^2 x (Feingold,
     Kleinschmidt and Nicolai, arXiv:0805.3018).  This is the one quotient
-    of the ball: the series rows (autoforms._ball_data) and the coset
-    classes (hyperweyl.coset_reps) both take c over the first members.
+    of the ball: the series rows (autoforms._ball_data) and the pair
+    classes (_pair_classes) both take c over the first members.
 
     For Z and the Hurwitz ring the classes are the unit orbits {e c}; for
     the octavians they hold 1, 16 or 240 points at max_norm 2 (137
@@ -426,7 +427,7 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
     # np.unique on void rows at octavian max_norm 2
     first = {}
     label = [first.setdefault(row, i) for i, row in enumerate(map(bytes, keys))]
-    return np.unique(np.array(label, dtype=np.int64), return_counts=True)
+    return tuple(map(_readonly, np.unique(np.array(label, dtype=np.int64), return_counts=True)))
 
 
 def _exact_rows(*rows) -> list[np.ndarray]:
@@ -694,16 +695,6 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
 _EUCLID_BATCH = 1 << 14
 
 
-def _pair_chunks(cs: np.ndarray, ds: np.ndarray):
-    """Yield (lo, hi, c2, d2): the pairs (cs[i], ds[j]) for lo <= i < hi
-    and every j, row-major, in chunks of about _EUCLID_BATCH pairs."""
-    m = len(ds)
-    chunk = max(1, _EUCLID_BATCH // m)
-    for lo in range(0, len(cs), chunk):
-        hi = min(lo + chunk, len(cs))
-        yield lo, hi, np.repeat(cs[lo:hi], m, axis=0), np.tile(ds, (hi - lo, 1))
-
-
 def ball_elements(ring: Ring, max_norm: int) -> list[AlgElem]:
     """Ring elements with 0 < |x|^2 <= max_norm."""
     return [_elem(ring.dim, row) for row in enumerate_ball(ring, max_norm)[1:]]
@@ -731,8 +722,8 @@ def shell_counts(ring: Ring, n_max: int) -> list[int]:
 
 def _distinct(key: np.ndarray, mult: np.ndarray, item: np.ndarray):
     """The distinct values of key in increasing order, each with the sum
-    of its multiplicities and one of its items (any one: the callers'
-    items agree wherever it matters)."""
+    of its multiplicities and one of its items (any one: every pair of a
+    key of _pair_classes has its term, coprimality and coset class)."""
     order = key.argsort()
     key = key[order]
     head = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
@@ -766,6 +757,94 @@ def _cbar_packing(dim: int, lim: int) -> np.ndarray:
     eye = np.eye(dim, dtype=np.int64)
     prod = _mult4(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1))).reshape(dim, dim, dim)
     return (prod @ lim ** np.arange(dim)) * _conj_sign(dim)[:, None]
+
+
+def _key_range(ring: Ring, radius: int) -> tuple[int, int]:
+    """(lim, base) of the keys of _pair_classes(ring, radius): the digits
+    of 2 c^-bar d in balanced base lim = 4 radius + 1, below base =
+    lim^dim.  The packing matmul (c2 @ _cbar_packing(dim, lim)) @ d2 has
+    partial sums up to |c2| |d2| S <= 4 radius S, S = sum_k lim^k (the
+    packing is sum_k lim^k times a signed permutation), to stay below
+    2^53, and the keys reach base (radius + 1)^2, to stay below 2^62.  It
+    raises OverflowError past either, before any ball is built: from
+    octavian radius 24 and Hurwitz radius 512 on (2^62; 2^53 would bite
+    at 25 and 2,436)."""
+    lim = 4 * radius + 1
+    base = lim ** ring.dim
+    if 4 * radius * (base - 1) // (lim - 1) >= 2 ** 53 or base * (radius + 1) ** 2 >= 2 ** 62:
+        raise OverflowError(f"pair keys of {ring} at radius {radius} would exceed "
+                            "2^53 or 2^62")
+    return lim, base
+
+
+@lru_cache(maxsize=4)
+def _pair_classes(ring: Ring, radius: int):
+    """The pairs (c, d) != (0, 0) with max(|c|^2, |d|^2) <= radius up to
+    their key (|c|^2, c^-bar d, |d|^2), read only: the distinct keys in
+    increasing order, the number of pairs of each and one stored pair of
+    each.  The key labels the coset of a left-coprime row (c, d) in
+    Gamma_infinity \\ Gamma, as the null vector [[|c|^2, c^-bar d],
+    [d^-bar c, |d|^2]] (Feingold, Kleinschmidt and Nicolai,
+    arXiv:0805.3018), and decides the coprimality (_coprime_classes) and
+    the series term (autoforms._key_terms): for c != 0 the Euclid chain
+    of (d, c) reads only c^-1 d = c^-bar d / |c|^2 (_lattice_classes).
+
+    c runs over the first member of each lattice class, with the class
+    size (a member c' has the pairs (c', c'(c^-1 d)), with the keys of
+    (c, d)), and d over one of each pair +-d: (c, -d) has the key
+    (|c|^2, -c^-bar d, |d|^2), so the table is merged with its mirror.  A
+    key is one integer, (|c|^2 (radius + 1) + |d|^2) base plus the digits
+    of 2 c^-bar d (_key_range), merged in chunks of _EUCLID_BATCH pairs
+    as they arrive.  The stored pair of the ball points (c, d) = (i, j)
+    is i m + j, and -1 - (i m + j) for (c, -d).  Octavian radius 2 has
+    22,084 keys for 326,536 class-row pairs.
+    """
+    lim, base = _key_range(ring, radius)
+    pts2 = enumerate_ball(ring, radius)
+    reps, weight = _lattice_classes(ring, radius)
+    m = len(pts2)
+    shell = (pts2 * pts2).sum(axis=1) >> 2
+    ck = base * (radius + 1) * shell[reps]
+    # the digits of 4 c^-bar d of the pair (c, d) are packed[c] . d2
+    packed = (pts2[reps] @ _cbar_packing(ring.dim, lim)).astype(float)
+    # one of each pair +-d, d != 0: the first nonzero coordinate positive
+    half = np.flatnonzero(pts2[np.arange(m), (pts2 != 0).argmax(axis=1)] > 0)
+    d2, dk = pts2[half].T.astype(float), base * shell[half]
+    chunk = max(1, _EUCLID_BATCH // len(half))
+
+    def chunks():
+        for lo in range(0, len(reps), chunk):
+            r = slice(lo, lo + chunk)
+            key = ((packed[r] @ d2).astype(np.int64) >> 1) + dk + ck[r, None]
+            yield key.ravel(), np.repeat(weight[r], len(half)), (reps[r, None] * m + half).ravel()
+
+    key, mult, pair = _merge_distinct(chunks())
+    # the pairs (c, -d) have the keys (K, -y), and the pairs (c, 0), c !=
+    # 0, the keys (K, 0); (0, 0) has none
+    top = (key + (base - 1) // 2) // base
+    key, mult, pair = _distinct(np.concatenate([key, 2 * base * top - key, ck[1:]]),
+                                np.concatenate([mult, mult, weight[1:]]),
+                                np.concatenate([pair, -1 - pair, reps[1:] * m]))
+    return tuple(map(_readonly, (key, mult, pair)))
+
+
+def _stored_pairs(ring: Ring, radius: int, pair: np.ndarray):
+    """The doubled coordinates (c2, d2) of stored pairs of
+    _pair_classes(ring, radius), in Euclid batches of _EUCLID_BATCH."""
+    pts2 = enumerate_ball(ring, radius)
+    for lo in range(0, len(pair), _EUCLID_BATCH):
+        p = pair[lo:lo + _EUCLID_BATCH]
+        c, d = np.divmod(np.where(p < 0, -1 - p, p), len(pts2))
+        yield pts2[c], np.where(p < 0, -1, 1)[:, None] * pts2[d]
+
+
+@lru_cache(maxsize=4)
+def _coprime_classes(ring: Ring, radius: int) -> np.ndarray:
+    """Which keys of _pair_classes(ring, radius) are left coprime, read
+    only: one left_content row on the stored pair of each key."""
+    pair = _pair_classes(ring, radius)[2]
+    return _readonly(np.concatenate([left_content(ring, c2, d2) == 4
+                                     for c2, d2 in _stored_pairs(ring, radius, pair)]))
 
 
 # -- Hurwitz commutator ideal ----------------------------------------------

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +11,7 @@ import pytest
 
 from octavia.algebra import (
     AlgElem,
+    _mult2,
     basis_unit,
     cd_multiply,
     conj,
@@ -19,6 +19,7 @@ from octavia.algebra import (
     one,
     zero,
 )
+from octavia.autoforms import _coprime_key_terms
 from octavia.hyperweyl import (
     GroupWord,
     HermMat,
@@ -26,7 +27,6 @@ from octavia.hyperweyl import (
     Rot,
     Trans,
     _canonical_rows,
-    _row_weights,
     act_coords,
     apply_word,
     build_w_ac,
@@ -51,6 +51,8 @@ from octavia.rings import (
     OCTAVIAN,
     Z,
     _class_keys,
+    _conj_sign,
+    _key_range,
     _lattice_classes,
     enumerate_ball,
     is_left_coprime,
@@ -362,21 +364,34 @@ def test_coset_reps_match_full_ball_scan(ring, bound):
     assert got == np.unique(rows, axis=0).tolist()
 
 
-def test_row_keys_follow_the_lexicographic_order():
-    rng = np.random.default_rng(31)
-    for lim, width in ((3, 2), (5, 16), (15, 16), (233, 8)):
-        rows = rng.integers(0, lim, (3000, width))
-        rows[1::2, :width // 2] = rows[::2, :width // 2]  # long common prefixes
-        keys = rows @ _row_weights(lim, width)
-        assert keys.dtype == np.int64 and (keys >= 0).all()
-        assert np.array_equal(rows[np.argsort(keys, kind="stable")],
-                              rows[np.lexsort(rows.T[::-1])])
-    # lim = 2 isqrt(4 bound) + 1: octavian rows past bound 15 and Hurwitz
-    # rows past bound 3,422 overflow, which the weights alone tell
-    assert 2 * math.isqrt(4 * 16) + 1 == 17 and 2 * math.isqrt(4 * 3423) + 1 == 235
-    for lim, width in ((17, 16), (235, 8)):
+def test_pair_keys_overflow_before_the_ball_is_built():
+    # the keys reach (4 R + 1)^dim (R + 1)^2, past 2^62 from octavian
+    # bound 24 and Hurwitz bound 512 (the 2^53 bound of the packing matmul
+    # bites later), which (ring, bound) alone tell
+    for ring, first in ((OCTAVIAN, 24), (HURWITZ, 512)):
+        lim = 4 * first - 3
+        assert _key_range(ring, first - 1) == (lim, lim ** ring.dim)
+        before = enumerate_ball.cache_info()
         with pytest.raises(OverflowError):
-            _row_weights(lim, width)
+            coset_reps(ring, first)
+        assert enumerate_ball.cache_info() == before
+
+
+@pytest.mark.parametrize("ring, bound", [(HURWITZ, 6), (OCTAVIAN, 2)],
+                         ids=["hurwitz-6", "octavian-2"])
+def test_coset_classes_are_the_coprime_keys(ring, bound):
+    # what coset_reps rests on: one class per key (|c|^2, c^-bar d, |d|^2),
+    # so the rows' keys are pairwise distinct and are exactly the
+    # left-coprime keys of the pair-class table
+    n = ring.dim
+    rows = np.array([c.coords2 + d.coords2 for c, d in coset_reps(ring, bound)])
+    c2, d2 = rows[:, :n], rows[:, n:]
+    got = np.column_stack([_mult2(c2 * _conj_sign(n), d2), (c2 * c2).sum(axis=1) // 4,
+                           (d2 * d2).sum(axis=1) // 4])
+    assert len(np.unique(got, axis=0)) == len(rows)
+    cols = _coprime_key_terms(ring, bound)[0]
+    assert cols.shape[1] == len(rows)
+    assert np.array_equal(np.unique(got, axis=0), np.unique(cols.T.astype(np.int64), axis=0))
 
 
 def test_coset_reps_bound_must_be_an_integer():
@@ -428,10 +443,11 @@ def test_octavian_coset_reps_bound_2():
 
 @pytest.mark.heavy
 def test_octavian_coset_reps_bound_3():
-    # 1,257 class rows against the 9,121 points of the ball: 11.5M
-    # canonical rows, 337,682 classes, merged on one int64 key per row;
-    # 60-71 s under tracemalloc (44 s without), with a traced peak of
-    # about 250 MB
+    # 338,166 pair classes (|c|^2, c^-bar d, |d|^2) of 1,257 class rows
+    # against the 9,121 points of the ball, and one canonical row for each
+    # of the 337,682 left-coprime ones; 15 s under tracemalloc (7.4 s
+    # without), with a traced peak of about 255 MB, most of it the
+    # returned pairs
     tracemalloc.start()
     try:
         reps = coset_reps(OCTAVIAN, 3)

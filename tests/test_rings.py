@@ -550,6 +550,9 @@ CACHE_ARGS = {
     "_euclid": (HURWITZ, AlgElem.from_coords2(4, (6, 2, 0, 0)),
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
+    "_lattice_classes": (HURWITZ, 2),
+    "_pair_classes": (OCTAVIAN, 1),
+    "_coprime_classes": (OCTAVIAN, 1),
     "_coded_units": (4,),
     "sandwich_map": (basis_unit(8, 3),),
     "right_mult_map": (basis_unit(8, 3),),

@@ -91,7 +91,8 @@ def _cold_cli_loads_numpy_ma(argv) -> bool:
 
 def test_coset_loads_no_numpy_ma():
     # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
-    # cold coset call); coset_reps deduplicates rows on one int64 key each
+    # cold coset call); coset_reps deduplicates pairs on one int64 key
+    # each (rings._pair_classes) and sorts its rows by np.lexsort
     assert not _cold_cli_loads_numpy_ma(["coset", "--ring", "hurwitz", "--bound", "2"])
 
 
