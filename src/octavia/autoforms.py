@@ -24,12 +24,14 @@ from .rings import (
     _EUCLID_BATCH,
     _coprime_classes,
     _decode2,
-    _key_range,
+    _conj_sign,
+    _key_split,
+    _key_x2,
     _lattice_classes,
     _pair_classes,
+    _primitive_rows,
     _require_int,
     enumerate_ball,
-    left_content,
     shell_counts,
     units,
 )
@@ -141,8 +143,9 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     the row of c under d <-> d' = c'(c^-1 d) (rings._lattice_classes).
     (A unit pair action (c, d) -> (e c, e d) with e non-central would
     change the content of some octavian pairs; the classes do not use
-    it.)  The mask does not depend on the point z, so it is built once
-    per (ring, radius).
+    it.)  Each batch of _EUCLID_BATCH pairs is flagged by primitivity
+    (rings._primitive_rows).  The mask does not depend on the point z,
+    so it is built once per (ring, radius).
     """
     pts2, _, _, reps, _, _ = _ball_data(ring, radius)
     m = len(pts2)
@@ -151,7 +154,9 @@ def _coprime_mask(ring: Ring, radius: int) -> np.ndarray:
     for lo in range(0, len(reps), chunk):
         c2 = np.repeat(pts2[reps[lo:lo + chunk]], m, axis=0)
         d2 = np.tile(pts2, (len(c2) // m, 1))
-        mask[lo:lo + chunk] = (left_content(ring, c2, d2) == 4).reshape(-1, m)
+        mask[lo:lo + chunk] = _primitive_rows(
+            ring, (c2 * c2).sum(axis=1) >> 2, (d2 * d2).sum(axis=1) >> 2,
+            lambda rows: _mult2(c2[rows] * _conj_sign(ring.dim), d2[rows])).reshape(-1, m)
     return _readonly(mask)
 
 
@@ -228,18 +233,13 @@ def _key_layout(ring: Ring, radius: int, coprime_only: bool):
     denominator; the multiplicities as floats; the first term of each
     shell, for np.add.reduceat; and the stored pairs."""
     key, mult, pair = _pair_classes(ring, radius)
-    lim, base = _key_range(ring, radius)
     n = ring.dim
-    top = (key + (base - 1) // 2) // base
-    k, dn = np.divmod(top, radius + 1)
+    k, dn, packed = _key_split(ring, radius, key)
     order = np.argsort(np.maximum(k, dn))
     if coprime_only:  # the coprime terms in the order of all terms
         order = order[_coprime_classes(ring, radius)[order]]
-    digits = key[order] - base * top[order] + (base - 1) // 2
     cols = np.empty((n + 2, len(order)))
-    for i in range(n):
-        digits, cols[i] = np.divmod(digits, lim)
-    cols[:n] -= 2 * radius
+    cols[:n] = _key_x2(ring, radius, packed[order]).T
     cols[n], cols[n + 1] = k[order], dn[order]
     starts = np.flatnonzero(np.diff(np.maximum(cols[n], cols[n + 1]), prepend=-1))
     return tuple(map(_readonly, (cols, mult[order].astype(float), starts, pair[order])))

@@ -685,12 +685,13 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     return _readonly(pts[order])
 
 
-# Pairs per numpy Euclid batch, and the floor of _merge_distinct.  A
-# batch's temporaries set the peak memory of a build, and the allocator
-# keeps them: the RSS stayed 11 MB higher after the octavian radius 2 key
-# table was built in 64k chunks, 5 MB in 16k.  No size from 4k to 64k
-# pairs was measurably faster: the Hurwitz radius 9 coprime mask (37,480
-# pairs) took 42-80 ms warm at each, with a traced peak of 15.1 MB in one
+# Pairs per numpy batch of a pair build (Euclid rows, primitivity flags),
+# and the floor of _merge_distinct.  A batch's temporaries set the peak
+# memory of a build, and the allocator keeps them: the RSS stayed 11 MB
+# higher after the octavian radius 2 key table was built in 64k chunks,
+# 5 MB in 16k.  No size from 4k to 64k pairs was measurably faster: the
+# Hurwitz radius 9 coprime mask (37,480 pairs), then one Euclid row per
+# pair, took 42-80 ms warm at each, with a traced peak of 15.1 MB in one
 # 64k batch and 6.9 MB in 16k batches.
 _EUCLID_BATCH = 1 << 14
 
@@ -838,13 +839,66 @@ def _stored_pairs(ring: Ring, radius: int, pair: np.ndarray):
         yield pts2[c], np.where(p < 0, -1, 1)[:, None] * pts2[d]
 
 
+def _key_split(ring: Ring, radius: int, key: np.ndarray):
+    """The fields of keys of _pair_classes(ring, radius): k = |c|^2, l =
+    |d|^2 and the digits of 2 c^-bar d, still packed (_key_x2)."""
+    _, base = _key_range(ring, radius)
+    top = (key + (base - 1) // 2) // base
+    k, l = np.divmod(top, radius + 1)
+    return k, l, key - base * top + (base - 1) // 2
+
+
+def _key_x2(ring: Ring, radius: int, packed: np.ndarray) -> np.ndarray:
+    """The doubled coordinates 2 c^-bar d of packed digits of _key_split,
+    one row each."""
+    lim = 4 * radius + 1
+    x2 = np.empty((len(packed), ring.dim), dtype=np.int64)
+    for i in range(ring.dim):
+        packed, x2[:, i] = np.divmod(packed, lim)
+    return x2 - 2 * radius
+
+
+def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarray:
+    """Left coprimality of pairs (c, d) by primitivity: the null vector
+    [[k, x], [x^-bar, l]] with k = |c|^2, l = |d|^2 and x = c^-bar d is
+    primitive, gcd(k, l, content x) = 1, where content x is the gcd of
+    the integer coordinates of x in ring.basis2 (Feingold, Kleinschmidt
+    and Nicolai, arXiv:0805.3018, label the cosets by these null vectors).
+    It agrees with left_content == 4, one Euclid run per pair, on every
+    key of Z 50, Hurwitz 9 and octavian 2 and on the series masks up to
+    Hurwitz 16 (the tests).  x2_of(rows) gives 2x on the rows with
+    gcd(k, l) != 1, the only ones that need it.
+
+    The coordinates of x are 2x adj / det for the integer adjugate adj of
+    basis2 (basis2 adj = det I, checked exactly), so the content is the
+    gcd of the row 2x adj over |det|, and det divides it exactly when x
+    lies on the lattice, which is checked too."""
+    basis = np.array(ring.basis2, dtype=np.int64)
+    det = round(float(np.linalg.det(basis)))
+    adj = np.rint(np.linalg.inv(basis) * det)
+    if not np.array_equal(basis @ adj, det * np.eye(ring.dim)):
+        raise ArithmeticError(f"no integer adjugate of the basis of {ring}")
+    g = np.gcd(k, l)
+    live = np.flatnonzero(g != 1)
+    # a float64 matmul (BLAS), exact: the entries stay far below 2^53
+    y = np.gcd.reduce((x2_of(live) @ adj).astype(np.int64), axis=1)
+    if (y % det).any():
+        raise ArithmeticError(f"a product c^-bar d left the lattice of {ring}")
+    g[live] = np.gcd(g[live], y // abs(det))
+    return g == 1
+
+
 @lru_cache(maxsize=4)
 def _coprime_classes(ring: Ring, radius: int) -> np.ndarray:
     """Which keys of _pair_classes(ring, radius) are left coprime, read
-    only: one left_content row on the stored pair of each key."""
-    pair = _pair_classes(ring, radius)[2]
-    return _readonly(np.concatenate([left_content(ring, c2, d2) == 4
-                                     for c2, d2 in _stored_pairs(ring, radius, pair)]))
+    only: _primitive_rows on the fields of each key, in blocks of
+    _EUCLID_BATCH keys."""
+    key = _pair_classes(ring, radius)[0]
+    out = []
+    for lo in range(0, len(key), _EUCLID_BATCH):
+        k, l, packed = _key_split(ring, radius, key[lo:lo + _EUCLID_BATCH])
+        out.append(_primitive_rows(ring, k, l, lambda rows: _key_x2(ring, radius, packed[rows])))
+    return _readonly(np.concatenate(out))
 
 
 # -- Hurwitz commutator ideal ----------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -156,16 +157,24 @@ def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod >> 1
 
 
+def _bimult_rows(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """The matrix2() of x -> (a x) b for each row pair of the (k, dim)
+    doubled-coordinate stacks a2, b2, as one (k, dim, dim) array: two
+    batched _mult2 on stacked doubled identities.  ArithmeticError when an
+    image leaves the half-integer lattice."""
+    k, dim = a2.shape
+    ax = _mult2(np.repeat(a2, dim, axis=0), np.tile(2 * np.eye(dim, dtype=np.int64), (k, 1)))
+    return _mult2(ax, np.repeat(b2, dim, axis=0)).reshape(k, dim, dim)
+
+
 def _bimult_map(a: AlgElem, b: AlgElem) -> LinMap:
-    """x -> (a x) b by two batched _mult2 on the doubled identity;
-    ValueError when an image leaves the half-integer lattice."""
-    dim = a.dim
+    """x -> (a x) b; ValueError when an image leaves the half-integer
+    lattice."""
     try:
-        ax = _mult2(np.tile(a.coords2, (dim, 1)), 2 * np.eye(dim, dtype=np.int64))
-        rows = _mult2(ax, np.tile(b.coords2, (dim, 1)))
+        rows = _bimult_rows(np.array([a.coords2]), np.array([b.coords2]))[0]
     except ArithmeticError:
         raise ValueError(f"x -> ({a} x) {b} leaves the half-integer lattice") from None
-    return LinMap(dim, tuple(map(tuple, rows.tolist())))
+    return LinMap(a.dim, tuple(map(tuple, rows.tolist())))
 
 
 @lru_cache(maxsize=4096)
@@ -207,11 +216,18 @@ _CHAIN_UNITS = {4: (HURWITZ, "Hurwitz units"), 8: (OCTAVIAN, "unit octavians")}
 
 
 def _unit_codes(x2: np.ndarray) -> np.ndarray:
-    """Base-5 integer code of each row of doubled unit coordinates
-    (entries in [-2, 2]), the first coordinate least significant; the
-    code of -x is 5^dim - 1 minus that of x."""
-    x2 = np.asarray(x2, dtype=np.int64)
-    return (x2 + 2) @ 5 ** np.arange(x2.shape[-1], dtype=np.int64)
+    """Base-5 integer code of each row of an integer array of doubled
+    unit coordinates (entries in [-2, 2]), the first coordinate least
+    significant; the code of -x is 5^dim - 1 minus that of x."""
+    x2 = np.asarray(x2)
+    # Horner in place: on the 96 768 rows of G2(2) 4 times faster than an
+    # int64 matmul, and with one int64 temporary, where a float matmul
+    # would first cast every row to float64
+    code = np.zeros(x2.shape[:-1], dtype=np.int64)
+    for k in reversed(range(x2.shape[-1])):
+        code *= 5
+        code += x2[..., k]
+    return code + (5 ** x2.shape[-1] - 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -534,7 +550,7 @@ def _brandt_closure() -> np.ndarray:
     doubled coordinates of a unit lie in [-2, 2])."""
     _, brandt, _ = octavian_unit_classes()
     codes, units2 = _coded_units(8)
-    images = np.searchsorted(codes, _unit_codes(2 * np.eye(8)))[None]
+    images = np.searchsorted(codes, _unit_codes(2 * np.eye(8, dtype=np.int64)))[None]
     for _, trans, _, _ in reversed(_stabilizer_chain(np.stack(
             [brandt_conjugation(brandt[i]).matrix2() for i in _BRANDT_GENERATORS]))):
         images = trans[:, images].reshape(-1, 8)
@@ -543,35 +559,63 @@ def _brandt_closure() -> np.ndarray:
     return _readonly(units2[images].astype(np.int8))
 
 
+@dataclass(frozen=True, slots=True)
+class _G2Maps(Sequence):
+    """The read-only sequence of generate_G2_2(): map i is built on access
+    from the shared row tuples rows[j], j in pos[8 i:8 i + 8]."""
+
+    rows: tuple
+    pos: bytes
+
+    def __len__(self) -> int:
+        return len(self.pos) >> 3
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # tuple indexing: negative i, IndexError, slices
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
+        return LinMap(8, tuple(map(self.rows.__getitem__, self.pos[8 * k:8 * k + 8])))
+
+
 @lru_cache(maxsize=None)
-def _g2_stack() -> np.ndarray:
-    """The 12 096 matrix2() of Aut(O) = G2(2) as one int8 stack, sorted by
-    rows2.
+def generate_G2_2() -> Sequence:
+    """Aut(O) = G2(2), order 12 096, sorted by rows2: a read-only sequence
+    of LinMaps, each built on access.
 
     The Brandt conjugations close into the index-2 derived subgroup H
     of order 6048, so the group is H u H phi for the outer automorphism
-    phi found by _outer_automorphism.  Entries lie in [-2, 2].
+    phi found by _outer_automorphism.  An automorphism fixes 1 and maps
+    e1..e7 to imaginary units, so the maps share 127 row tuples: the
+    image of 1 and the 126 imaginary units, in sorted order.  A map is
+    kept as the positions of its rows among them, one byte each, so the
+    maps sort by rows2 as their positions do, packed 7 bits each into one
+    int64; sorted, they are distinct iff no two neighbours are equal.
     """
+    rows = tuple(sorted([one(8).coords2] + [g.coords2 for g in imaginary_units()]))
+    codes = _unit_codes(rows)
+    where = np.zeros(5 ** 8, dtype=np.uint8)  # code -> position in rows
+    where[codes] = np.arange(len(rows))
     h = _brandt_closure()
-    # entries lie in [-2, 2], so each product sums 8 terms of at most 4
-    # to at most 32 < 127: int8 holds it
-    mats = np.concatenate([h, _product2(h, _outer_automorphism().matrix2().astype(np.int8))])
-    if len(set(_keys(mats))) != 12096:
+    # phi is a sign change, so each m phi is m with its columns signed
+    signs = np.diagonal(_outer_automorphism().matrix2()) // 2
+    found = _unit_codes(np.concatenate([h, h * signs.astype(np.int8)]))  # (12096, 8)
+    pos = where[found]
+    if np.any(codes[pos] != found):
+        raise RuntimeError("a G2(2) map takes a basis unit off 1 and the imaginary units")
+    packed = (pos.astype(np.int64) << 7 * np.arange(7, -1, -1)).sum(axis=1)
+    order = np.argsort(packed)
+    if np.any(np.diff(packed[order]) == 0):
         raise RuntimeError("H u H phi does not have 12096 distinct elements")
-    flat = mats.reshape(len(mats), -1)
-    return _readonly(mats[np.lexsort(flat.T[::-1])])  # lexicographic on rows2
+    return _G2Maps(rows, pos[order].tobytes())
 
 
 @lru_cache(maxsize=None)
-def generate_G2_2() -> tuple:
-    """Aut(O) = G2(2), order 12 096, sorted by rows2 (see _g2_stack).
-
-    An automorphism fixes 1 and maps e1..e7 to imaginary units, so the
-    maps share 127 row tuples: the image of 1 and the 126 imaginary units.
-    """
-    rows = {}
-    return tuple(LinMap(8, tuple(rows.setdefault(r, r) for r in map(tuple, m.tolist())))
-                 for m in _g2_stack())
+def _g2_stack() -> np.ndarray:
+    """The matrix2() of generate_G2_2(), in its order, as one int8 stack
+    gathered from the shared rows.  Entries lie in [-2, 2]."""
+    maps = generate_G2_2()
+    rows = np.array(maps.rows, dtype=np.int8)
+    return _readonly(rows[np.frombuffer(maps.pos, dtype=np.uint8)].reshape(-1, 8, 8))
 
 
 @lru_cache(maxsize=None)
@@ -602,8 +646,9 @@ def e7_element(g: AlgElem, h: AlgElem, phi: LinMap) -> LinMap:
 @lru_cache(maxsize=1)
 def _sandwich_stack() -> np.ndarray:
     """Integer matrices of the imaginary-unit sandwich maps, index order
-    matching imaginary_units()."""
-    return _readonly(np.stack([sandwich_map(g).matrix2() for g in imaginary_units()]))
+    matching imaginary_units(), in one _bimult_rows batch."""
+    imag2 = np.array([g.coords2 for g in imaginary_units()], dtype=np.int64)
+    return _readonly(_bimult_rows(imag2, imag2))
 
 
 @lru_cache(maxsize=1)
@@ -639,7 +684,9 @@ def _class_composites(outer_first: bool) -> tuple:
     [-2, 2], so every product with another such 8 x 8 matrix sums terms
     of at most 4 to at most 32 < 2^24, and float32 holds each partial
     sum exactly."""
-    ks = np.unique(_imaginary_factor_table()[3])
+    # the distinct entries, ascending, without np.unique (whose first call
+    # imports numpy.ma, 11-16 ms of a cold process)
+    ks = np.flatnonzero(np.bincount(_imaginary_factor_table()[3]))
     s = _sandwich_stack()
     n = len(s)
     # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)

@@ -422,6 +422,18 @@ def test_reduced_mask_is_representative_rows(ring, radius):
     assert weight.sum() == len(pts2)
 
 
+@pytest.mark.parametrize("ring, radius", [(Z, 50), (HURWITZ, 4), (HURWITZ, 9), (HURWITZ, 16),
+                                          (OCTAVIAN, 1), (OCTAVIAN, 2)],
+                         ids=["z-50", "hurwitz-4", "hurwitz-9", "hurwitz-16", "octavian-1",
+                              "octavian-2"])
+def test_coprime_mask_matches_euclid_rows(ring, radius):
+    # the primitivity mask against one Euclid run per class-row pair
+    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    mask = _coprime_mask(ring, radius)
+    for lo in range(0, len(reps), 16):
+        assert np.array_equal(mask[lo:lo + 16], _full_mask_rows(ring, pts2[reps[lo:lo + 16]], pts2))
+
+
 def test_coprime_mask_memory_is_one_euclid_batch():
     # Hurwitz radius 9: 40 class rows against 937 points, 37,480 pairs;
     # in one 64k-pair batch the build peaked at about 15 MB

@@ -36,15 +36,21 @@ from octavia.rings import (
     _cbar_packing,
     _class_keys,
     _conj_sign,
+    _coprime_classes,
     _cosets,
     _decode2,
     _euclid,
     _euclid_chain,
     _euclid_rows,
     _exact_rows,
+    _key_split,
+    _key_x2,
     _lattice_classes,
     _merge_distinct,
     _nearest2,
+    _pair_classes,
+    _primitive_rows,
+    _stored_pairs,
     _unit_orbit_min,
     HURWITZ,
     OCTAVIAN,
@@ -863,6 +869,32 @@ def test_merge_distinct_matches_np_unique():
             # each key keeps an item of one of its entries
             assert all(i in set(all_item[all_key == k]) for k, i in
                        zip(key[::max(1, len(key) // 50)], item[::max(1, len(key) // 50)]))
+
+
+@pytest.mark.parametrize("ring, radius", [(Z, 50), (HURWITZ, 9), (OCTAVIAN, 2)],
+                         ids=["z-50", "hurwitz-9", "octavian-2"])
+def test_coprime_classes_match_one_euclid_row_per_pair(ring, radius):
+    # primitivity against the Euclid oracle on every key, and the key
+    # fields against the stored pair of each key
+    key, _, pair = _pair_classes(ring, radius)
+    c2, d2 = map(np.concatenate, zip(*_stored_pairs(ring, radius, pair)))
+    k, l, packed = _key_split(ring, radius, key)
+    assert np.array_equal(k, (c2 * c2).sum(axis=1) >> 2)
+    assert np.array_equal(l, (d2 * d2).sum(axis=1) >> 2)
+    assert np.array_equal(_key_x2(ring, radius, packed), _mult2(c2 * _conj_sign(ring.dim), d2))
+    want = np.concatenate([left_content(ring, c, d) == 4
+                           for c, d in _stored_pairs(ring, radius, pair)])
+    assert np.array_equal(_coprime_classes(ring, radius), want)
+    assert 0 < want.sum() < len(want)
+
+
+def test_primitive_rows_reject_points_off_the_lattice():
+    # (1/2) e1 is no Hurwitz element; gcd(k, l) = 2 makes the row live
+    x2 = np.array([[0, 1, 0, 0], [0, 2, 0, 0]])
+    assert list(_primitive_rows(HURWITZ, np.array([2, 2]), np.array([1, 2]),
+                                lambda rows: x2[rows] * 2)) == [True, False]
+    with pytest.raises(ArithmeticError):
+        _primitive_rows(HURWITZ, np.array([2]), np.array([2]), lambda rows: x2[:1][rows])
 
 
 def test_cbar_packing_packs_4_conj_c_x():

@@ -357,8 +357,9 @@ def test_g2_stack_matches_the_int64_build():
 
 
 def test_g2_maps_share_their_rows():
-    # a cold build of H, the stack and the maps; the unit tables and the
-    # outer automorphism stay warm
+    # a cold build of H and the maps; the unit tables and the outer
+    # automorphism stay warm, and the int8 stack is gathered from the maps
+    # only when asked for
     rootsys._outer_automorphism()
     for fn in (generate_G2_2, rootsys._g2_stack, rootsys._brandt_closure):
         fn.cache_clear()
@@ -368,11 +369,49 @@ def test_g2_maps_share_their_rows():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # a row tuple per map, a __dict__ per LinMap and H in int64 kept 15.6 MB
-    assert retained < 4 * 2 ** 20
+    # a row tuple per map, a __dict__ per LinMap and H in int64 kept 15.6
+    # MB; 12 096 LinMaps on shared rows and the int8 stack kept 3.1 MB;
+    # H in int8 (378 KiB) and one byte per row (95 KiB) keep 0.46 MiB
+    assert retained < 2 ** 20
     # 1 and the 126 imaginary units
     assert len({id(row) for m in maps for row in m.rows2}) == 127
     assert not hasattr(maps[0], "__dict__")
+
+
+def test_g2_maps_are_their_stack_rows():
+    maps, stack = generate_G2_2(), rootsys._g2_stack()
+    assert len(maps) == len(stack) == 12096
+    for m, mat in zip(maps, stack.tolist()):
+        assert type(m) is LinMap and m.dim == 8 and m.rows2 == tuple(map(tuple, mat))
+
+
+def test_g2_maps_index_like_a_tuple():
+    maps = generate_G2_2()
+    as_tuple = tuple(maps)
+    assert len(maps) == len(as_tuple) == 12096
+    assert list(iter(maps)) == list(as_tuple) and tuple(reversed(maps)) == as_tuple[::-1]
+    for i in (0, 1, 6047, 12095, -1, -12096, np.int64(7)):
+        assert maps[i] == as_tuple[i]
+    for i in (12096, -12097):
+        with pytest.raises(IndexError):
+            maps[i]
+    with pytest.raises(TypeError):
+        maps[1.0]
+    assert maps[5:9] == as_tuple[5:9] and maps[::-4000] == as_tuple[::-4000]
+    assert maps.index(as_tuple[300]) == 300 and as_tuple[300] in maps
+    with pytest.raises(AttributeError):  # read only
+        maps.rows = ()
+
+
+@pytest.mark.parametrize("seed", [0, 29, 20260823])
+def test_g2_maps_draw_like_a_tuple(seed):
+    # what the sweep and the benchmark draw with, so neither digest moves
+    maps = generate_G2_2()
+    as_tuple = tuple(maps)
+    a, b = random.Random(seed), random.Random(seed)
+    assert [a.choice(maps) for _ in range(40)] == [b.choice(as_tuple) for _ in range(40)]
+    assert a.sample(maps, 30) == b.sample(as_tuple, 30)
+    assert a.getstate() == b.getstate()
 
 
 def nested_conjugation(seq, x: AlgElem) -> AlgElem:

@@ -77,30 +77,46 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _cold_cli_loads_numpy_ma(argv) -> bool:
-    """Whether one CLI call in a fresh process imports numpy.ma."""
-    code = ("import sys, contextlib, io, octavia.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    octavia.cli.main({list(argv)!r})\n"
-            "print('numpy.ma' in sys.modules)")
+def _cold_loads_numpy_ma(code: str) -> bool:
+    """Whether a code snippet run in a fresh process imports numpy.ma."""
+    code += "\nimport sys\nprint('numpy.ma' in sys.modules)"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    return out.stdout.strip() == "True"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def _cli_call(argv) -> str:
+    """A snippet making one CLI call with its output swallowed."""
+    return ("import contextlib, io, octavia.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    octavia.cli.main({list(argv)!r})")
 
 
 def test_coset_loads_no_numpy_ma():
     # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
     # cold coset call); coset_reps deduplicates pairs on one int64 key
     # each (rings._pair_classes) and sorts its rows by np.lexsort
-    assert not _cold_cli_loads_numpy_ma(["coset", "--ring", "hurwitz", "--bound", "2"])
+    assert not _cold_loads_numpy_ma(_cli_call(["coset", "--ring", "hurwitz", "--bound", "2"]))
 
 
 def test_fourier_loads_no_numpy_ma():
     # the grid orbit table is built on the first fourier call; np.unique
     # on its rows would load numpy.ma (about 15 ms of a cold call)
-    assert not _cold_cli_loads_numpy_ma(["fourier", "--ring", "hurwitz", "--mu", "1,1,0,0",
-                                         "--radius", "4", "--grid", "4"])
+    assert not _cold_loads_numpy_ma(_cli_call(["fourier", "--ring", "hurwitz", "--mu", "1,1,0,0",
+                                               "--radius", "4", "--grid", "4"]))
+
+
+def test_e8_normal_form_loads_no_numpy_ma():
+    # the first W+(E8) normal form builds the class-first pairs of
+    # rootsys._class_composites; plain np.unique on them loaded numpy.ma
+    # (11-16 ms of the first round trip)
+    assert not _cold_loads_numpy_ma(
+        "from octavia.rings import OCTAVIAN, units\n"
+        "from octavia.rootsys import e8_decompose, e8_element, generate_G2_2, imaginary_units\n"
+        "imag = imaginary_units()\n"
+        "m = e8_element(imag[3], imag[7], units(OCTAVIAN)[11], generate_G2_2()[100])\n"
+        "assert e8_element(*e8_decompose(m)).key() == m.key()")
 
 
 def _references(node):
