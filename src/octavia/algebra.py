@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -335,7 +336,7 @@ def _reduced(dim: int, num, den: int) -> AlgElem:
     """The element num / den (den > 0) brought to lowest terms."""
     g = math.gcd(den, *num)
     if g != 1:
-        return _new(dim, tuple(x // g for x in num), den // g)
+        return _new(dim, tuple([x // g for x in num]), den // g)
     return _new(dim, tuple(num), den)
 
 
@@ -345,7 +346,7 @@ def _from2(dim: int, c2: tuple[int, ...]) -> AlgElem:
     if math.gcd(2, *c2) == 1:  # some coordinate is odd
         a = _new(dim, c2, 2)
     else:
-        a = _new(dim, tuple(c >> 1 for c in c2), 1)
+        a = _new(dim, tuple([c >> 1 for c in c2]), 1)
     a.__dict__["coords2"] = c2
     return a
 
@@ -436,7 +437,8 @@ def cd_multiply(a: AlgElem, b: AlgElem) -> AlgElem:
 
 
 def conj(a: AlgElem) -> AlgElem:
-    return _new(a.dim, (a.num[0],) + tuple(-x for x in a.num[1:]), a.den)
+    num = a.num
+    return _new(a.dim, (num[0], *[-x for x in num[1:]]), a.den)
 
 
 def real_part(a: AlgElem) -> Fraction:
@@ -447,7 +449,7 @@ def inner(a: AlgElem, b: AlgElem) -> Fraction:
     """Positive-definite inner product (a,b) = (a b~ + b a~)/2."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return Fraction(sum(x * y for x, y in zip(a.num, b.num)), a.den * b.den)
+    return Fraction(sum(map(operator.mul, a.num, b.num)), a.den * b.den)
 
 
 def norm_sq(a: AlgElem) -> Fraction:
@@ -456,7 +458,7 @@ def norm_sq(a: AlgElem) -> Fraction:
 
 def _is_unit_norm(a: AlgElem) -> bool:
     """norm_sq(a) == 1, compared on integers: |num|^2 against den^2."""
-    return sum(x * x for x in a.num) == a.den * a.den
+    return sum(map(operator.mul, a.num, a.num)) == a.den * a.den
 
 
 def invert(a: AlgElem) -> AlgElem:

@@ -13,6 +13,7 @@ exact 2x2 matrix forms with the quaternionic determinant and inverse.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ import numpy as np
 from .algebra import (
     AlgElem,
     _from2,
+    _halving_kernel,
     _is_unit_norm,
     _mult2,
     _reduced,
@@ -198,13 +200,13 @@ def act_coords(tokens, x_plus, x_minus, x):
         elif isinstance(tok, Trans):
             y2 = tok.y.coords2
             h = _halve(x_minus)
-            x_plus = (x_plus + sum(a * b for a, b in zip(x, y2) if b)
-                      + _halve(h * sum(b * b for b in y2)))
+            x_plus = (x_plus + sum([a * b for a, b in zip(x, y2) if b])
+                      + _halve(h * sum(map(operator.mul, y2, y2))))
             x = [a + b * h if b else a for a, b in zip(x, y2)]
         elif isinstance(tok, Rot):
-            rows2 = sandwich_map(tok.eps).rows2
-            x = [_halve(sum(a * r[j] for a, r in zip(x, rows2) if r[j]))
-                 for j in range(len(x))]
+            # column j of the doubled rows holds the coefficients of x_j
+            x = [_halve(sum([a * r for a, r in zip(x, col) if r]))
+                 for col in zip(*sandwich_map(tok.eps).rows2)]
         else:
             raise TypeError(f"unknown token {tok!r}")
     return x_plus, x_minus, x
@@ -268,20 +270,39 @@ def apply_word(w: GroupWord, X: HermMat) -> HermMat:
 
 
 def row_act(row, w: GroupWord):
-    """Right action of the word on a row (a1, a2), token by token.
+    """Right action of the word on a row (a1, a2), token by token: Inv
+    takes it to (a2, -a1), Trans(y) to (a1, a1 y + a2) and Rot(eps) to
+    (a1 eps, a2 conj(eps)).
+
+    As in apply_word, the row is lifted to integer numerators over one
+    denominator S = D 2^e (D the lcm of its denominators, e = #Trans +
+    #Rot), and each product with the doubled coordinates of y or eps is
+    one _halving_kernel: a token adds at most one halving to the history
+    of each value, so every numerator stays an integer and no AlgElem is
+    made until the result.
 
     Rows are only defined up to a global sign; callers compare with
     row_equal semantics (r ~ -r).
     """
     a1, a2 = row
+    dim = a1.dim
+    if a2.dim != dim:
+        raise ValueError(f"dimension mismatch: {dim} vs {a2.dim}")
+    halving = _halving_kernel(dim)
+    S = math.lcm(a1.den, a2.den) << sum(not isinstance(t, Inv) for t in w.tokens)
+    n1 = [n * (S // a1.den) for n in a1.num]
+    n2 = [n * (S // a2.den) for n in a2.num]
     for tok in w.tokens:
         if isinstance(tok, Inv):
-            a1, a2 = a2, -a1
+            n1, n2 = n2, [-v for v in n1]
         elif isinstance(tok, Trans):
-            a1, a2 = a1, cd_multiply(a1, tok.y) + a2
+            n2 = list(map(operator.add, halving(n1, tok.y.coords2), n2))
         else:
-            a1, a2 = cd_multiply(a1, tok.eps), cd_multiply(a2, conj(tok.eps))
-    return a1, a2
+            eps2 = tok.eps.coords2
+            bar2 = [-v for v in eps2]
+            bar2[0] = eps2[0]
+            n1, n2 = halving(n1, eps2), halving(n2, bar2)
+    return _reduced(dim, n1, S), _reduced(dim, n2, S)
 
 
 # -- coset words -----------------------------------------------------------

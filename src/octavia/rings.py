@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -38,7 +39,6 @@ from .algebra import (
     cd_multiply,
     commutator,
     one,
-    zero,
 )
 
 __all__ = [
@@ -194,7 +194,7 @@ def is_member(ring: Ring, x: AlgElem) -> bool:
     if x.dim != ring.dim:
         raise ValueError(f"dimension mismatch: element dim {x.dim}, ring dim {ring.dim}")
     # every ring contains Z^dim; half-integers must follow the glue code
-    return x.den == 1 or (x.den == 2 and tuple(n & 1 for n in x.num) in _cosets(ring))
+    return x.den == 1 or (x.den == 2 and tuple([n & 1 for n in x.num]) in _cosets(ring))
 
 
 # -- nearest-point decoding ------------------------------------------------
@@ -331,20 +331,30 @@ class EuclTrace:
     remainders: tuple[AlgElem, ...]
 
     def replay_ok(self) -> bool:
-        """Exactly re-substitute the division chain and check that the
-        norms |c|^2 > |r1|^2 > |r2|^2 > ... > 0 strictly decrease, each
-        compared on integers as |num|^2 over den^2."""
-        first, c = self.inputs
-        if len(self.quotients) != len(self.remainders) + 1:
+        """Exactly re-substitute the division chain on doubled coordinates
+        and check that the norms |c|^2 > |r1|^2 > |r2|^2 > ... > 0
+        strictly decrease, as integer sums of squares.  Each product runs
+        through _halving_kernel; a trace with an element off the
+        half-integer lattice, a product that leaves it, or an element of
+        another dimension does not replay."""
+        dim = self.ring.dim
+        if len(self.quotients) != len(self.remainders) + 1 or self.inputs[0].dim != dim:
+            return False  # the kernel checks the length of every other element
+        try:
+            seq = [x.coords2 for x in (*self.inputs, *self.remainders)]
+            qs = [q.coords2 for q in self.quotients]
+            seq.append((0,) * dim)
+            halving = _halving_kernel(dim)
+            right = self.side == "right"
+            for q, prev, cur, nxt in zip(qs, seq, seq[1:], seq[2:]):
+                # prev = q cur - nxt (right) or cur q - nxt (left)
+                prod = halving(q, cur) if right else halving(cur, q)
+                if prod != list(map(operator.add, prev, nxt)):
+                    return False
+        except ValueError:  # coords2 of a non-half-integral element, or a length
             return False
-        seq = [first, c, *self.remainders, zero(self.ring.dim)]
-        right = self.side == "right"
-        for q, prev, cur, nxt in zip(self.quotients, seq, seq[1:], seq[2:]):
-            if prev != (cd_multiply(q, cur) if right else cd_multiply(cur, q)) - nxt:
-                return False
-        norms = [(sum(v * v for v in x.num), x.den * x.den) for x in seq[1:-1]]
-        return (all(n > 0 for n, _ in norms)
-                and all(n * e > m * d for (n, d), (m, e) in zip(norms, norms[1:])))
+        norms = [sum(map(operator.mul, x, x)) for x in seq[1:-1]]
+        return norms[-1] > 0 and all(map(operator.gt, norms, norms[1:]))
 
     @property
     def last_divisor(self) -> AlgElem:
@@ -539,7 +549,7 @@ def _euclid_chain(ring: Ring, p: Sequence[int], c: Sequence[int], side: str) -> 
         raise ValueError("side must be 'right' or 'left'")
     right = side == "right"
     halving, decode = _halving_kernel(ring.dim), _nearest2(ring)
-    cn4 = sum(v * v for v in c)
+    cn4 = sum(map(operator.mul, c, c))
     steps = []
     while cn4:
         cbar = [-v for v in c]
@@ -551,8 +561,8 @@ def _euclid_chain(ring: Ring, p: Sequence[int], c: Sequence[int], side: str) -> 
         qc = halving(q, c) if right else halving(c, q)
         if qc is None:
             raise ArithmeticError("product left the half-integer lattice")
-        r = [x - y for x, y in zip(qc, p)]
-        rn4 = sum(v * v for v in r)
+        r = tuple(map(operator.sub, qc, p))
+        rn4 = sum(map(operator.mul, r, r))
         if rn4 >= cn4:
             raise ArithmeticError(f"Euclid step did not lower the norm in {ring} ({side})")
         steps.append((q, r))
@@ -575,8 +585,8 @@ def _euclid(ring: Ring, first: AlgElem, c: AlgElem, side: str) -> EuclTrace:
     _check_members(ring, first, c)
     steps = _euclid_chain(ring, first.coords2, c.coords2, side)
     dim = ring.dim
-    qs = tuple(_from2(dim, q) for q, _ in steps)
-    rs = tuple(_from2(dim, tuple(r)) for _, r in steps[:-1])
+    qs = tuple([_from2(dim, q) for q, _ in steps])
+    rs = tuple([_from2(dim, r) for _, r in steps[:-1]])
     return EuclTrace(side, ring, (first, c), qs, rs)
 
 

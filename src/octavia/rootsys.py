@@ -120,10 +120,7 @@ class LinMap:
             raise ValueError("a matrix2() entry lies outside the int8 key range") from None
 
     def is_orthogonal(self) -> bool:
-        m = self.matrix2()
-        gram = m @ m.T
-        gram.flat[::self.dim + 1] -= 4
-        return not gram.any()
+        return _is_orthogonal2(self.matrix2())
 
     def det(self) -> Fraction:
         """Exact determinant: fraction-free (Bareiss) elimination on the
@@ -146,6 +143,13 @@ class LinMap:
 
 # byte v + 128 -> the int8 byte of v, for LinMap.key
 _INT8_BYTES = bytes((b - 128) & 255 for b in range(256))
+
+
+def _is_orthogonal2(m2: np.ndarray) -> bool:
+    """Whether the doubled-coordinate matrix m2 is orthogonal: m2 m2^T = 4."""
+    gram = m2 @ m2.T
+    gram.flat[::len(gram) + 1] -= 4
+    return not gram.any()
 
 
 def _product2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,6 +190,15 @@ def sandwich_map(a: AlgElem) -> LinMap:
 @lru_cache(maxsize=4096)
 def right_mult_map(b: AlgElem) -> LinMap:
     return _bimult_map(one(b.dim), b)
+
+
+@lru_cache(maxsize=480)
+def _unit_matrix2(map_of, u: AlgElem) -> np.ndarray:
+    """map_of(u).matrix2(), read-only, for map_of sandwich_map or
+    right_mult_map.  The W+(E8) maps read it for unit octavians only,
+    after checking them, so it holds at most the 240 units per map kind;
+    converting rows2 each time cost more than the product itself."""
+    return _readonly(map_of(u).matrix2())
 
 
 def brandt_conjugation(a: AlgElem) -> LinMap:
@@ -679,11 +692,12 @@ def _imaginary_factor_table() -> tuple:
 @lru_cache(maxsize=2)
 def _class_composites(outer_first: bool) -> tuple:
     """The 120 class-first pairs, ascending, as Python ints, and their
-    float32 sandwich composites: matrix(sigma(h) o sigma(g)) when
-    outer_first, else matrix(sigma(g) o sigma(h)).  Entries lie in
-    [-2, 2], so every product with another such 8 x 8 matrix sums terms
-    of at most 4 to at most 32 < 2^24, and float32 holds each partial
-    sum exactly."""
+    float32 sandwich composites side by side in one (8, 960) array:
+    columns 8 i to 8 i + 7 hold pair i's matrix(sigma(h) o sigma(g)) when
+    outer_first, else matrix(sigma(g) o sigma(h)), so one 2-D product
+    makes every candidate.  Entries lie in [-2, 2], so every product with
+    another such 8 x 8 matrix sums terms of at most 4 to at most
+    32 < 2^24, and float32 holds each partial sum exactly."""
     # the distinct entries, ascending, without np.unique (whose first call
     # imports numpy.ma, 11-16 ms of a cold process)
     ks = np.flatnonzero(np.bincount(_imaginary_factor_table()[3]))
@@ -692,12 +706,14 @@ def _class_composites(outer_first: bool) -> tuple:
     # row-vector convention: matrix(a o b) = matrix(b) @ matrix(a)
     gs, hs = s[ks // n], s[ks % n]
     comps = _product2(gs, hs) if outer_first else _product2(hs, gs)
-    return tuple(ks.tolist()), _readonly(comps.astype(np.float32))
+    side = comps.transpose(1, 0, 2).reshape(8, -1).astype(np.float32)
+    return tuple(ks.tolist()), _readonly(side)
 
 
-def _sigma_residue_search(m: LinMap, outer_first: bool):
+def _sigma_residue_search(m2, outer_first: bool):
     """First (g, h) pair, scanning g-major, whose sandwich composite
-    leaves an automorphism residue phi, plus that residue.
+    leaves an automorphism residue phi of the map with doubled-coordinate
+    rows m2 (rows2 or an integer matrix2()), plus that residue.
 
     outer_first=True searches phi = sigma(h) o sigma(g) o m (the W(E7)
     normal form); False searches phi = sigma(g) o sigma(h) o m (the
@@ -708,20 +724,22 @@ def _sigma_residue_search(m: LinMap, outer_first: bool):
     candidates come from one float32 matmul, exact by the bound in
     _class_composites, halved and floored as the integer product would be.
     """
-    m2 = np.array(m.rows2, dtype=np.float32)
+    m2 = np.asarray(m2, dtype=np.float32)
     if np.abs(m2).max() > 2:  # not an isometry; also keeps float32 exact
         raise ValueError("no sandwich-pair residue is an automorphism")
     ks, comps = _class_composites(outer_first)
     cand = m2 @ comps
     cand *= 0.5
-    cand = np.floor(cand, out=cand).astype(np.int8)
+    np.floor(cand, out=cand)
+    # candidate-major: candidate i is cand[i] and the key flat[64 i:64 i + 64]
+    cand = cand.reshape(8, -1, 8).transpose(1, 0, 2).astype(np.int8, order="C")
     keys = g2_key_set()
-    flat = cand.tobytes()  # candidate i is the key flat[64 i:64 i + 64]
-    for i, k in enumerate(ks):
-        if flat[64 * i:64 * i + 64] in keys:
+    flat = cand.tobytes()
+    for at in range(0, len(flat), 64):
+        if flat[at:at + 64] in keys:
             imag = imaginary_units()
-            g, h = divmod(k, len(imag))
-            return imag[g], imag[h], LinMap(8, tuple(map(tuple, cand[i].tolist())))
+            g, h = divmod(ks[at >> 6], len(imag))
+            return imag[g], imag[h], LinMap(8, tuple(map(tuple, cand[at >> 6].tolist())))
     raise ValueError("no sandwich-pair residue is an automorphism")
 
 
@@ -734,7 +752,7 @@ def e7_normal_form(m: LinMap):
     sign representative.
     """
     # phi = sigma(h) o sigma(g) o m, i.e. x -> h(g x g)h applied after m
-    g, h, phi = _sigma_residue_search(m, outer_first=True)
+    g, h, phi = _sigma_residue_search(m.rows2, outer_first=True)
     b = cd_multiply(g, h)
     bc = min(b, -b, key=lambda u: u.coords)
     return bc, phi, (g, h)
@@ -781,9 +799,13 @@ def e8_element(e: AlgElem, f: AlgElem, b: AlgElem, phi: LinMap) -> LinMap:
         raise ValueError("b must be a unit octavian")
     if phi.key() not in g2_key_set():
         raise ValueError("phi is not an octavian automorphism")
-    # R_b o sigma_f o sigma_e o phi, in the order of the nested products
-    rows = reduce(_product2, [m.matrix2() for m in (
-        phi, sandwich_map(e), sandwich_map(f), right_mult_map(b))])
+    # R_b o sigma_f o sigma_e o phi, in the order of the nested products;
+    # the four doubled matrices multiply to 8 times the doubled composite
+    rows = (phi.matrix2() @ _unit_matrix2(sandwich_map, e)
+            @ _unit_matrix2(sandwich_map, f) @ _unit_matrix2(right_mult_map, b))
+    if (rows & 7).any():
+        raise ArithmeticError("product left the half-integer lattice")
+    rows >>= 3
     return LinMap(8, tuple(map(tuple, rows.tolist())))
 
 
@@ -798,18 +820,21 @@ def e8_decompose(m: LinMap):
     is computed only on failure: an odd isometry raises "m is not an even
     isometry" whatever step failed, as if it had been checked first.
     """
-    if not m.is_orthogonal():
+    m2 = m.matrix2()
+    if not _is_orthogonal2(m2):
         raise ValueError("m is not an even isometry")
     try:
         b = AlgElem.from_coords2(8, m.rows2[0])
         if not is_unit(OCTAVIAN, b):
             raise ValueError("m does not preserve the octavian lattice")
-        stab = right_mult_map(conj(b)) * m
-        if stab.key() in g2_key_set():
-            return one(8), one(8), b, stab
+        # (right mult conj(b)) o m; an isometry, so its entries lie in
+        # [-2, 2] and int8 holds its key
+        stab2 = _product2(m2, _unit_matrix2(right_mult_map, conj(b)))
+        if stab2.astype(np.int8).tobytes() in g2_key_set():
+            return one(8), one(8), b, LinMap(8, tuple(map(tuple, stab2.tolist())))
         try:
             # phi = sigma(e) o sigma(f) o stab, i.e. sigma^{-1}: x -> e(f x f)e
-            e, f, phi = _sigma_residue_search(stab, outer_first=False)
+            e, f, phi = _sigma_residue_search(stab2, outer_first=False)
         except ValueError:
             raise ValueError("decomposition search failed (lattice inconsistency)")
     except (ValueError, ArithmeticError):

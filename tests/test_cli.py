@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,18 @@ def test_units(capsys):
     assert data["count"] == 24
     data = _run_json(capsys, "units", "--ring", "octavian")
     assert data["partition"] == {"real": 2, "brandt": 112, "imaginary": 126}
+
+
+def test_python_m_octavia_prints_what_main_prints(capsys):
+    # the package runs as a module without the console script installed
+    code, expected = _run(capsys, "units", "--ring", "Z")
+    assert code == 0
+    src = str(Path(cli.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "octavia", "units", "--ring", "Z"],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout == expected
 
 
 def test_units_csv(capsys):

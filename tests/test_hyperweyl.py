@@ -57,6 +57,7 @@ from octavia.rings import (
     enumerate_ball,
     is_left_coprime,
     is_right_coprime,
+    octavian_unit_classes,
     random_element,
     right_euclid,
     units,
@@ -234,6 +235,54 @@ def test_row_lemma(ring, rng):
         wt = build_w_tilde_cd(ring, c, d)
         r1, r2 = row_act(base, wt)
         assert (r1, r2) == (c, d) or (r1, r2) == (-c, -d)
+
+
+def _element_row_act(row, w):
+    """The token loop of row_act as it ran on AlgElems, one exact product
+    per factor: the oracle of the doubled-integer row action."""
+    a1, a2 = row
+    for tok in w.tokens:
+        if isinstance(tok, Inv):
+            a1, a2 = a2, -a1
+        elif isinstance(tok, Trans):
+            a1, a2 = a1, cd_multiply(a1, tok.y) + a2
+        else:
+            a1, a2 = cd_multiply(a1, tok.eps), cd_multiply(a2, conj(tok.eps))
+    return a1, a2
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_row_act_matches_element_loop(ring, rng):
+    # random words on lattice rows, on rows with denominators 3 and 6 (not
+    # half-integral), and the coset words of left-coprime rows
+    dim = ring.dim
+    for i in range(60):
+        w = random_word(ring, rng, 20, 4)
+        if i % 2:
+            row = (random_element(ring, rng), random_element(ring, rng))
+        else:
+            row = tuple(AlgElem(dim, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+                                      for _ in range(dim)]) for _ in range(2))
+        assert row_act(row, w) == _element_row_act(row, w)
+    base = (zero(dim), one(dim))
+    for c, d in _coprime_pairs(ring, rng, 20, side="left"):
+        wt = build_w_tilde_cd(ring, c, d)
+        assert row_act(base, wt) == _element_row_act(base, wt)
+
+
+def test_row_act_rotates_by_non_central_octavian_units(rng):
+    # x -> x eps and x -> x conj(eps) by Brandt and imaginary units, which
+    # neither commute nor associate with the row entries
+    _, brandt, imag = octavian_unit_classes()
+    third = AlgElem(8, [Fraction(k, 3) for k in range(1, 9)])
+    for _ in range(40):
+        toks = [Rot(rng.choice(brandt + imag)) for _ in range(3)]
+        toks.insert(rng.randrange(4), Trans(random_element(OCTAVIAN, rng)))
+        toks.insert(rng.randrange(5), Inv())
+        w = GroupWord(OCTAVIAN, tuple(toks))
+        for row in ((random_element(OCTAVIAN, rng), random_element(OCTAVIAN, rng)),
+                    (third, random_element(OCTAVIAN, rng))):
+            assert row_act(row, w) == _element_row_act(row, w)
 
 
 @pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)

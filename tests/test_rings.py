@@ -383,6 +383,77 @@ def test_replay_rejects_first_remainder_not_below_divisor():
     assert right_euclid(Z, n(5), n(2)).replay_ok()
 
 
+def _element_replay_ok(tr):
+    """replay_ok as it ran on AlgElems, the oracle of the doubled-integer
+    replay: the chain re-substituted through cd_multiply, and the norms
+    compared as |num|^2 over den^2.  It checks no lattice membership."""
+    first, c = tr.inputs
+    if len(tr.quotients) != len(tr.remainders) + 1:
+        return False
+    seq = [first, c, *tr.remainders, zero(tr.ring.dim)]
+    right = tr.side == "right"
+    for q, prev, cur, nxt in zip(tr.quotients, seq, seq[1:], seq[2:]):
+        if prev != (cd_multiply(q, cur) if right else cd_multiply(cur, q)) - nxt:
+            return False
+    norms = [(sum(v * v for v in x.num), x.den * x.den) for x in seq[1:-1]]
+    return (all(n > 0 for n, _ in norms)
+            and all(n * e > m * d for (n, d), (m, e) in zip(norms, norms[1:])))
+
+
+@pytest.mark.parametrize("ring", [Z, HURWITZ, OCTAVIAN], ids=lambda r: r.name)
+def test_replay_matches_element_replay(ring, rng):
+    # seeded traces on both sides, and each tampered: the other side's
+    # replay (the octavians do not commute), a quotient moved by one, a
+    # remainder negated, the chain cut short
+    seen = set()
+    for _ in range(60):
+        a, c = random_element(ring, rng), random_element(ring, rng)
+        if c.is_zero():
+            continue
+        for runner in (right_euclid, left_euclid):
+            tr = runner(ring, a, c)
+            other = "left" if tr.side == "right" else "right"
+            variants = [tr, dataclasses.replace(tr, side=other),
+                        dataclasses.replace(tr, quotients=(tr.quotients[0] + one(ring.dim),
+                                                           *tr.quotients[1:]))]
+            if tr.remainders:
+                variants += [dataclasses.replace(tr, remainders=(-tr.remainders[0],
+                                                                 *tr.remainders[1:])),
+                             dataclasses.replace(tr, quotients=tr.quotients[:-1],
+                                                 remainders=tr.remainders[:-1])]
+            for v in variants:
+                got = v.replay_ok()
+                assert got == _element_replay_ok(v)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_forged_traces_do_not_replay():
+    # each forgery returns False and raises nothing
+    n = lambda k: AlgElem.from_coords2(1, [2 * k])
+    third = lambda k: AlgElem(1, [Fraction(k, 3)])
+    half = AlgElem.from_coords2(4, (1, 0, 0, 0))  # 1/2, no Hurwitz element
+    forged = {
+        # 3 = (4/3) 3 - 1, 3 = 3 * 1: exact with decreasing norms, but the
+        # quotient 4/3 is not half-integral, so no lattice chain has it
+        "non-half-integral quotient": EuclTrace("right", Z, (n(3), n(3)),
+                                                (third(4), n(3)), (n(1),)),
+        # (1/2)(1/2) = 1/4 leaves the half-integer lattice: an odd product
+        "odd product": EuclTrace("right", HURWITZ, (zero(4), half), (half,), ()),
+        "too few quotients": EuclTrace("right", Z, (n(5), n(2)), (n(3),), (n(1),)),
+        "too many quotients": EuclTrace("right", Z, (n(4), n(2)), (n(2), n(1)), ()),
+        # 4 = 1 * 2 - (-2), 2 = (-1)(-2): exact, but |r1| = |c|
+        "norms not decreasing": EuclTrace("right", Z, (n(4), n(2)), (n(1), n(-1)),
+                                          (n(-2),)),
+        "element of another dimension": EuclTrace("right", Z, (one(4), n(1)), (n(1),), ()),
+        "zero divisor": EuclTrace("right", Z, (n(0), n(0)), (n(1),), ()),
+    }
+    for name, tr in forged.items():
+        assert tr.replay_ok() is False, name
+    # the element replay, which checks no membership, accepts the first
+    assert _element_replay_ok(forged["non-half-integral quotient"])
+
+
 def _fraction_divisor_scan(ring, a, c, max_norm):
     out = []
     for g in ball_elements(ring, max_norm):
@@ -562,6 +633,7 @@ CACHE_ARGS = {
     "_coded_units": (4,),
     "sandwich_map": (basis_unit(8, 3),),
     "right_mult_map": (basis_unit(8, 3),),
+    "_unit_matrix2": (octavia.rootsys.sandwich_map, basis_unit(8, 3)),
     "root_basis": ("e8",),
     "all_roots": ("e8",),
     "_root_closure": ("e8",),

@@ -610,9 +610,9 @@ def test_class_first_search_matches_full_scan():
     g2 = generate_G2_2()
     for _ in range(200):
         stab = e8_element(rng.choice(imag), rng.choice(imag), one(8), rng.choice(g2))
-        assert rootsys._sigma_residue_search(stab, False) == _full_scan(stab, False)
+        assert rootsys._sigma_residue_search(stab.matrix2(), False) == _full_scan(stab, False)
         m = e7_element(rng.choice(imag), rng.choice(imag), rng.choice(g2))
-        assert rootsys._sigma_residue_search(m, True) == _full_scan(m, True)
+        assert rootsys._sigma_residue_search(m.rows2, True) == _full_scan(m, True)
 
 
 def _int8_search(m, outer_first):
@@ -660,7 +660,9 @@ def test_float32_search_matches_int8_search(outer_first):
         else:
             m = LinMap(8, tuple(tuple(rng.randint(-2, 2) for _ in range(8))
                                 for _ in range(8)))
-        got = _outcome(rootsys._sigma_residue_search, m, outer_first)
+        # the map's rows as e8_decompose passes them, an int64 matrix2()
+        got = _outcome(lambda m, o: rootsys._sigma_residue_search(m.matrix2(), o),
+                       m, outer_first)
         assert got == _outcome(_int8_search, m, outer_first)
         hits += isinstance(got, tuple)
     assert hits >= 100
@@ -671,7 +673,7 @@ def test_class_composites_are_exact_in_float32():
     # sums stay within 8 * 2 * 2 = 32 < 2^24 and float32 is exact
     for outer_first in (True, False):
         ks, comps = rootsys._class_composites(outer_first)
-        assert comps.dtype == np.float32 and comps.shape == (120, 8, 8)
+        assert comps.dtype == np.float32 and comps.shape == (8, 960)
         assert np.abs(comps).max() == 2 and np.array_equal(comps, np.round(comps))
         assert list(ks) == sorted(ks) and all(type(k) is int for k in ks)
 

@@ -247,7 +247,7 @@ def test_element_keyed_caches_are_bounded():
                     checked.append(node.name)
                     if not bounded:
                         found.append(f"{path.name}:{node.lineno} {node.name}")
-    assert {"_euclid", "sandwich_map", "right_mult_map"} <= set(checked)
+    assert {"_euclid", "sandwich_map", "right_mult_map", "_unit_matrix2"} <= set(checked)
     assert found == []
 
 
@@ -273,8 +273,9 @@ def test_exact_hot_path_builds_no_fractions():
     # Fraction and call neither norm_sq nor real_part, which return one
     wanted = {("rings.py", "is_unit"), ("rings.py", "_euclid"),
               ("rings.py", "EuclTrace.replay_ok"), ("hyperweyl.py", "build_w_ac"),
-              ("hyperweyl.py", "build_w_tilde_cd"), ("rootsys.py", "e7_element"),
-              ("rootsys.py", "e8_element")}
+              ("hyperweyl.py", "build_w_tilde_cd"), ("hyperweyl.py", "row_act"),
+              ("rootsys.py", "e7_element"), ("rootsys.py", "e8_element"),
+              ("rootsys.py", "e8_decompose")}
     banned = {"Fraction", "norm_sq", "real_part"}
     seen, found = set(), []
     for path in sorted(SRC.glob("*.py")):
