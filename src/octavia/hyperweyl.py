@@ -276,10 +276,10 @@ def row_act(row, w: GroupWord):
 
     As in apply_word, the row is lifted to integer numerators over one
     denominator S = D 2^e (D the lcm of its denominators, e = #Trans +
-    #Rot), and each product with the doubled coordinates of y or eps is
-    one _halving_kernel: a token adds at most one halving to the history
-    of each value, so every numerator stays an integer and no AlgElem is
-    made until the result.
+    #Rot), and each product with the doubled coordinates of y or eps
+    (half-integral, as act_coords requires) is one _halving_kernel: a
+    token adds at most one halving to the history of each value, so every
+    numerator stays an integer and no AlgElem is made until the result.
 
     Rows are only defined up to a global sign; callers compare with
     row_equal semantics (r ~ -r).
