@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from octavia.algebra import to_text
+from octavia.algebra import AlgElem, to_text
 from octavia.hyperweyl import apply_word, coset_reps, delta, random_word
 from octavia.rings import HURWITZ, OCTAVIAN, Z
 from octavia.uhp import UhpPoint, act_word, distance, periodic_orbit_length
@@ -35,7 +35,8 @@ def main():
           img.x_plus * img.x_minus == norm_sq(img.x))
 
     print("\ncoset representatives (c, d) with |c|^2, |d|^2 <= 1, mod units:")
-    for c, d in coset_reps(Z, 1):
+    for c2, d2 in coset_reps(Z, 1).tolist():  # rows of doubled coordinates
+        c, d = AlgElem.from_coords2(1, [c2]), AlgElem.from_coords2(1, [d2])
         print(f"  ({to_text(c)}, {to_text(d)})")
 
     # closed geodesic length of a hyperbolic integer matrix

@@ -576,13 +576,11 @@ def _mult2(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _structure_float(dim: int) -> np.ndarray:
-    """Structure constants S with (ab)_k = sum_ij S[i,j,k] a_i b_j."""
-    idx, sgn = structure_table(dim)
-    S = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            S[i, j, int(idx[i, j])] = float(sgn[i, j])
-    return _readonly(S)
+    """Structure constants S with (ab)_k = sum_ij S[i,j,k] a_i b_j: the
+    products e_i e_j of the basis pairs (_mult4 on the identity rows)."""
+    eye = np.eye(dim, dtype=np.int64)
+    prod = _mult4(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1)))
+    return _readonly(prod.reshape(dim, dim, dim).astype(float))
 
 
 def left_mult_matrix(a: Sequence[float], dim: int) -> np.ndarray:

@@ -325,7 +325,10 @@ def _coset_class_words(ring: Ring, radius: int):
     if not ring.associative:
         raise ValueError("octavian pairs do not reduce to unit orbits; "
                          "use the term-level Lemma check instead")
-    return tuple(build_w_tilde_cd(ring, c, d) for c, d in coset_reps(ring, radius))
+    dim = ring.dim
+    return tuple(build_w_tilde_cd(ring, AlgElem.from_coords2(dim, row[:dim]),
+                                  AlgElem.from_coords2(dim, row[dim:]))
+                 for row in coset_reps(ring, radius).tolist())
 
 
 def poincare_via_words(p: SeriesParams) -> complex:

@@ -249,14 +249,16 @@ def cmd_euclid(args) -> int:
 def cmd_coset(args) -> int:
     ring = _ring(args)
     bound = int(args.bound or 1)
-    reps = hyperweyl.coset_reps(ring, bound)
+    dim = ring.dim
     out = []
-    for c, d in reps:
-        entry = {"c": elem_json(c), "d": elem_json(d)}
+    for row in hyperweyl.coset_reps(ring, bound).tolist():
+        c2, d2 = row[:dim], row[dim:]
+        entry = {"c": {"dim": dim, "coords2": c2}, "d": {"dim": dim, "coords2": d2}}
         if args.words:
-            entry["word"] = word_json(hyperweyl.build_w_tilde_cd(ring, c, d))
+            entry["word"] = word_json(hyperweyl.build_w_tilde_cd(
+                ring, AlgElem.from_coords2(dim, c2), AlgElem.from_coords2(dim, d2)))
         out.append(entry)
-    _emit(args, {"ring": ring.name, "bound": bound, "count": len(reps),
+    _emit(args, {"ring": ring.name, "bound": bound, "count": len(out),
                  "representatives": out})
     return 0
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .algebra import (
     AlgElem,
-    _from2,
     _halving_kernel,
     _is_unit_norm,
     _mult2,
@@ -50,6 +49,7 @@ from .rings import (
     _stored_pairs,
     _unit_orbit_min,
     is_in_commutator_ideal,
+    is_left_coprime,
     is_unit,
     left_euclid,
     random_element,
@@ -281,8 +281,8 @@ def row_act(row, w: GroupWord):
     token adds at most one halving to the history of each value, so every
     numerator stays an integer and no AlgElem is made until the result.
 
-    Rows are only defined up to a global sign; callers compare with
-    row_equal semantics (r ~ -r).
+    Rows are only defined up to a global sign; callers compare rows as
+    equal up to a global sign (r ~ -r).
     """
     a1, a2 = row
     dim = a1.dim
@@ -442,43 +442,39 @@ def psl0_membership(S) -> bool:
 
 def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
     """Canonical representatives (c, d) of the left-coprime rows of the
-    (M, dim) doubled coordinates c2, d2, as (K, 2 dim) rows; rows that are
-    not left coprime are dropped.
+    (M, dim) doubled coordinates c2, d2, as (M, 2 dim) rows, one per row;
+    the caller decides the coprimality (rings._coprime_classes,
+    is_left_coprime or left_content).
 
-    One left Euclid run on (d, c) decides coprimality (content 4; for
-    c = 0 or d = 0 that means the other entry is a unit).  The class of
-    (c, d) is canonicalized by the ring's data:
+    The class of (c, d) is canonicalized by the ring's data:
       associative: the lexicographically least of the rows (u c, u d)
                 over the units u; Z instead takes the sign that makes
                 the leading nonzero entry positive;
-      otherwise:   the recorded chain d = c q1 - r1, c = r1 q2 - r2, ...,
-                replayed bottom-up with the last remainder set to the
-                least unit.
+      otherwise:   the left Euclid chain on (d, c), d = c q1 - r1,
+                c = r1 q2 - r2, ..., replayed bottom-up with the last
+                remainder set to the least unit.
     """
     c2, d2 = _exact_rows(c2, d2)
-    content, chain = _euclid_rows(ring, d2, c2, "left", record=not ring.associative)
-    keep = content == 4
     if ring is Z:  # the golden coset-z-* rows pin the sign rule
         lead = np.where(c2[:, :1] != 0, c2[:, :1], d2[:, :1])
-        rows = np.concatenate([c2, d2], axis=1) * np.where(lead < 0, -1, 1)
-        return rows[keep]
+        return np.concatenate([c2, d2], axis=1) * np.where(lead < 0, -1, 1)
     if ring.associative:
-        return _unit_orbit_min(ring, c2[keep], d2[keep])
+        return _unit_orbit_min(ring, c2, d2)
     # Non-associative: s, s_next start as (least unit, 0) and run
     # s, s_next = s q_k - s_next, s for k = L..2; then (c, d) = (s, s q1 - s_next).
     # Rows with c = 0 never enter the chain and stay (0, least unit).
+    chain = _euclid_rows(ring, d2, c2, "left", record=True)[1]
     s = np.tile(np.array(units(ring)[0].coords2, dtype=c2.dtype), (len(c2), 1))
     s_next = np.zeros_like(s)
-    steps = [(rows[keep[rows]], q[keep[rows]]) for rows, q, _ in chain]
-    for rows, q in reversed(steps[1:]):
+    for rows, q, _ in reversed(chain[1:]):
         cur = s[rows]
         s[rows] = _mult2(cur, q) - s_next[rows]
         s_next[rows] = cur
     c_new, d_new = np.zeros_like(s), s.copy()
-    for rows, q in steps[:1]:
+    for rows, q, _ in chain[:1]:
         c_new[rows] = s[rows]
         d_new[rows] = _mult2(s[rows], q) - s_next[rows]
-    return np.concatenate([c_new, d_new], axis=1)[keep]
+    return np.concatenate([c_new, d_new], axis=1)
 
 
 def canonical_pair(ring: Ring, c: AlgElem, d: AlgElem):
@@ -486,24 +482,25 @@ def canonical_pair(ring: Ring, c: AlgElem, d: AlgElem):
     (c, d) in Gamma_infinity \\ Gamma (the rule of _canonical_rows);
     raises ValueError when (c, d) is not left coprime."""
     _check_members(ring, c, d)
-    rows = _canonical_rows(ring, [c.coords2], [d.coords2])
-    if not len(rows):
+    if not is_left_coprime(ring, d, c):
         raise ValueError("(c, d) must be left coprime")
+    row = _canonical_rows(ring, [c.coords2], [d.coords2])[0].tolist()
     dim = ring.dim
-    return (AlgElem.from_coords2(dim, rows[0, :dim]),
-            AlgElem.from_coords2(dim, rows[0, dim:]))
+    return AlgElem.from_coords2(dim, row[:dim]), AlgElem.from_coords2(dim, row[dim:])
 
 
-def coset_reps(ring: Ring, norm_bound: int):
+def coset_reps(ring: Ring, norm_bound: int) -> np.ndarray:
     """Canonical representatives (c, d) of the classes in
     Gamma_infinity \\ Gamma that have a left-coprime row with
-    max(|c|^2, |d|^2) <= norm_bound, sorted by doubled coordinates.
+    max(|c|^2, |d|^2) <= norm_bound: a fresh (K, 2 dim) int64 array of
+    doubled coordinates (c2 | d2), one row per class, sorted
+    lexicographically.
 
     Each class is one left-coprime key (|c|^2, c^-bar d, |d|^2) of
     rings._pair_classes (rings._coprime_classes): the pairs of a key
     share their Euclid quotients, so their class, and a canonical row
     keeps the key of its pair.  So _canonical_rows runs once on the
-    stored pair of each coprime key, one Euclid batch per slice.
+    stored pair of each coprime key, in the batches of rings._stored_pairs.
     """
     _require_int("norm_bound", norm_bound)
     if norm_bound < 1:
@@ -511,7 +508,4 @@ def coset_reps(ring: Ring, norm_bound: int):
     pair = _pair_classes(ring, norm_bound)[2][_coprime_classes(ring, norm_bound)]
     rows = np.concatenate([_canonical_rows(ring, c2, d2)
                            for c2, d2 in _stored_pairs(ring, norm_bound, pair)])
-    rows = rows[np.lexsort(rows.T[::-1])]
-    dim = ring.dim
-    return [(_from2(dim, tuple(r[:dim].tolist())), _from2(dim, tuple(r[dim:].tolist())))
-            for r in rows]
+    return rows[np.lexsort(rows.T[::-1])]

@@ -33,8 +33,8 @@ from .algebra import (
     _halving_kernel,
     _is_unit_norm,
     _mult2,
-    _mult4,
     _readonly,
+    _structure_float,
     basis_unit,
     cd_multiply,
     commutator,
@@ -765,8 +765,7 @@ def _cbar_packing(dim: int, lim: int) -> np.ndarray:
     float matmul of the rows c2 @ P with a stack of x2 packs a block; its
     partial sums are integers, so it is exact in any order while they
     stay below 2^53, a bound each caller checks on its own inputs."""
-    eye = np.eye(dim, dtype=np.int64)
-    prod = _mult4(np.repeat(eye, dim, axis=0), np.tile(eye, (dim, 1))).reshape(dim, dim, dim)
+    prod = _structure_float(dim).astype(np.int64)  # [i, j, k]: e_i e_j
     return (prod @ lim ** np.arange(dim)) * _conj_sign(dim)[:, None]
 
 

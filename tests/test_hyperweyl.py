@@ -57,6 +57,7 @@ from octavia.rings import (
     enumerate_ball,
     is_left_coprime,
     is_right_coprime,
+    left_content,
     octavian_unit_classes,
     random_element,
     right_euclid,
@@ -391,13 +392,23 @@ def test_canonical_pair_invariance(rng):
 
 
 def test_coset_reps_counts():
-    # mod sign: (0,1), (1,0), (1,1), (1,-1)
+    # mod sign: (0,1), (1,0), (1,1), (1,-1); one int64 row (c2 | d2) each
     reps_z = coset_reps(Z, 1)
-    assert len(reps_z) == 4
+    assert reps_z.dtype == np.int64 and reps_z.shape == (4, 2)
     reps_h = coset_reps(HURWITZ, 1)
-    assert len(reps_h) == 26
-    for c, d in reps_h:
-        assert (c, d) == canonical_pair(HURWITZ, c, d)
+    assert reps_h.dtype == np.int64 and reps_h.shape == (26, 8)
+
+
+@pytest.mark.parametrize("ring, bound", [(Z, 9), (HURWITZ, 2), (OCTAVIAN, 1)],
+                         ids=["z-9", "hurwitz-2", "octavian-1"])
+def test_coset_reps_are_their_own_canonical_pairs(ring, bound):
+    # canonical_pair decides coprimality by one scalar Euclid run and
+    # canonicalizes its pair alone; every row of the table is a fixed point
+    # (the Hurwitz bound-1 rows are among the bound-2 rows)
+    n = ring.dim
+    for row in coset_reps(ring, bound).tolist():
+        c, d = AlgElem.from_coords2(n, row[:n]), AlgElem.from_coords2(n, row[n:])
+        assert canonical_pair(ring, c, d) == (c, d)
 
 
 @pytest.mark.parametrize("ring, bound", [(Z, 9), (HURWITZ, 2), (HURWITZ, 3),
@@ -405,12 +416,13 @@ def test_coset_reps_counts():
                          ids=["z-9", "hurwitz-2", "hurwitz-3", "octavian-1"])
 def test_coset_reps_match_full_ball_scan(ring, bound):
     # coset_reps takes c over one member per lattice class c^-bar O only;
-    # every pair of the ball must give the same classes
+    # every left-coprime pair of the ball (one Euclid run each, not the
+    # primitivity flags of the key table) must give the same classes
     pts = enumerate_ball(ring, bound)
-    rows = _canonical_rows(ring, np.repeat(pts, len(pts), axis=0),
-                           np.tile(pts, (len(pts), 1)))
-    got = [list(c.coords2 + d.coords2) for c, d in coset_reps(ring, bound)]
-    assert got == np.unique(rows, axis=0).tolist()
+    c2, d2 = np.repeat(pts, len(pts), axis=0), np.tile(pts, (len(pts), 1))
+    keep = left_content(ring, c2, d2) == 4
+    rows = _canonical_rows(ring, c2[keep], d2[keep])
+    assert coset_reps(ring, bound).tolist() == np.unique(rows, axis=0).tolist()
 
 
 def test_pair_keys_overflow_before_the_ball_is_built():
@@ -433,7 +445,7 @@ def test_coset_classes_are_the_coprime_keys(ring, bound):
     # so the rows' keys are pairwise distinct and are exactly the
     # left-coprime keys of the pair-class table
     n = ring.dim
-    rows = np.array([c.coords2 + d.coords2 for c, d in coset_reps(ring, bound)])
+    rows = coset_reps(ring, bound)
     c2, d2 = rows[:, :n], rows[:, n:]
     got = np.column_stack([_mult2(c2 * _conj_sign(n), d2), (c2 * c2).sum(axis=1) // 4,
                            (d2 * d2).sum(axis=1) // 4])
@@ -452,10 +464,14 @@ def test_coset_reps_bound_must_be_an_integer():
 def test_octavian_classes_are_sign_invariant():
     # what the octavian quotient of coset_reps rests on: for c' in the
     # lattice class of c, (c', c'(c^-1 d)) runs the quotients of (c, d),
-    # so both canonicalize alike.  The sign case c' = -c, row by row:
+    # so both canonicalize alike.  The sign case c' = -c, row by row, on
+    # the left-coprime pairs (one Euclid run each):
     pts = enumerate_ball(OCTAVIAN, 2)
     c = np.repeat(pts[241::97], len(pts), axis=0)
     d = np.tile(pts, (len(pts[241::97]), 1))
+    keep = left_content(OCTAVIAN, c, d) == 4
+    assert np.array_equal(left_content(OCTAVIAN, -c, -d) == 4, keep)
+    c, d = c[keep], d[keep]
     rows = _canonical_rows(OCTAVIAN, c, d)
     assert len(rows) and np.array_equal(_canonical_rows(OCTAVIAN, -c, -d), rows)
     # sampled members c' of the size-240 class and of size-16 classes,
@@ -468,7 +484,8 @@ def test_octavian_classes_are_sign_invariant():
 
     def class_rows(i):
         c = np.repeat(pts[i:i + 1], len(pts), axis=0)
-        return np.unique(_canonical_rows(OCTAVIAN, c, pts), axis=0)
+        keep = left_content(OCTAVIAN, c, pts) == 4
+        return np.unique(_canonical_rows(OCTAVIAN, c[keep], pts[keep]), axis=0)
 
     for r, size in classes:
         members = np.flatnonzero((keys == keys[r]).all(axis=1))
@@ -483,9 +500,9 @@ def test_octavian_classes_are_sign_invariant():
 def test_octavian_coset_reps_bound_2():
     # 21,842 classes; the digest is of the rows computed when c still ran
     # over the 1,201 sign orbits {c, -c} instead of the 137 lattice classes
-    rows = np.array([c.coords2 + d.coords2 for c, d in coset_reps(OCTAVIAN, 2)],
-                    dtype="<i8")
-    assert rows.shape == (21842, 16)
+    rows = coset_reps(OCTAVIAN, 2)
+    assert rows.dtype == np.int64 and rows.shape == (21842, 16)
+    rows = rows.astype("<i8")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "859e92aca4c2aef57a335ef5bd27a3e07cbc830df6fcf6f82a65d3a74cb5aa0e")
 
@@ -494,18 +511,18 @@ def test_octavian_coset_reps_bound_2():
 def test_octavian_coset_reps_bound_3():
     # 338,166 pair classes (|c|^2, c^-bar d, |d|^2) of 1,257 class rows
     # against the 9,121 points of the ball, and one canonical row for each
-    # of the 337,682 left-coprime ones; 15 s under tracemalloc (7.4 s
-    # without), with a traced peak of about 255 MB, most of it the
-    # returned pairs
+    # of the 337,682 left-coprime ones; 2.2 s under tracemalloc, with a
+    # traced peak of 96 MiB: the 41 MiB of int64 rows twice (the batches
+    # and their concatenation, then the sorted copy) and the 9 MiB table
     tracemalloc.start()
     try:
-        reps = coset_reps(OCTAVIAN, 3)
+        rows = coset_reps(OCTAVIAN, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 30
-    rows = np.array([c.coords2 + d.coords2 for c, d in reps], dtype="<i8")
-    assert rows.shape == (337682, 16)
+    assert peak < 2 ** 27
+    assert rows.dtype == np.int64 and rows.shape == (337682, 16)
+    rows = rows.astype("<i8")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "d71a485c5782dcc1ae6f52968957c0a043dc30f8db3dcab8def65fe1c17dc0e6")
 

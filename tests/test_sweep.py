@@ -102,8 +102,10 @@ def _nearest():
 def _cosets():
     """coset_reps rows and their coset words w~_{c,d}."""
     for ring, bound in ((Z, 9), (HURWITZ, 3), (OCTAVIAN, 1)):
-        for c, d in coset_reps(ring, bound):
-            yield [ring.name, bound, _c2(c), _c2(d), _word(build_w_tilde_cd(ring, c, d))]
+        n = ring.dim
+        for row in coset_reps(ring, bound).tolist():
+            c, d = AlgElem.from_coords2(n, row[:n]), AlgElem.from_coords2(n, row[n:])
+            yield [ring.name, bound, row[:n], row[n:], _word(build_w_tilde_cd(ring, c, d))]
 
 
 def _classes():
