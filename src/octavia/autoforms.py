@@ -225,79 +225,68 @@ def _series_rows(p: SeriesParams, coprime_only: bool = False) -> complex:
     return np.exp(s * np.log(v)) * total
 
 
-def _key_layout(ring: Ring, radius: int, coprime_only: bool):
-    """The keys (k, y, |d|^2) = (|c|^2, c^-bar d, |d|^2) of
-    rings._pair_classes, or its coprime keys, as terms sorted by shell
-    max(k, |d|^2), read only: the columns [2y | k | |d|^2] of one (n + 2,
-    T) array, so that one GEMV with [u | |u|^2 + v^2 | 1] gives every
-    denominator; the multiplicities as floats; the first term of each
-    shell, for np.add.reduceat; and the stored pairs."""
-    key, mult, pair = _pair_classes(ring, radius)
+@lru_cache(maxsize=4)
+def _coprime_key_terms(ring: Ring, radius: int):
+    """The left-coprime keys (k, y, |d|^2) = (|c|^2, c^-bar d, |d|^2) of
+    rings._pair_classes (rings._coprime_classes) as series terms sorted by
+    shell j = max(k, |d|^2), read only: the columns [2y | k | |d|^2] of
+    one (n + 2, T) array, so that one GEMV with [u | |u|^2 + v^2 | 1]
+    gives every denominator; the multiplicities as floats; the first term
+    of each shell, for np.add.reduceat; and the (shells, radius) matrix
+    whose row for shell j holds sigma(g) / #units at g <= radius // j and
+    0 past it (shell_counts), so that its product with the powers g^-s
+    gives each shell's zeta_{radius // j} / #units (_series_keys).
+    For c != 0 a term depends only on its key, |cu + d|^2 + |c|^2 v^2 =
+    (2y, u) + k (|u|^2 + v^2) + |d|^2 by the alternative law c (c^-bar x)
+    = |c|^2 x; for c = 0 on |d|^2."""
+    key, mult, _ = _pair_classes(ring, radius)
     n = ring.dim
     k, dn, packed = _key_split(ring, radius, key)
-    order = np.argsort(np.maximum(k, dn))
-    if coprime_only:  # the coprime terms in the order of all terms
-        order = order[_coprime_classes(ring, radius)[order]]
+    shell = np.maximum(k, dn)
+    order = np.argsort(shell)
+    order = order[_coprime_classes(ring, radius)[order]]  # in the order of all keys
     cols = np.empty((n + 2, len(order)))
     cols[:n] = _key_x2(ring, radius, packed[order]).T
     cols[n], cols[n + 1] = k[order], dn[order]
-    starts = np.flatnonzero(np.diff(np.maximum(cols[n], cols[n + 1]), prepend=-1))
-    return tuple(map(_readonly, (cols, mult[order].astype(float), starts, pair[order])))
-
-
-@lru_cache(maxsize=4)
-def _key_terms(ring: Ring, radius: int):
-    """The distinct terms of the series over the truncation ball
-    (_key_layout).  For c != 0 a term depends only on its key, |cu + d|^2
-    + |c|^2 v^2 = (2y, u) + k (|u|^2 + v^2) + |d|^2 by the alternative law
-    c (c^-bar x) = |c|^2 x; for c = 0 on |d|^2."""
-    return _key_layout(ring, radius, False)
-
-
-@lru_cache(maxsize=4)
-def _coprime_key_terms(ring: Ring, radius: int):
-    """The terms of _key_terms(ring, radius) whose pairs are left coprime."""
-    return _key_layout(ring, radius, True)
+    starts = np.flatnonzero(np.diff(shell[order], prepend=-1))
+    g = np.arange(1, radius + 1)
+    conv = np.where(g <= radius // shell[order[starts], None],
+                    shell_counts(ring, radius), 0) / len(units(ring))
+    return tuple(map(_readonly, (cols, mult[order].astype(float), starts, conv)))
 
 
 def _series_keys(p: SeriesParams, coprime_only: bool = False) -> complex:
-    """The series sum over the distinct terms of _key_terms (or
-    _coprime_key_terms): one GEMV gives every denominator, and the terms,
-    times their multiplicities, are summed per shell by one
-    np.add.reduceat and across the shells with math.fsum in increasing
-    shell order.  The kernel of the small octavian tables (_series_sum)."""
-    cols, mult, starts, _ = (_coprime_key_terms if coprime_only else _key_terms)(
-        p.ring, p.radius)
+    """The series sum over the terms of _coprime_key_terms, the kernel of
+    the octavians (_series_sum): one GEMV gives every denominator, and one
+    np.add.reduceat the per-shell sums S_j of the terms times their
+    multiplicities, which are summed with math.fsum in increasing shell
+    order.  The coprime sum is sum_j S_j.  The unrestricted sum is the
+    sigma-convolution E_R = sum_g sigma(g) g^-s P_{R // g} (Krieg, LNM
+    1143) with its sums swapped, sum_j zeta_{R // j} S_j / #units, where
+    zeta_r = sum_{g <= r} sigma(g) g^-s is the partial sum of zeta_partial:
+    one product of the table's convolution matrix with the R powers g^-s
+    gives every weight.  The identity is exact for these truncations; the
+    tests hold it to the class-row sums of all three rings."""
+    cols, mult, starts, conv = _coprime_key_terms(p.ring, p.radius)
     s, u, v = complex(p.s), p.z.u_vector(), p.z.v
     vals = _neg_power(np.concatenate([u, [u @ u + v * v, 1.0]]) @ cols, s)
     vals *= mult
-    shells = np.add.reduceat(vals, starts)
-    total = complex(math.fsum(shells.real), math.fsum(shells.imag))
+    sums = np.add.reduceat(vals, starts)
+    if not coprime_only:
+        sums = sums * (conv @ _neg_power(np.arange(1.0, p.radius + 1), s))
+    total = complex(math.fsum(sums.real), math.fsum(sums.imag))
     return np.exp(s * np.log(v)) * total
 
 
-# The key table sorts every class-row pair of the half ball, which costs
-# more than the one power per pair of a class-row call, so it is built
-# only up to this many class-row pairs.  Octavian radius 2 has 326,536 (a
-# 2 MB table, built in about 10 ms); radius 3 has 11,455,976, whose 31 MB
-# table took 0.57 s to build, against 0.13 s for a whole cold class-row
-# call, and radius 4 a 270 MB table in 15 s.
-_KEY_PAIRS = 1 << 20
-
-
 def _series_sum(p: SeriesParams, coprime_only: bool = False) -> complex:
-    """The truncated series by the kernel that suits the ring and radius.
-    Over the octavians the class rows against the ball hold few distinct
-    keys (|c|^2, c^-bar d) (22,082 of 326,536 pairs at radius 2), so
-    _series_keys evaluates each once, from a table that is built while the
-    pairs number at most _KEY_PAIRS (radius <= 2).  Over Z and the
-    Hurwitz ring nearly every pair has its own key (92-94 %), and the
-    class-row matmuls of _series_rows are faster, as they are for larger
-    octavian balls unless a call repeats many times.  Each kernel is the
-    other's test oracle."""
-    pts2, _, _, reps, _, _ = _ball_data(p.ring, p.radius)
-    keyed = not p.ring.associative and len(reps) * len(pts2) <= _KEY_PAIRS
-    return (_series_keys if keyed else _series_rows)(p, coprime_only)
+    """The truncated series by the kernel that suits the ring.  Over the
+    octavians the class rows against the ball hold few distinct keys
+    (|c|^2, c^-bar d) (21,842 left-coprime ones of 326,536 pairs at
+    radius 2), so _series_keys evaluates each coprime key once, at every
+    radius.  Over Z and the Hurwitz ring nearly every pair has its own
+    key (92-94 %), and the class-row matmuls of _series_rows are faster.
+    Each kernel is the other's test oracle."""
+    return (_series_rows if p.ring.associative else _series_keys)(p, coprime_only)
 
 
 def eisenstein_truncated(p: SeriesParams) -> complex:
@@ -354,8 +343,12 @@ def zeta_partial(ring: Ring, s: complex, n_max: int) -> complex:
 
 
 def zeta_relation_check(ring: Ring, z: UhpPoint, s: complex, radius: int) -> float:
-    """Residual |E_R - zeta_R * P_R| of the factorization of the
-    unrestricted series into zeta times the coprime-restricted series."""
+    """Residual |E_R - zeta_R * P_R| of the factorization E = zeta * P of
+    the untruncated series.  The truncations obey the sigma-convolution
+    E_R = sum_j zeta_{R // j} S_j / #units exactly (_series_keys; S_j the
+    coprime pairs' sum over shell j), so this measures the truncation gap
+    |sum_j (zeta_{R // j} - zeta_R) S_j| / #units, which falls as R grows,
+    not a failure of the identity."""
     p = SeriesParams(ring, s, radius, z)
     e = eisenstein_truncated(p)
     zeta = zeta_partial(ring, s, radius)

@@ -796,8 +796,9 @@ def _pair_classes(ring: Ring, radius: int):
     Gamma_infinity \\ Gamma, as the null vector [[|c|^2, c^-bar d],
     [d^-bar c, |d|^2]] (Feingold, Kleinschmidt and Nicolai,
     arXiv:0805.3018), and decides the coprimality (_coprime_classes) and
-    the series term (autoforms._key_terms): for c != 0 the Euclid chain
-    of (d, c) reads only c^-1 d = c^-bar d / |c|^2 (_lattice_classes).
+    the octavian series term (autoforms._coprime_key_terms): for c != 0
+    the Euclid chain of (d, c) reads only c^-1 d = c^-bar d / |c|^2
+    (_lattice_classes).
 
     c runs over the first member of each lattice class, with the class
     size (a member c' has the pairs (c', c'(c^-1 d)), with the keys of

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from octavia.autoforms import (
     _grid_maps,
     _grid_orbits,
     _in_dual_lattice,
-    _key_terms,
     _margin_norm,
     _nearest_lattice2,
     _periodic_series_value,
@@ -47,7 +47,10 @@ from octavia.rings import (
     Z,
     _conj_sign,
     _distinct,
+    _key_split,
+    _key_x2,
     _mult2,
+    _pair_classes,
     enumerate_ball,
     left_content,
     shell_counts,
@@ -260,23 +263,46 @@ def _kernels_agree(ring, radius, s, coprime_only, seed=10):
     return abs(rows - keys) <= 1e-12 * abs(rows)
 
 
-@pytest.mark.parametrize("coprime_only", [False, True], ids=["eisenstein", "poincare"])
-@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
-@pytest.mark.parametrize("ring, radius", [
-    (Z, 9), (HURWITZ, 4), (HURWITZ, 9), (HURWITZ, 16), (OCTAVIAN, 1), (OCTAVIAN, 2)],
-    ids=["z-9", "hurwitz-4", "hurwitz-9", "hurwitz-16", "octavian-1", "octavian-2"])
+# octavian Poincare at radius 3 needs the class-row coprime mask, about 4 s:
+# test_series_kernels_agree_octavian_radius_3 has it
+@pytest.mark.parametrize("ring, radius, s, coprime_only", [
+    pytest.param(ring, radius, s, coprime_only, id=f"{name}-{radius}-{s_id}-{kind}")
+    for ring, name, radii in ((Z, "z", (9,)), (HURWITZ, "hurwitz", (4, 9, 16)),
+                              (OCTAVIAN, "octavian", (1, 2, 3)))
+    for radius in radii
+    for s, s_id in ((5.0, "real"), (5.0 + 1.5j, "complex"))
+    for coprime_only, kind in ((False, "eisenstein"), (True, "poincare"))
+    if not (ring is OCTAVIAN and radius == 3 and coprime_only)])
 def test_series_kernels_agree(ring, radius, s, coprime_only):
-    # the class-row kernel (associative rings) and the distinct-key kernel
-    # (octavians) are each other's oracle, on every ring
+    # the class-row kernel (associative rings) and the coprime-key kernel
+    # (octavians, whose Eisenstein series is the sigma-convolution of the
+    # coprime one) are each other's oracle, on every ring
     assert _kernels_agree(ring, radius, s, coprime_only)
 
 
 @pytest.mark.heavy
 @pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
 def test_series_kernels_agree_octavian_radius_3(s):
-    # 11,455,976 class-row pairs against 338,163 distinct keys with c != 0
-    assert _key_terms(OCTAVIAN, 3)[0].shape[1] == 338163 + 3
-    assert _kernels_agree(OCTAVIAN, 3, s, False)
+    # Poincare on 11,455,976 class-row pairs against the coprime ones of
+    # 338,163 distinct keys with c != 0
+    assert len(_pair_classes(OCTAVIAN, 3)[0]) == 338163 + 3
+    assert _kernels_agree(OCTAVIAN, 3, s, True)
+
+
+@pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
+@pytest.mark.parametrize("ring, radius", [(Z, 64), (HURWITZ, 9)], ids=["z-64", "hurwitz-9"])
+def test_eisenstein_is_the_sigma_convolution_of_poincare(ring, radius, s):
+    # E_R = sum_g sigma(g) g^-s P_{R // g} (Krieg, LNM 1143), exactly for
+    # these truncations: every nonzero pair is (ac, ad) with (c, d) left
+    # coprime and |a|^2 = g in exactly #units ways.  Both sides come from
+    # separate class-row calls, one P per radius R // g
+    z = UhpPoint(np.random.default_rng(12).uniform(-0.5, 0.5, ring.dim), 0.95)
+    e = _series_rows(SeriesParams(ring, s, radius, z))
+    terms = [n * g ** -complex(s) * _series_rows(SeriesParams(ring, s, radius // g, z), True)
+             for g, n in enumerate(shell_counts(ring, radius), 1) if n]
+    conv = complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms)) / len(units(ring))
+    assert abs(conv - e) <= 1e-13 * abs(e)
 
 
 def test_distinct_merges_equal_keys():
@@ -293,18 +319,35 @@ def test_distinct_merges_equal_keys():
     assert np.array_equal(key[got_pair], got_key)
 
 
-def test_series_sum_builds_key_tables_only_while_small(monkeypatch):
-    # octavian radius 3 has 11,455,976 class-row pairs, whose key table
-    # costs more to build than a cold class-row call
+def test_series_sum_takes_keys_for_every_octavian_radius(monkeypatch):
+    # the octavians sum their coprime keys at every radius, Z and the
+    # Hurwitz ring their class rows
     picked = []
     for name in ("_series_keys", "_series_rows"):
         monkeypatch.setattr(autoforms, name, lambda p, coprime_only, name=name:
                             picked.append((p.ring, p.radius, name)))
-    for ring, radius in ((OCTAVIAN, 1), (OCTAVIAN, 2), (OCTAVIAN, 3), (HURWITZ, 9), (Z, 9)):
+    for ring, radius in ((OCTAVIAN, 1), (OCTAVIAN, 2), (OCTAVIAN, 3), (OCTAVIAN, 4),
+                         (HURWITZ, 9), (Z, 9)):
         autoforms._series_sum(SeriesParams(ring, 12.0, radius, _z(ring.dim)))
     assert picked == [(OCTAVIAN, 1, "_series_keys"), (OCTAVIAN, 2, "_series_keys"),
-                      (OCTAVIAN, 3, "_series_rows"), (HURWITZ, 9, "_series_rows"),
-                      (Z, 9, "_series_rows")]
+                      (OCTAVIAN, 3, "_series_keys"), (OCTAVIAN, 4, "_series_keys"),
+                      (HURWITZ, 9, "_series_rows"), (Z, 9, "_series_rows")]
+    monkeypatch.undo()
+    # and a cold octavian E and P read the coprime-key table alone: no
+    # ball, d side or coprime mask of the class rows
+    seen = []
+    for name in ("_ball_data", "_d_side", "_coprime_mask"):
+        cache = getattr(autoforms, name)
+        monkeypatch.setattr(autoforms, name, lambda ring, radius, name=name, cache=cache:
+                            seen.append((name, ring)) or cache(ring, radius))
+    monkeypatch.setattr(autoforms, "_coprime_key_terms",
+                        lru_cache(maxsize=4)(autoforms._coprime_key_terms.__wrapped__))
+    p = SeriesParams(OCTAVIAN, 5.0, 1, _z(8, 0.1))
+    assert eisenstein_truncated(p) != 0 and poincare_truncated(p) != 0
+    assert autoforms._coprime_key_terms.cache_info().misses == 1
+    assert seen == []
+    poincare_truncated(SeriesParams(HURWITZ, 5.0, 2, _z(4, 0.1)))
+    assert {name for name, _ in seen} == {"_ball_data", "_d_side", "_coprime_mask"}
 
 
 def _void_rows(a):
@@ -326,6 +369,14 @@ def _pair_keys(ring, radius):
     return keys, np.repeat(weight, len(pts2))
 
 
+def _key_fields(ring, radius):
+    """The keys of rings._pair_classes as k = |c|^2, l = |d|^2 and the rows
+    2 c^-bar d, with the number of pairs of each."""
+    key, mult, _ = _pair_classes(ring, radius)
+    k, l, packed = _key_split(ring, radius, key)
+    return k, l, _key_x2(ring, radius, packed), mult
+
+
 @pytest.mark.parametrize("ring, radius", [(HURWITZ, 4), (OCTAVIAN, 2)],
                          ids=["hurwitz-4", "octavian-2"])
 def test_coprimality_is_a_function_of_the_key(ring, radius):
@@ -343,18 +394,18 @@ def test_coprimality_is_a_function_of_the_key(ring, radius):
     coprime = np.bincount(inv, mask)
     assert np.all((coprime == 0) | (coprime == size))
 
-    def table(terms):
-        cols, mult, _, _ = terms
-        n = ring.dim
-        rows = _void_rows(np.column_stack([cols[n], cols[n + 1], cols[:n].T]).astype(np.int64))
+    def table(k, l, x2, mult):
+        rows = _void_rows(np.column_stack([k, l, x2]).astype(np.int64))
         order = np.argsort(rows)
         return rows[order], mult[order]
 
-    got_keys, got_mult = table(_key_terms(ring, radius))
+    got_keys, got_mult = table(*_key_fields(ring, radius))
     assert np.array_equal(got_keys, distinct)
     assert np.array_equal(got_mult, np.bincount(inv, weight))
     flag = coprime > 0
-    got_keys, got_mult = table(_coprime_key_terms(ring, radius))
+    cols, mult, _, _ = _coprime_key_terms(ring, radius)
+    n = ring.dim
+    got_keys, got_mult = table(cols[n], cols[n + 1], cols[:n].T, mult)
     assert np.array_equal(got_keys, distinct[flag])
     assert np.array_equal(got_mult, np.bincount(inv, weight * mask)[flag])
 
@@ -364,9 +415,9 @@ def test_octavian_key_counts():
     # 1, 2 and 3; for |c|^2 = 2 the c^-bar d are exactly the octavians of
     # norm 0, 2 and 4.  c = 0 adds one term per norm of d.
     for radius, count in ((1, 241), (2, 22082)):
-        assert _key_terms(OCTAVIAN, radius)[0].shape[1] == count + radius
-    cols = _key_terms(OCTAVIAN, 2)[0]
-    y2 = cols[:8, cols[8] == 2].T.astype(np.int64)
+        assert len(_pair_classes(OCTAVIAN, radius)[0]) == count + radius
+    k, _, x2, _ = _key_fields(OCTAVIAN, 2)
+    y2 = x2[k == 2]
     ball = enumerate_ball(OCTAVIAN, 4)
     even = ball[(ball * ball).sum(axis=1) % 8 == 0]
     assert len(y2) == len(even) == 19681

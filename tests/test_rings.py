@@ -641,7 +641,6 @@ CACHE_ARGS = {
     "_d_side": (HURWITZ, 2),
     "_ball_data": (HURWITZ, 2),
     "_coprime_mask": (HURWITZ, 2),
-    "_key_terms": (OCTAVIAN, 1),
     "_coprime_key_terms": (OCTAVIAN, 1),
     "_coset_class_words": (HURWITZ, 2),
     "_grid_maps": (HURWITZ,),

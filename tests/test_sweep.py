@@ -27,7 +27,7 @@ import numpy as np
 
 from octavia import rootsys
 from octavia.algebra import AlgElem, one, zero
-from octavia.autoforms import SeriesParams, _coprime_key_terms, _key_terms, fourier_coefficient
+from octavia.autoforms import SeriesParams, _coprime_key_terms, fourier_coefficient
 from octavia.hyperweyl import (
     Inv,
     Trans,
@@ -118,14 +118,13 @@ def _classes():
 
 def _terms():
     """The octavian series terms: cols, mult and starts, in blocks of 512
-    terms; not the stored pair, which is any member of its key."""
-    for table in (_key_terms, _coprime_key_terms):
-        for radius in (1, 2):
-            cols, mult, starts, _ = table(OCTAVIAN, radius)
-            yield [table.__name__, radius, "starts", starts.tolist()]
-            for lo in range(0, len(mult), 512):
-                yield [table.__name__, radius, lo, cols[:, lo:lo + 512].tolist(),
-                       mult[lo:lo + 512].tolist()]
+    terms; not the shell of each segment, which cols and starts give."""
+    for radius in (1, 2):
+        cols, mult, starts, _ = _coprime_key_terms(OCTAVIAN, radius)
+        yield ["_coprime_key_terms", radius, "starts", starts.tolist()]
+        for lo in range(0, len(mult), 512):
+            yield ["_coprime_key_terms", radius, lo, cols[:, lo:lo + 512].tolist(),
+                   mult[lo:lo + 512].tolist()]
 
 
 def _normal_forms():
