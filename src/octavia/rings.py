@@ -412,8 +412,8 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
     max_norm), read only: the ball index of the first member of each
     class, in increasing order (0 first, the class {0}), and the class sizes.
 
-    A series row of c, its per-shell d-sums and its left-coprime mask,
-    depends only on this class.  Write cu + d = c (u + x) with x = c^-1 d,
+    A series row of c, its per-shell d-sums and its pairs' coprimality
+    depend only on this class.  Write cu + d = c (u + x) with x = c^-1 d,
     which runs over the lattice c^-1 O = c^-bar O / |c|^2 as d runs over
     O; then |cu + d|^2 = |c|^2 |u + x|^2 and |d|^2 = |c|^2 |x|^2.  The
     left Euclid chain on (d, c) depends on the same data: with t = c^-1 p,
@@ -483,8 +483,8 @@ def _conj_sign(dim: int) -> np.ndarray:
 def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     """Sided Euclid with nearest quotients on each row pair (first, c).
 
-    This kernel serves batches only: left_content, which builds the
-    series masks, and hyperweyl._canonical_rows.  The chain of one pair
+    This kernel serves batches only: left_content, the Euclid oracle of
+    primitivity, and hyperweyl._canonical_rows.  The chain of one pair
     runs on Python ints (_euclid_chain), and each is the other's test
     oracle.
 
@@ -699,10 +699,10 @@ def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
 # and the floor of _merge_distinct.  A batch's temporaries set the peak
 # memory of a build, and the allocator keeps them: the RSS stayed 11 MB
 # higher after the octavian radius 2 key table was built in 64k chunks,
-# 5 MB in 16k.  No size from 4k to 64k pairs was measurably faster: the
-# Hurwitz radius 9 coprime mask (37,480 pairs), then one Euclid row per
-# pair, took 42-80 ms warm at each, with a traced peak of 15.1 MB in one
-# 64k batch and 6.9 MB in 16k batches.
+# 5 MB in 16k.  No size from 4k to 64k pairs was measurably faster:
+# flagging 37,480 pairs (the Hurwitz radius 9 class rows by the ball),
+# then one Euclid row per pair, took 42-80 ms warm at each, with a traced
+# peak of 15.1 MB in one 64k batch and 6.9 MB in 16k batches.
 _EUCLID_BATCH = 1 << 14
 
 
@@ -875,8 +875,8 @@ def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarr
     the integer coordinates of x in ring.basis2 (Feingold, Kleinschmidt
     and Nicolai, arXiv:0805.3018, label the cosets by these null vectors).
     It agrees with left_content == 4, one Euclid run per pair, on every
-    key of Z 50, Hurwitz 9 and octavian 2 and on the series masks up to
-    Hurwitz 16 (the tests).  x2_of(rows) gives 2x on the rows with
+    key of Z 50, Hurwitz 9 and octavian 2, and via the Poincare series
+    up to Hurwitz 16 (the tests).  x2_of(rows) gives 2x on the rows with
     gcd(k, l) != 1, the only ones that need it.
 
     The coordinates of x are 2x adj / det for the integer adjugate adj of

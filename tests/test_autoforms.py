@@ -1,7 +1,6 @@
 """Truncated Eisenstein series, Fourier modes, Bessel and Green kernels."""
 
 import math
-import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -16,7 +15,6 @@ from octavia.autoforms import (
     SeriesParams,
     _ball_data,
     _coprime_key_terms,
-    _coprime_mask,
     _grid_maps,
     _grid_orbits,
     _in_dual_lattice,
@@ -51,6 +49,7 @@ from octavia.rings import (
     _key_x2,
     _mult2,
     _pair_classes,
+    _primitive_rows,
     enumerate_ball,
     left_content,
     shell_counts,
@@ -212,18 +211,46 @@ def test_octavian_series_match_full_pair_oracle_radius_2():
 
 @pytest.mark.heavy
 def test_octavian_poincare_radius_2_matches_full_pair_oracle():
-    # the coprime mask on 137 class rows against all 2401^2 pairs
+    # the coprime keys against one Euclid run on each of the 2401^2 pairs
     z = UhpPoint(np.random.default_rng(8).uniform(-0.5, 0.5, 8), 0.95)
     p = SeriesParams(OCTAVIAN, 5.0, 2, z)
     ref = _full_pair_series(p, True)
     assert abs(poincare_truncated(p) - ref) <= 1e-12 * abs(ref)
 
 
-def _row_by_row_series(p, coprime_only=False):
+@lru_cache(maxsize=8)
+def _euclid_class_mask(ring, radius):
+    """Left coprimality of every class row c against the ball d, by one
+    Euclid run per pair (_full_mask_rows), 16 rows at a time."""
+    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    return np.concatenate([_full_mask_rows(ring, pts2[reps[lo:lo + 16]], pts2)
+                           for lo in range(0, len(reps), 16)])
+
+
+def _primitive_class_mask(ring, radius):
+    """The class-row mask of _euclid_class_mask by primitivity
+    (rings._primitive_rows) in batches of about 16k pairs, for radii
+    where a Euclid run per pair is too slow."""
+    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    m = len(pts2)
+    chunk = max(1, (1 << 14) // m)
+    rows = []
+    for lo in range(0, len(reps), chunk):
+        c2 = np.repeat(pts2[reps[lo:lo + chunk]], m, axis=0)
+        d2 = np.tile(pts2, (len(c2) // m, 1))
+        rows.append(_primitive_rows(
+            ring, (c2 * c2).sum(axis=1) >> 2, (d2 * d2).sum(axis=1) >> 2,
+            lambda live: _mult2(c2[live] * _conj_sign(ring.dim), d2[live])).reshape(-1, m))
+    return np.concatenate(rows)
+
+
+def _row_by_row_series(p, coprime_only=False, mask=None):
     """Oracle on the reduced pair set: one class row at a time, with its
-    class size and coprime-mask row, per-shell fsum."""
+    class size and, for the Poincare series, its row of the class-row
+    mask (by default _euclid_class_mask), per-shell fsum."""
     _, pts, nrm, reps, weight, _ = _ball_data(p.ring, p.radius)
-    mask = _coprime_mask(p.ring, p.radius) if coprime_only else None
+    if coprime_only and mask is None:
+        mask = _euclid_class_mask(p.ring, p.radius)
     u, v, s = p.z.u_vector(), p.z.v, complex(p.s)
     rmat = right_mult_matrix(u, p.ring.dim)
     shells = {}
@@ -245,8 +272,9 @@ def _row_by_row_series(p, coprime_only=False):
 @pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
 def test_series_match_row_by_row_oracle_across_chunks(s):
     # Hurwitz R = 16: 109 representative rows in 5 chunks of 25, so the
-    # (0, 0) drop and the mask slices cross chunks; the shell routing
-    # only orders the summation, so values see it to rounding alone
+    # class-row Eisenstein kernel crosses chunks; the shell routing only
+    # orders the summation, so values see it to rounding alone.  The
+    # Poincare series sums the coprime keys against Euclid runs per pair
     _, pts, _, reps, _, _ = _ball_data(HURWITZ, 16)
     assert len(reps) == 109 and (1 << 16) // len(pts) == 25
     z = UhpPoint(np.random.default_rng(9).uniform(-0.5, 0.5, 4), 0.9)
@@ -256,15 +284,21 @@ def test_series_match_row_by_row_oracle_across_chunks(s):
         assert abs(f(p) - ref) <= 1e-12 * abs(ref)
 
 
-def _kernels_agree(ring, radius, s, coprime_only, seed=10):
-    z = UhpPoint(np.random.default_rng(seed).uniform(-0.5, 0.5, ring.dim), 0.9)
+def _kernels_agree(ring, radius, s, coprime_only, mask=None):
+    """Eisenstein: the class-row kernel against the key kernel.  Poincare:
+    the library (keys) against the class rows with a coprime mask, by
+    default one Euclid run per pair (_row_by_row_series)."""
+    z = UhpPoint(np.random.default_rng(10).uniform(-0.5, 0.5, ring.dim), 0.9)
     p = SeriesParams(ring, s, radius, z)
-    rows, keys = _series_rows(p, coprime_only), _series_keys(p, coprime_only)
-    return abs(rows - keys) <= 1e-12 * abs(rows)
+    if coprime_only:
+        ref, got = _row_by_row_series(p, True, mask), poincare_truncated(p)
+    else:
+        ref, got = _series_rows(p), _series_keys(p)
+    return abs(ref - got) <= 1e-12 * abs(ref)
 
 
-# octavian Poincare at radius 3 needs the class-row coprime mask, about 4 s:
-# test_series_kernels_agree_octavian_radius_3 has it
+# octavian Poincare at radius 3 against Euclid runs on 11,455,976 class-row
+# pairs is too slow: test_series_kernels_agree_octavian_radius_3 has it
 @pytest.mark.parametrize("ring, radius, s, coprime_only", [
     pytest.param(ring, radius, s, coprime_only, id=f"{name}-{radius}-{s_id}-{kind}")
     for ring, name, radii in ((Z, "z", (9,)), (HURWITZ, "hurwitz", (4, 9, 16)),
@@ -274,19 +308,21 @@ def _kernels_agree(ring, radius, s, coprime_only, seed=10):
     for coprime_only, kind in ((False, "eisenstein"), (True, "poincare"))
     if not (ring is OCTAVIAN and radius == 3 and coprime_only)])
 def test_series_kernels_agree(ring, radius, s, coprime_only):
-    # the class-row kernel (associative rings) and the coprime-key kernel
-    # (octavians, whose Eisenstein series is the sigma-convolution of the
-    # coprime one) are each other's oracle, on every ring
+    # the class-row Eisenstein kernel (associative rings) and the
+    # coprime-key kernel (octavians, whose Eisenstein series is the
+    # sigma-convolution of the coprime one) are each other's oracle, on
+    # every ring; the key Poincare series, every ring's, has a Euclid oracle
     assert _kernels_agree(ring, radius, s, coprime_only)
 
 
 @pytest.mark.heavy
 @pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
 def test_series_kernels_agree_octavian_radius_3(s):
-    # Poincare on 11,455,976 class-row pairs against the coprime ones of
-    # 338,163 distinct keys with c != 0
+    # Poincare on the coprime ones of 338,163 distinct keys with c != 0
+    # against 11,455,976 class-row pairs, flagged in the test by
+    # primitivity (_primitive_class_mask) since a Euclid run each is slow
     assert len(_pair_classes(OCTAVIAN, 3)[0]) == 338163 + 3
-    assert _kernels_agree(OCTAVIAN, 3, s, True)
+    assert _kernels_agree(OCTAVIAN, 3, s, True, _primitive_class_mask(OCTAVIAN, 3))
 
 
 @pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
@@ -294,14 +330,14 @@ def test_series_kernels_agree_octavian_radius_3(s):
 def test_eisenstein_is_the_sigma_convolution_of_poincare(ring, radius, s):
     # E_R = sum_g sigma(g) g^-s P_{R // g} (Krieg, LNM 1143), exactly for
     # these truncations: every nonzero pair is (ac, ad) with (c, d) left
-    # coprime and |a|^2 = g in exactly #units ways.  Both sides come from
-    # separate class-row calls, one P per radius R // g
+    # coprime and |a|^2 = g in exactly #units ways.  The two sides come
+    # from the two kernels: E from the class rows, and one P per radius
+    # R // g from the coprime keys
     z = UhpPoint(np.random.default_rng(12).uniform(-0.5, 0.5, ring.dim), 0.95)
     e = _series_rows(SeriesParams(ring, s, radius, z))
-    terms = [n * g ** -complex(s) * _series_rows(SeriesParams(ring, s, radius // g, z), True)
+    terms = [n * g ** -complex(s) * poincare_truncated(SeriesParams(ring, s, radius // g, z))
              for g, n in enumerate(shell_counts(ring, radius), 1) if n]
-    conv = complex(math.fsum(t.real for t in terms),
-                   math.fsum(t.imag for t in terms)) / len(units(ring))
+    conv = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     assert abs(conv - e) <= 1e-13 * abs(e)
 
 
@@ -320,23 +356,24 @@ def test_distinct_merges_equal_keys():
 
 
 def test_series_sum_takes_keys_for_every_octavian_radius(monkeypatch):
-    # the octavians sum their coprime keys at every radius, Z and the
-    # Hurwitz ring their class rows
+    # Eisenstein sums the class rows over Z and the Hurwitz ring and the
+    # coprime keys over the octavians; Poincare sums the keys in every ring
     picked = []
     for name in ("_series_keys", "_series_rows"):
-        monkeypatch.setattr(autoforms, name, lambda p, coprime_only, name=name:
-                            picked.append((p.ring, p.radius, name)))
-    for ring, radius in ((OCTAVIAN, 1), (OCTAVIAN, 2), (OCTAVIAN, 3), (OCTAVIAN, 4),
-                         (HURWITZ, 9), (Z, 9)):
-        autoforms._series_sum(SeriesParams(ring, 12.0, radius, _z(ring.dim)))
-    assert picked == [(OCTAVIAN, 1, "_series_keys"), (OCTAVIAN, 2, "_series_keys"),
-                      (OCTAVIAN, 3, "_series_keys"), (OCTAVIAN, 4, "_series_keys"),
-                      (HURWITZ, 9, "_series_rows"), (Z, 9, "_series_rows")]
+        monkeypatch.setattr(autoforms, name, lambda p, coprime_only=False, name=name:
+                            picked.append((p.ring, p.radius, name, coprime_only)) or 1.0)
+    cases = ((OCTAVIAN, 1), (OCTAVIAN, 2), (OCTAVIAN, 3), (OCTAVIAN, 4), (HURWITZ, 9), (Z, 9))
+    for f in (eisenstein_truncated, poincare_truncated):
+        for ring, radius in cases:
+            f(SeriesParams(ring, 12.0, radius, _z(ring.dim)))
+    assert picked == ([(ring, radius, "_series_keys", False) for ring, radius in cases[:4]]
+                      + [(HURWITZ, 9, "_series_rows", False), (Z, 9, "_series_rows", False)]
+                      + [(ring, radius, "_series_keys", True) for ring, radius in cases])
     monkeypatch.undo()
-    # and a cold octavian E and P read the coprime-key table alone: no
-    # ball, d side or coprime mask of the class rows
+    # and a cold octavian E and P and a cold Hurwitz P read the coprime-key
+    # table alone: no ball or d side of the class rows
     seen = []
-    for name in ("_ball_data", "_d_side", "_coprime_mask"):
+    for name in ("_ball_data", "_d_side"):
         cache = getattr(autoforms, name)
         monkeypatch.setattr(autoforms, name, lambda ring, radius, name=name, cache=cache:
                             seen.append((name, ring)) or cache(ring, radius))
@@ -345,9 +382,12 @@ def test_series_sum_takes_keys_for_every_octavian_radius(monkeypatch):
     p = SeriesParams(OCTAVIAN, 5.0, 1, _z(8, 0.1))
     assert eisenstein_truncated(p) != 0 and poincare_truncated(p) != 0
     assert autoforms._coprime_key_terms.cache_info().misses == 1
+    p = SeriesParams(HURWITZ, 5.0, 2, _z(4, 0.1))
+    assert poincare_truncated(p) != 0
+    assert autoforms._coprime_key_terms.cache_info().misses == 2
     assert seen == []
-    poincare_truncated(SeriesParams(HURWITZ, 5.0, 2, _z(4, 0.1)))
-    assert {name for name, _ in seen} == {"_ball_data", "_d_side", "_coprime_mask"}
+    eisenstein_truncated(p)
+    assert {name for name, _ in seen} == {"_ball_data", "_d_side"}
 
 
 def _void_rows(a):
@@ -466,37 +506,9 @@ def test_noncentral_octavian_unit_breaks_mask_invariance():
                          ids=["z", "hurwitz", "octavian"])
 def test_reduced_mask_is_representative_rows(ring, radius):
     pts2, _, _, reps, weight, _ = _ball_data(ring, radius)
-    full = _full_mask_rows(ring, pts2, pts2)
-    assert np.array_equal(_coprime_mask(ring, radius), full[reps])
     # c = 0 alone, and the classes cover the ball once
     assert reps[0] == 0 and weight[0] == 1
     assert weight.sum() == len(pts2)
-
-
-@pytest.mark.parametrize("ring, radius", [(Z, 50), (HURWITZ, 4), (HURWITZ, 9), (HURWITZ, 16),
-                                          (OCTAVIAN, 1), (OCTAVIAN, 2)],
-                         ids=["z-50", "hurwitz-4", "hurwitz-9", "hurwitz-16", "octavian-1",
-                              "octavian-2"])
-def test_coprime_mask_matches_euclid_rows(ring, radius):
-    # the primitivity mask against one Euclid run per class-row pair
-    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
-    mask = _coprime_mask(ring, radius)
-    for lo in range(0, len(reps), 16):
-        assert np.array_equal(mask[lo:lo + 16], _full_mask_rows(ring, pts2[reps[lo:lo + 16]], pts2))
-
-
-def test_coprime_mask_memory_is_one_euclid_batch():
-    # Hurwitz radius 9: 40 class rows against 937 points, 37,480 pairs;
-    # in one 64k-pair batch the build peaked at about 15 MB
-    _ball_data(HURWITZ, 9)
-    tracemalloc.start()
-    try:
-        mask = autoforms._coprime_mask.__wrapped__(HURWITZ, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(mask, _coprime_mask(HURWITZ, 9)) and mask.shape == (40, 937)
-    assert peak < 10 * 2 ** 20
 
 
 def _class_members(ring, pts2, i):

@@ -640,7 +640,6 @@ CACHE_ARGS = {
     "_class_composites": (True,),
     "_d_side": (HURWITZ, 2),
     "_ball_data": (HURWITZ, 2),
-    "_coprime_mask": (HURWITZ, 2),
     "_coprime_key_terms": (OCTAVIAN, 1),
     "_coset_class_words": (HURWITZ, 2),
     "_grid_maps": (HURWITZ,),
@@ -722,6 +721,11 @@ def test_first_mutable_accepts_only_compiled_kernels():
                   _compiled("f", "def f(x=[]):\n    return x\n"),
                   _compiled("f", "def f(x):\n    return len(x)\n"), widened, tagged):
         assert _first_mutable(value) == f"a {type(value).__name__}"
+
+
+def test_cache_args_name_live_caches():
+    # a stale entry, left behind when its cache goes, would pass silently
+    assert sorted(set(CACHE_ARGS) - set(LRU_CACHES)) == []
 
 
 @pytest.mark.parametrize("name", sorted(LRU_CACHES))
