@@ -117,14 +117,18 @@ def _classes():
 
 
 def _terms():
-    """The octavian series terms: cols, mult and starts, in blocks of 512
-    terms; not the shell of each segment, which cols and starts give."""
+    """The octavian series terms: starts, conv, and the columns of each
+    shell segment sorted lexicographically, in blocks of 512 terms.  The
+    order of the terms inside a shell is not pinned: it moves the shell
+    sums by rounding alone."""
     for radius in (1, 2):
-        cols, mult, starts, _ = _coprime_key_terms(OCTAVIAN, radius)
+        cols, _, starts, conv = _coprime_key_terms(OCTAVIAN, radius)
         yield ["_coprime_key_terms", radius, "starts", starts.tolist()]
-        for lo in range(0, len(mult), 512):
-            yield ["_coprime_key_terms", radius, lo, cols[:, lo:lo + 512].tolist(),
-                   mult[lo:lo + 512].tolist()]
+        yield ["_coprime_key_terms", radius, "conv", conv.tolist()]
+        for j, seg in enumerate(np.split(cols, starts[1:], axis=1)):
+            seg = seg[:, np.lexsort(seg[::-1])]
+            for lo in range(0, seg.shape[1], 512):
+                yield ["_coprime_key_terms", radius, j, lo, seg[:, lo:lo + 512].tolist()]
 
 
 def _normal_forms():
