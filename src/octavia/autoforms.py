@@ -20,13 +20,11 @@ import numpy as np
 
 from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
 from .rings import (
+    _EUCLID_BATCH,
     Ring,
-    _coprime_classes,
     _decode2,
-    _key_split,
-    _key_x2,
     _lattice_classes,
-    _pair_classes,
+    _null_vectors,
     _require_int,
     enumerate_ball,
     shell_counts,
@@ -195,54 +193,53 @@ def _series_rows(p: SeriesParams) -> complex:
 
 @lru_cache(maxsize=4)
 def _coprime_key_terms(ring: Ring, radius: int):
-    """The left-coprime keys (k, y, |d|^2) = (|c|^2, c^-bar d, |d|^2) of
-    rings._pair_classes (rings._coprime_classes) as series terms sorted by
-    shell j = max(k, |d|^2), read only: the columns [2y | k | |d|^2] of
-    one (n + 2, T) array, so that one GEMV with [u | |u|^2 + v^2 | 1]
-    gives every denominator; the multiplicities as floats; the first term
-    of each shell, for np.add.reduceat; and the (shells, radius) matrix
+    """The primitive null vectors (k, y, l) of rings._null_vectors as
+    series terms, in its order of shells j = max(k, l), read only: the
+    columns [2y | k | l] of one (n + 2, T) array, so that one GEMV with
+    [u | |u|^2 + v^2 | 1] gives every denominator; the first term of
+    each shell, for np.add.reduceat; and the (shells, radius) matrix
     whose row for shell j holds sigma(g) / #units at g <= radius // j and
     0 past it (shell_counts), so that its product with the powers g^-s
     gives each shell's zeta_{radius // j} / #units (_series_keys).
-    For c != 0 a term depends only on its key, |cu + d|^2 + |c|^2 v^2 =
-    (2y, u) + k (|u|^2 + v^2) + |d|^2 by the alternative law c (c^-bar x)
-    = |c|^2 x; for c = 0 on |d|^2."""
-    key, mult, _ = _pair_classes(ring, radius)
+    A vector is the key (|c|^2, c^-bar d, |d|^2) of #units pairs, whose
+    term it gives: |cu + d|^2 + |c|^2 v^2 = (2y, u) + k (|u|^2 + v^2) + l
+    by the alternative law c (c^-bar x) = |c|^2 x."""
+    rows = _null_vectors(ring, radius)
     n = ring.dim
-    k, dn, packed = _key_split(ring, radius, key)
-    shell = np.maximum(k, dn)
-    order = np.argsort(shell)
-    order = order[_coprime_classes(ring, radius)[order]]  # in the order of all keys
-    cols = np.empty((n + 2, len(order)))
-    cols[:n] = _key_x2(ring, radius, packed[order]).T
-    cols[n], cols[n + 1] = k[order], dn[order]
-    starts = np.flatnonzero(np.diff(shell[order], prepend=-1))
+    shell = np.maximum(rows[:, n], rows[:, n + 1])
+    starts = np.flatnonzero(np.diff(shell, prepend=-1))
+    # the floats overwrite the int64 columns block by block: one table,
+    # 219 MB at octavian radius 4, not two
+    ints = rows.T
+    cols = ints.view(float)
+    for lo in range(0, len(rows), _EUCLID_BATCH):
+        cols[:, lo:lo + _EUCLID_BATCH] = ints[:, lo:lo + _EUCLID_BATCH].astype(float)
     g = np.arange(1, radius + 1)
-    conv = np.where(g <= radius // shell[order[starts], None],
+    conv = np.where(g <= radius // shell[starts, None],
                     shell_counts(ring, radius), 0) / len(units(ring))
-    return tuple(map(_readonly, (cols, mult[order].astype(float), starts, conv)))
+    return tuple(map(_readonly, (cols, starts, conv)))
 
 
 def _series_keys(p: SeriesParams, coprime_only: bool = False) -> complex:
     """The series sum over the terms of _coprime_key_terms: one GEMV gives
-    every denominator, and one np.add.reduceat the per-shell sums S_j of
-    the terms times their multiplicities, which are summed with math.fsum
-    in increasing shell order.  The coprime sum is sum_j S_j.  The
-    unrestricted sum is the sigma-convolution E_R = sum_g sigma(g) g^-s
-    P_{R // g} (Krieg, LNM 1143) with its sums swapped, sum_j zeta_{R // j}
-    S_j / #units, where zeta_r = sum_{g <= r} sigma(g) g^-s is the partial
-    sum of zeta_partial: one product of the table's convolution matrix
-    with the R powers g^-s gives every weight.  The identity is exact for
-    these truncations; the tests hold it to the class-row sums of all
-    three rings."""
-    cols, mult, starts, conv = _coprime_key_terms(p.ring, p.radius)
+    every denominator, and one np.add.reduceat the per-shell sums of the
+    terms, summed with math.fsum in increasing shell order and scaled by
+    the #units pairs of a term: S_j, the sum over the pairs of shell j.
+    The coprime sum is sum_j S_j.  The unrestricted sum is the
+    sigma-convolution E_R = sum_g sigma(g) g^-s P_{R // g} (Krieg, LNM
+    1143) with its sums swapped, sum_j zeta_{R // j} S_j / #units, where
+    zeta_r = sum_{g <= r} sigma(g) g^-s is the partial sum of
+    zeta_partial: one product of the table's convolution matrix with the
+    R powers g^-s gives every weight.  The identity is exact for these
+    truncations; the tests hold it to the class-row sums of all three
+    rings."""
+    cols, starts, conv = _coprime_key_terms(p.ring, p.radius)
     s, u, v = complex(p.s), p.z.u_vector(), p.z.v
     vals = _neg_power(np.concatenate([u, [u @ u + v * v, 1.0]]) @ cols, s)
-    vals *= mult
     sums = np.add.reduceat(vals, starts)
     if not coprime_only:
         sums = sums * (conv @ _neg_power(np.arange(1.0, p.radius + 1), s))
-    total = complex(math.fsum(sums.real), math.fsum(sums.imag))
+    total = complex(math.fsum(sums.real), math.fsum(sums.imag)) * len(units(p.ring))
     return np.exp(s * np.log(v)) * total
 
 
@@ -260,8 +257,8 @@ def eisenstein_truncated(p: SeriesParams) -> complex:
 
 def poincare_truncated(p: SeriesParams) -> complex:
     """Restricted series (1/N) sum over left-coprime pairs, N = #units, on
-    the coprime keys in every ring (_series_keys): their primitivity flags
-    (rings._coprime_classes) decide the coprimality of every pair."""
+    the coprime keys in every ring (_series_keys): the primitive null
+    vectors (rings._null_vectors), one per N left-coprime pairs."""
     return _series_keys(p, coprime_only=True) / len(units(p.ring))
 
 

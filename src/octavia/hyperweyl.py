@@ -25,6 +25,7 @@ from .algebra import (
     _halving_kernel,
     _is_unit_norm,
     _mult2,
+    _mult4,
     _reduced,
     cd_multiply,
     commutator,
@@ -39,14 +40,14 @@ from .rings import (
     HURWITZ,
     Ring,
     Z,
+    _EUCLID_BATCH,
     _check_members,
-    _coprime_classes,
+    _conj_sign,
     _elem,
     _euclid_rows,
     _exact_rows,
-    _pair_classes,
+    _null_vectors,
     _require_int,
-    _stored_pairs,
     _unit_orbit_min,
     is_in_commutator_ideal,
     is_left_coprime,
@@ -443,8 +444,8 @@ def psl0_membership(S) -> bool:
 def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
     """Canonical representatives (c, d) of the left-coprime rows of the
     (M, dim) doubled coordinates c2, d2, as (M, 2 dim) rows, one per row;
-    the caller decides the coprimality (rings._coprime_classes,
-    is_left_coprime or left_content).
+    the caller decides the coprimality (coset_reps by the primitive null
+    vectors, is_left_coprime or left_content).
 
     The class of (c, d) is canonicalized by the ring's data:
       associative: the lexicographically least of the rows (u c, u d)
@@ -496,16 +497,33 @@ def coset_reps(ring: Ring, norm_bound: int) -> np.ndarray:
     doubled coordinates (c2 | d2), one row per class, sorted
     lexicographically.
 
-    Each class is one left-coprime key (|c|^2, c^-bar d, |d|^2) of
-    rings._pair_classes (rings._coprime_classes): the pairs of a key
-    share their Euclid quotients, so their class, and a canonical row
-    keeps the key of its pair.  So _canonical_rows runs once on the
-    stored pair of each coprime key, in the batches of rings._stored_pairs.
+    Each class is one primitive null vector (k, x, l) of
+    rings._null_vectors, the key (|c|^2, c^-bar d, |d|^2) of its rows.
+    The left Euclid chain on (x, k) reads k^-1 x = c^-1 d, as the chain
+    on (d, c) does, and its last divisor g has |g|^2 = k (checked); so
+    c = g^-bar and d = c x / k (checked integral) is a row of the class,
+    by the alternative law c (c^-bar d) = |c|^2 d; (0, 0, 1) gives (0, 1).
+    _canonical_rows writes the classes' rows into one array, one Euclid
+    batch of _EUCLID_BATCH vectors at a time, which is sorted once.
     """
     _require_int("norm_bound", norm_bound)
     if norm_bound < 1:
         raise ValueError("norm_bound must be >= 1")
-    pair = _pair_classes(ring, norm_bound)[2][_coprime_classes(ring, norm_bound)]
-    rows = np.concatenate([_canonical_rows(ring, c2, d2)
-                           for c2, d2 in _stored_pairs(ring, norm_bound, pair)])
+    n = ring.dim
+    table = _null_vectors(ring, norm_bound)
+    rows = np.empty((len(table), 2 * n), dtype=np.int64)
+    for lo in range(0, len(table), _EUCLID_BATCH):
+        x2, k = table[lo:lo + _EUCLID_BATCH, :n], table[lo:lo + _EUCLID_BATCH, n]
+        g2 = np.zeros_like(x2)
+        g2[:, 0] = 2 * k
+        content, chain = _euclid_rows(ring, x2, g2, "left", record=True)
+        for idx, _, r in chain:  # the last nonzero remainder of each row
+            g2[idx[r.any(axis=1)]] = r[r.any(axis=1)]
+        c2 = g2 * _conj_sign(n)
+        d2, rest = np.divmod(_mult4(c2, x2), np.maximum(2 * k, 1)[:, None])
+        if rest.any() or not np.array_equal(content, 4 * k):
+            raise ArithmeticError(f"a null vector of {ring} gave no row (c, d)")
+        d2[k == 0, 0] = 2
+        rows[lo:lo + len(k)] = _canonical_rows(ring, c2, d2)
+    del table, x2, k  # the sort copies the rows
     return rows[np.lexsort(rows.T[::-1])]

@@ -383,6 +383,17 @@ def _unit_orbit_min(ring: Ring, *blocks: np.ndarray) -> np.ndarray:
     return best
 
 
+def _cbar_packing(dim: int, lim: int) -> np.ndarray:
+    """The (dim, dim) integer matrix P with (c2 @ P) @ x2 = sum_k lim^k
+    (4 c^-bar x)_k for doubled coordinates c2 = 2c and x2 = 2x, one-to-one
+    while every |(4 c^-bar x)_k| <= lim // 2.  It is bilinear, so one
+    float matmul of the rows c2 @ P with a stack of x2 packs a block; its
+    partial sums are integers, so it is exact in any order while they
+    stay below 2^53, a bound _class_keys checks on its inputs."""
+    prod = _structure_float(dim).astype(np.int64)  # [i, j, k]: e_i e_j
+    return (prod @ lim ** np.arange(dim)) * _conj_sign(dim)[:, None]
+
+
 def _class_keys(ring: Ring, pts2: np.ndarray) -> np.ndarray:
     """One exact integer key row per row c2 = 2c of pts2: the sorted
     minimal vectors c^-bar e (e a unit) of the lattice c^-bar O, each
@@ -424,8 +435,8 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
     So the members' rows equal the first member's under d <-> d'; both
     facts rest on the alternative law c (c^-bar x) = |c|^2 x (Feingold,
     Kleinschmidt and Nicolai, arXiv:0805.3018).  This is the one quotient
-    of the ball: the series rows (autoforms._ball_data) and the pair
-    classes (_pair_classes) both take c over the first members.
+    of the ball: the series rows (autoforms._ball_data) take c over the
+    first members.
 
     For Z and the Hurwitz ring the classes are the unit orbits {e c}; for
     the octavians they hold 1, 16 or 240 points at max_norm 2 (137
@@ -666,43 +677,73 @@ def common_right_divisors(ring: Ring, a: AlgElem, c: AlgElem, max_norm: int = 4)
 # -- lattice enumeration and shell counts ----------------------------------
 
 
+def _half_rows(patterns, bound: int):
+    """The integer rows whose squares sum to at most bound, sorted, and per
+    parity pattern the indices of its rows by increasing sum, with the
+    sums."""
+    r = math.isqrt(bound)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in next(iter(patterns)):
+        vals = np.arange(-r, r + 1, dtype=np.int64)
+        rows = np.column_stack([np.repeat(rows, len(vals), axis=0), np.tile(vals, len(rows))])
+        rows = rows[(rows * rows).sum(axis=1) <= bound]  # still sorted
+    sums = (rows * rows).sum(axis=1)
+    out = {}
+    for p in patterns:
+        idx = np.flatnonzero(((rows & 1) == p).all(axis=1))
+        idx = idx[np.argsort(sums[idx], kind="stable")]
+        out[p] = idx, sums[idx]
+    return rows, out
+
+
+def _shells(ring: Ring, norms: Sequence[int]):
+    """The shells {x in ring : |x|^2 = m} for m in norms, one at a time,
+    each as doubled coordinates sorted lexicographically.
+
+    Meet in the middle over the glue code (_cosets): a point of the coset
+    g + 2 Z^dim joins a left half (its first dim // 2 coordinates) whose
+    squares sum to a with a right half summing to 4m - a, each with the
+    parities of g.  The halves are listed once, sorted, so the key (left
+    rank) * (number of right halves) + (right rank) sorts the shell.
+    """
+    dim, h = ring.dim, ring.dim // 2
+    code = _cosets(ring)
+    top = 4 * max(norms, default=0)
+    (left, lpat), (right, rpat) = (_half_rows({g[part] for g in code}, top)
+                                   for part in (slice(0, h), slice(h, dim)))
+    for m in norms:
+        keys = [np.empty(0, dtype=np.int64)]
+        for g in code:
+            (li, ls), (ri, rs) = lpat[g[:h]], rpat[g[h:]]
+            lo = np.searchsorted(rs, 4 * m - ls)
+            count = np.searchsorted(rs, 4 * m - ls, "right") - lo
+            # left half li[i] joins the right halves ri[lo[i]:lo[i] + count[i]]
+            j = np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)
+            keys.append(np.repeat(li, count) * len(right) + ri[j])
+        key = np.sort(np.concatenate(keys))
+        yield np.concatenate([left[key // len(right)], right[key % len(right)]], axis=1)
+
+
 @lru_cache(maxsize=None, typed=True)
 def enumerate_ball(ring: Ring, max_norm: int) -> np.ndarray:
     """Doubled coordinates of all ring elements with |x|^2 <= max_norm.
 
-    Returns an int array sorted shell-major (then lexicographically); the
-    zero element is included.  The cache is typed, so a float bound never
-    meets the entry of an equal int and always raises ValueError.
+    Returns an int array sorted shell-major (then lexicographically): the
+    shells 0..max_norm of _shells; the zero element is included.  The
+    cache is typed, so a float bound never meets the entry of an equal
+    int and always raises ValueError.
     """
     _require_int("max_norm", max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
-    dim = ring.dim
-    bound = 4 * max_norm  # doubled-coordinate norm bound
-    rmax = int(np.floor(np.sqrt(bound)))
-    blocks = []
-    for cw in _cosets(ring):
-        axes = []
-        for p in cw:
-            # the values of parity p in [-rmax, rmax]
-            axes.append(np.arange(-rmax + (rmax + p) % 2, rmax + 1, 2, dtype=np.int64))
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        n4 = (grid * grid).sum(axis=1)
-        blocks.append(grid[n4 <= bound])
-    pts = np.concatenate(blocks, axis=0)
-    n4 = (pts * pts).sum(axis=1)
-    order = np.lexsort(tuple(pts[:, k] for k in reversed(range(pts.shape[1]))) + (n4,))
-    return _readonly(pts[order])
+    return _readonly(np.concatenate(list(_shells(ring, range(max_norm + 1)))))
 
 
-# Pairs per numpy batch of a pair build (Euclid rows, primitivity flags),
-# and the floor of _merge_distinct.  A batch's temporaries set the peak
-# memory of a build, and the allocator keeps them: the RSS stayed 11 MB
-# higher after the octavian radius 2 key table was built in 64k chunks,
-# 5 MB in 16k.  No size from 4k to 64k pairs was measurably faster:
-# flagging 37,480 pairs (the Hurwitz radius 9 class rows by the ball),
-# then one Euclid row per pair, took 42-80 ms warm at each, with a traced
-# peak of 15.1 MB in one 64k batch and 6.9 MB in 16k batches.
+# Rows per numpy batch of the primitivity flags (_primitive_rows), of the
+# Euclid rows of hyperweyl.coset_reps and of the float layout of
+# autoforms._coprime_key_terms.  A batch's temporaries set the peak memory
+# of a build, and the allocator keeps them; no size from 4k to 64k rows
+# was measurably faster for the flags and the Euclid rows.
 _EUCLID_BATCH = 1 << 14
 
 
@@ -728,144 +769,7 @@ def shell_counts(ring: Ring, n_max: int) -> list[int]:
     return [int(c) for c in counts[1:]]
 
 
-# -- distinct keys of lattice pairs ------------------------------------------
-
-
-def _distinct(key: np.ndarray, mult: np.ndarray, item: np.ndarray):
-    """The distinct values of key in increasing order, each with the sum
-    of its multiplicities and one of its items (any one: every pair of a
-    key of _pair_classes has its term, coprimality and coset class)."""
-    order = key.argsort()
-    key = key[order]
-    head = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
-    return key[head], np.add.reduceat(mult[order], head), item[order[head]]
-
-
-def _merge_distinct(chunks):
-    """_distinct of the concatenation of a stream of one or more (key,
-    mult, item) chunks, without holding the whole stream: the chunks wait
-    until they hold as many entries as the running table, and at least
-    _EUCLID_BATCH, and then one _distinct merges them in.  So the build
-    holds about twice the table, and the sorts take in at most three times
-    the entries of the stream."""
-    parts, size, floor = [], 0, _EUCLID_BATCH
-    for chunk in chunks:
-        parts.append(chunk)
-        size += len(chunk[0])
-        if size >= floor:
-            parts = [_distinct(*map(np.concatenate, zip(*parts)))]
-            size, floor = 0, max(len(parts[0][0]), _EUCLID_BATCH)
-    return _distinct(*map(np.concatenate, zip(*parts)))
-
-
-def _cbar_packing(dim: int, lim: int) -> np.ndarray:
-    """The (dim, dim) integer matrix P with (c2 @ P) @ x2 = sum_k lim^k
-    (4 c^-bar x)_k for doubled coordinates c2 = 2c and x2 = 2x, one-to-one
-    while every |(4 c^-bar x)_k| <= lim // 2.  It is bilinear, so one
-    float matmul of the rows c2 @ P with a stack of x2 packs a block; its
-    partial sums are integers, so it is exact in any order while they
-    stay below 2^53, a bound each caller checks on its own inputs."""
-    prod = _structure_float(dim).astype(np.int64)  # [i, j, k]: e_i e_j
-    return (prod @ lim ** np.arange(dim)) * _conj_sign(dim)[:, None]
-
-
-def _key_range(ring: Ring, radius: int) -> tuple[int, int]:
-    """(lim, base) of the keys of _pair_classes(ring, radius): the digits
-    of 2 c^-bar d in balanced base lim = 4 radius + 1, below base =
-    lim^dim.  The packing matmul (c2 @ _cbar_packing(dim, lim)) @ d2 has
-    partial sums up to |c2| |d2| S <= 4 radius S, S = sum_k lim^k (the
-    packing is sum_k lim^k times a signed permutation), to stay below
-    2^53, and the keys reach base (radius + 1)^2, to stay below 2^62.  It
-    raises OverflowError past either, before any ball is built: from
-    octavian radius 24 and Hurwitz radius 512 on (2^62; 2^53 would bite
-    at 25 and 2,436)."""
-    lim = 4 * radius + 1
-    base = lim ** ring.dim
-    if 4 * radius * (base - 1) // (lim - 1) >= 2 ** 53 or base * (radius + 1) ** 2 >= 2 ** 62:
-        raise OverflowError(f"pair keys of {ring} at radius {radius} would exceed "
-                            "2^53 or 2^62")
-    return lim, base
-
-
-@lru_cache(maxsize=4)
-def _pair_classes(ring: Ring, radius: int):
-    """The pairs (c, d) != (0, 0) with max(|c|^2, |d|^2) <= radius up to
-    their key (|c|^2, c^-bar d, |d|^2), read only: the distinct keys in
-    increasing order, the number of pairs of each and one stored pair of
-    each.  The key labels the coset of a left-coprime row (c, d) in
-    Gamma_infinity \\ Gamma, as the null vector [[|c|^2, c^-bar d],
-    [d^-bar c, |d|^2]] (Feingold, Kleinschmidt and Nicolai,
-    arXiv:0805.3018), and decides the coprimality (_coprime_classes) and
-    the octavian series term (autoforms._coprime_key_terms): for c != 0
-    the Euclid chain of (d, c) reads only c^-1 d = c^-bar d / |c|^2
-    (_lattice_classes).
-
-    c runs over the first member of each lattice class, with the class
-    size (a member c' has the pairs (c', c'(c^-1 d)), with the keys of
-    (c, d)), and d over one of each pair +-d: (c, -d) has the key
-    (|c|^2, -c^-bar d, |d|^2), so the table is merged with its mirror.  A
-    key is one integer, (|c|^2 (radius + 1) + |d|^2) base plus the digits
-    of 2 c^-bar d (_key_range), merged in chunks of _EUCLID_BATCH pairs
-    as they arrive.  The stored pair of the ball points (c, d) = (i, j)
-    is i m + j, and -1 - (i m + j) for (c, -d).  Octavian radius 2 has
-    22,084 keys for 326,536 class-row pairs.
-    """
-    lim, base = _key_range(ring, radius)
-    pts2 = enumerate_ball(ring, radius)
-    reps, weight = _lattice_classes(ring, radius)
-    m = len(pts2)
-    shell = (pts2 * pts2).sum(axis=1) >> 2
-    ck = base * (radius + 1) * shell[reps]
-    # the digits of 4 c^-bar d of the pair (c, d) are packed[c] . d2
-    packed = (pts2[reps] @ _cbar_packing(ring.dim, lim)).astype(float)
-    # one of each pair +-d, d != 0: the first nonzero coordinate positive
-    half = np.flatnonzero(pts2[np.arange(m), (pts2 != 0).argmax(axis=1)] > 0)
-    d2, dk = pts2[half].T.astype(float), base * shell[half]
-    chunk = max(1, _EUCLID_BATCH // len(half))
-
-    def chunks():
-        for lo in range(0, len(reps), chunk):
-            r = slice(lo, lo + chunk)
-            key = ((packed[r] @ d2).astype(np.int64) >> 1) + dk + ck[r, None]
-            yield key.ravel(), np.repeat(weight[r], len(half)), (reps[r, None] * m + half).ravel()
-
-    key, mult, pair = _merge_distinct(chunks())
-    # the pairs (c, -d) have the keys (K, -y), and the pairs (c, 0), c !=
-    # 0, the keys (K, 0); (0, 0) has none
-    top = (key + (base - 1) // 2) // base
-    key, mult, pair = _distinct(np.concatenate([key, 2 * base * top - key, ck[1:]]),
-                                np.concatenate([mult, mult, weight[1:]]),
-                                np.concatenate([pair, -1 - pair, reps[1:] * m]))
-    return tuple(map(_readonly, (key, mult, pair)))
-
-
-def _stored_pairs(ring: Ring, radius: int, pair: np.ndarray):
-    """The doubled coordinates (c2, d2) of stored pairs of
-    _pair_classes(ring, radius), in Euclid batches of _EUCLID_BATCH."""
-    pts2 = enumerate_ball(ring, radius)
-    for lo in range(0, len(pair), _EUCLID_BATCH):
-        p = pair[lo:lo + _EUCLID_BATCH]
-        c, d = np.divmod(np.where(p < 0, -1 - p, p), len(pts2))
-        yield pts2[c], np.where(p < 0, -1, 1)[:, None] * pts2[d]
-
-
-def _key_split(ring: Ring, radius: int, key: np.ndarray):
-    """The fields of keys of _pair_classes(ring, radius): k = |c|^2, l =
-    |d|^2 and the digits of 2 c^-bar d, still packed (_key_x2)."""
-    _, base = _key_range(ring, radius)
-    top = (key + (base - 1) // 2) // base
-    k, l = np.divmod(top, radius + 1)
-    return k, l, key - base * top + (base - 1) // 2
-
-
-def _key_x2(ring: Ring, radius: int, packed: np.ndarray) -> np.ndarray:
-    """The doubled coordinates 2 c^-bar d of packed digits of _key_split,
-    one row each."""
-    lim = 4 * radius + 1
-    x2 = np.empty((len(packed), ring.dim), dtype=np.int64)
-    for i in range(ring.dim):
-        packed, x2[:, i] = np.divmod(packed, lim)
-    return x2 - 2 * radius
+# -- primitive null vectors ------------------------------------------------
 
 
 def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarray:
@@ -875,9 +779,10 @@ def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarr
     the integer coordinates of x in ring.basis2 (Feingold, Kleinschmidt
     and Nicolai, arXiv:0805.3018, label the cosets by these null vectors).
     It agrees with left_content == 4, one Euclid run per pair, on every
-    key of Z 50, Hurwitz 9 and octavian 2, and via the Poincare series
+    pair of Z 50, Hurwitz 9 and octavian 2, and via the Poincare series
     up to Hurwitz 16 (the tests).  x2_of(rows) gives 2x on the rows with
-    gcd(k, l) != 1, the only ones that need it.
+    gcd(k, l) != 1, the only ones that need it, _EUCLID_BATCH rows at a
+    time.
 
     The coordinates of x are 2x adj / det for the integer adjugate adj of
     basis2 (basis2 adj = det I, checked exactly), so the content is the
@@ -890,25 +795,44 @@ def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarr
         raise ArithmeticError(f"no integer adjugate of the basis of {ring}")
     g = np.gcd(k, l)
     live = np.flatnonzero(g != 1)
-    # a float64 matmul (BLAS), exact: the entries stay far below 2^53
-    y = np.gcd.reduce((x2_of(live) @ adj).astype(np.int64), axis=1)
-    if (y % det).any():
-        raise ArithmeticError(f"a product c^-bar d left the lattice of {ring}")
-    g[live] = np.gcd(g[live], y // abs(det))
+    for lo in range(0, len(live), _EUCLID_BATCH):
+        rows = live[lo:lo + _EUCLID_BATCH]
+        # a float64 matmul (BLAS), exact: the entries stay far below 2^53
+        y = np.gcd.reduce((x2_of(rows) @ adj).astype(np.int64), axis=1)
+        if (y % det).any():
+            raise ArithmeticError(f"a product c^-bar d left the lattice of {ring}")
+        g[rows] = np.gcd(g[rows], y // abs(det))
     return g == 1
 
 
-@lru_cache(maxsize=4)
-def _coprime_classes(ring: Ring, radius: int) -> np.ndarray:
-    """Which keys of _pair_classes(ring, radius) are left coprime, read
-    only: _primitive_rows on the fields of each key, in blocks of
-    _EUCLID_BATCH keys."""
-    key = _pair_classes(ring, radius)[0]
-    out = []
-    for lo in range(0, len(key), _EUCLID_BATCH):
-        k, l, packed = _key_split(ring, radius, key[lo:lo + _EUCLID_BATCH])
-        out.append(_primitive_rows(ring, k, l, lambda rows: _key_x2(ring, radius, packed[rows])))
-    return _readonly(np.concatenate(out))
+def _null_vectors(ring: Ring, radius: int) -> np.ndarray:
+    """The primitive null vectors (k, x, l), |x|^2 = kl, with k, l <=
+    radius, as the int64 rows [2x | k | l] ordered by max(k, l), (k, l)
+    and 2x: the transpose of a C array of columns.  They label the cosets
+    Gamma_infinity \\ Gamma (Feingold, Kleinschmidt and Nicolai,
+    arXiv:0805.3018), each the key (|c|^2, c^-bar d, |d|^2) of #units
+    left-coprime rows (c, d).  Past (0, 0, 1) and (1, 0, 0), x runs over
+    the shell kl, flagged (_primitive_rows) before the next shell is
+    built.  Octavian radius 4 has 2,736,242.
+    """
+    n = ring.dim
+    small = np.min_scalar_type(-2 * radius)  # |2x|_i <= 2 sqrt(kl) <= 2 radius
+    blocks = {(0, 1): np.zeros((1, n), dtype=small), (1, 0): np.zeros((1, n), dtype=small)}
+    pairs = {}
+    for k, l in itertools.product(range(1, radius + 1), repeat=2):
+        pairs.setdefault(k * l, []).append((k, l))
+    sigma = shell_counts(ring, radius * radius)
+    norms = [m for m in sorted(pairs) if sigma[m - 1]]  # Z has no shell past the squares
+    for m, shell in zip(norms, _shells(ring, norms)):
+        k, l = np.repeat(np.array(pairs[m]), len(shell), axis=0).T
+        flags = _primitive_rows(ring, k, l, lambda rows: shell[rows % len(shell)])
+        for kl, keep in zip(pairs[m], flags.reshape(len(pairs[m]), -1)):
+            blocks[kl] = shell[keep].astype(small)
+    order = sorted(blocks, key=lambda kl: (max(kl), kl))
+    cols = np.empty((n + 2, sum(map(len, blocks.values()))), dtype=np.int64)
+    cols[:n] = np.concatenate([blocks[kl] for kl in order]).T
+    cols[n:] = np.repeat(np.array(order).T, [len(blocks[kl]) for kl in order], axis=1)
+    return cols.T
 
 
 # -- Hurwitz commutator ideal ----------------------------------------------

@@ -44,11 +44,8 @@ from octavia.rings import (
     OCTAVIAN,
     Z,
     _conj_sign,
-    _distinct,
-    _key_split,
-    _key_x2,
     _mult2,
-    _pair_classes,
+    _null_vectors,
     _primitive_rows,
     enumerate_ball,
     left_content,
@@ -318,10 +315,15 @@ def test_series_kernels_agree(ring, radius, s, coprime_only):
 @pytest.mark.heavy
 @pytest.mark.parametrize("s", [5.0, 5.0 + 1.5j], ids=["real", "complex"])
 def test_series_kernels_agree_octavian_radius_3(s):
-    # Poincare on the coprime ones of 338,163 distinct keys with c != 0
-    # against 11,455,976 class-row pairs, flagged in the test by
-    # primitivity (_primitive_class_mask) since a Euclid run each is slow
-    assert len(_pair_classes(OCTAVIAN, 3)[0]) == 338163 + 3
+    # Poincare on the 337,682 primitive null vectors against 11,455,976
+    # class-row pairs, flagged in the test by primitivity
+    # (_primitive_class_mask) since a Euclid run each is slow.  The
+    # 338,163 distinct keys with c != 0, and the 3 with c = 0, are the
+    # multiples g v, g <= 3 // max(k, l), of the primitive vectors v
+    # (test_coprimality_is_a_function_of_the_key)
+    rows = _null_vectors(OCTAVIAN, 3)
+    assert len(rows) == 337682
+    assert (3 // np.maximum(rows[:, 8], rows[:, 9])).sum() == 338163 + 3
     assert _kernels_agree(OCTAVIAN, 3, s, True, _primitive_class_mask(OCTAVIAN, 3))
 
 
@@ -339,20 +341,6 @@ def test_eisenstein_is_the_sigma_convolution_of_poincare(ring, radius, s):
              for g, n in enumerate(shell_counts(ring, radius), 1) if n]
     conv = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     assert abs(conv - e) <= 1e-13 * abs(e)
-
-
-def test_distinct_merges_equal_keys():
-    # keys of either sign up to 2^62 with up to 2^17 entries
-    rng = np.random.default_rng(11)
-    values = rng.integers(-(1 << 61), 1 << 61, 3000)
-    key = rng.choice(values, 1 << 17)
-    mult = rng.integers(1, 50, len(key))
-    pair = np.arange(len(key))
-    got_key, got_mult, got_pair = _distinct(key, mult, pair)
-    want_key, inv = np.unique(key, return_inverse=True)
-    assert np.array_equal(got_key, want_key)
-    assert np.array_equal(got_mult, np.bincount(inv.ravel(), mult).astype(np.int64))
-    assert np.array_equal(key[got_pair], got_key)
 
 
 def test_series_sum_takes_keys_for_every_octavian_radius(monkeypatch):
@@ -390,74 +378,42 @@ def test_series_sum_takes_keys_for_every_octavian_radius(monkeypatch):
     assert {name for name, _ in seen} == {"_ball_data", "_d_side"}
 
 
-def _void_rows(a):
-    """Each row of the int64 array a as one opaque scalar, for np.unique."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
-
-
-def _pair_keys(ring, radius):
-    """Test-side keys of every class row c against every d of the ball,
-    as rows (|c|^2, |d|^2, 2 c^-bar d) in the (rows, m) pair order, and
-    the class size of each pair's row."""
-    pts2, _, nrm, reps, weight, _ = _ball_data(ring, radius)
-    c2 = np.repeat(pts2[reps], len(pts2), axis=0)
-    d2 = np.tile(pts2, (len(reps), 1))
-    shell = np.rint(nrm).astype(np.int64)
-    keys = np.column_stack([np.repeat(shell[reps], len(pts2)), np.tile(shell, len(reps)),
-                            _mult2(c2 * _conj_sign(ring.dim), d2)])
-    return keys, np.repeat(weight, len(pts2))
-
-
-def _key_fields(ring, radius):
-    """The keys of rings._pair_classes as k = |c|^2, l = |d|^2 and the rows
-    2 c^-bar d, with the number of pairs of each."""
-    key, mult, _ = _pair_classes(ring, radius)
-    k, l, packed = _key_split(ring, radius, key)
-    return k, l, _key_x2(ring, radius, packed), mult
-
-
 @pytest.mark.parametrize("ring, radius", [(HURWITZ, 4), (OCTAVIAN, 2)],
                          ids=["hurwitz-4", "octavian-2"])
-def test_coprimality_is_a_function_of_the_key(ring, radius):
+def test_coprimality_is_a_function_of_the_key(ring, radius, pair_table):
     # the fact _coprime_key_terms rests on: the left coprimality of (d, c)
-    # is constant on every key (|c|^2, c^-bar d), so one Euclid row per key
-    # decides for all its pairs, and the per-key Poincare multiplicities
-    # are the per-pair sums of class size times mask
-    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
-    mask = _full_mask_rows(ring, pts2[reps], pts2).ravel()
-    keys, weight = _pair_keys(ring, radius)
-    keys, weight, mask = keys[1:], weight[1:], mask[1:]  # not (0, 0)
-    distinct, inv = np.unique(_void_rows(keys), return_inverse=True)
-    inv = inv.ravel()
-    size = np.bincount(inv)
-    coprime = np.bincount(inv, mask)
-    assert np.all((coprime == 0) | (coprime == size))
-
-    def table(k, l, x2, mult):
-        rows = _void_rows(np.column_stack([k, l, x2]).astype(np.int64))
-        order = np.argsort(rows)
-        return rows[order], mult[order]
-
-    got_keys, got_mult = table(*_key_fields(ring, radius))
-    assert np.array_equal(got_keys, distinct)
-    assert np.array_equal(got_mult, np.bincount(inv, weight))
+    # is constant on every key (|c|^2, c^-bar d, |d|^2) of the brute-force
+    # pair table, one Euclid row per pair, and its left-coprime keys are
+    # the table's terms, each the key of #units pairs
+    keys, mult, coprime = pair_table(ring, radius)
+    assert np.all((coprime == 0) | (coprime == mult))
     flag = coprime > 0
-    cols, mult, _, _ = _coprime_key_terms(ring, radius)
     n = ring.dim
-    got_keys, got_mult = table(cols[n], cols[n + 1], cols[:n].T, mult)
-    assert np.array_equal(got_keys, distinct[flag])
-    assert np.array_equal(got_mult, np.bincount(inv, weight * mask)[flag])
+    cols = _coprime_key_terms(ring, radius)[0]
+    got = cols[[n, n + 1, *range(n)]].T.astype(np.int64)  # as (k, l, 2x)
+    assert np.array_equal(got[np.lexsort(got.T[::-1])], keys[flag])
+    assert np.all(mult[flag] == len(units(ring)))
+    # every key is g v for the primitive v = key / g, g = gcd(k, l,
+    # content of c^-bar d), with sigma(g) pairs: the sigma-convolution
+    # E = zeta * P at the level of keys
+    coords = keys[:, 2:] @ np.linalg.inv(np.array(ring.basis2))
+    g = np.gcd.reduce(np.column_stack([keys[:, :2], np.rint(coords)]).astype(np.int64), axis=1)
+    assert np.allclose(coords, np.rint(coords))
+    assert np.array_equal(mult, np.array([0] + shell_counts(ring, radius * radius))[g])
+    primitive = set(map(bytes, keys[flag]))
+    assert all(bytes(key // d) in primitive for key, d in zip(keys, g))
 
 
-def test_octavian_key_counts():
-    # the distinct keys with c != 0 are 241, 22,082 and 338,163 at radius
-    # 1, 2 and 3; for |c|^2 = 2 the c^-bar d are exactly the octavians of
-    # norm 0, 2 and 4.  c = 0 adds one term per norm of d.
-    for radius, count in ((1, 241), (2, 22082)):
-        assert len(_pair_classes(OCTAVIAN, radius)[0]) == count + radius
-    k, _, x2, _ = _key_fields(OCTAVIAN, 2)
-    y2 = x2[k == 2]
+def test_octavian_key_counts(pair_table):
+    # the distinct keys with c != 0 are 241 and 22,082 at radius 1 and 2
+    # (338,163 at 3); for |c|^2 = 2 the c^-bar d are exactly the octavians
+    # of norm 0, 2 and 4.  c = 0 adds one key per norm of d.  The primitive
+    # ones, the coset classes, are 242 and 21,842
+    for radius, count, primitive in ((1, 241, 242), (2, 22082, 21842)):
+        assert len(pair_table(OCTAVIAN, radius)[0]) == count + radius
+        assert len(_null_vectors(OCTAVIAN, radius)) == primitive
+    keys = pair_table(OCTAVIAN, 2)[0]
+    y2 = keys[keys[:, 0] == 2, 2:]
     ball = enumerate_ball(OCTAVIAN, 4)
     even = ball[(ball * ball).sum(axis=1) % 8 == 0]
     assert len(y2) == len(even) == 19681

@@ -19,7 +19,6 @@ from octavia.algebra import (
     one,
     zero,
 )
-from octavia.autoforms import _coprime_key_terms
 from octavia.hyperweyl import (
     GroupWord,
     HermMat,
@@ -52,8 +51,8 @@ from octavia.rings import (
     Z,
     _class_keys,
     _conj_sign,
-    _key_range,
     _lattice_classes,
+    _null_vectors,
     enumerate_ball,
     is_left_coprime,
     is_right_coprime,
@@ -425,34 +424,21 @@ def test_coset_reps_match_full_ball_scan(ring, bound):
     assert coset_reps(ring, bound).tolist() == np.unique(rows, axis=0).tolist()
 
 
-def test_pair_keys_overflow_before_the_ball_is_built():
-    # the keys reach (4 R + 1)^dim (R + 1)^2, past 2^62 from octavian
-    # bound 24 and Hurwitz bound 512 (the 2^53 bound of the packing matmul
-    # bites later), which (ring, bound) alone tell
-    for ring, first in ((OCTAVIAN, 24), (HURWITZ, 512)):
-        lim = 4 * first - 3
-        assert _key_range(ring, first - 1) == (lim, lim ** ring.dim)
-        before = enumerate_ball.cache_info()
-        with pytest.raises(OverflowError):
-            coset_reps(ring, first)
-        assert enumerate_ball.cache_info() == before
-
-
 @pytest.mark.parametrize("ring, bound", [(HURWITZ, 6), (OCTAVIAN, 2)],
                          ids=["hurwitz-6", "octavian-2"])
 def test_coset_classes_are_the_coprime_keys(ring, bound):
     # what coset_reps rests on: one class per key (|c|^2, c^-bar d, |d|^2),
     # so the rows' keys are pairwise distinct and are exactly the
-    # left-coprime keys of the pair-class table
+    # primitive null vectors
     n = ring.dim
     rows = coset_reps(ring, bound)
     c2, d2 = rows[:, :n], rows[:, n:]
     got = np.column_stack([_mult2(c2 * _conj_sign(n), d2), (c2 * c2).sum(axis=1) // 4,
                            (d2 * d2).sum(axis=1) // 4])
     assert len(np.unique(got, axis=0)) == len(rows)
-    cols = _coprime_key_terms(ring, bound)[0]
-    assert cols.shape[1] == len(rows)
-    assert np.array_equal(np.unique(got, axis=0), np.unique(cols.T.astype(np.int64), axis=0))
+    table = _null_vectors(ring, bound)
+    assert len(table) == len(rows)
+    assert np.array_equal(np.unique(got, axis=0), np.unique(table, axis=0))
 
 
 def test_coset_reps_bound_must_be_an_integer():
@@ -509,11 +495,10 @@ def test_octavian_coset_reps_bound_2():
 
 @pytest.mark.heavy
 def test_octavian_coset_reps_bound_3():
-    # 338,166 pair classes (|c|^2, c^-bar d, |d|^2) of 1,257 class rows
-    # against the 9,121 points of the ball, and one canonical row for each
-    # of the 337,682 left-coprime ones; 2.2 s under tracemalloc, with a
-    # traced peak of 96 MiB: the 41 MiB of int64 rows twice (the batches
-    # and their concatenation, then the sorted copy) and the 9 MiB table
+    # one canonical row for each of the 337,682 primitive null vectors;
+    # about 4 s under tracemalloc, with a traced peak of 85 MiB: the 41 MiB
+    # of int64 rows twice (the rows and their sorted copy), after the
+    # 26 MiB table is dropped
     tracemalloc.start()
     try:
         rows = coset_reps(OCTAVIAN, 3)
@@ -525,6 +510,16 @@ def test_octavian_coset_reps_bound_3():
     rows = rows.astype("<i8")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "d71a485c5782dcc1ae6f52968957c0a043dc30f8db3dcab8def65fe1c17dc0e6")
+
+
+@pytest.mark.heavy
+def test_octavian_coset_reps_bound_4():
+    # the 2,736,242 classes of the closed-form count
+    # (test_null_vector_counts_are_the_closed_form); about 28 s and 0.8 GB
+    rows = coset_reps(OCTAVIAN, 4)
+    assert rows.dtype == np.int64 and rows.shape == (2736242, 16)
+    assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == (
+        "0cd3425ee4a19d8621b1b8e277343b328fc7aaa4ea08aa2e19dc61d1a8e51155")
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -31,26 +31,20 @@ from octavia.algebra import (
 )
 import octavia
 from octavia.rings import (
-    _EUCLID_BATCH,
     EuclTrace,
     _cbar_packing,
     _class_keys,
     _conj_sign,
-    _coprime_classes,
     _cosets,
     _decode2,
     _euclid,
     _euclid_chain,
     _euclid_rows,
     _exact_rows,
-    _key_split,
-    _key_x2,
     _lattice_classes,
-    _merge_distinct,
     _nearest2,
-    _pair_classes,
+    _null_vectors,
     _primitive_rows,
-    _stored_pairs,
     _unit_orbit_min,
     HURWITZ,
     OCTAVIAN,
@@ -628,8 +622,6 @@ CACHE_ARGS = {
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
     "_lattice_classes": (HURWITZ, 2),
-    "_pair_classes": (OCTAVIAN, 1),
-    "_coprime_classes": (OCTAVIAN, 1),
     "_coded_units": (4,),
     "sandwich_map": (basis_unit(8, 3),),
     "right_mult_map": (basis_unit(8, 3),),
@@ -926,41 +918,83 @@ def test_lattice_classes_match_exact_minimal_vector_sets(ring, radius):
     assert np.array_equal(reps, expect_reps) and np.array_equal(weight, expect_weight)
 
 
-def test_merge_distinct_matches_np_unique():
-    # streams of (key, mult, item) chunks: sizes on both sides of the
-    # merge floor, a first chunk below it, empty chunks, one chunk alone
-    rng = np.random.default_rng(29)
-    sizes = [[5], [0, 7], [3, _EUCLID_BATCH - 3, 1, 0, 2 * _EUCLID_BATCH + 5, 11],
-             [_EUCLID_BATCH // 2] * 9 + [3 * _EUCLID_BATCH, 1]]
-    for spread in (50, 1 << 40):
-        for lens in sizes:
-            chunks = [(rng.integers(-spread, spread, n), rng.integers(1, 9, n),
-                       rng.integers(0, 1 << 30, n)) for n in lens]
-            key, mult, item = _merge_distinct(iter(chunks))
-            all_key, all_mult, all_item = map(np.concatenate, zip(*chunks))
-            want, inv = np.unique(all_key, return_inverse=True)
-            assert np.array_equal(key, want)
-            assert np.array_equal(mult, np.bincount(inv.ravel(), all_mult))
-            # each key keeps an item of one of its entries
-            assert all(i in set(all_item[all_key == k]) for k, i in
-                       zip(key[::max(1, len(key) // 50)], item[::max(1, len(key) // 50)]))
-
-
 @pytest.mark.parametrize("ring, radius", [(Z, 50), (HURWITZ, 9), (OCTAVIAN, 2)],
                          ids=["z-50", "hurwitz-9", "octavian-2"])
-def test_coprime_classes_match_one_euclid_row_per_pair(ring, radius):
-    # primitivity against the Euclid oracle on every key, and the key
-    # fields against the stored pair of each key
-    key, _, pair = _pair_classes(ring, radius)
-    c2, d2 = map(np.concatenate, zip(*_stored_pairs(ring, radius, pair)))
-    k, l, packed = _key_split(ring, radius, key)
-    assert np.array_equal(k, (c2 * c2).sum(axis=1) >> 2)
-    assert np.array_equal(l, (d2 * d2).sum(axis=1) >> 2)
-    assert np.array_equal(_key_x2(ring, radius, packed), _mult2(c2 * _conj_sign(ring.dim), d2))
-    want = np.concatenate([left_content(ring, c, d) == 4
-                           for c, d in _stored_pairs(ring, radius, pair)])
-    assert np.array_equal(_coprime_classes(ring, radius), want)
-    assert 0 < want.sum() < len(want)
+def test_coprime_classes_match_one_euclid_row_per_pair(ring, radius, pair_table):
+    # the primitive null vectors against the keys of the pairs of the ball
+    # (the brute-force pair table), each pair flagged by one Euclid row:
+    # the left-coprime keys, each the key of #units pairs
+    keys, mult, coprime = pair_table(ring, radius)
+    flag = coprime > 0
+    n = ring.dim
+    rows = _null_vectors(ring, radius)
+    assert rows.dtype == np.int64 and rows.shape == (flag.sum(), n + 2)
+    got = rows[:, [n, n + 1, *range(n)]]  # as (k, l, 2x)
+    assert np.array_equal(got[np.lexsort(got.T[::-1])], keys[flag])
+    assert np.all(mult[flag] == len(units(ring)))
+    assert 0 < flag.sum() < len(flag)
+
+
+def _box_scan_ball(ring, max_norm):
+    """enumerate_ball by a box scan: per glue codeword, every doubled
+    coordinate vector of its parities in the cube |x2_i| <= 2 sqrt(max_norm),
+    kept inside the ball, then sorted by norm and lexicographically."""
+    rmax = math.isqrt(4 * max_norm)
+    blocks = []
+    for cw in _cosets(ring):
+        axes = [np.arange(-rmax + (rmax + p) % 2, rmax + 1, 2) for p in cw]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ring.dim)
+        blocks.append(grid[(grid * grid).sum(axis=1) <= 4 * max_norm])
+    pts = np.concatenate(blocks)
+    return pts[np.lexsort(tuple(pts.T[::-1]) + ((pts * pts).sum(axis=1),))]
+
+
+@pytest.mark.parametrize("ring, radii", [(Z, range(0, 40)), (HURWITZ, range(0, 17)),
+                                         (OCTAVIAN, range(0, 4))],
+                         ids=["z", "hurwitz", "octavian"])
+def test_enumerate_ball_matches_the_box_scan(ring, radii):
+    # the meet-in-the-middle shells, joined, give the ball of the box scan
+    # row for row
+    for r in radii:
+        pts = enumerate_ball(ring, r)
+        assert pts.dtype == np.int64 and np.array_equal(pts, _box_scan_ball(ring, r))
+
+
+def _mobius(m):
+    """The Moebius function of m >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % (p * p) == 0:
+            return 0
+        if m % p == 0:
+            m //= p
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+@pytest.mark.parametrize("ring, radius", [(Z, 400), (HURWITZ, 9), (OCTAVIAN, 3)],
+                         ids=["z-400", "hurwitz-9", "octavian-3"])
+def test_null_vector_counts_are_the_closed_form(ring, radius):
+    # the primitive vectors of the shell kl: sum over m | gcd(k, l) of
+    # mu(m) N(kl / m^2), N the shell counts, cell by cell; the two unit
+    # vectors (0, 0, 1) and (1, 0, 0) once each.  The rows come in the
+    # order (max(k, l), k, l, 2x)
+    n = ring.dim
+    rows = _null_vectors(ring, radius)
+    k, l = rows[:, n], rows[:, n + 1]
+    order = np.lexsort(tuple(rows[:, :n].T[::-1]) + (l, k, np.maximum(k, l)))
+    assert np.array_equal(order, np.arange(len(rows)))
+    cells, got = np.unique(k * (radius + 1) + l, return_counts=True)
+    got = dict(zip(cells.tolist(), got.tolist()))
+    counts = [1] + shell_counts(ring, radius * radius)  # N(0) = 1
+    want = {1: 1, radius + 1: 1}
+    for a, b in itertools.product(range(1, radius + 1), repeat=2):
+        g = math.gcd(a, b)
+        c = sum(_mobius(m) * counts[a * b // (m * m)] for m in range(1, g + 1) if g % m == 0)
+        if c:
+            want[a * (radius + 1) + b] = c
+    assert got == want
 
 
 def test_primitive_rows_reject_points_off_the_lattice():

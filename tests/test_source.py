@@ -95,8 +95,9 @@ def _cli_call(argv) -> str:
 
 def test_coset_loads_no_numpy_ma():
     # np.unique(..., axis=0) imports numpy.ma on first use (9-15 ms of a
-    # cold coset call); coset_reps deduplicates pairs on one int64 key
-    # each (rings._pair_classes) and sorts its rows by np.lexsort
+    # cold coset call); coset_reps reads the primitive null vectors
+    # (rings._null_vectors), whose shells sort on one int64 key per point,
+    # and sorts its rows by np.lexsort
     assert not _cold_loads_numpy_ma(_cli_call(["coset", "--ring", "hurwitz", "--bound", "2"]))
 
 

@@ -122,7 +122,7 @@ def _terms():
     order of the terms inside a shell is not pinned: it moves the shell
     sums by rounding alone."""
     for radius in (1, 2):
-        cols, _, starts, conv = _coprime_key_terms(OCTAVIAN, radius)
+        cols, starts, conv = _coprime_key_terms(OCTAVIAN, radius)
         yield ["_coprime_key_terms", radius, "starts", starts.tolist()]
         yield ["_coprime_key_terms", radius, "conv", conv.tolist()]
         for j, seg in enumerate(np.split(cols, starts[1:], axis=1)):
