@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
 from .rings import (
-    _EUCLID_BATCH,
     Ring,
+    _EUCLID_BATCH,
     _decode2,
     _lattice_classes,
     _null_vectors,

@@ -683,7 +683,7 @@ def _half_rows(patterns, bound: int):
     sums."""
     r = math.isqrt(bound)
     rows = np.zeros((1, 0), dtype=np.int64)
-    for _ in next(iter(patterns)):
+    for _ in next(iter(patterns)):  # one column per entry of a pattern
         vals = np.arange(-r, r + 1, dtype=np.int64)
         rows = np.column_stack([np.repeat(rows, len(vals), axis=0), np.tile(vals, len(rows))])
         rows = rows[(rows * rows).sum(axis=1) <= bound]  # still sorted
@@ -822,16 +822,17 @@ def _null_vectors(ring: Ring, radius: int) -> np.ndarray:
     for k, l in itertools.product(range(1, radius + 1), repeat=2):
         pairs.setdefault(k * l, []).append((k, l))
     sigma = shell_counts(ring, radius * radius)
-    norms = [m for m in sorted(pairs) if sigma[m - 1]]  # Z has no shell past the squares
+    norms = [m for m in sorted(pairs) if sigma[m - 1]]  # Z has points on square shells only
     for m, shell in zip(norms, _shells(ring, norms)):
         k, l = np.repeat(np.array(pairs[m]), len(shell), axis=0).T
         flags = _primitive_rows(ring, k, l, lambda rows: shell[rows % len(shell)])
         for kl, keep in zip(pairs[m], flags.reshape(len(pairs[m]), -1)):
             blocks[kl] = shell[keep].astype(small)
+    del shell, k, l  # the last shell goes before the table comes
     order = sorted(blocks, key=lambda kl: (max(kl), kl))
     cols = np.empty((n + 2, sum(map(len, blocks.values()))), dtype=np.int64)
     cols[:n] = np.concatenate([blocks[kl] for kl in order]).T
-    cols[n:] = np.repeat(np.array(order).T, [len(blocks[kl]) for kl in order], axis=1)
+    cols[n:] = np.repeat(np.array(order, dtype=small).T, [len(blocks[kl]) for kl in order], axis=1)
     return cols.T
 
 
