@@ -496,7 +496,7 @@ def test_octavian_coset_reps_bound_2():
 @pytest.mark.heavy
 def test_octavian_coset_reps_bound_3():
     # one canonical row for each of the 337,682 primitive null vectors;
-    # about 4 s under tracemalloc, with a traced peak of 85 MiB: the 41 MiB
+    # about 3 s under tracemalloc, with a traced peak of 90 MiB: the 41 MiB
     # of int64 rows twice (the rows and their sorted copy), after the
     # 26 MiB table is dropped
     tracemalloc.start()
@@ -515,7 +515,7 @@ def test_octavian_coset_reps_bound_3():
 @pytest.mark.heavy
 def test_octavian_coset_reps_bound_4():
     # the 2,736,242 classes of the closed-form count
-    # (test_null_vector_counts_are_the_closed_form); about 28 s and 0.8 GB
+    # (test_null_vector_counts_are_the_closed_form); about 25 s and 0.8 GB
     rows = coset_reps(OCTAVIAN, 4)
     assert rows.dtype == np.int64 and rows.shape == (2736242, 16)
     assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == (
