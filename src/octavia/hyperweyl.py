@@ -514,8 +514,7 @@ def coset_reps(ring: Ring, norm_bound: int) -> np.ndarray:
     rows = np.empty((len(table), 2 * n), dtype=np.int64)
     for lo in range(0, len(table), _EUCLID_BATCH):
         x2, k = table[lo:lo + _EUCLID_BATCH, :n], table[lo:lo + _EUCLID_BATCH, n]
-        g2 = np.zeros_like(x2)
-        g2[:, 0] = 2 * k
+        g2 = np.outer(2 * k, np.eye(1, n, dtype=np.int64))  # k as a ring element
         content, chain = _euclid_rows(ring, x2, g2, "left", record=True)
         for idx, _, r in chain:  # the last nonzero remainder of each row
             g2[idx[r.any(axis=1)]] = r[r.any(axis=1)]

@@ -818,21 +818,22 @@ def _null_vectors(ring: Ring, radius: int) -> np.ndarray:
     n = ring.dim
     small = np.min_scalar_type(-2 * radius)  # |2x|_i <= 2 sqrt(kl) <= 2 radius
     blocks = {(0, 1): np.zeros((1, n), dtype=small), (1, 0): np.zeros((1, n), dtype=small)}
-    pairs = {}
-    for k, l in itertools.product(range(1, radius + 1), repeat=2):
-        pairs.setdefault(k * l, []).append((k, l))
-    sigma = shell_counts(ring, radius * radius)
-    norms = [m for m in sorted(pairs) if sigma[m - 1]]  # Z has points on square shells only
-    for m, shell in zip(norms, _shells(ring, norms)):
-        k, l = np.repeat(np.array(pairs[m]), len(shell), axis=0).T
+    sigma = np.array([0] + shell_counts(ring, radius * radius))
+    grid = np.indices((radius, radius)).reshape(2, -1).T + 1  # the pairs (k, l)
+    grid = grid[sigma[grid.prod(axis=1)] > 0]  # Z has points on square shells only
+    m = grid.prod(axis=1)
+    order = np.argsort(m, kind="stable")
+    norms, first = np.unique(m[order], return_index=True)
+    for pairs, shell in zip(np.split(grid[order], first[1:]), _shells(ring, norms.tolist())):
+        k, l = np.repeat(pairs, len(shell), axis=0).T
         flags = _primitive_rows(ring, k, l, lambda rows: shell[rows % len(shell)])
-        for kl, keep in zip(pairs[m], flags.reshape(len(pairs[m]), -1)):
+        for kl, keep in zip(map(tuple, pairs.tolist()), flags.reshape(len(pairs), -1)):
             blocks[kl] = shell[keep].astype(small)
     del shell, k, l  # the last shell goes before the table comes
-    order = sorted(blocks, key=lambda kl: (max(kl), kl))
+    keys = sorted(blocks, key=lambda kl: (max(kl), kl))
     cols = np.empty((n + 2, sum(map(len, blocks.values()))), dtype=np.int64)
-    cols[:n] = np.concatenate([blocks[kl] for kl in order]).T
-    cols[n:] = np.repeat(np.array(order, dtype=small).T, [len(blocks[kl]) for kl in order], axis=1)
+    cols[:n] = np.concatenate([blocks[kl] for kl in keys]).T
+    cols[n:] = np.repeat(np.array(keys, dtype=small).T, [len(blocks[kl]) for kl in keys], axis=1)
     return cols.T
 
 
