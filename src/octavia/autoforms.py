@@ -13,7 +13,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -99,35 +98,34 @@ def _require_finite_s(s) -> None:
 def _d_side(ring: Ring, norm: int):
     """The d side of both series kernels over the ball |d|^2 <= norm, which
     does not depend on the point: the augmented rows b = [d | 1 | |d|^2]^T
-    of their matmuls (C order: a fast matmul) and the start of each
-    shell's column segment in the shell-major ball.  Shells with no point
-    have no segment, since np.add.reduceat would return the next element,
-    not 0, for an empty one.  _series_rows reads the truncation ball,
+    of their matmuls, in C order (a transposed b sends the Fourier
+    product to a second BLAS thread), and the start of each shell's column
+    segment in the shell-major ball.  Shells with no point have no
+    segment, since np.add.reduceat would return the next element, not 0,
+    for an empty one.  _series_rows reads the truncation ball,
     _periodic_series_value the margin ball.
     """
     pts = enumerate_ball(ring, norm).astype(float) / 2.0
-    nrm = (pts * pts).sum(axis=1)
-    b = np.vstack([pts.T, np.ones(len(pts)), nrm])
-    starts = np.flatnonzero(np.diff(np.rint(nrm).astype(np.int64), prepend=-1))
+    b = np.empty((ring.dim + 2, len(pts)))
+    b[:-2], b[-2], b[-1] = pts.T, 1.0, (pts * pts).sum(axis=1)
+    starts = np.flatnonzero(np.diff(np.rint(b[-1]).astype(np.int64), prepend=-1))
     return _readonly(b), _readonly(starts)
 
 
 @lru_cache(maxsize=32)
 def _ball_data(ring: Ring, radius: int):
-    """Ball points (doubled int and float coordinates) with squared norms,
-    the one row partition of every series: the ball indices `reps` of the
-    first member c of each lattice class c^-bar O and the class sizes
-    `weight` (rings._lattice_classes), and the shell keys max(|c|^2,
+    """The c side of both series kernels, point-independent like _d_side:
+    per lattice class c^-bar O of the ball (rings._lattice_classes), the
+    float coordinates `cpts` of its first member c, its squared norm
+    `cnrm` and the class size `weight`; and the shell keys max(|c|^2,
     |d|^2) of each row against each shell segment of _d_side(ring,
-    radius), where _series_rows bins the row's per-shell sums.
-    """
-    pts2 = enumerate_ball(ring, radius)
-    pts = pts2.astype(float) / 2.0
-    nrm = (pts * pts).sum(axis=1)
+    radius), where _series_rows bins the row's per-shell sums."""
     reps, weight = _lattice_classes(ring, radius)
-    shell = np.rint(nrm).astype(np.int64)  # squared norms are integers
-    key = np.maximum(shell[reps, None], shell[None, _d_side(ring, radius)[1]])
-    return tuple(map(_readonly, (pts2, pts, nrm, reps, weight, key)))
+    cpts = enumerate_ball(ring, radius)[reps].astype(float) / 2.0
+    cnrm = (cpts * cpts).sum(axis=1)
+    b, starts = _d_side(ring, radius)
+    key = np.rint(np.maximum.outer(cnrm, b[-1, starts])).astype(np.int64)  # integer norms
+    return tuple(map(_readonly, (cpts, cnrm, weight, key)))
 
 
 def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
@@ -144,51 +142,56 @@ def _neg_power(x: np.ndarray, s: complex) -> np.ndarray:
     return phase
 
 
+def _augmented_rows(w: np.ndarray, cv2: np.ndarray) -> np.ndarray:
+    """The c side of a series matmul, [2w | |w|^2 + cv2 | 1] in one array,
+    whose product with the rows [d | 1 | |d|^2]^T of _d_side is |w + d|^2
+    + cv2 for every pair of rows."""
+    a = np.empty((len(w), w.shape[1] + 2))
+    np.multiply(w, 2.0, out=a[:, :-2])
+    np.add((w * w).sum(axis=1), cv2, out=a[:, -2])
+    a[:, -1] = 1.0
+    return a
+
+
 def _series_rows(p: SeriesParams) -> complex:
     """Shell-major compensated sum of v^s / |cz+d|^(2s), one class row of
     c against the whole d-ball at a time: the Eisenstein kernel of the
     associative rings.  c runs over one row per lattice class c^-bar O
     (_ball_data, rings._lattice_classes), times the class size.
 
-    Representative rows go in chunks of about 64k pairs.  The
-    denominators of a chunk are one matmul of augmented rows,
-    [2 cu | |cu|^2 + |c|^2 v^2 | 1] @ [d | 1 | |d|^2]^T = |cu + d|^2 +
-    |c|^2 v^2, into one reused buffer.  The ball is shell-major, so
-    np.add.reduceat over the column segments of its shells gives each
-    row's per-shell sums; these are weighted by the class size and
-    bucketed by the shell key max(|c|^2, |d|^2).  The per-shell totals
-    are reduced in increasing shell order, so the result is deterministic
-    and the summation order matches the truncation geometry.  Only the
-    c side depends on z: the d rows, the segment starts and the shell
-    keys are cached (_d_side, _ball_data).
+    The denominators are one matmul, [2 cu | |cu|^2 + |c|^2 v^2 | 1] @
+    [d | 1 | |d|^2]^T = |cu + d|^2 + |c|^2 v^2 (_augmented_rows), in
+    chunks of about 64k pairs where the ball has more (Hurwitz radius 11
+    and up).  The ball is shell-major, so np.add.reduceat over the column
+    segments of its shells gives each row's per-shell sums; these are
+    weighted by the class size and binned by the shell key max(|c|^2,
+    |d|^2), one np.bincount per chunk and part, real or imaginary.  The
+    per-shell totals are reduced in increasing shell order, so the result
+    is deterministic and the summation order matches the truncation
+    geometry.  Only cu and v depend on z: the rest is cached (_ball_data,
+    _d_side).
     """
-    ring, z, s = p.ring, p.z, complex(p.s)
-    _, pts, nrm, reps, weight, key = _ball_data(ring, p.radius)
-    b, starts = _d_side(ring, p.radius)
-    u, v = z.u_vector(), z.v
-    cu = _rep_products(pts[reps], u[None])[0]  # row i: c_i * u
-    a = np.column_stack([2.0 * cu, (cu * cu).sum(axis=1) + nrm[reps] * v * v,
-                         np.ones(len(reps))])
+    s, v = complex(p.s), p.z.v
+    cpts, cnrm, weight, key = _ball_data(p.ring, p.radius)
+    b, starts = _d_side(p.ring, p.radius)
+    a = _augmented_rows(_rep_products(cpts, p.z.u_vector()[None])[0], cnrm * v * v)
     n_shell = p.radius + 1
-    acc_re = np.zeros(n_shell)
-    acc_im = np.zeros(n_shell)
-    chunk = min(len(reps), max(1, (1 << 16) // b.shape[1]))  # about 64k pairs
-    buf = np.empty((chunk, b.shape[1]))
-    for lo in range(0, len(reps), chunk):
-        hi = min(lo + chunk, len(reps))
-        denom = np.matmul(a[lo:hi], b, out=buf[:hi - lo])
+    acc = np.zeros((2, n_shell))
+    rows = max(1, (1 << 16) // b.shape[1])
+    for lo in range(0, len(a), rows):
+        denom = a[lo:lo + rows] @ b
         if lo == 0:
-            # (c, d) = (0, 0) (reps[0] and pts[0] are zero): a finite
-            # term, in shell 0, which the sum drops
+            # (c, d) = (0, 0) (the first class row and column are zero):
+            # a finite term, in shell 0, which the sum drops
             denom[0, 0] = 1.0
-        sums = np.add.reduceat(_neg_power(denom, s), starts, axis=1) * weight[lo:hi, None]
-        row_key = key[lo:hi].ravel()
-        acc_re += np.bincount(row_key, weights=sums.real.ravel(), minlength=n_shell)
-        if np.iscomplexobj(sums):
-            acc_im += np.bincount(row_key, weights=sums.imag.ravel(), minlength=n_shell)
-    # shell 0 holds only the pair (0, 0), which the series leaves out
-    total = complex(math.fsum(acc_re[1:]), math.fsum(acc_im[1:]))
-    return np.exp(s * np.log(v)) * total
+        sums = np.add.reduceat(_neg_power(denom, s), starts, axis=1)
+        sums *= weight[lo:lo + rows, None]
+        row_key = key[lo:lo + rows].ravel()
+        for part, col in zip(acc, (sums.real, sums.imag) if s.imag else (sums,)):
+            part += np.bincount(row_key, col.ravel(), n_shell)
+    # shell 0 holds only the pair (0, 0), which the series leaves out; v^s
+    # on np.log, since math.log differs in the last bit for one v in 600
+    return cmath.exp(s * np.log(v)) * complex(math.fsum(acc[0, 1:]), math.fsum(acc[1, 1:]))
 
 
 @lru_cache(maxsize=4)
@@ -240,6 +243,8 @@ def _series_keys(p: SeriesParams, coprime_only: bool = False) -> complex:
     if not coprime_only:
         sums = sums * (conv @ _neg_power(np.arange(1.0, p.radius + 1), s))
     total = complex(math.fsum(sums.real), math.fsum(sums.imag)) * len(units(p.ring))
+    # a numpy scalar: poincare_truncated divides it by #units, and numpy's
+    # complex division rounds differently from Python's
     return np.exp(s * np.log(v)) * total
 
 
@@ -333,12 +338,16 @@ def dual_basis(ring: Ring) -> np.ndarray:
 
 
 def _in_dual_lattice(ring: Ring, mu: np.ndarray) -> bool:
-    """Exact membership: each coordinate of mu at its exact binary value,
-    and 2 (mu, b) = (mu, b2) even for every simple root b = b2 / 2."""
+    """Exact membership: each coordinate of mu at its exact binary value
+    p / q (float.as_integer_ratio, q a power of 2), and 2 (mu, b) =
+    (mu, b2) even for every simple root b = b2 / 2, in integers over the
+    common denominator, the largest q."""
     if not np.all(np.isfinite(mu)):
         return False
-    mu = [Fraction(float(c)) for c in mu]
-    return all(sum(m * b for m, b in zip(mu, b2)) % 2 == 0
+    ratios = [float(c).as_integer_ratio() for c in mu]
+    den = max(q for _, q in ratios)
+    num = [p * (den // q) for p, q in ratios]
+    return all(sum(m * b for m, b in zip(num, b2)) % (2 * den) == 0
                for b2 in ring.basis2)
 
 
@@ -351,10 +360,13 @@ def _nearest_lattice2(ring: Ring, targets: np.ndarray) -> np.ndarray:
 
 
 def _margin_norm(radius: int) -> int:
-    # d-candidate ball: truncation radius plus the covering radius
-    # sqrt(1/2) of the D4 and E8 lattices at unit minimal norm (Z's is
-    # 1/2), the farthest _nearest_lattice2 can land from its target
-    return int(math.ceil((math.sqrt(radius) + math.sqrt(0.5)) ** 2 + 1e-9))
+    """Squared norm of the d-candidate ball of _periodic_series_value: a d
+    with |cu + d|^2 <= radius lies within sqrt(radius) + sqrt(1/2) of d0,
+    the lattice point nearest -cu (sqrt(1/2) is the covering radius of
+    the D4 and E8 lattices at unit minimal norm, Z's is 1/2).  Lattice
+    norms are integers, so the floor of the square is enough: 7 (601
+    Hurwitz points) at radius 4, 2 (2,401 octavians) at radius 1."""
+    return int(math.floor((math.sqrt(radius) + math.sqrt(0.5)) ** 2 + 1e-9))
 
 
 def _rep_products(cs: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -388,48 +400,40 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     Rows (point, c) go in chunks of about 512k (point, c, d) terms, each
     chunk within a block of whole points.  A row's displacement is w =
     cu + d0, with d0 the lattice point nearest -cu (one batched decode
-    per block), and d runs over the margin ball around d0, which covers
-    the ball |cu + d|^2 <= radius.  The denominators of a chunk are one
-    matmul of augmented rows, [2 w | |w|^2 + |c|^2 v^2 | 1] @
-    [d | 1 | |d|^2]^T (the cached _d_side of the margin ball), into one
-    reused buffer; each row is summed over its kept d, then each point
+    per block), and d runs over the margin ball around d0 (_margin_norm),
+    which covers the ball |cu + d|^2 <= radius.  The denominators of a
+    chunk are one matmul of augmented rows (_augmented_rows), [2 w |
+    |w|^2 + |c|^2 v^2 | 1] @ [d | 1 | |d|^2]^T (the cached _d_side of the
+    margin ball); each row is summed over its kept d, then each point
     over its rows with their class sizes.
     """
     s = complex(s)
-    n = ring.dim
-    _, cpts, cnrm, reps, weight, _ = _ball_data(ring, radius)
-    n_rep = len(reps)
-    cv2 = cnrm[reps] * v * v
+    cpts, cnrm, weight, _ = _ball_data(ring, radius)
+    n_rep = len(weight)
+    cv2 = cnrm * v * v
     b, _ = _d_side(ring, _margin_norm(radius))
-    m = b.shape[1]
-    chunk = max(1, (1 << 19) // m)  # rows per matmul
-    block = min(len(us), max(1, chunk // n_rep))  # points per block
-    buf = np.empty((min(chunk, block * n_rep), m))
-    keep = np.empty(buf.shape, dtype=bool)
+    chunk = max(1, (1 << 19) // b.shape[1])  # rows per matmul
+    block = max(1, chunk // n_rep)  # points per block
     out = np.empty(len(us), dtype=complex)
     for lo in range(0, len(us), block):
-        hi = min(lo + block, len(us))
-        cu = _rep_products(cpts[reps], us[lo:hi]).reshape(-1, n)
-        w = cu + _nearest_lattice2(ring, -cu).astype(float) / 2.0
-        row_cv2 = np.tile(cv2, hi - lo)
-        a = np.column_stack([2.0 * w, (w * w).sum(axis=1) + row_cv2,
-                             np.ones(len(w))])
+        cu = _rep_products(cpts, us[lo:lo + block]).reshape(-1, ring.dim)
+        w = cu + _nearest_lattice2(ring, -cu) / 2.0
+        row_cv2 = np.tile(cv2, len(w) // n_rep)
+        a = _augmented_rows(w, row_cv2)
         sums = np.empty(len(a), dtype=complex)
         for r0 in range(0, len(a), chunk):
-            r1 = min(r0 + chunk, len(a))
-            denom = np.matmul(a[r0:r1], b, out=buf[:r1 - r0])
-            kept = np.less_equal(denom, (row_cv2[r0:r1] + (radius + 1e-9))[:, None],
-                                 out=keep[:r1 - r0])
-            # (c, d) = (0, 0): reps[0] and d[0] are zero, and so is the w
-            # of c = 0, on every n_rep-th row
-            zero = np.arange(-r0 % n_rep, r1 - r0, n_rep)
+            denom = a[r0:r0 + chunk] @ b
+            kept = denom <= (row_cv2[r0:r0 + chunk] + (radius + 1e-9))[:, None]
+            # (c, d) = (0, 0): the first class row and d[0] are zero, and
+            # so is the w of c = 0, on every n_rep-th row
+            zero = np.arange(-r0 % n_rep, len(denom), n_rep)
             kept[zero, 0] = False
             denom[zero, 0] = 1.0
             vals = _neg_power(denom, s)
             vals *= kept
-            sums[r0:r1] = vals.sum(axis=1)
-        out[lo:hi] = sums.reshape(hi - lo, n_rep) @ weight
-    return np.exp(s * np.log(v)) * out
+            sums[r0:r0 + chunk] = vals.sum(axis=1)
+        out[lo:lo + block] = sums.reshape(-1, n_rep) @ weight
+    return cmath.exp(s * np.log(v)) * out
 
 
 @lru_cache(maxsize=None)
@@ -496,6 +500,22 @@ def _grid_orbits(ring: Ring, m: int):
     return _readonly(reps), _readonly(np.searchsorted(reps, label))
 
 
+@lru_cache(maxsize=16)
+def _midpoint_grids(ring: Ring, grid: int):
+    """The midpoint grids of m = grid and grid // 2 ticks per lattice axis:
+    each grid's points (ravelled indexing="ij" order) and orbit numbers
+    (_grid_orbits), then the orbit representatives of both grids in one
+    array, the full grid's first, and how many are the full grid's."""
+    out, reps_us = [], []
+    for m in (grid, grid // 2):
+        k = np.indices((m,) * ring.dim).reshape(ring.dim, -1).T
+        us = (k + 0.5) / m @ lattice_basis(ring)
+        reps, orbit = _grid_orbits(ring, m)
+        out += [_readonly(us), orbit]
+        reps_us.append(us[reps])
+    return (*out, _readonly(np.concatenate(reps_us)), len(reps_us[0]))
+
+
 def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
                         grid: int = 8) -> FourierDatum:
     """Midpoint-rule integral of the truncated series at height v against
@@ -534,17 +554,11 @@ def fourier_coefficient(mu, v: float, s: complex, radius: int, ring: Ring,
     if grid < 2:
         raise ValueError("grid must be >= 2: the error estimate needs the half grid")
 
-    def midpoints(m: int) -> np.ndarray:
-        ticks = (np.arange(m) + 0.5) / m
-        mesh = np.meshgrid(*([ticks] * ring.dim), indexing="ij")
-        return np.stack([ax.ravel() for ax in mesh], axis=1) @ lattice_basis(ring)
-
-    grids = [(midpoints(m), *_grid_orbits(ring, int(m))) for m in (grid, grid // 2)]
-    vals = _periodic_series_value(ring, s, radius,
-                                  np.concatenate([us[reps] for us, reps, _ in grids]), v)
-    full, half = (complex(vs @ np.bincount(orbit, np.cos(2 * np.pi * (us @ mu))))
-                  / len(us)
-                  for (us, _, orbit), vs in zip(grids, np.split(vals, [len(grids[0][1])])))
+    full_us, full_orbit, half_us, half_orbit, rep_us, n_full = _midpoint_grids(ring, int(grid))
+    vals = _periodic_series_value(ring, s, radius, rep_us, v)
+    full, half = (complex(vs @ np.bincount(orbit, np.cos(2 * np.pi * (us @ mu)))) / len(us)
+                  for us, orbit, vs in ((full_us, full_orbit, vals[:n_full]),
+                                        (half_us, half_orbit, vals[n_full:])))
     return FourierDatum(tuple(mu), float(v), full, abs(full - half))
 
 

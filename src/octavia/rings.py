@@ -766,10 +766,22 @@ def shell_counts(ring: Ring, n_max: int) -> list[int]:
             counts[d::d] += factor * d ** power
     else:
         counts[np.arange(1, math.isqrt(n_max) + 1) ** 2] = factor
-    return [int(c) for c in counts[1:]]
+    return counts[1:].tolist()
 
 
 # -- primitive null vectors ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _basis_adjugate(ring: Ring) -> tuple[np.ndarray, int]:
+    """The integer adjugate adj of ring.basis2 and its determinant det,
+    basis2 adj = det I, checked exactly."""
+    basis = np.array(ring.basis2, dtype=np.int64)
+    det = round(float(np.linalg.det(basis)))
+    adj = np.rint(np.linalg.inv(basis) * det)
+    if not np.array_equal(basis @ adj, det * np.eye(ring.dim)):
+        raise ArithmeticError(f"no integer adjugate of the basis of {ring}")
+    return _readonly(adj), det
 
 
 def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarray:
@@ -785,14 +797,10 @@ def _primitive_rows(ring: Ring, k: np.ndarray, l: np.ndarray, x2_of) -> np.ndarr
     time.
 
     The coordinates of x are 2x adj / det for the integer adjugate adj of
-    basis2 (basis2 adj = det I, checked exactly), so the content is the
-    gcd of the row 2x adj over |det|, and det divides it exactly when x
-    lies on the lattice, which is checked too."""
-    basis = np.array(ring.basis2, dtype=np.int64)
-    det = round(float(np.linalg.det(basis)))
-    adj = np.rint(np.linalg.inv(basis) * det)
-    if not np.array_equal(basis @ adj, det * np.eye(ring.dim)):
-        raise ArithmeticError(f"no integer adjugate of the basis of {ring}")
+    basis2 (_basis_adjugate), so the content is the gcd of the row 2x adj
+    over |det|, and det divides it exactly when x lies on the lattice,
+    which is checked too."""
+    adj, det = _basis_adjugate(ring)
     g = np.gcd(k, l)
     live = np.flatnonzero(g != 1)
     for lo in range(0, len(live), _EUCLID_BATCH):

@@ -18,7 +18,6 @@ from octavia.autoforms import (
     _grid_maps,
     _grid_orbits,
     _in_dual_lattice,
-    _margin_norm,
     _nearest_lattice2,
     _periodic_series_value,
     _rep_products,
@@ -44,6 +43,7 @@ from octavia.rings import (
     OCTAVIAN,
     Z,
     _conj_sign,
+    _lattice_classes,
     _mult2,
     _null_vectors,
     _primitive_rows,
@@ -219,7 +219,7 @@ def test_octavian_poincare_radius_2_matches_full_pair_oracle():
 def _euclid_class_mask(ring, radius):
     """Left coprimality of every class row c against the ball d, by one
     Euclid run per pair (_full_mask_rows), 16 rows at a time."""
-    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    pts2, (reps, _) = enumerate_ball(ring, radius), _lattice_classes(ring, radius)
     return np.concatenate([_full_mask_rows(ring, pts2[reps[lo:lo + 16]], pts2)
                            for lo in range(0, len(reps), 16)])
 
@@ -228,7 +228,7 @@ def _primitive_class_mask(ring, radius):
     """The class-row mask of _euclid_class_mask by primitivity
     (rings._primitive_rows) in batches of about 16k pairs, for radii
     where a Euclid run per pair is too slow."""
-    pts2, _, _, reps, _, _ = _ball_data(ring, radius)
+    pts2, (reps, _) = enumerate_ball(ring, radius), _lattice_classes(ring, radius)
     m = len(pts2)
     chunk = max(1, (1 << 14) // m)
     rows = []
@@ -245,7 +245,9 @@ def _row_by_row_series(p, coprime_only=False, mask=None):
     """Oracle on the reduced pair set: one class row at a time, with its
     class size and, for the Poincare series, its row of the class-row
     mask (by default _euclid_class_mask), per-shell fsum."""
-    _, pts, nrm, reps, weight, _ = _ball_data(p.ring, p.radius)
+    pts = enumerate_ball(p.ring, p.radius) / 2.0
+    nrm = (pts * pts).sum(axis=1)
+    reps, weight = _lattice_classes(p.ring, p.radius)
     if coprime_only and mask is None:
         mask = _euclid_class_mask(p.ring, p.radius)
     u, v, s = p.z.u_vector(), p.z.v, complex(p.s)
@@ -272,8 +274,8 @@ def test_series_match_row_by_row_oracle_across_chunks(s):
     # class-row Eisenstein kernel crosses chunks; the shell routing only
     # orders the summation, so values see it to rounding alone.  The
     # Poincare series sums the coprime keys against Euclid runs per pair
-    _, pts, _, reps, _, _ = _ball_data(HURWITZ, 16)
-    assert len(reps) == 109 and (1 << 16) // len(pts) == 25
+    assert len(_ball_data(HURWITZ, 16)[0]) == 109
+    assert (1 << 16) // len(enumerate_ball(HURWITZ, 16)) == 25
     z = UhpPoint(np.random.default_rng(9).uniform(-0.5, 0.5, 4), 0.9)
     p = SeriesParams(HURWITZ, s, 16, z)
     for f, coprime in ((eisenstein_truncated, False), (poincare_truncated, True)):
@@ -461,10 +463,14 @@ def test_noncentral_octavian_unit_breaks_mask_invariance():
 @pytest.mark.parametrize("ring, radius", [(Z, 9), (HURWITZ, 4), (OCTAVIAN, 1)],
                          ids=["z", "hurwitz", "octavian"])
 def test_reduced_mask_is_representative_rows(ring, radius):
-    pts2, _, _, reps, weight, _ = _ball_data(ring, radius)
+    pts2, (reps, weight) = enumerate_ball(ring, radius), _lattice_classes(ring, radius)
     # c = 0 alone, and the classes cover the ball once
     assert reps[0] == 0 and weight[0] == 1
     assert weight.sum() == len(pts2)
+    # the series kernels' class rows are these, with their norms
+    cpts, cnrm, w, _ = _ball_data(ring, radius)
+    assert np.array_equal(cpts * 2, pts2[reps]) and np.array_equal(w, weight)
+    assert np.array_equal(cnrm * 4, (pts2[reps] ** 2).sum(axis=1))
 
 
 def _class_members(ring, pts2, i):
@@ -509,7 +515,7 @@ def test_octavian_class_members_share_the_row(radius, sampled):
     # member c' of its class: the coprime mask and |cu + d|^2, both exact
     # (u on a 1/16 grid), and it keeps |d|^2, so the shell sums agree.
     # sampled: (class size, which class of that size)
-    pts2, _, _, reps, weight, _ = _ball_data(OCTAVIAN, radius)
+    pts2, (reps, weight) = enumerate_ball(OCTAVIAN, radius), _lattice_classes(OCTAVIAN, radius)
     index = {tuple(r): j for j, r in enumerate(pts2.tolist())}
     u16 = np.random.default_rng(radius).integers(-24, 25, 8)
     n4 = (pts2 * pts2).sum(axis=1)
@@ -572,11 +578,14 @@ def test_periodic_truncation_is_periodic():
 def _per_point_value(ring, s, radius, u, v):
     """Oracle: the periodic series value at one point u + iv, summed over
     every c of the ball (no class reduction), each over its d-ball
-    centered at -cu, one point at a time."""
+    centered at -cu, one point at a time.  Its d candidates lie within
+    sqrt(radius) + 1 of the lattice point nearest -cu, a bound of its own
+    that exceeds the library's margin (1 against the covering radius
+    sqrt(1/2)), so a margin one shell short shows here."""
     s = complex(s)
     cpts = enumerate_ball(ring, radius) / 2.0
     cnrm = (cpts * cpts).sum(axis=1)
-    off = enumerate_ball(ring, _margin_norm(radius)) / 2.0
+    off = enumerate_ball(ring, math.ceil((math.sqrt(radius) + 1) ** 2)) / 2.0
     cu = cpts @ right_mult_matrix(u, ring.dim).T
     disp = cu + _nearest_lattice2(ring, -cu) / 2.0
     total, rows = 0j, max(1, (1 << 17) // len(off))
@@ -605,11 +614,11 @@ def test_periodic_values_match_per_point_oracle(ring, radius, s):
 def test_rep_products_are_right_multiplications(ring):
     # a wrong contraction of the structure constants can still give the
     # right periodic values when the truncation is symmetric; the rows can't
-    _, pts, _, reps, _, _ = _ball_data(ring, 4 if ring is not OCTAVIAN else 1)
+    cpts = _ball_data(ring, 4 if ring is not OCTAVIAN else 1)[0]
     us = np.random.default_rng(12).uniform(-1.5, 1.5, (6, ring.dim))
-    got = _rep_products(pts[reps], us)
+    got = _rep_products(cpts, us)
     for u, rows in zip(us, got):
-        ref = pts[reps] @ right_mult_matrix(u, ring.dim).T
+        ref = cpts @ right_mult_matrix(u, ring.dim).T
         assert np.abs(rows - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 

@@ -622,6 +622,7 @@ CACHE_ARGS = {
                 AlgElem.from_coords2(4, (2, 2, 2, 0)), "right"),
     "enumerate_ball": (HURWITZ, 1),
     "_lattice_classes": (HURWITZ, 2),
+    "_basis_adjugate": (OCTAVIAN,),
     "_coded_units": (4,),
     "sandwich_map": (basis_unit(8, 3),),
     "right_mult_map": (basis_unit(8, 3),),
@@ -636,6 +637,7 @@ CACHE_ARGS = {
     "_coset_class_words": (HURWITZ, 2),
     "_grid_maps": (HURWITZ,),
     "_grid_orbits": (HURWITZ, 4),
+    "_midpoint_grids": (HURWITZ, 4),
 }
 
 
