@@ -178,8 +178,9 @@ def _series_rows(p: SeriesParams) -> complex:
     n_shell = p.radius + 1
     acc = np.zeros((2, n_shell))
     rows = max(1, (1 << 16) // b.shape[1])
+    buf = np.empty((min(rows, len(a)), b.shape[1]))  # reused: a new one faults its pages in
     for lo in range(0, len(a), rows):
-        denom = a[lo:lo + rows] @ b
+        denom = np.matmul(a[lo:lo + rows], b, out=buf[:len(a) - lo])
         if lo == 0:
             # (c, d) = (0, 0) (the first class row and column are zero):
             # a finite term, in shell 0, which the sum drops
@@ -413,7 +414,9 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
     cv2 = cnrm * v * v
     b, _ = _d_side(ring, _margin_norm(radius))
     chunk = max(1, (1 << 19) // b.shape[1])  # rows per matmul
-    block = max(1, chunk // n_rep)  # points per block
+    block = min(len(us), max(1, chunk // n_rep))  # points per block
+    buf = np.empty((min(chunk, block * n_rep), b.shape[1]))
+    keep = np.empty(buf.shape, dtype=bool)
     out = np.empty(len(us), dtype=complex)
     for lo in range(0, len(us), block):
         cu = _rep_products(cpts, us[lo:lo + block]).reshape(-1, ring.dim)
@@ -422,8 +425,9 @@ def _periodic_series_value(ring: Ring, s: complex, radius: int,
         a = _augmented_rows(w, row_cv2)
         sums = np.empty(len(a), dtype=complex)
         for r0 in range(0, len(a), chunk):
-            denom = a[r0:r0 + chunk] @ b
-            kept = denom <= (row_cv2[r0:r0 + chunk] + (radius + 1e-9))[:, None]
+            denom = np.matmul(a[r0:r0 + chunk], b, out=buf[:len(a) - r0])
+            kept = np.less_equal(denom, (row_cv2[r0:r0 + chunk] + (radius + 1e-9))[:, None],
+                                 out=keep[:len(denom)])
             # (c, d) = (0, 0): the first class row and d[0] are zero, and
             # so is the w of c = 0, on every n_rep-th row
             zero = np.arange(-r0 % n_rep, len(denom), n_rep)
