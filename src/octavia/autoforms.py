@@ -21,6 +21,7 @@ from .algebra import AlgElem, _mult2, _readonly, _structure_float, one
 from .rings import (
     Ring,
     _EUCLID_BATCH,
+    _basis_adjugate,
     _decode2,
     _lattice_classes,
     _null_vectors,
@@ -458,11 +459,11 @@ def _grid_maps(ring: Ring):
 
     One batched _mult2 gives the products e b of these e with the simple
     roots, a second the products (e b) e'; their lattice coordinates are
-    checked exactly in integers.  The grid point t = (2k + 1) / 2m, k in
-    [0, m)^n, goes to t M = (2 k M + 1 M) / 2m, a grid point modulo the
-    lattice for every m exactly when 1 M - 1 is even, and then its index
-    is k M + (1 M - 1) / 2 mod m.  The kept maps form a group, since
-    1 M M' - 1 = (1 M - 1) M' + (1 M' - 1).
+    x2 adj / det, with zero remainder (checked; rings._basis_adjugate).
+    The grid point t = (2k + 1) / 2m, k in [0, m)^n, goes to t M = (2 k M
+    + 1 M) / 2m, a grid point modulo the lattice for every m exactly when
+    1 M - 1 is even, and then its index is k M + (1 M - 1) / 2 mod m.  The
+    kept maps form a group, since 1 M M' - 1 = (1 M - 1) M' + (1 M' - 1).
     """
     n = ring.dim
     us = np.array([e.coords2 for e in (units(ring) if ring.associative
@@ -473,8 +474,9 @@ def _grid_maps(ring: Ring):
     ebe = _mult2(np.repeat(eb, len(us), axis=0), np.tile(us, (len(eb), 1)))
     # rows (e, b_r, e') -> map (e, e'), row r
     x2 = ebe.reshape(len(left), n, len(us), n).swapaxes(1, 2).reshape(-1, n)
-    maps = np.rint(x2 @ np.linalg.inv(basis2)).astype(np.int64)
-    if not np.array_equal(maps @ basis2, x2):
+    adj, det = _basis_adjugate(ring)
+    maps, rest = np.divmod((x2 @ adj).astype(np.int64), det)
+    if rest.any():
         raise ArithmeticError("a unit map left the lattice")
     maps = maps.reshape(-1, n, n)
     odd = maps.sum(axis=1) - 1

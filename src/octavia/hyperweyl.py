@@ -25,7 +25,6 @@ from .algebra import (
     _halving_kernel,
     _is_unit_norm,
     _mult2,
-    _mult4,
     _reduced,
     cd_multiply,
     commutator,
@@ -42,7 +41,6 @@ from .rings import (
     Z,
     _EUCLID_BATCH,
     _check_members,
-    _conj_sign,
     _elem,
     _euclid_rows,
     _exact_rows,
@@ -441,19 +439,33 @@ def psl0_membership(S) -> bool:
 # -- coset representatives -------------------------------------------------
 
 
+def _replayed_rows(ring: Ring, chain, m: int, dtype) -> np.ndarray:
+    """Rows (c, d), (m, 2 dim), whose left Euclid chain on (d, c) runs the
+    quotients of chain (an _euclid_rows record) down to the least unit:
+    from (s, s') = (least unit, 0), step k = L..1 takes (s, s') to
+    (s q_k - s', s), ending at (d, c); rows outside chain get (0, s)."""
+    s = np.tile(np.array(units(ring)[0].coords2, dtype=dtype), (m, 1))
+    s_next = np.zeros_like(s)
+    for rows, q, _ in reversed(chain):
+        cur = s[rows]
+        s[rows] = _mult2(cur, q) - s_next[rows]
+        s_next[rows] = cur
+    return np.concatenate([s_next, s], axis=1)
+
+
 def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
     """Canonical representatives (c, d) of the left-coprime rows of the
     (M, dim) doubled coordinates c2, d2, as (M, 2 dim) rows, one per row;
-    the caller decides the coprimality (coset_reps by the primitive null
-    vectors, is_left_coprime or left_content).
+    the caller decides the coprimality (is_left_coprime or left_content).
 
     The class of (c, d) is canonicalized by the ring's data:
       associative: the lexicographically least of the rows (u c, u d)
                 over the units u; Z instead takes the sign that makes
                 the leading nonzero entry positive;
-      otherwise:   the left Euclid chain on (d, c), d = c q1 - r1,
-                c = r1 q2 - r2, ..., replayed bottom-up with the last
-                remainder set to the least unit.
+      otherwise:   the replay of the left Euclid chain on (d, c)
+                (_replayed_rows); coset_reps replays the chain on (x, k),
+                whose quotients are the same (ROADMAP finding 2, checked
+                up to octavian bound 4).
     """
     c2, d2 = _exact_rows(c2, d2)
     if ring is Z:  # the golden coset-z-* rows pin the sign rule
@@ -461,21 +473,8 @@ def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
         return np.concatenate([c2, d2], axis=1) * np.where(lead < 0, -1, 1)
     if ring.associative:
         return _unit_orbit_min(ring, c2, d2)
-    # Non-associative: s, s_next start as (least unit, 0) and run
-    # s, s_next = s q_k - s_next, s for k = L..2; then (c, d) = (s, s q1 - s_next).
-    # Rows with c = 0 never enter the chain and stay (0, least unit).
     chain = _euclid_rows(ring, d2, c2, "left", record=True)[1]
-    s = np.tile(np.array(units(ring)[0].coords2, dtype=c2.dtype), (len(c2), 1))
-    s_next = np.zeros_like(s)
-    for rows, q, _ in reversed(chain[1:]):
-        cur = s[rows]
-        s[rows] = _mult2(cur, q) - s_next[rows]
-        s_next[rows] = cur
-    c_new, d_new = np.zeros_like(s), s.copy()
-    for rows, q, _ in chain[:1]:
-        c_new[rows] = s[rows]
-        d_new[rows] = _mult2(s[rows], q) - s_next[rows]
-    return np.concatenate([c_new, d_new], axis=1)
+    return _replayed_rows(ring, chain, len(c2), c2.dtype)
 
 
 def canonical_pair(ring: Ring, c: AlgElem, d: AlgElem):
@@ -499,12 +498,12 @@ def coset_reps(ring: Ring, norm_bound: int) -> np.ndarray:
 
     Each class is one primitive null vector (k, x, l) of
     rings._null_vectors, the key (|c|^2, c^-bar d, |d|^2) of its rows.
-    The left Euclid chain on (x, k) reads k^-1 x = c^-1 d, as the chain
-    on (d, c) does, and its last divisor g has |g|^2 = k (checked); so
-    c = g^-bar and d = c x / k (checked integral) is a row of the class,
-    by the alternative law c (c^-bar d) = |c|^2 d; (0, 0, 1) gives (0, 1).
-    _canonical_rows writes the classes' rows into one array, one Euclid
-    batch of _EUCLID_BATCH vectors at a time, which is sorted once.
+    The left Euclid chain on (x, k) reads k^-1 x = c^-1 d, so it runs the
+    quotients of the chain on (d, c) (ROADMAP finding 2, checked up to
+    octavian bound 4) and its last divisor has norm k (checked).  Its
+    replay (_replayed_rows) is the octavian canonical row; Z and Hurwitz
+    then take their unit rule (_canonical_rows).  One Euclid batch runs
+    per _EUCLID_BATCH vectors, into one array that is sorted once.
     """
     _require_int("norm_bound", norm_bound)
     if norm_bound < 1:
@@ -516,13 +515,11 @@ def coset_reps(ring: Ring, norm_bound: int) -> np.ndarray:
         x2, k = table[lo:lo + _EUCLID_BATCH, :n], table[lo:lo + _EUCLID_BATCH, n]
         g2 = np.outer(2 * k, np.eye(1, n, dtype=np.int64))  # k as a ring element
         content, chain = _euclid_rows(ring, x2, g2, "left", record=True)
-        for idx, _, r in chain:  # the last nonzero remainder of each row
-            g2[idx[r.any(axis=1)]] = r[r.any(axis=1)]
-        c2 = g2 * _conj_sign(n)
-        d2, rest = np.divmod(_mult4(c2, x2), np.maximum(2 * k, 1)[:, None])
-        if rest.any() or not np.array_equal(content, 4 * k):
+        if not np.array_equal(content, 4 * k):
             raise ArithmeticError(f"a null vector of {ring} gave no row (c, d)")
-        d2[k == 0, 0] = 2
-        rows[lo:lo + len(k)] = _canonical_rows(ring, c2, d2)
+        cd = _replayed_rows(ring, chain, len(k), np.int64)
+        if ring.associative:
+            cd = _canonical_rows(ring, cd[:, :n], cd[:, n:])
+        rows[lo:lo + len(k)] = cd
     del table, x2, k  # the sort copies the rows
     return rows[np.lexsort(rows.T[::-1])]

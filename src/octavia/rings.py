@@ -436,7 +436,8 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
     facts rest on the alternative law c (c^-bar x) = |c|^2 x (Feingold,
     Kleinschmidt and Nicolai, arXiv:0805.3018).  This is the one quotient
     of the ball: the series rows (autoforms._ball_data) take c over the
-    first members.
+    first members, in the Z and Hurwitz Eisenstein series and in
+    _periodic_series_value (the Fourier coefficients) of every ring.
 
     For Z and the Hurwitz ring the classes are the unit orbits {e c}; for
     the octavians they hold 1, 16 or 240 points at max_norm 2 (137
@@ -454,13 +455,13 @@ def _lattice_classes(ring: Ring, max_norm: int) -> tuple[np.ndarray, np.ndarray]
 def _exact_rows(*rows) -> list[np.ndarray]:
     """The row arrays as int64 where no Euclid intermediate can overflow
     it, else as Python-int object arrays.  It serves batches only: the
-    _euclid_rows of left_content and hyperweyl._canonical_rows, and the
-    ball scan of common_right_divisors; the chain of one pair runs on
-    Python ints (_euclid).
+    _euclid_rows of left_content, hyperweyl._canonical_rows and
+    hyperweyl.coset_reps, and the ball scan of common_right_divisors; the
+    chain of one pair runs on Python ints (_euclid).
 
     With m the largest |entry|, every row has |x2| <= sqrt(dim) m, and
     norms never grow along a chain (nor along its replay in
-    hyperweyl._canonical_rows, which keeps the remainder norms).  So:
+    hyperweyl._replayed_rows, which keeps the remainder norms).  So:
     - every _mult4 partial sum of two rows is at most |x2| |y2| <= dim m^2
       (Cauchy-Schwarz: output k pairs each x_i with one y_j), and so is
       every norm, den = |c2|^2 among them;
@@ -495,9 +496,9 @@ def _euclid_rows(ring: Ring, first2, c2, side: str, record: bool = False):
     """Sided Euclid with nearest quotients on each row pair (first, c).
 
     This kernel serves batches only: left_content, the Euclid oracle of
-    primitivity, and hyperweyl._canonical_rows.  The chain of one pair
-    runs on Python ints (_euclid_chain), and each is the other's test
-    oracle.
+    primitivity, hyperweyl._canonical_rows and hyperweyl.coset_reps.  The
+    chain of one pair runs on Python ints (_euclid_chain), and each is the
+    other's test oracle.
 
     Inputs are (M, dim) doubled coordinates.  Returns (content, chain):
     content[i] is 4 |last nonzero remainder|^2 of row i (4 |first|^2 when

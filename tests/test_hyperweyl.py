@@ -44,13 +44,16 @@ from octavia.hyperweyl import (
     row_act,
     simple_alpha,
 )
+import octavia.hyperweyl
 import octavia.rings
 from octavia.rings import (
     HURWITZ,
     OCTAVIAN,
     Z,
+    _EUCLID_BATCH,
     _class_keys,
     _conj_sign,
+    _euclid_rows,
     _lattice_classes,
     _null_vectors,
     enumerate_ball,
@@ -491,6 +494,26 @@ def test_octavian_coset_reps_bound_2():
     rows = rows.astype("<i8")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "859e92aca4c2aef57a335ef5bd27a3e07cbc830df6fcf6f82a65d3a74cb5aa0e")
+
+
+@pytest.mark.parametrize("ring, bound", [(Z, 64), (HURWITZ, 9), (OCTAVIAN, 2)],
+                         ids=["z-64", "hurwitz-9", "octavian-2"])
+def test_coset_reps_runs_one_euclid_batch_per_block(monkeypatch, ring, bound):
+    # each class's row replays the chain on (x, k) that found it, so no
+    # ring runs a second batch on (d, c): octavian bound 2 has 21,842
+    # null vectors, two blocks of _EUCLID_BATCH
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return _euclid_rows(*args, **kwargs)
+
+    monkeypatch.setattr(octavia.hyperweyl, "_euclid_rows", counted)
+    rows = coset_reps(ring, bound)
+    assert sum(calls) == len(rows) == len(_null_vectors(ring, bound))
+    assert len(calls) == -(-len(rows) // _EUCLID_BATCH)
+    if ring is OCTAVIAN:
+        assert len(calls) == 2
 
 
 @pytest.mark.heavy
