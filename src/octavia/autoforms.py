@@ -257,8 +257,8 @@ def eisenstein_truncated(p: SeriesParams) -> complex:
     left-coprime ones of 326,536 pairs at radius 2): the key table serves
     (_series_keys).  Over Z and the Hurwitz ring 92-94 % of the pairs have
     keys of their own, and the class-row matmuls (_series_rows) build no
-    table: a cold Hurwitz radius 16 call took 8-12 ms and 33 MB on them,
-    0.12-0.15 s and 72 MB on the keys (2-core host)."""
+    table: a cold Hurwitz radius 16 call took 5.5-8.7 ms and 33 MiB on
+    them, 50-70 ms and 49.6 MiB on the keys (2-core host)."""
     return (_series_rows if p.ring.associative else _series_keys)(p)
 
 

@@ -456,7 +456,7 @@ def _replayed_rows(ring: Ring, chain, m: int, dtype) -> np.ndarray:
 def _canonical_rows(ring: Ring, c2, d2) -> np.ndarray:
     """Canonical representatives (c, d) of the left-coprime rows of the
     (M, dim) doubled coordinates c2, d2, as (M, 2 dim) rows, one per row;
-    the caller decides the coprimality (is_left_coprime or left_content).
+    the caller decides coprimality (coset_reps, is_left_coprime, left_content).
 
     The class of (c, d) is canonicalized by the ring's data:
       associative: the lexicographically least of the rows (u c, u d)

@@ -519,9 +519,9 @@ def test_coset_reps_runs_one_euclid_batch_per_block(monkeypatch, ring, bound):
 @pytest.mark.heavy
 def test_octavian_coset_reps_bound_3():
     # one canonical row for each of the 337,682 primitive null vectors;
-    # about 3 s under tracemalloc, with a traced peak of 90 MiB: the 41 MiB
-    # of int64 rows twice (the rows and their sorted copy), after the
-    # 26 MiB table is dropped
+    # about 2-3 s under tracemalloc (2-core host), with a traced peak of
+    # 90 MiB: the 41 MiB of int64 rows twice (the rows and their sorted
+    # copy), after the 26 MiB table is dropped
     tracemalloc.start()
     try:
         rows = coset_reps(OCTAVIAN, 3)
@@ -538,7 +538,8 @@ def test_octavian_coset_reps_bound_3():
 @pytest.mark.heavy
 def test_octavian_coset_reps_bound_4():
     # the 2,736,242 classes of the closed-form count
-    # (test_null_vector_counts_are_the_closed_form); about 25 s and 0.8 GB
+    # (test_null_vector_counts_are_the_closed_form); about 14 s and 1.1 GB
+    # peak RSS on a 2-core host
     rows = coset_reps(OCTAVIAN, 4)
     assert rows.dtype == np.int64 and rows.shape == (2736242, 16)
     assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == (
